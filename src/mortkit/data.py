@@ -382,14 +382,6 @@ class SurfaceFragment:
         return np.array([v for _, v in rows])
 
 
-def merge_fragments(fragments) -> SurfaceFragment:
-    """Field-wise union of fragments; duplicate fields are refused."""
-    out = SurfaceFragment()
-    for frag in fragments:
-        out.update(frag)
-    return out
-
-
 def build_surface(fragment: SurfaceFragment, country: str, gender: str,
                   ages: AgeRange, years: YearRange) -> MortalitySurface:
     """Assemble a complete surface from a fragment, failing loudly on gaps."""

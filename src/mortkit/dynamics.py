@@ -5,9 +5,12 @@ the country effect an AR(1) with intercept; the four innovations of one
 year are jointly Gaussian with covariance C.  Stacking both genders gives
 per-year observations Y_t = (dK^M, kappa^M_t, dK^F, kappa^F_t) that are
 linear in the six mean parameters Psi = (theta^M, c^M, phi^M, theta^F,
-c^F, phi^F).  The weighted Gaussian log-likelihood is maximized exactly
-by alternating a weighted GLS step for Psi with the closed-form weighted
-covariance update, then verified with a quasi-Newton polish.
+c^F, phi^F).  The weighted Gaussian log-likelihood is maximized by
+alternating a weighted GLS step for Psi with the closed-form weighted
+covariance update.  For SUR models this alternation converges to the
+maximum-likelihood estimate (Oberhofer & Kmenta, Econometrica 1974), so
+the fit ends at the GLS/moment fixed point and reports how far Psi is
+from solving its normal equations there as `score_norm`.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize
 
 from .data import YearRange, GENDERS
 from .errors import ConvergenceError, ParseError, ValidationError
@@ -34,9 +36,6 @@ PARAM_TOL = 1e-13
 
 #: Maximum alternating iterations.
 MAX_FIT_ITER = 10_000
-
-#: The polish step must not find improvement beyond this.
-POLISH_TOL = 1e-8
 
 #: Minimum effective observations: six mean parameters plus a PD covariance.
 MIN_EFFECTIVE_OBS = 7
@@ -124,6 +123,10 @@ class TimeSeriesFit:
     loglik: float
     iterations: int
     ridged: bool = False
+    #: Relative Newton step ||I^-1 g||_inf / (1 + ||psi||_inf) left in the
+    #: GLS normal equations at the returned point; NaN when the fit was not
+    #: produced by `fit_weighted_mle`.
+    score_norm: float = float("nan")
 
     def param(self, name: str) -> float:
         return float(self.psi[PSI_NAMES.index(name)])
@@ -201,36 +204,34 @@ def _cov_step(Ys, Xs, w, psi, *, warn=True):
         ridged = True
         if warn:
             warnings.warn("covariance iterate singular; ridge applied",
-                          RuntimeWarning, stacklevel=3)
+                          RuntimeWarning, stacklevel=2)
     return C, ridged
 
 
-def _pack(psi, C):
-    L = np.linalg.cholesky(C)
-    tril = L[np.tril_indices(4)]
-    return np.concatenate([psi, tril])
+def _score_norm(Ys, Xs, w, psi, C) -> float:
+    """Relative Newton step ||I^-1 g||_inf / (1 + ||psi||_inf) of the GLS
+    normal equations at (psi, C), with g = sum_t w_t X_t' C^-1 (Y_t - X_t psi)
+    and I = sum_t w_t X_t' C^-1 X_t.  The GLS solution at C is psi + I^-1 g,
+    so the step is its distance from psi.  The moment residual of C needs
+    no check: C is the last step of the alternation, so it is exact.
+    """
+    step = _gls_step(Ys, Xs, w, C) - psi
+    return float(np.abs(step).max() / (1.0 + np.abs(psi).max()))
 
 
-def _unpack(theta):
-    psi = theta[:6]
-    L = np.zeros((4, 4))
-    L[np.tril_indices(4)] = theta[6:]
-    return psi, L @ L.T
-
-
-def fit_weighted_mle(rows, weights=None, *, tol=FIT_TOL,
-                     max_iter=MAX_FIT_ITER, polish=True) -> TimeSeriesFit:
+def fit_weighted_mle(rows, weights=None, *,
+                     max_iter=MAX_FIT_ITER) -> TimeSeriesFit:
     """Maximize the weighted likelihood by alternating exact steps.
 
     Given C, Psi is the weighted GLS solution; given Psi, C is the
     weighted residual second moment.  Iterates from C = I until the
-    log-likelihood change drops below `tol` and the iterates settle
+    log-likelihood change drops below FIT_TOL and the iterates settle
     (PARAM_TOL), so the returned pair is a fixed point of both exact
-    steps to near machine precision.  A quasi-Newton
-    polish over (Psi, chol(C)) then verifies that no improvement beyond
-    POLISH_TOL remains; if one is found (flat or miscoverged case) the
-    alternation restarts from the polished point so the returned fit is
-    always an exact GLS/moment fixed point.
+    steps to near machine precision; for this SUR likelihood that fixed
+    point is the maximum-likelihood estimate.  The fit carries
+    `score_norm`, the relative Newton step left in the GLS normal
+    equations at the returned point, as a deterministic diagnostic of how
+    exactly the fixed point was reached.
     """
     rows = list(rows)
     w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=float)
@@ -245,53 +246,27 @@ def fit_weighted_mle(rows, weights=None, *, tol=FIT_TOL,
         )
     Ys, Xs = _stack(rows)
 
-    def alternate(psi, C):
-        current = loglik(psi, C, rows, w)
-        ridged_any = False
-        for it in range(1, max_iter + 1):
-            psi_prev, C_prev = psi, C
-            psi = _gls_step(Ys, Xs, w, C)
-            C, ridged = _cov_step(Ys, Xs, w, psi)
-            ridged_any = ridged_any or ridged
-            new = loglik(psi, C, rows, w)
-            step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
-            scale = 1.0 + max(np.abs(psi).max(), np.abs(C).max())
-            if abs(new - current) < tol and step <= PARAM_TOL * scale:
-                return psi, C, new, it, ridged_any
-            current = new
-        raise ConvergenceError(
-            f"time-series fit did not converge in {max_iter} iterations",
-            last_iterate={"psi": psi, "C": C, "loglik": current},
-        )
-
-    psi0 = _gls_step(Ys, Xs, w, np.eye(4))
-    C0, _ = _cov_step(Ys, Xs, w, psi0, warn=False)
-    psi, C, ll, iters, ridged = alternate(psi0, C0)
-
-    if polish:
-        def neg(theta):
-            p, cov = _unpack(theta)
-            try:
-                return -loglik(p, cov, rows, w)
-            except (ValidationError, np.linalg.LinAlgError):
-                return np.inf
-
-        for _ in range(3):
-            res = optimize.minimize(neg, _pack(psi, C), method="L-BFGS-B")
-            if res.success and -res.fun > ll + POLISH_TOL:
-                warnings.warn(
-                    "polish improved the alternating fit; re-alternating",
-                    RuntimeWarning, stacklevel=2,
-                )
-                p2, C2 = _unpack(res.x)
-                psi, C, ll, extra, r2 = alternate(p2, C2)
-                iters += extra
-                ridged = ridged or r2
-            else:
-                break
-
-    return TimeSeriesFit(psi=psi, C=C, weights=w, loglik=ll,
-                         iterations=iters, ridged=ridged)
+    psi = _gls_step(Ys, Xs, w, np.eye(4))
+    C, _ = _cov_step(Ys, Xs, w, psi, warn=False)
+    current = loglik(psi, C, rows, w)
+    ridged_any = False
+    for it in range(1, max_iter + 1):
+        psi_prev, C_prev = psi, C
+        psi = _gls_step(Ys, Xs, w, C)
+        C, ridged = _cov_step(Ys, Xs, w, psi)
+        ridged_any = ridged_any or ridged
+        new = loglik(psi, C, rows, w)
+        step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
+        scale = 1.0 + max(np.abs(psi).max(), np.abs(C).max())
+        if abs(new - current) < FIT_TOL and step <= PARAM_TOL * scale:
+            return TimeSeriesFit(psi=psi, C=C, weights=w, loglik=new,
+                                 iterations=it, ridged=ridged_any,
+                                 score_norm=_score_norm(Ys, Xs, w, psi, C))
+        current = new
+    raise ConvergenceError(
+        f"time-series fit did not converge in {max_iter} iterations",
+        last_iterate={"psi": psi, "C": C, "loglik": current},
+    )
 
 
 def psi_covariance(fit: TimeSeriesFit, rows) -> np.ndarray:

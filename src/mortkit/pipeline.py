@@ -22,14 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, lilee, project
-from .config import (ADJUSTED_LEE_MILLER, RunConfig, WEIGHTED_LIKELIHOOD,
-                     aux_start_for)
+from .config import RunConfig, WEIGHTED_LIKELIHOOD, aux_start_for
 from .data import (GENDERS, MortalitySurface, MultiPopulationDataset,
                    SurfaceFragment, UK_CODE, YearRange, aggregate_uk,
                    annualize_weekly_deaths, annualize_weekly_exposure,
                    check_eurostat_stmf_consistency, load_individual_age_csv,
                    load_weekly_csv)
-from .errors import ConfigError, MortkitError, ValidationError
+from .errors import ConfigError, ValidationError
 from .ungroup import fit_auxiliary_projection_model, ungroup_deaths, ungroup_exposures
 
 _QUANTITY_FIELD = {"deaths": "deaths", "exposures": "exposure"}
@@ -375,27 +374,23 @@ def _probe_label(p) -> str:
     return _PROBE_LABELS.get(p, format(p, "g"))
 
 
-def _calibrate_li_lee(config, dataset):
+def _scenario_label(config, value) -> str:
+    prefix = "w" if config.method_kind == WEIGHTED_LIKELIHOOD else "alm"
+    return f"{prefix}{value:g}"
+
+
+def _calibrate(config, dataset, blend=None):
+    """Per-gender Li-Lee parameters, or with `blend` the adjusted
+    Lee-Miller variant of that blend weight."""
     params = {}
     for gender in GENDERS:
         d_T, E_T = dataset.aggregate(gender)
         surf = dataset.surface(config.country_of_interest, gender)
-        p, _ = lilee.calibrate(d_T, E_T, surf.deaths, surf.exposures,
-                               config.ages, config.years)
-        params[gender] = p
-    return params
-
-
-def _calibrate_alm(config, dataset, blend):
-    params = {}
-    for gender in GENDERS:
-        d_T, E_T = dataset.aggregate(gender)
-        surf = dataset.surface(config.country_of_interest, gender)
-        p, _ = lilee.fit_adjusted_lee_miller(
-            d_T, E_T, surf.deaths, surf.exposures, config.ages, config.years,
-            blend,
-        )
-        params[gender] = p
+        args = (d_T, E_T, surf.deaths, surf.exposures, config.ages, config.years)
+        if blend is None:
+            params[gender], _ = lilee.calibrate(*args)
+        else:
+            params[gender], _ = lilee.fit_adjusted_lee_miller(*args, blend)
     return params
 
 
@@ -502,6 +497,7 @@ class ScenarioResult:
     stationary: dict | None
     ridged: bool | None
     loglik: float | None
+    score_norm: float | None
     files: dict
     hashes: dict
     elapsed: float
@@ -513,7 +509,8 @@ class ScenarioResult:
         }
         if self.status == "ok":
             out.update(ts_params=self.ts_params, stationary=self.stationary,
-                       ridged=self.ridged, loglik=self.loglik)
+                       ridged=self.ridged, loglik=self.loglik,
+                       score_norm=self.score_norm)
         else:
             out["error"] = self.error
         return out
@@ -549,13 +546,12 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_params,
                  out_dir: Path) -> ScenarioResult:
     """One grid value: calibrate (or reuse), fit dynamics, simulate, write."""
     start = time.perf_counter()
+    label = _scenario_label(config, value)
     if config.method_kind == WEIGHTED_LIKELIHOOD:
-        label = f"w{value:g}"
         params = shared_params
         fit, _ = _fit_dynamics(config, params, weight_last=value)
     else:
-        label = f"alm{value:g}"
-        params = _calibrate_alm(config, dataset, value)
+        params = _calibrate(config, dataset, blend=value)
         fit, _ = _fit_dynamics(config, params, weight_last=None)
 
     files = {
@@ -572,7 +568,8 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_params,
         label=label, value=value, status="ok", error=None,
         ts_params={name: float(v) for name, v in zip(dynamics.PSI_NAMES, fit.psi)},
         stationary=fit.stationary, ridged=fit.ridged, loglik=float(fit.loglik),
-        files=files, hashes=hashes, elapsed=time.perf_counter() - start,
+        score_norm=fit.score_norm, files=files, hashes=hashes,
+        elapsed=time.perf_counter() - start,
     )
 
 
@@ -591,29 +588,25 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         t0 = time.perf_counter()
         try:
-            shared_params = _calibrate_li_lee(config, assembled.dataset)
-        except MortkitError as exc:
+            shared_params = _calibrate(config, assembled.dataset)
+        except Exception as exc:  # isolated: reported on every scenario
             shared_error = f"{type(exc).__name__}: {exc}"
         timings["calibrate"] = time.perf_counter() - t0
 
     def run_one(value):
-        if shared_error is not None:
-            return ScenarioResult(
-                label=f"w{value:g}", value=value, status="failed",
-                error=shared_error, ts_params=None, stationary=None,
-                ridged=None, loglik=None, files={}, hashes={}, elapsed=0.0,
-            )
-        try:
-            return run_scenario(config, assembled.dataset, value,
-                                shared_params, out_dir)
-        except MortkitError as exc:
-            prefix = "w" if config.method_kind == WEIGHTED_LIKELIHOOD else "alm"
-            return ScenarioResult(
-                label=f"{prefix}{value:g}", value=value, status="failed",
-                error=f"{type(exc).__name__}: {exc}", ts_params=None,
-                stationary=None, ridged=None, loglik=None, files={},
-                hashes={}, elapsed=0.0,
-            )
+        error = shared_error
+        if error is None:
+            try:
+                return run_scenario(config, assembled.dataset, value,
+                                    shared_params, out_dir)
+            except Exception as exc:  # one scenario never aborts the others
+                error = f"{type(exc).__name__}: {exc}"
+        return ScenarioResult(
+            label=_scenario_label(config, value), value=value,
+            status="failed", error=error, ts_params=None, stationary=None,
+            ridged=None, loglik=None, score_norm=None, files={}, hashes={},
+            elapsed=0.0,
+        )
 
     workers = jobs if jobs else len(config.method_grid)
     t0 = time.perf_counter()
@@ -655,14 +648,21 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
 def diff_reports(report_a: dict, report_b: dict) -> dict:
     """Structured parameter deltas (a minus b) between two run reports.
 
-    Scenarios are paired by position; both reports must carry the same
-    quantity schema.  Antisymmetric: diff(a, b) == -diff(b, a) value-wise.
+    Scenarios are paired by label, in report a's order; labels found in
+    only one report are listed under `unmatched`.  Paired scenarios must
+    carry the same parameter schema.  Antisymmetric: diff(a, b) ==
+    -diff(b, a) value-wise.
     """
     scen_a = report_a.get("scenarios", [])
     scen_b = report_b.get("scenarios", [])
+    by_label_b = {s.get("label"): s for s in scen_b}
     pairs = []
-    for a, b in zip(scen_a, scen_b):
-        entry = {"label_a": a.get("label"), "label_b": b.get("label")}
+    for a in scen_a:
+        label = a.get("label")
+        if label not in by_label_b:
+            continue
+        b = by_label_b[label]
+        entry = {"label": label}
         pa, pb = a.get("ts_params"), b.get("ts_params")
         if pa and pb:
             if set(pa) != set(pb):
@@ -672,7 +672,12 @@ def diff_reports(report_a: dict, report_b: dict) -> dict:
         else:
             entry["incomparable"] = True
         pairs.append(entry)
+    paired = {entry["label"] for entry in pairs}
     return {
         "scenario_count": [len(scen_a), len(scen_b)],
         "scenarios": pairs,
+        "unmatched": {
+            side: [s.get("label") for s in scen if s.get("label") not in paired]
+            for side, scen in (("a", scen_a), ("b", scen_b))
+        },
     }

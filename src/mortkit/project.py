@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import GENDERS
 from .dynamics import TimeSeriesFit
 from .errors import ValidationError
 from .lilee import LiLeeParams
@@ -35,8 +36,6 @@ FORCE_CLAMP = 1.0 - 1e-12
 
 #: Default fan-chart probes.
 DEFAULT_PROBES = (0.005, 0.5, 0.995)
-
-GENDERS = ("M", "F")
 
 
 @dataclass(frozen=True)

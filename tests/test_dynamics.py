@@ -1,8 +1,15 @@
 """Weighted Gaussian MLE for the joint drift/AR(1) period dynamics."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 
+import mortkit
+from mortkit import dynamics
 from mortkit.data import YearRange
 from mortkit.dynamics import (LOG_2PI, PSI_NAMES, PeriodEffectSeries,
                               TimeSeriesFit, build_design, export_fit_csv,
@@ -267,11 +274,61 @@ class TestWeightedFit:
         ))
         with pytest.warns(RuntimeWarning, match="ridge"):
             with pytest.raises(ConvergenceError) as excinfo:
-                fit_weighted_mle(rows, polish=False, max_iter=60)
+                fit_weighted_mle(rows, max_iter=60)
         last = excinfo.value.last_iterate
         assert set(last) == {"psi", "C", "loglik"}
         assert np.isfinite(last["loglik"])
         np.linalg.cholesky(last["C"])
+
+
+class TestFixedPoint:
+    """The alternation's fixed point is the maximum-likelihood estimate."""
+
+    @pytest.mark.parametrize("w_last", [None, 0.5, 0.0])
+    def test_lbfgs_finds_no_gain_from_the_fit(self, rng, w_last):
+        for _ in range(3):
+            rows = build_design(simulate_series(rng, int(rng.integers(12, 30))))
+            weights = rng.uniform(0.3, 1.0, size=len(rows))
+            if w_last is not None:
+                weights[-1] = w_last
+            fit = fit_weighted_mle(rows, weights)
+            assert fit.score_norm < 1e-9
+            tril = np.tril_indices(4)
+
+            def neg(theta):
+                L = np.zeros((4, 4))
+                L[tril] = theta[6:]
+                try:
+                    return -loglik(theta[:6], L @ L.T, rows, weights)
+                except (ValidationError, np.linalg.LinAlgError):
+                    return np.inf
+
+            start = np.concatenate([fit.psi, np.linalg.cholesky(fit.C)[tril]])
+            res = optimize.minimize(neg, start, method="L-BFGS-B")
+            assert -res.fun <= fit.loglik + 1e-8
+
+    def test_score_norm_is_the_relative_gls_step(self, rng):
+        rows = build_design(simulate_series(rng, 20))
+        weights = rng.uniform(0.3, 1.0, size=len(rows))
+        fit = fit_weighted_mle(rows, weights)
+        Ys, Xs = dynamics._stack(rows)
+        psi = fit.psi + 0.01 * rng.standard_normal(6)
+        expected = (np.abs(gls_solution(rows, weights, fit.C) - psi).max()
+                    / (1.0 + np.abs(psi).max()))
+        got = dynamics._score_norm(Ys, Xs, weights, psi, fit.C)
+        assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_import_loads_no_scipy(self):
+        src = Path(mortkit.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        code = ("import mortkit, sys; "
+                "print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestFitCsv:

@@ -4,11 +4,13 @@ import hashlib
 import json
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 
+from mortkit import dynamics
 from mortkit.cli import main
 from mortkit.config import load_run_config
 from mortkit.data import AgeRange, EUROW_BUCKETS, STMF_BUCKETS, YearRange, \
@@ -420,6 +422,13 @@ class TestWeightedScenarios:
                 flagged = scenario.stationary[gender]
                 assert flagged == (abs(scenario.ts_params[f"phi_{gender}"]) < 1)
 
+    def test_report_carries_fixed_point_diagnostic(self, wrun):
+        config, _ = wrun
+        with (config.output_dir / "report.json").open() as handle:
+            scenarios = json.load(handle)["scenarios"]
+        for scenario in scenarios:
+            assert 0.0 <= scenario["score_norm"] < 1e-9
+
     def test_report_file_round_trips(self, wrun):
         config, report = wrun
         with (config.output_dir / "report.json").open() as handle:
@@ -577,6 +586,23 @@ def mixed(small_bundle):
     return config, quiet_run(config)
 
 
+@pytest.fixture(scope="module")
+def linalg_mixed(small_bundle):
+    """The small bundle's run with a LinAlgError raised by the w0 fit."""
+    root, _ = small_bundle
+    config = load_run_config(rewrite_config(root, "linalg.yaml",
+                                            output_dir="out_linalg"))
+    real = dynamics.fit_weighted_mle
+
+    def fit(rows, weights=None, **kwargs):
+        if weights is not None and weights[-1] == 0.0:
+            raise np.linalg.LinAlgError("injected singular matrix")
+        return real(rows, weights, **kwargs)
+
+    with mock.patch.object(dynamics, "fit_weighted_mle", fit):
+        return config, quiet_run(config)
+
+
 class TestScenarioIsolation:
     def test_partial_failure_reported(self, mixed):
         _, report = mixed
@@ -589,21 +615,27 @@ class TestScenarioIsolation:
         assert report.any_ok
 
     def test_failure_never_alters_surviving_outputs(self, small_bundle, mixed,
-                                                    tmp_path):
+                                                    linalg_mixed):
         root, _ = small_bundle
-        config, report = mixed
         solo_cfg = rewrite_config(root, "solo.yaml",
                                   method={"kind": "WEIGHTED_LIKELIHOOD",
                                           "grid": [1.0]},
                                   output_dir="out_solo")
         solo_report = quiet_run(load_run_config(solo_cfg))
         assert solo_report.all_ok
-        survivor = {s.label: s for s in report.scenarios}["w1"]
         solo = solo_report.scenarios[0]
-        for name in survivor.files.values():
-            assert (config.output_dir / name).read_bytes() == \
-                (root / "out_solo" / name).read_bytes(), name
-        assert survivor.hashes == solo.hashes
+        # A library fault outside MortkitError is isolated the same way.
+        config, report = linalg_mixed
+        assert (config.output_dir / "report.json").is_file()
+        failed = {s.label: s for s in report.scenarios}["w0"]
+        assert failed.status == "failed"
+        assert failed.error.startswith("LinAlgError: ")
+        for config, report in (mixed, linalg_mixed):
+            survivor = {s.label: s for s in report.scenarios}["w1"]
+            for name in survivor.files.values():
+                assert (config.output_dir / name).read_bytes() == \
+                    (root / "out_solo" / name).read_bytes(), name
+            assert survivor.hashes == solo.hashes
 
     def test_failed_scenario_json_carries_the_error(self, mixed):
         _, report = mixed
@@ -612,6 +644,7 @@ class TestScenarioIsolation:
         assert blob["status"] == "failed"
         assert "error" in blob
         assert "loglik" not in blob
+        assert "score_norm" not in blob
 
 
 # ---------------------------------------------------------------------------
@@ -625,15 +658,32 @@ def fake_report(theta_m, loglik, label="w1"):
     }]}
 
 
+def fake_grid_report(theta_by_label):
+    return {"scenarios": [fake_report(theta, -100.0, label)["scenarios"][0]
+                          for label, theta in theta_by_label.items()]}
+
+
 class TestDiffReports:
     def test_identical_reports_diff_to_zero(self, wrun):
         _, report = wrun
         blob = report.to_json()
         diff = diff_reports(blob, blob)
         assert diff["scenario_count"] == [2, 2]
+        assert diff["unmatched"] == {"a": [], "b": []}
         for entry in diff["scenarios"]:
             assert entry["loglik"] == 0.0
             assert all(v == 0.0 for v in entry["ts_params"].values())
+
+    def test_scenarios_paired_by_label(self):
+        a = fake_grid_report({"w1": -0.20, "w0.5": -0.19, "w0": -0.15})
+        b = fake_grid_report({"w1": -0.21, "w0": -0.17})
+        diff = diff_reports(a, b)
+        assert diff["scenario_count"] == [3, 2]
+        deltas = {e["label"]: e["ts_params"]["theta_M"]
+                  for e in diff["scenarios"]}
+        assert deltas == {"w1": pytest.approx(0.01), "w0": pytest.approx(0.02)}
+        assert diff["unmatched"] == {"a": ["w0.5"], "b": []}
+        assert diff_reports(b, a)["unmatched"] == {"a": [], "b": ["w0.5"]}
 
     def test_diff_is_antisymmetric(self):
         a = fake_report(-0.18, -120.0)
@@ -680,10 +730,12 @@ class TestShockDirection:
                                          "grid": [weight]},
                                  output_dir=f"out_{tag}")
             reports[tag] = quiet_run(load_run_config(cfg)).to_json()
-        delta = diff_reports(reports["full"], reports["drop"])
-        entry = delta["scenarios"][0]
-        assert entry["ts_params"]["theta_M"] > 0.0
-        assert entry["ts_params"]["theta_F"] > 0.0
+        # The runs' scenarios are w1 and w0, which diff_reports does not
+        # pair, so the drift delta is taken from the reports directly.
+        full = reports["full"]["scenarios"][0]["ts_params"]
+        drop = reports["drop"]["scenarios"][0]["ts_params"]
+        assert full["theta_M"] - drop["theta_M"] > 0.0
+        assert full["theta_F"] - drop["theta_F"] > 0.0
 
 
 # ---------------------------------------------------------------------------
