@@ -25,8 +25,8 @@ from .lilee import (FittedSurface, LiLeeParams, calibrate,
 from .pipeline import RunReport, ScenarioResult, assemble_dataset, run_pipeline
 from .project import (ScenarioSpec, SimulationPaths, central_period_effects,
                       cohort_life_expectancy, kannisto_close,
-                      paths_to_mortality, period_life_expectancy,
-                      quantile_summary, simulate_period_effects)
+                      period_life_expectancy, quantile_summary,
+                      simulate_period_effects)
 from .ungroup import (AuxiliaryModel, fit_auxiliary_projection_model,
                       ungroup_deaths, ungroup_exposures)
 
@@ -46,7 +46,7 @@ __all__ = [
     "cohort_life_expectancy", "fit_adjusted_lee_miller",
     "fit_auxiliary_projection_model", "fit_weighted_mle", "kannisto_close",
     "lee_miller_anchors", "load_individual_age_csv", "load_run_config",
-    "load_weekly_csv", "paths_to_mortality", "period_life_expectancy",
+    "load_weekly_csv", "period_life_expectancy",
     "poisson_loglik", "quantile_summary", "run_pipeline",
     "simulate_period_effects", "ungroup_deaths", "ungroup_exposures",
 ]

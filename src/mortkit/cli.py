@@ -3,7 +3,8 @@
 `mortkit run` executes a full config: exit 0 when every scenario
 succeeds, 2 when some fail (partial results are kept), 1 on config or
 data errors.  `mortkit fixture` writes a synthetic bundle; `mortkit
-diff` prints parameter deltas between two run reports.
+diff` prints parameter deltas between two run reports, pairing
+scenarios by label or by `--pair A=B`.
 """
 from __future__ import annotations
 
@@ -41,7 +42,18 @@ def _build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser("diff", help="compare two run reports")
     diff.add_argument("report_a", help="first report.json")
     diff.add_argument("report_b", help="second report.json")
+    diff.add_argument("--pair", action="append", type=_pair, default=[],
+                      metavar="A=B",
+                      help="compare scenario A of the first report with scenario "
+                           "B of the second (repeatable); other labels pair by name")
     return parser
+
+
+def _pair(text):
+    label_a, sep, label_b = text.partition("=")
+    if not (sep and label_a and label_b):
+        raise argparse.ArgumentTypeError(f"expected A=B, got {text!r}")
+    return label_a, label_b
 
 
 def _cmd_run(args) -> int:
@@ -69,7 +81,7 @@ def _cmd_diff(args) -> int:
         a = json.load(handle)
     with Path(args.report_b).open() as handle:
         b = json.load(handle)
-    print(json.dumps(diff_reports(a, b), indent=2, sort_keys=True))
+    print(json.dumps(diff_reports(a, b, dict(args.pair)), indent=2, sort_keys=True))
     return 0
 
 

@@ -9,8 +9,9 @@ exposures.  UK data arrive as three constituents and are aggregated here.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,12 @@ GENDERS = ("M", "F")
 
 #: Admissible provenance codes for individual-age cells.
 PROVENANCE_CODES = ("HMD", "EURO", "STATBEL", "STMF", "EUROW", "VIRTUAL")
+
+#: Quantities of a SurfaceFragment record, by their code.
+FRAGMENT_QUANTITIES = ("deaths", "exposure")
+
+#: Highest age an individual-age file may carry.
+MAX_FILE_AGE = 110
 
 #: Largest central death rate d/E accepted as plausible data.
 RATE_SANITY_BOUND = 5.0
@@ -169,12 +176,6 @@ def _check_gender(gender: str):
         raise ValidationError(f"gender must be one of {GENDERS}, got {gender!r}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class BucketedWeeklySeries:
     """Weekly bucketed counts for one (country, year, gender).
@@ -312,8 +313,9 @@ class MortalitySurface:
                 f"sanity bound {RATE_SANITY_BOUND}"
             )
         for name in ("deaths_provenance", "exposures_provenance"):
-            bad = set(np.unique(getattr(self, name))) - set(PROVENANCE_CODES)
-            if bad:
+            codes = getattr(self, name)
+            if not np.isin(codes, PROVENANCE_CODES).all():
+                bad = set(np.unique(codes)) - set(PROVENANCE_CODES)
                 raise ValidationError(f"unknown provenance codes {sorted(bad)}")
 
     @property
@@ -327,94 +329,90 @@ class MortalitySurface:
         }
 
 
-@dataclass
-class SurfaceFragment:
-    """Partial individual-age data keyed by (country, gender, age, year).
+def _distinct(column: np.ndarray):
+    """The sorted distinct values of a nonempty `column`, and the index of
+    each of its elements among them."""
+    values = np.sort(column)
+    values = values[np.r_[True, values[1:] != values[:-1]]]
+    return values, np.searchsorted(values, column)
 
-    Values are dicts with optional "deaths"/"exposure" entries plus their
-    provenance codes; fragments merge field-wise so deaths and exposures
-    for one cell may come from different files.
+
+class SurfaceFragment:
+    """Partial individual-age data, one record per (cell, quantity).
+
+    Parallel record arrays in insertion order: `country` (index into
+    `countries`), `gender` (into GENDERS), `age`, `year`, `quantity` (into
+    FRAGMENT_QUANTITIES), `value` and `provenance` (into PROVENANCE_CODES).
+    Deaths and exposures of one cell may come from different files;
+    `check_unique` refuses a (cell, quantity) given twice.
     """
 
-    cells: dict = field(default_factory=dict)
+    COLUMNS = {"country": np.int64, "gender": np.int8, "age": np.int64,
+               "year": np.int64, "quantity": np.int8, "value": np.float64,
+               "provenance": np.int8}
 
-    def set_value(self, country, gender, age, year, quantity, value, provenance):
-        key = (country, gender, age, year)
-        cell = self.cells.setdefault(key, {})
-        if quantity in cell:
+    def __init__(self, countries=(), **columns):
+        self.countries = tuple(countries)
+        for name, dtype in self.COLUMNS.items():
+            setattr(self, name, np.asarray(columns.get(name, ()), dtype=dtype))
+        if len({getattr(self, name).shape for name in self.COLUMNS}) != 1:
+            raise ValidationError("fragment columns differ in length")
+
+    def restrict(self, countries=None, genders=None, years=None, quantities=None,
+                 min_age=0) -> "SurfaceFragment":
+        """Records at ages >= min_age whose country, gender, year and
+        quantity are among those given; used to apply a config's
+        per-(country, year, quantity) source declarations."""
+        keep = self.age >= min_age
+        for column, names, wanted in ((self.country, self.countries, countries),
+                                      (self.gender, GENDERS, genders),
+                                      (self.quantity, FRAGMENT_QUANTITIES, quantities),
+                                      (self.year, None, years)):
+            if wanted is not None:
+                codes = [i for i, name in enumerate(names) if name in wanted] \
+                    if names is not None else list(wanted)
+                keep &= np.isin(column, codes)
+        return SurfaceFragment(self.countries, **{
+            name: getattr(self, name)[keep] for name in self.COLUMNS})
+
+    def update(self, *others: "SurfaceFragment"):
+        """Append the records of each of `others`, in order."""
+        parts = (self,) + others
+        names = list(dict.fromkeys(c for part in parts for c in part.countries))
+        country = [np.array([names.index(c) for c in part.countries],
+                            dtype=np.int64)[part.country] for part in parts]
+        for name in self.COLUMNS:
+            setattr(self, name, np.concatenate(
+                country if name == "country" else [getattr(p, name) for p in parts]))
+        self.countries = tuple(names)
+
+    def check_unique(self):
+        """Refuse a (cell, quantity) given twice, naming its first repeat."""
+        if not self.value.size:
+            return
+        key = self.country * len(GENDERS) + self.gender
+        for column in (self.age, self.year):
+            values, index = _distinct(column)
+            key = key * len(values) + index
+        key = key * len(FRAGMENT_QUANTITIES) + self.quantity
+        ordered = np.sort(key)
+        if np.any(ordered[1:] == ordered[:-1]):
+            order = np.argsort(key, kind="stable")
+            i = order[1:][key[order[1:]] == key[order[:-1]]].min()
             raise ValidationError(
-                f"duplicate {quantity} for {country}/{gender} age {age} year {year}"
+                f"duplicate {FRAGMENT_QUANTITIES[self.quantity[i]]} for "
+                f"{self.countries[self.country[i]]}/{GENDERS[self.gender[i]]} "
+                f"age {self.age[i]} year {self.year[i]}"
             )
-        cell[quantity] = (float(value), provenance)
-
-    def restrict(self, countries=None, years=None, quantities=None) -> "SurfaceFragment":
-        """Copy retaining only matching cells/fields; used to apply a
-        config's per-(country, year, quantity) source declarations."""
-        out = SurfaceFragment()
-        for (country, gender, age, year), cell in self.cells.items():
-            if countries is not None and country not in countries:
-                continue
-            if years is not None and year not in years:
-                continue
-            for quantity, (value, prov) in cell.items():
-                if quantities is not None and quantity not in quantities:
-                    continue
-                out.set_value(country, gender, age, year, quantity, value, prov)
-        return out
-
-    def update(self, other: "SurfaceFragment"):
-        for (country, gender, age, year), cell in other.cells.items():
-            for quantity, (value, prov) in cell.items():
-                self.set_value(country, gender, age, year, quantity, value, prov)
 
     def deaths_tail(self, country, gender, year, min_age) -> np.ndarray:
         """Death counts at ages >= min_age for one year, age-ascending."""
-        rows = sorted(
-            (age, cell["deaths"][0])
-            for (c, g, age, y), cell in self.cells.items()
-            if c == country and g == gender and y == year
-            and age >= min_age and "deaths" in cell
-        )
-        if not rows:
+        tail = self.restrict({country}, {gender}, {year}, {"deaths"}, min_age)
+        if not tail.value.size:
             raise ValidationError(
                 f"no deaths at ages >= {min_age} for {country}/{gender} in {year}"
             )
-        return np.array([v for _, v in rows])
-
-
-def build_surface(fragment: SurfaceFragment, country: str, gender: str,
-                  ages: AgeRange, years: YearRange) -> MortalitySurface:
-    """Assemble a complete surface from a fragment, failing loudly on gaps."""
-    shape = (len(ages), len(years))
-    deaths = np.full(shape, np.nan)
-    exposures = np.full(shape, np.nan)
-    dprov = np.full(shape, "", dtype="<U8")
-    eprov = np.full(shape, "", dtype="<U8")
-    for (c, g, age, year), cell in fragment.cells.items():
-        if c != country or g != gender:
-            continue
-        if not (ages.min_age <= age <= ages.max_age and years.first <= year <= years.last):
-            continue
-        i, j = age - ages.min_age, year - years.first
-        if "deaths" in cell:
-            deaths[i, j], dprov[i, j] = cell["deaths"]
-        if "exposure" in cell:
-            exposures[i, j], eprov[i, j] = cell["exposure"]
-    missing = []
-    for name, arr in (("deaths", deaths), ("exposures", exposures)):
-        holes = np.argwhere(np.isnan(arr))
-        if holes.size:
-            x, t = holes[0]
-            missing.append(
-                f"{len(holes)} {name} cells (first: age {ages.min_age + x}, "
-                f"year {years.first + t})"
-            )
-    if missing:
-        raise ValidationError(
-            f"{country}/{gender}: incomplete grid, missing " + "; ".join(missing)
-        )
-    return MortalitySurface(country, gender, ages, years,
-                            _freeze(deaths), _freeze(exposures), dprov, eprov)
+        return tail.value[np.argsort(tail.age, kind="stable")]
 
 
 @dataclass(frozen=True)
@@ -488,34 +486,104 @@ def _parse_int(text, what, path, lineno):
         raise ParseError(f"{path}:{lineno}: unparseable {what} {text!r}") from exc
 
 
+#: Row layout of the one-call parse.  Every string field is one character
+#: wider than any value the fast path accepts, so a value filling the
+#: width marks a truncation.
+_ROW_DTYPE = np.dtype([("country", "U8"), ("year", np.int64), ("gender", "U2"),
+                       ("age", np.int64), ("deaths", np.float64),
+                       ("exposure", np.float64), ("provenance", "U8")])
+
+
 def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
     """Read an individual-age file into a fragment.
 
     Header: country,year,gender,age,deaths,exposure with an optional
     trailing provenance column (written by the ungrouping emitter).  The
-    exposure field may be empty for deaths-only publications.
+    exposure field may be empty for deaths-only publications.  The data
+    rows are parsed in one `np.loadtxt` call; a file that call cannot
+    provably read as the row loop would is read row by row, which is also
+    where every `file:line` error comes from.
     """
     if source_shape not in INDIVIDUAL_SHAPES + ("VIRTUAL",):
         raise ValidationError(f"unknown individual-age shape {source_shape!r}")
-    path, rows = _open_rows(path)
-    header = tuple(h.strip() for h in rows[0])
+    path = Path(path)
+    with path.open(newline="") as handle:
+        source = io.StringIO(handle.read(), newline="")
+    rows = csv.reader(source)
+    first = next(rows, None)
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    header = tuple(h.strip() for h in first)
     if header[:6] != INDIVIDUAL_HEADER:
         raise ParseError(f"{path}:1: expected header {','.join(INDIVIDUAL_HEADER)}")
     has_prov = len(header) > 6 and header[6] == "provenance"
-    fragment = SurfaceFragment()
-    for lineno, row in enumerate(rows[1:], start=2):
+    body = source.read()
+    fragment = _parse_rows_at_once(body, has_prov, source_shape)
+    if fragment is None:
+        rows = csv.reader(io.StringIO(body, newline=""))
+        fragment = _parse_rows_one_by_one(path, rows, has_prov, source_shape)
+    return fragment
+
+
+def _parse_rows_at_once(body: str, has_prov: bool, source_shape: str):
+    """The data rows parsed by one `np.loadtxt` call, or None unless that
+    call provably read what the row loop reads and every row passes the
+    row loop's checks.  loadtxt silently truncates strings to the dtype
+    width, keeps padding, drops trailing NULs and cannot read an empty
+    field as a number; with csv's quoting and line splitting it otherwise
+    agrees."""
+    if not body.strip() or "\x00" in body:
+        return None
+    names = _ROW_DTYPE.names[:7 if has_prov else 6]
+    try:
+        table = np.loadtxt(io.StringIO(body, newline=""), dtype=_ROW_DTYPE[list(names)],
+                           delimiter=",", comments=None, quotechar='"', ndmin=1,
+                           usecols=range(len(names)))
+    except ValueError:
+        return None
+    country = table["country"]
+    age, deaths, exposure = table["age"], table["deaths"], table["exposure"]
+    provenance = table["provenance"] if has_prov else np.full(len(table), source_shape)
+    checks = (
+        np.char.str_len(country) < 8,
+        np.char.strip(country) == country,
+        np.isin(table["gender"], GENDERS),
+        (age >= 0) & (age <= MAX_FILE_AGE),
+        np.isfinite(deaths) & (deaths >= 0),
+        np.isfinite(exposure) & (exposure > 0),
+        np.isin(provenance, PROVENANCE_CODES),
+    )
+    if not all(np.all(ok) for ok in checks):
+        return None
+    fragment = _fragment_of_rows(country, table["year"], table["gender"], age,
+                                 deaths, exposure, provenance)
+    try:
+        fragment.check_unique()
+    except ValidationError:
+        return None
+    return fragment
+
+
+def _parse_rows_one_by_one(path, rows, has_prov, source_shape) -> SurfaceFragment:
+    """The row loop: the reference for the one-call parse, and the only
+    source of `file:line` errors."""
+    records = []
+    seen = set()
+    for lineno, row in enumerate(rows, start=2):
         if not row or all(not f.strip() for f in row):
             continue
         if len(row) < 6:
             raise ParseError(f"{path}:{lineno}: expected >= 6 fields, got {len(row)}")
         country = row[0].strip()
         year = _parse_int(row[1], "year", path, lineno)
+        if not -2**63 <= year < 2**63:
+            raise ParseError(f"{path}:{lineno}: year {year} out of range")
         gender = row[2].strip()
         if gender not in GENDERS:
             raise ParseError(f"{path}:{lineno}: gender must be one of {GENDERS}")
         age = _parse_int(row[3], "age", path, lineno)
-        if not 0 <= age <= 110:
-            raise ParseError(f"{path}:{lineno}: age {age} outside 0..110")
+        if not 0 <= age <= MAX_FILE_AGE:
+            raise ParseError(f"{path}:{lineno}: age {age} outside 0..{MAX_FILE_AGE}")
         deaths = _parse_float(row[4], "deaths", path, lineno)
         if deaths < 0:
             raise ValidationError(f"{path}:{lineno}: negative deaths")
@@ -527,13 +595,38 @@ def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
             prov = row[6].strip()
             if prov not in PROVENANCE_CODES:
                 raise ParseError(f"{path}:{lineno}: unknown provenance {prov!r}")
-        try:
-            fragment.set_value(country, gender, age, year, "deaths", deaths, prov)
-            if exposure is not None:
-                fragment.set_value(country, gender, age, year, "exposure", exposure, prov)
-        except ValidationError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-    return fragment
+        if (country, gender, age, year) in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate deaths for {country}/{gender} "
+                             f"age {age} year {year}")
+        seen.add((country, gender, age, year))
+        records.append((country, year, gender, age, deaths,
+                        np.nan if exposure is None else exposure, prov))
+    if not records:
+        return SurfaceFragment()
+    return _fragment_of_rows(*(np.array(column) for column in zip(*records)))
+
+
+def _fragment_of_rows(country, year, gender, age, deaths, exposure, provenance):
+    """One file's rows as records: each row's deaths, then its exposure
+    unless that is NaN (empty)."""
+    countries, country = _distinct(country)
+    values = np.column_stack([deaths, exposure]).ravel()
+    keep = ~np.isnan(values)
+
+    def per_record(column):
+        return np.repeat(column, 2)[keep]
+
+    return SurfaceFragment(
+        countries.tolist(), country=per_record(country),
+        gender=per_record(_codes(gender, GENDERS)), age=per_record(age),
+        year=per_record(year), quantity=np.tile([0, 1], len(deaths))[keep],
+        value=values[keep], provenance=per_record(_codes(provenance, PROVENANCE_CODES)),
+    )
+
+
+def _codes(names: np.ndarray, table) -> np.ndarray:
+    """Index into `table` of each of `names`, all of which it holds."""
+    return np.argmax(names[:, None] == np.array(table)[None, :], axis=1).astype(np.int8)
 
 
 def write_individual_age_csv(path, records):

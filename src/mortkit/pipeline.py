@@ -23,8 +23,9 @@ import numpy as np
 
 from . import dynamics, lilee, project
 from .config import RunConfig, WEIGHTED_LIKELIHOOD, aux_start_for
-from .data import (GENDERS, MortalitySurface, MultiPopulationDataset,
-                   SurfaceFragment, UK_CODE, YearRange, aggregate_uk,
+from .data import (FRAGMENT_QUANTITIES, GENDERS, PROVENANCE_CODES,
+                   MortalitySurface, MultiPopulationDataset, SurfaceFragment,
+                   UK_CODE, YearRange, aggregate_uk,
                    annualize_weekly_deaths, annualize_weekly_exposure,
                    check_eurostat_stmf_consistency, load_individual_age_csv,
                    load_weekly_csv)
@@ -32,6 +33,11 @@ from .errors import ConfigError, ValidationError
 from .ungroup import fit_auxiliary_projection_model, ungroup_deaths, ungroup_exposures
 
 _QUANTITY_FIELD = {"deaths": "deaths", "exposures": "exposure"}
+
+#: Provenance names by code; the assembler keeps codes, and a cell no
+#: source filled keeps code 0 (HMD) until the gap check refuses it.
+_PROVENANCE_NAMES = np.array(PROVENANCE_CODES)
+_VIRTUAL = PROVENANCE_CODES.index("VIRTUAL")
 
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
@@ -80,18 +86,21 @@ class _Assembler:
         self.config = config
         self.ages = config.ages
         self.years = config.years
-        nx, nt = len(config.ages), len(config.years)
+        # Indexed [country, gender, quantity, age, year], quantities in
+        # FRAGMENT_QUANTITIES order; the per-(country, gender) grids are views.
+        shape = (len(config.countries), len(GENDERS), len(FRAGMENT_QUANTITIES),
+                 len(config.ages), len(config.years))
+        self._values = np.full(shape, np.nan)
+        self._provenance = np.zeros(shape, dtype=np.int8)
         self.deaths = {}
         self.exposures = {}
         self.dprov = {}
         self.eprov = {}
-        for country in config.countries:
-            for gender in GENDERS:
+        for c, country in enumerate(config.countries):
+            for g, gender in enumerate(GENDERS):
                 key = (country, gender)
-                self.deaths[key] = np.full((nx, nt), np.nan)
-                self.exposures[key] = np.full((nx, nt), np.nan)
-                self.dprov[key] = np.full((nx, nt), "", dtype="<U8")
-                self.eprov[key] = np.full((nx, nt), "", dtype="<U8")
+                self.deaths[key], self.exposures[key] = self._values[c, g]
+                self.dprov[key], self.eprov[key] = self._provenance[c, g]
         self.observed = SurfaceFragment()
         self.weekly = {}
         self.consistency = []
@@ -101,14 +110,15 @@ class _Assembler:
     # -- ingestion ---------------------------------------------------------
 
     def load_sources(self):
+        declared = []
         for decl in self.config.individual_sources:
             frag = load_individual_age_csv(decl.path, decl.shape)
             fields = {_QUANTITY_FIELD[q] for q in decl.quantities}
             years = set(range(decl.years.first, decl.years.last + 1))
-            self.observed.update(
-                frag.restrict(countries={decl.country}, years=years,
-                              quantities=fields)
-            )
+            declared.append(frag.restrict(countries={decl.country}, years=years,
+                                          quantities=fields))
+        self.observed.update(*declared)
+        self.observed.check_unique()
         for decl in self.config.weekly_sources:
             series = _load_weekly_decl(decl)
             slot = self.weekly.setdefault((decl.country, decl.years.first), {})
@@ -122,20 +132,18 @@ class _Assembler:
         self._cross_check()
 
     def _fill_observed(self):
-        for (country, gender, age, year), cell in self.observed.cells.items():
-            key = (country, gender)
-            if key not in self.deaths:
-                continue
-            if not (self.ages.min_age <= age <= self.ages.max_age):
-                continue
-            if not (self.years.first <= year <= self.years.last):
-                continue
-            i = age - self.ages.min_age
-            j = year - self.years.first
-            if "deaths" in cell:
-                self.deaths[key][i, j], self.dprov[key][i, j] = cell["deaths"]
-            if "exposure" in cell:
-                self.exposures[key][i, j], self.eprov[key][i, j] = cell["exposure"]
+        """Scatter the observed records inside the model window into the grids."""
+        obs = self.observed
+        countries = self.config.countries
+        c = np.array([countries.index(name) if name in countries else -1
+                      for name in obs.countries], dtype=np.int64)[obs.country]
+        i = obs.age - self.ages.min_age
+        j = obs.year - self.years.first
+        ok = (c >= 0) & (i >= 0) & (i < len(self.ages)) & (j >= 0) & (j < len(self.years))
+        at = np.ravel_multi_index((c[ok], obs.gender[ok], obs.quantity[ok], i[ok], j[ok]),
+                                  self._values.shape)
+        np.put(self._values, at, obs.value[ok])
+        np.put(self._provenance, at, obs.provenance[ok])
 
     def _cross_check(self):
         for (country, year), slot in sorted(self.weekly.items()):
@@ -165,16 +173,11 @@ class _Assembler:
         """Years whose full model-age column is observed for both genders."""
         grids = self.deaths if quantity == "deaths" else self.exposures
         provs = self.dprov if quantity == "deaths" else self.eprov
-        out = set()
-        for j, year in enumerate(self.years.values()):
-            ok = all(
-                not np.any(np.isnan(grids[(country, g)][:, j]))
-                and not np.any(provs[(country, g)][:, j] == "VIRTUAL")
-                for g in GENDERS
-            )
-            if ok:
-                out.add(int(year))
-        return out
+        ok = np.ones(len(self.years), dtype=bool)
+        for g in GENDERS:
+            ok &= ~np.isnan(grids[country, g]).any(axis=0)
+            ok &= ~(provs[country, g] == _VIRTUAL).any(axis=0)
+        return set(self.years.values()[ok].tolist())
 
     def last_fully_observed(self, country) -> int:
         years = self._observed_years(country, "deaths") \
@@ -211,10 +214,8 @@ class _Assembler:
                     )
                 surfaces[key] = MortalitySurface(
                     c, g, self.ages, window, d.copy(), e.copy(),
-                    np.where(self.dprov[key][:, j0:j1] == "", "HMD",
-                             self.dprov[key][:, j0:j1]),
-                    np.where(self.eprov[key][:, j0:j1] == "", "HMD",
-                             self.eprov[key][:, j0:j1]),
+                    _PROVENANCE_NAMES[self.dprov[key][:, j0:j1]],
+                    _PROVENANCE_NAMES[self.eprov[key][:, j0:j1]],
                 )
         dataset = MultiPopulationDataset(surfaces=surfaces, common_pool=pool)
         aux = fit_auxiliary_projection_model(dataset, country)
@@ -225,11 +226,8 @@ class _Assembler:
         """Last year's open-bucket exposure total: observed tail (which may
         extend past the model top age) when available, else the
         within-range sum of the previous curve."""
-        cells = [
-            value for (c, g, age, y), cell in self.observed.cells.items()
-            if c == country and g == gender and y == prev_year and age >= open_lower
-            for field, (value, _) in cell.items() if field == "exposure"
-        ]
+        cells = self.observed.restrict({country}, {gender}, {prev_year}, {"exposure"},
+                                       open_lower).value
         span = self.ages.max_age - open_lower + 1
         if len(cells) >= span:
             return float(np.sum(cells))
@@ -278,7 +276,7 @@ class _Assembler:
             result = ungroup_exposures(prev_col, annual, self.ages,
                                        prev_open_total=total_prev)
             self.exposures[key][:, j] = result.values
-            self.eprov[key][:, j] = "VIRTUAL"
+            self.eprov[key][:, j] = _VIRTUAL
 
     def _reference_tail(self, country, gender, ref_year):
         try:
@@ -320,7 +318,7 @@ class _Assembler:
                 allocation_rate=self.config.death_allocation_rate[gender],
             )
             self.deaths[key][:, j] = result.values
-            self.dprov[key][:, j] = "VIRTUAL"
+            self.dprov[key][:, j] = _VIRTUAL
 
     # -- final assembly -------------------------------------------------------
 
@@ -331,8 +329,6 @@ class _Assembler:
             v = {"deaths": 0, "exposures": 0}
             for gender in GENDERS:
                 key = (country, gender)
-                frag_prov_d = np.where(self.dprov[key] == "", "HMD", self.dprov[key])
-                frag_prov_e = np.where(self.eprov[key] == "", "HMD", self.eprov[key])
                 d, e = self.deaths[key], self.exposures[key]
                 for name, arr in (("deaths", d), ("exposures", e)):
                     holes = np.argwhere(np.isnan(arr))
@@ -345,7 +341,8 @@ class _Assembler:
                         )
                 surfaces[key] = MortalitySurface(
                     country, gender, self.ages, self.years,
-                    d.copy(), e.copy(), frag_prov_d, frag_prov_e,
+                    d.copy(), e.copy(), _PROVENANCE_NAMES[self.dprov[key]],
+                    _PROVENANCE_NAMES[self.eprov[key]],
                 )
                 counts = surfaces[key].virtual_cell_count()
                 v["deaths"] += counts["deaths"]
@@ -381,17 +378,29 @@ def _scenario_label(config, value) -> str:
 
 def _calibrate(config, dataset, blend=None):
     """Per-gender Li-Lee parameters, or with `blend` the adjusted
-    Lee-Miller variant of that blend weight."""
+    Lee-Miller variant of that blend weight, and per gender the sweeps,
+    log-likelihood and Poisson deviance of the common and country fits."""
     params = {}
+    diagnostics = {}
     for gender in GENDERS:
         d_T, E_T = dataset.aggregate(gender)
         surf = dataset.surface(config.country_of_interest, gender)
         args = (d_T, E_T, surf.deaths, surf.exposures, config.ages, config.years)
         if blend is None:
-            params[gender], _ = lilee.calibrate(*args)
+            params[gender], fitted = lilee.calibrate(*args)
         else:
-            params[gender], _ = lilee.fit_adjusted_lee_miller(*args, blend)
-    return params
+            params[gender], fitted = lilee.fit_adjusted_lee_miller(*args, blend)
+        diagnostics[gender] = {
+            layer: {"sweeps": int(sweeps), "loglik": float(loglik),
+                    "deviance": lilee.deviance(d, E, np.log(mu))}
+            for layer, sweeps, loglik, d, E, mu in (
+                ("common", fitted.sweeps_common, fitted.loglik_common,
+                 d_T, E_T, fitted.mu_common),
+                ("country", fitted.sweeps_country, fitted.loglik_country,
+                 surf.deaths, surf.exposures, fitted.mu_country),
+            )
+        }
+    return params, diagnostics
 
 
 def _fit_dynamics(config, params, weight_last):
@@ -498,6 +507,7 @@ class ScenarioResult:
     ridged: bool | None
     loglik: float | None
     score_norm: float | None
+    calibration: dict | None
     files: dict
     hashes: dict
     elapsed: float
@@ -510,7 +520,7 @@ class ScenarioResult:
         if self.status == "ok":
             out.update(ts_params=self.ts_params, stationary=self.stationary,
                        ridged=self.ridged, loglik=self.loglik,
-                       score_norm=self.score_norm)
+                       score_norm=self.score_norm, calibration=self.calibration)
         else:
             out["error"] = self.error
         return out
@@ -542,16 +552,17 @@ class RunReport:
         }
 
 
-def run_scenario(config: RunConfig, dataset, value: float, shared_params,
+def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
                  out_dir: Path) -> ScenarioResult:
-    """One grid value: calibrate (or reuse), fit dynamics, simulate, write."""
+    """One grid value: calibrate (or reuse the shared `_calibrate` result),
+    fit dynamics, simulate, write."""
     start = time.perf_counter()
     label = _scenario_label(config, value)
     if config.method_kind == WEIGHTED_LIKELIHOOD:
-        params = shared_params
+        params, calibration = shared_calibration
         fit, _ = _fit_dynamics(config, params, weight_last=value)
     else:
-        params = _calibrate(config, dataset, blend=value)
+        params, calibration = _calibrate(config, dataset, blend=value)
         fit, _ = _fit_dynamics(config, params, weight_last=None)
 
     files = {
@@ -568,8 +579,8 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_params,
         label=label, value=value, status="ok", error=None,
         ts_params={name: float(v) for name, v in zip(dynamics.PSI_NAMES, fit.psi)},
         stationary=fit.stationary, ridged=fit.ridged, loglik=float(fit.loglik),
-        score_norm=fit.score_norm, files=files, hashes=hashes,
-        elapsed=time.perf_counter() - start,
+        score_norm=fit.score_norm, calibration=calibration, files=files,
+        hashes=hashes, elapsed=time.perf_counter() - start,
     )
 
 
@@ -583,12 +594,12 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     assembled = assemble_dataset(config)
     timings["assemble"] = time.perf_counter() - t0
 
-    shared_params = None
+    shared_calibration = None
     shared_error = None
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         t0 = time.perf_counter()
         try:
-            shared_params = _calibrate(config, assembled.dataset)
+            shared_calibration = _calibrate(config, assembled.dataset)
         except Exception as exc:  # isolated: reported on every scenario
             shared_error = f"{type(exc).__name__}: {exc}"
         timings["calibrate"] = time.perf_counter() - t0
@@ -598,14 +609,14 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
         if error is None:
             try:
                 return run_scenario(config, assembled.dataset, value,
-                                    shared_params, out_dir)
+                                    shared_calibration, out_dir)
             except Exception as exc:  # one scenario never aborts the others
                 error = f"{type(exc).__name__}: {exc}"
         return ScenarioResult(
             label=_scenario_label(config, value), value=value,
             status="failed", error=error, ts_params=None, stationary=None,
-            ridged=None, loglik=None, score_norm=None, files={}, hashes={},
-            elapsed=0.0,
+            ridged=None, loglik=None, score_norm=None, calibration=None,
+            files={}, hashes={}, elapsed=0.0,
         )
 
     workers = jobs if jobs else len(config.method_grid)
@@ -645,24 +656,34 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
 # Report diffing
 # ---------------------------------------------------------------------------
 
-def diff_reports(report_a: dict, report_b: dict) -> dict:
+def diff_reports(report_a: dict, report_b: dict, pairs=None) -> dict:
     """Structured parameter deltas (a minus b) between two run reports.
 
-    Scenarios are paired by label, in report a's order; labels found in
-    only one report are listed under `unmatched`.  Paired scenarios must
-    carry the same parameter schema.  Antisymmetric: diff(a, b) ==
-    -diff(b, a) value-wise.
+    Scenarios are paired by label, in report a's order, except that
+    `pairs` maps a label of report a to the label of report b it is
+    compared with (such an entry is labelled "A=B"); scenarios left
+    unpaired are listed under `unmatched`.  Paired scenarios must carry
+    the same parameter schema.  Antisymmetric: diff(a, b) == -diff(b, a)
+    value-wise, with `pairs` inverted.
     """
     scen_a = report_a.get("scenarios", [])
     scen_b = report_b.get("scenarios", [])
     by_label_b = {s.get("label"): s for s in scen_b}
-    pairs = []
+    pairs = dict(pairs or {})
+    for label_a, label_b in pairs.items():
+        if label_a not in {s.get("label") for s in scen_a} or label_b not in by_label_b:
+            raise ValidationError(f"pair {label_a}={label_b}: no such scenarios")
+    entries = []
+    paired = {"a": set(), "b": set()}
     for a in scen_a:
         label = a.get("label")
-        if label not in by_label_b:
+        target = pairs.get(label, label)
+        if target not in by_label_b:
             continue
-        b = by_label_b[label]
-        entry = {"label": label}
+        b = by_label_b[target]
+        paired["a"].add(label)
+        paired["b"].add(target)
+        entry = {"label": label if target == label else f"{label}={target}"}
         pa, pb = a.get("ts_params"), b.get("ts_params")
         if pa and pb:
             if set(pa) != set(pb):
@@ -671,13 +692,12 @@ def diff_reports(report_a: dict, report_b: dict) -> dict:
             entry["loglik"] = a.get("loglik", 0.0) - b.get("loglik", 0.0)
         else:
             entry["incomparable"] = True
-        pairs.append(entry)
-    paired = {entry["label"] for entry in pairs}
+        entries.append(entry)
     return {
         "scenario_count": [len(scen_a), len(scen_b)],
-        "scenarios": pairs,
+        "scenarios": entries,
         "unmatched": {
-            side: [s.get("label") for s in scen if s.get("label") not in paired]
+            side: [s.get("label") for s in scen if s.get("label") not in paired[side]]
             for side, scen in (("a", scen_a), ("b", scen_b))
         },
     }

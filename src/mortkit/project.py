@@ -164,24 +164,6 @@ def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
     return np.exp(log_mu)
 
 
-def paths_to_mortality(params: LiLeeParams, paths: SimulationPaths,
-                       gender: str, year: int | None = None) -> np.ndarray:
-    """One-year death probabilities q = 1 - exp(-mu) under a
-    piecewise-constant force.
-
-    With `year` given the result is (n_paths, n_ages); otherwise all
-    simulated years are materialized as (n_paths, n_years, n_ages), which
-    for large path counts is sizable - prefer per-year slices.
-    """
-    if year is not None:
-        return -np.expm1(-force_paths(params, paths, gender, year))
-    out = np.stack(
-        [-np.expm1(-force_paths(params, paths, gender, int(y)))
-         for y in paths.years], axis=1,
-    )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Kannisto closure
 # ---------------------------------------------------------------------------

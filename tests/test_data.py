@@ -3,15 +3,19 @@ import numpy as np
 import pytest
 
 from conftest import flat_surface, weekly_eurow, weekly_stmf
-from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS, GENDERS,
-                          MortalitySurface, MultiPopulationDataset,
+from mortkit import data
+from mortkit.config import build_run_config
+from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS,
+                          FRAGMENT_QUANTITIES, GENDERS, MortalitySurface,
+                          MultiPopulationDataset, PROVENANCE_CODES,
                           STMF_BUCKETS, SurfaceFragment, YearRange,
                           aggregate_uk, annualize_weekly_deaths,
-                          annualize_weekly_exposure, build_surface,
+                          annualize_weekly_exposure,
                           check_eurostat_stmf_consistency,
                           load_individual_age_csv, load_weekly_csv,
                           write_individual_age_csv, write_weekly_csv)
 from mortkit.errors import ParseError, ValidationError
+from mortkit.pipeline import assemble_dataset
 
 
 class TestBuckets:
@@ -226,6 +230,63 @@ class TestConsistency:
         assert "week counts" in report.detail
 
 
+def fragment_records(frag):
+    """(country, gender, age, year, quantity, value, provenance) of every
+    record, in the fragment's order."""
+    return [
+        (frag.countries[c], GENDERS[g], int(a), int(y), FRAGMENT_QUANTITIES[q],
+         float(v), PROVENANCE_CODES[p])
+        for c, g, a, y, q, v, p in zip(frag.country, frag.gender, frag.age, frag.year,
+                                       frag.quantity, frag.value, frag.provenance)
+    ]
+
+
+def load_outcome(path, shape):
+    """The records of a load, or the type and text of the error it raised."""
+    try:
+        return fragment_records(load_individual_age_csv(path, shape))
+    except (ParseError, ValidationError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+HEADER = "country,year,gender,age,deaths,exposure,provenance"
+
+#: name -> (file text, source shape, whether the one-call parse takes it).
+EDGE_FILES = {
+    "plain": (HEADER + "\nAAA,2001,M,0,12.5,1000,HMD\nAAA,2001,F,0,9,990.5,EURO\n",
+              "HMD", True),
+    "no provenance column": ("country,year,gender,age,deaths,exposure\n"
+                             "AAA,2001,M,0,12.5,1000\nAAA,2001,M,1,3,900\n",
+                             "STATBEL", True),
+    "crlf": (HEADER + "\r\nAAA,2001,M,0,12.5,1000,HMD\r\nAAA,2001,M,1,3,900,HMD\r\n",
+             "HMD", True),
+    "quoted": (HEADER + '\n"AAA","2001","M",0,"12.5",1000,"HMD"\n"A,B",2001,F,0,1,2,HMD\n',
+               "HMD", True),
+    "stray quote": (HEADER + '\nA"A,2001,M,0,12.5,1000,HMD\n', "HMD", True),
+    "padded numbers": (HEADER + "\nAAA, 2001 ,M, 0 , 12.5 ,1000 ,HMD\n", "HMD", True),
+    "padded country": (HEADER + "\n AAA ,2001,M,0,12.5,1000,HMD\n", "HMD", False),
+    "padded gender": (HEADER + "\nAAA,2001, F,0,12.5,1000,HMD\n", "HMD", False),
+    "padded provenance": (HEADER + "\nAAA,2001,M,0,12.5,1000, HMD \n", "HMD", False),
+    "long country": (HEADER + "\nLONGCOUNTRY,2001,M,0,12.5,1000,HMD\n", "HMD", False),
+    "underscore digits": (HEADER + "\nAAA,2001,M,1_0,1_2.5,1000,HMD\n", "HMD", False),
+    "nan deaths": (HEADER + "\nAAA,2001,M,0,nan,1000,HMD\n", "HMD", False),
+    "inf exposure": (HEADER + "\nAAA,2001,M,0,1,inf,HMD\n", "HMD", False),
+    "empty exposure": (HEADER + "\nAAA,2001,M,0,1,,HMD\nAAA,2001,M,1,1,5,HMD\n",
+                       "HMD", False),
+    "blank lines": (HEADER + "\nAAA,2001,M,0,1,5,HMD\n\n   \n,,,,,,\nAAA,2001,M,1,1,5,HMD\n",
+                    "HMD", False),
+    "partial provenance": (HEADER + "\nAAA,2001,M,0,1,5,VIRTUAL\nAAA,2001,M,1,1,5,\n"
+                           "AAA,2001,M,2,1,5\n", "EURO", False),
+    "bad provenance": (HEADER + "\nAAA,2001,M,0,1,5,HMD\nAAA,2001,M,1,1,5,XYZ\n",
+                       "HMD", False),
+    "duplicate row": (HEADER + "\nAAA,2001,M,0,1,5,HMD\nAAA,2001,M,0,2,5,HMD\n",
+                      "HMD", False),
+    "huge year": (HEADER + "\nAAA,99999999999999999999,M,0,1,5,HMD\n", "HMD", False),
+    "nul in country": (HEADER + "\nAA\x00,2001,M,0,1,5,HMD\n", "HMD", False),
+    "header only": (HEADER + "\n", "HMD", False),
+}
+
+
 class TestIndividualCsv:
     def test_roundtrip_with_provenance(self, tmp_path):
         records = [
@@ -236,16 +297,35 @@ class TestIndividualCsv:
         path = tmp_path / "ind.csv"
         write_individual_age_csv(path, records)
         frag = load_individual_age_csv(path, "HMD")
-        assert frag.cells[("AAA", "M", 0, 2001)]["deaths"] == (12.5, "HMD")
-        assert frag.cells[("AAA", "M", 1, 2001)]["exposure"] == (990.5, "VIRTUAL")
-        assert "exposure" not in frag.cells[("AAA", "F", 0, 2001)]
+        assert fragment_records(frag) == [
+            ("AAA", "M", 0, 2001, "deaths", 12.5, "HMD"),
+            ("AAA", "M", 0, 2001, "exposure", 1000.0, "HMD"),
+            ("AAA", "M", 1, 2001, "deaths", 3.25, "VIRTUAL"),
+            ("AAA", "M", 1, 2001, "exposure", 990.5, "VIRTUAL"),
+            ("AAA", "F", 0, 2001, "deaths", 9.0, "EUROW"),
+        ]
 
     def test_default_provenance_is_source_shape(self, tmp_path):
         path = tmp_path / "ind.csv"
         path.write_text("country,year,gender,age,deaths,exposure\n"
                         "BEL,2005,F,40,11,8000\n")
         frag = load_individual_age_csv(path, "STATBEL")
-        assert frag.cells[("BEL", "F", 40, 2005)]["deaths"] == (11.0, "STATBEL")
+        assert fragment_records(frag)[0] == ("BEL", "F", 40, 2005, "deaths", 11.0,
+                                             "STATBEL")
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FILES))
+    def test_one_call_parse_matches_row_loop(self, tmp_path, monkeypatch, name):
+        text, shape, one_call = EDGE_FILES[name]
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode())
+        taken = []
+        parse = data._parse_rows_at_once
+        monkeypatch.setattr(data, "_parse_rows_at_once",
+                            lambda *args: taken.append(parse(*args)) or taken[-1])
+        fast = load_outcome(path, shape)
+        monkeypatch.setattr(data, "_parse_rows_at_once", lambda *args: None)
+        assert fast == load_outcome(path, shape)
+        assert [t is not None for t in taken] == [one_call]
 
     def test_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -278,6 +358,23 @@ class TestIndividualCsv:
             load_individual_age_csv(path, "HMD")
 
 
+def tiny_config(root, sources):
+    """A one-country run over ages 0-1 and years 2000-2002 reading the
+    given individual-age declarations."""
+    individual = [{"shape": "HMD", "country": "AAA",
+                   "years": {"first": s["years"][0], "last": s["years"][1]},
+                   **{k: v for k, v in s.items() if k != "years"}}
+                  for s in sources]
+    return build_run_config({
+        "country_of_interest": "AAA", "common_pool": ["AAA"],
+        "ages": {"min": 0, "max": 1}, "years": {"first": 2000, "last": 2002},
+        "sources": {"individual": individual},
+        "method": {"kind": "WEIGHTED_LIKELIHOOD", "grid": [1.0]},
+        "simulation": {"n_paths": 2, "horizon": 2010, "seed": 1},
+        "report": {"ages": [0]},
+    }, root)
+
+
 class TestSurfaces:
     def test_rate_sanity_bound(self):
         ages, years = AgeRange(0, 1), YearRange(2000, 2000)
@@ -287,16 +384,30 @@ class TestSurfaces:
                             np.array([[6.0], [1.0]]), np.ones((2, 1)),
                             prov, prov.copy())
 
-    def test_build_surface_names_missing_cell(self):
-        frag = SurfaceFragment()
-        ages, years = AgeRange(0, 1), YearRange(2000, 2001)
-        for age in (0, 1):
-            for year in (2000, 2001):
-                frag.set_value("AAA", "M", age, year, "exposure", 100.0, "HMD")
-                if (age, year) != (1, 2001):
-                    frag.set_value("AAA", "M", age, year, "deaths", 1.0, "HMD")
-        with pytest.raises(ValidationError, match="age 1, year 2001"):
-            build_surface(frag, "AAA", "M", ages, years)
+    def test_assembly_names_missing_cell(self, tmp_path):
+        records = [("AAA", year, g, age, 1.0, 100.0, "HMD") for g in GENDERS
+                   for year in (2000, 2001, 2002) for age in (0, 1)
+                   if (g, age, year) != ("M", 1, 2001)]
+        write_individual_age_csv(tmp_path / "AAA.csv", records)
+        config = tiny_config(tmp_path, [{"path": "AAA.csv", "years": (2000, 2002)}])
+        with pytest.raises(ValidationError, match="deaths for age 1, year 2001"):
+            assemble_dataset(config)
+
+    def test_overlapping_declarations_refused(self, tmp_path):
+        # Coverage is checked on the model years only, so two declarations
+        # may overlap before them; the merged records still refuse it.
+        records = [("AAA", year, g, age, 1.0, 100.0, "HMD") for g in GENDERS
+                   for year in range(1998, 2003) for age in (0, 1)]
+        write_individual_age_csv(tmp_path / "AAA.csv", records)
+        write_individual_age_csv(tmp_path / "AAA_old.csv",
+                                 [r for r in records if r[1] < 2000])
+        config = tiny_config(tmp_path, [
+            {"path": "AAA.csv", "years": (1998, 2002)},
+            {"path": "AAA_old.csv", "years": (1998, 1999), "quantities": ["exposures"]},
+        ])
+        with pytest.raises(ValidationError,
+                           match="^duplicate exposure for AAA/M age 0 year 1998$"):
+            assemble_dataset(config)
 
     def test_virtual_cell_count(self):
         surface = flat_surface()
@@ -314,10 +425,18 @@ class TestSurfaces:
         np.testing.assert_allclose(surface.death_rates, 0.02, rtol=1e-15)
 
     def test_fragment_duplicate_field_refused(self):
+        def one_record(quantity, value):
+            return SurfaceFragment(("AAA",), country=[0], gender=[0], age=[0],
+                                   year=[2000], quantity=[quantity], value=[value],
+                                   provenance=[0])
+
         frag = SurfaceFragment()
-        frag.set_value("AAA", "M", 0, 2000, "deaths", 1.0, "HMD")
-        with pytest.raises(ValidationError, match="duplicate"):
-            frag.set_value("AAA", "M", 0, 2000, "deaths", 2.0, "HMD")
+        frag.update(one_record(0, 1.0), one_record(1, 100.0))
+        frag.check_unique()
+        frag.update(one_record(0, 2.0))
+        with pytest.raises(ValidationError,
+                           match="duplicate deaths for AAA/M age 0 year 2000"):
+            frag.check_unique()
 
     def test_dataset_aggregate_sums_pool(self):
         surfaces = {}

@@ -2,6 +2,8 @@
 import copy
 import hashlib
 import json
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -10,11 +12,11 @@ import numpy as np
 import pytest
 import yaml
 
-from mortkit import dynamics
+from mortkit import dynamics, lilee
 from mortkit.cli import main
 from mortkit.config import load_run_config
-from mortkit.data import AgeRange, EUROW_BUCKETS, STMF_BUCKETS, YearRange, \
-    load_weekly_csv
+from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, STMF_BUCKETS, \
+    YearRange, load_weekly_csv
 from mortkit.errors import ConfigError, ValidationError
 from mortkit.fixture import (FixtureParams, WeeklyDegradation, build_truth,
                              make_synthetic_fixture, seasonal_weights)
@@ -546,6 +548,51 @@ class TestFanChart:
 # Adjusted variant end to end
 # ---------------------------------------------------------------------------
 
+def check_calibration_diagnostics(config, dataset, scenario, blend=None):
+    """The scenario's `calibration` entry against fits made here."""
+    blob = scenario.to_json()["calibration"]
+    for gender in GENDERS:
+        d_T, E_T = dataset.aggregate(gender)
+        surf = dataset.surface(config.country_of_interest, gender)
+        args = (d_T, E_T, surf.deaths, surf.exposures, config.ages, config.years)
+        if blend is None:
+            _, fitted = lilee.calibrate(*args)
+        else:
+            _, fitted = lilee.fit_adjusted_lee_miller(*args, blend)
+        for layer, d, E, mu, sweeps, loglik in (
+            ("common", d_T, E_T, fitted.mu_common, fitted.sweeps_common,
+             fitted.loglik_common),
+            ("country", surf.deaths, surf.exposures, fitted.mu_country,
+             fitted.sweeps_country, fitted.loglik_country),
+        ):
+            entry = blob[gender][layer]
+            assert (entry["sweeps"], entry["loglik"]) == (sweeps, loglik)
+            assert entry["deviance"] >= 0.0
+            assert entry["deviance"] == pytest.approx(
+                lilee.saturated_loglik(d, E) - lilee.poisson_loglik(d, E, np.log(mu)),
+                rel=1e-12, abs=1e-9)
+
+
+class TestCalibrationDiagnostics:
+    def test_shared_calibration_reported_on_every_scenario(self, wrun, assembled):
+        config, report = wrun
+        for scenario in report.scenarios:
+            check_calibration_diagnostics(config, assembled.dataset, scenario)
+
+    def test_each_blend_reports_its_own_calibration(self, almrun, assembled):
+        config, report = almrun
+        for scenario in report.scenarios:
+            check_calibration_diagnostics(config, assembled.dataset, scenario,
+                                          blend=scenario.value)
+        first, second = (s.to_json()["calibration"] for s in report.scenarios)
+        assert first != second
+
+    def test_failed_scenario_has_no_calibration(self, mixed):
+        _, report = mixed
+        failed = [s for s in report.scenarios if s.status == "failed"][0]
+        assert "calibration" not in failed.to_json()
+
+
 class TestAdjustedScenarios:
     def test_per_blend_calibrations_differ(self, almrun):
         _, report = almrun
@@ -701,6 +748,22 @@ class TestDiffReports:
         with pytest.raises(ValidationError, match="schemas differ"):
             diff_reports(a, b)
 
+    def test_explicit_pairs_compare_different_labels(self):
+        a = fake_grid_report({"w1": -0.20, "w0.5": -0.19})
+        b = fake_grid_report({"w0": -0.15, "w0.5": -0.18})
+        diff = diff_reports(a, b, {"w1": "w0"})
+        deltas = {e["label"]: e["ts_params"]["theta_M"] for e in diff["scenarios"]}
+        assert deltas == {"w1=w0": pytest.approx(-0.05), "w0.5": pytest.approx(-0.01)}
+        assert diff["unmatched"] == {"a": [], "b": []}
+        back = diff_reports(b, a, {"w0": "w1"})["scenarios"]
+        assert back[0]["label"] == "w0=w1"
+        assert back[0]["ts_params"]["theta_M"] == -diff["scenarios"][0]["ts_params"]["theta_M"]
+
+    def test_pair_naming_a_missing_scenario_refused(self):
+        a = fake_grid_report({"w1": -0.20})
+        with pytest.raises(ValidationError, match="w1=w9"):
+            diff_reports(a, fake_grid_report({"w0": -0.15}), {"w1": "w9"})
+
     def test_failed_scenarios_marked_incomparable(self):
         a = fake_report(-0.18, -120.0)
         b = copy.deepcopy(a)
@@ -730,12 +793,11 @@ class TestShockDirection:
                                          "grid": [weight]},
                                  output_dir=f"out_{tag}")
             reports[tag] = quiet_run(load_run_config(cfg)).to_json()
-        # The runs' scenarios are w1 and w0, which diff_reports does not
-        # pair, so the drift delta is taken from the reports directly.
-        full = reports["full"]["scenarios"][0]["ts_params"]
-        drop = reports["drop"]["scenarios"][0]["ts_params"]
-        assert full["theta_M"] - drop["theta_M"] > 0.0
-        assert full["theta_F"] - drop["theta_F"] > 0.0
+        diff = diff_reports(reports["full"], reports["drop"], {"w1": "w0"})
+        delta = diff["scenarios"][0]["ts_params"]
+        assert diff["scenarios"][0]["label"] == "w1=w0"
+        assert delta["theta_M"] > 0.0
+        assert delta["theta_F"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -807,3 +869,32 @@ class TestCli:
         diff = json.loads(capsys.readouterr().out)
         assert diff["scenario_count"] == [2, 2]
         assert diff["scenarios"][0]["ts_params"]["theta_M"] == 0.0
+
+    def test_diff_command_pairs_labels(self, wrun, capsys):
+        config, report = wrun
+        path = str(config.output_dir / "report.json")
+        assert main(["diff", path, path, "--pair", "w1=w0", "--pair", "w0=w1"]) == 0
+        diff = json.loads(capsys.readouterr().out)
+        assert [e["label"] for e in diff["scenarios"]] == ["w1=w0", "w0=w1"]
+        w1, w0 = (s.ts_params["theta_M"] for s in report.scenarios)
+        assert diff["scenarios"][0]["ts_params"]["theta_M"] == w1 - w0
+        with pytest.raises(SystemExit):
+            main(["diff", path, path, "--pair", "w1"])
+        assert "expected A=B" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Names the benchmark tracer patches
+# ---------------------------------------------------------------------------
+
+class TestTracerContract:
+    def test_every_traced_name_resolves(self):
+        # bench/tracer.py wraps pipeline, data and project names by string;
+        # a renamed name would break every traced benchmark run.
+        root = Path(__file__).resolve().parents[1]
+        code = ("import sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]; "
+                "import tracer; tracer.install(tracer.Tracer())")
+        done = subprocess.run([sys.executable, "-c", code, str(root / "bench"),
+                               str(root / "src")], capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -11,7 +11,7 @@ from mortkit.lilee import LiLeeParams
 from mortkit.project import (MAX_AGE, ScenarioSpec, SimulationPaths,
                              central_period_effects, cohort_life_expectancy,
                              force_paths, kannisto_close,
-                             paths_to_mortality, period_life_expectancy,
+                             period_life_expectancy,
                              quantile_summary, simulate_period_effects)
 
 PSI = np.array([-0.20, -0.016, 0.95, -0.17, -0.030, 0.90])
@@ -188,6 +188,11 @@ def one_path(K_m, kap_m):
     return SimulationPaths(years=years, K=full, kappa=kap)
 
 
+def death_probability(params, paths, gender, year):
+    """One-year death probability under a piecewise-constant force."""
+    return -np.expm1(-force_paths(params, paths, gender, year))
+
+
 class TestMortalityLink:
     def test_force_combines_level_trend_and_deviation(self):
         params = tiny_params([-4.0, -3.0])
@@ -199,34 +204,37 @@ class TestMortalityLink:
 
     def test_vanishing_force_gives_zero_probability(self):
         params = tiny_params([-np.inf, -3.0])
-        q = paths_to_mortality(params, one_path(0.0, 0.0), "M", 2020)
+        q = death_probability(params, one_path(0.0, 0.0), "M", 2020)
         assert q[0, 0] == 0.0
 
     def test_log_two_force_gives_one_half(self):
         params = tiny_params([math.log(math.log(2.0)) - 0.10, -3.0])
-        q = paths_to_mortality(params, one_path(0.0, 0.0), "M", 2020)
+        q = death_probability(params, one_path(0.0, 0.0), "M", 2020)
         assert q[0, 0] == pytest.approx(0.5, rel=1e-15)
 
     def test_probabilities_stay_in_unit_interval(self):
         params = tiny_params([-1.0, 2.0])
-        q = paths_to_mortality(params, one_path(1.0, 1.0), "M", 2020)
+        q = death_probability(params, one_path(1.0, 1.0), "M", 2020)
         assert np.all((q > 0) & (q < 1))
 
     def test_probability_increases_with_force(self):
         lower = tiny_params([-4.0, -3.0])
         higher = tiny_params([-3.5, -2.5])
         path = one_path(0.3, -0.2)
-        q_lo = paths_to_mortality(lower, path, "M", 2020)
-        q_hi = paths_to_mortality(higher, path, "M", 2020)
+        q_lo = death_probability(lower, path, "M", 2020)
+        q_hi = death_probability(higher, path, "M", 2020)
         assert np.all(q_hi > q_lo)
 
-    def test_all_years_stack_matches_per_year_slices(self):
+    def test_each_year_reads_its_own_path_column(self):
         params = tiny_params([-4.0, -3.0])
         paths = simulate_period_effects(make_fit(), make_spec(horizon=2024))
-        stacked = paths_to_mortality(params, paths, "F")
         for j, year in enumerate(paths.years):
-            np.testing.assert_array_equal(
-                stacked[:, j], paths_to_mortality(params, paths, "F", int(year)))
+            log_mu = (params.A + params.alpha)[None, :] \
+                + paths.K["F"][:, j, None] * params.B[None, :] \
+                + paths.kappa["F"][:, j, None] * params.beta[None, :]
+            np.testing.assert_allclose(
+                death_probability(params, paths, "F", int(year)),
+                -np.expm1(-np.exp(log_mu)), rtol=1e-15)
 
 
 def logistic_mu(ages, level=0.1, slope=0.1):
