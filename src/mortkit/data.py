@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -329,14 +330,6 @@ class MortalitySurface:
         }
 
 
-def _distinct(column: np.ndarray):
-    """The sorted distinct values of a nonempty `column`, and the index of
-    each of its elements among them."""
-    values = np.sort(column)
-    values = values[np.r_[True, values[1:] != values[:-1]]]
-    return values, np.searchsorted(values, column)
-
-
 class SurfaceFragment:
     """Partial individual-age data, one record per (cell, quantity).
 
@@ -392,13 +385,13 @@ class SurfaceFragment:
             return
         key = self.country * len(GENDERS) + self.gender
         for column in (self.age, self.year):
-            values, index = _distinct(column)
+            values, index = np.unique(column, return_inverse=True)
             key = key * len(values) + index
         key = key * len(FRAGMENT_QUANTITIES) + self.quantity
-        ordered = np.sort(key)
-        if np.any(ordered[1:] == ordered[:-1]):
-            order = np.argsort(key, kind="stable")
-            i = order[1:][key[order[1:]] == key[order[:-1]]].min()
+        order = np.argsort(key, kind="stable")
+        repeat = key[order[1:]] == key[order[:-1]]
+        if repeat.any():
+            i = order[1:][repeat].min()
             raise ValidationError(
                 f"duplicate {FRAGMENT_QUANTITIES[self.quantity[i]]} for "
                 f"{self.countries[self.country[i]]}/{GENDERS[self.gender[i]]} "
@@ -455,13 +448,15 @@ class MultiPopulationDataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def _open_rows(path):
+def _read_csv(path):
+    """The path, the stripped header fields and the text after the header."""
     path = Path(path)
     with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows:
+        source = io.StringIO(handle.read(), newline="")
+    first = next(csv.reader(source), None)
+    if first is None:
         raise ParseError(f"{path}: empty file")
-    return path, rows
+    return path, tuple(h.strip() for h in first), source.read()
 
 
 def _parse_float(text, what, path, lineno, allow_empty=False):
@@ -506,18 +501,10 @@ def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
     """
     if source_shape not in INDIVIDUAL_SHAPES + ("VIRTUAL",):
         raise ValidationError(f"unknown individual-age shape {source_shape!r}")
-    path = Path(path)
-    with path.open(newline="") as handle:
-        source = io.StringIO(handle.read(), newline="")
-    rows = csv.reader(source)
-    first = next(rows, None)
-    if first is None:
-        raise ParseError(f"{path}: empty file")
-    header = tuple(h.strip() for h in first)
+    path, header, body = _read_csv(path)
     if header[:6] != INDIVIDUAL_HEADER:
         raise ParseError(f"{path}:1: expected header {','.join(INDIVIDUAL_HEADER)}")
     has_prov = len(header) > 6 and header[6] == "provenance"
-    body = source.read()
     fragment = _parse_rows_at_once(body, has_prov, source_shape)
     if fragment is None:
         rows = csv.reader(io.StringIO(body, newline=""))
@@ -529,17 +516,22 @@ def _parse_rows_at_once(body: str, has_prov: bool, source_shape: str):
     """The data rows parsed by one `np.loadtxt` call, or None unless that
     call provably read what the row loop reads and every row passes the
     row loop's checks.  loadtxt silently truncates strings to the dtype
-    width, keeps padding, drops trailing NULs and cannot read an empty
-    field as a number; with csv's quoting and line splitting it otherwise
+    width, keeps padding, drops trailing NULs, cannot read an empty field
+    as a number and, in older numpy releases, reads an integer field such
+    as "1.5" through float with only a DeprecationWarning (any warning
+    refuses the parse); with csv's quoting and line splitting it otherwise
     agrees."""
     if not body.strip() or "\x00" in body:
         return None
     names = _ROW_DTYPE.names[:7 if has_prov else 6]
     try:
-        table = np.loadtxt(io.StringIO(body, newline=""), dtype=_ROW_DTYPE[list(names)],
-                           delimiter=",", comments=None, quotechar='"', ndmin=1,
-                           usecols=range(len(names)))
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(io.StringIO(body, newline=""),
+                               dtype=_ROW_DTYPE[list(names)], delimiter=",",
+                               comments=None, quotechar='"', ndmin=1,
+                               usecols=range(len(names)))
+    except (ValueError, Warning):
         return None
     country = table["country"]
     age, deaths, exposure = table["age"], table["deaths"], table["exposure"]
@@ -570,7 +562,7 @@ def _parse_rows_one_by_one(path, rows, has_prov, source_shape) -> SurfaceFragmen
     records = []
     seen = set()
     for lineno, row in enumerate(rows, start=2):
-        if not row or all(not f.strip() for f in row):
+        if not "".join(row).strip():
             continue
         if len(row) < 6:
             raise ParseError(f"{path}:{lineno}: expected >= 6 fields, got {len(row)}")
@@ -609,7 +601,7 @@ def _parse_rows_one_by_one(path, rows, has_prov, source_shape) -> SurfaceFragmen
 def _fragment_of_rows(country, year, gender, age, deaths, exposure, provenance):
     """One file's rows as records: each row's deaths, then its exposure
     unless that is NaN (empty)."""
-    countries, country = _distinct(country)
+    countries, country = np.unique(country, return_inverse=True)
     values = np.column_stack([deaths, exposure]).ravel()
     keep = ~np.isnan(values)
 
@@ -645,13 +637,6 @@ def write_individual_age_csv(path, records):
             ])
 
 
-def derive_weekly_exposure(deaths: float, death_rate: float) -> float:
-    """Invert the death-rate definition: E = d / m.  Requires m > 0."""
-    if death_rate <= 0:
-        raise ValidationError(f"death rate must be positive, got {death_rate}")
-    return deaths / death_rate
-
-
 def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
                     gender=None) -> BucketedWeeklySeries:
     """Read a weekly bucketed file into a single series.
@@ -663,8 +648,7 @@ def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
     """
     if source_shape not in WEEKLY_SHAPES:
         raise ValidationError(f"unknown weekly shape {source_shape!r}")
-    path, rows = _open_rows(path)
-    header = tuple(h.strip() for h in rows[0])
+    path, header, body = _read_csv(path)
     base = STMF_HEADER if source_shape == "STMF" else EUROW_HEADER
     if header[: len(base)] != base:
         raise ParseError(f"{path}:1: expected header starting {','.join(base)}")
@@ -673,8 +657,8 @@ def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
 
     records = {}
     keys = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not f.strip() for f in row):
+    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not "".join(row).strip():
             continue
         if len(row) < len(base):
             raise ParseError(f"{path}:{lineno}: expected >= {len(base)} fields")
@@ -742,7 +726,7 @@ def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
                 if e is not None:
                     exposures[bucket][week - 1] = e
             elif m is not None and m > 0:
-                exposures[bucket][week - 1] = derive_weekly_exposure(d, m)
+                exposures[bucket][week - 1] = d / m  # from the definition m = d / E
     return BucketedWeeklySeries(
         country=s_country, gender=s_gender, year=s_year, week_count=week_count,
         deaths=deaths, exposures=exposures, death_rates=rates,

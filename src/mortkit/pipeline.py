@@ -225,9 +225,13 @@ class _Assembler:
     def _prev_open_total(self, country, gender, prev_year, open_lower, prev_col):
         """Last year's open-bucket exposure total: observed tail (which may
         extend past the model top age) when available, else the
-        within-range sum of the previous curve."""
-        cells = self.observed.restrict({country}, {gender}, {prev_year}, {"exposure"},
-                                       open_lower).value
+        within-range sum of the previous curve.  The observed values are
+        summed in the order each cell first appears among the records."""
+        tail = self.observed.restrict({country}, {gender}, {prev_year}, min_age=open_lower)
+        ages, first = np.unique(tail.age, return_index=True)
+        exposure = tail.quantity == FRAGMENT_QUANTITIES.index("exposure")
+        cells = tail.value[exposure][
+            np.argsort(first[np.searchsorted(ages, tail.age[exposure])])]
         span = self.ages.max_age - open_lower + 1
         if len(cells) >= span:
             return float(np.sum(cells))
@@ -237,21 +241,14 @@ class _Assembler:
         # Exposures first (they chain on each other), then deaths (they
         # need the target year's virtual exposures plus the aux model).
         for (country, year), slot in sorted(self.weekly.items()):
-            for shape in ("STMF",):
-                if shape not in slot:
-                    continue
-                decl = slot[shape]["decl"]
-                if "exposures" not in decl.quantities:
-                    continue
-                self._ungroup_exposure_year(country, year, slot[shape])
+            entry = slot.get("STMF")
+            if entry and "exposures" in entry["decl"].quantities:
+                self._ungroup_exposure_year(country, year, entry)
         for (country, year), slot in sorted(self.weekly.items()):
             for shape in ("EUROW", "STMF"):
-                if shape not in slot:
-                    continue
-                decl = slot[shape]["decl"]
-                if "deaths" not in decl.quantities:
-                    continue
-                self._ungroup_death_year(country, year, slot[shape])
+                entry = slot.get(shape)
+                if entry and "deaths" in entry["decl"].quantities:
+                    self._ungroup_death_year(country, year, entry)
 
     def _ungroup_exposure_year(self, country, year, entry):
         j = self.years.index(year)
@@ -344,9 +341,8 @@ class _Assembler:
                     d.copy(), e.copy(), _PROVENANCE_NAMES[self.dprov[key]],
                     _PROVENANCE_NAMES[self.eprov[key]],
                 )
-                counts = surfaces[key].virtual_cell_count()
-                v["deaths"] += counts["deaths"]
-                v["exposures"] += counts["exposures"]
+                for name, count in surfaces[key].virtual_cell_count().items():
+                    v[name] += count
             virtual[country] = v
         dataset = MultiPopulationDataset(surfaces=surfaces,
                                          common_pool=self.config.common_pool)

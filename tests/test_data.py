@@ -1,4 +1,7 @@
 """Data model, weekly ingestion and annualization rules."""
+import io
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS,
                           load_individual_age_csv, load_weekly_csv,
                           write_individual_age_csv, write_weekly_csv)
 from mortkit.errors import ParseError, ValidationError
-from mortkit.pipeline import assemble_dataset
+from mortkit.pipeline import _Assembler, assemble_dataset
 
 
 class TestBuckets:
@@ -284,6 +287,11 @@ EDGE_FILES = {
     "huge year": (HEADER + "\nAAA,99999999999999999999,M,0,1,5,HMD\n", "HMD", False),
     "nul in country": (HEADER + "\nAA\x00,2001,M,0,1,5,HMD\n", "HMD", False),
     "header only": (HEADER + "\n", "HMD", False),
+    "decimal age": (HEADER + "\nAAA,2001,M,1.5,1,5,HMD\n", "HMD", False),
+    "negative decimal age": (HEADER + "\nAAA,2001,M,-0.5,1,5,HMD\n", "HMD", False),
+    "decimal year": (HEADER + "\nAAA,2001.0,M,0,1,5,HMD\n", "HMD", False),
+    "exponent year": (HEADER + "\nAAA,2e3,M,0,1,5,HMD\n", "HMD", False),
+    "nan year": (HEADER + "\nAAA,nan,M,0,1,5,HMD\n", "HMD", False),
 }
 
 
@@ -326,6 +334,23 @@ class TestIndividualCsv:
         monkeypatch.setattr(data, "_parse_rows_at_once", lambda *args: None)
         assert fast == load_outcome(path, shape)
         assert [t is not None for t in taken] == [one_call]
+
+    def test_one_call_parse_refused_on_warning(self, tmp_path, monkeypatch):
+        # Older numpy releases read "1.5" into an integer field as 1 and
+        # only warn; such a parse must fall back to the row loop.
+        path = tmp_path / "edge.csv"
+        path.write_text(HEADER + "\nAAA,2001,M,1.5,1,5,HMD\n")
+        loadtxt = np.loadtxt
+
+        def lenient(source, *args, **kwargs):
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+            return loadtxt(io.StringIO(source.read().replace("1.5", "1")),
+                           *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", lenient)
+        with pytest.raises(ParseError, match=r"edge\.csv:2: unparseable age '1\.5'"):
+            load_individual_age_csv(path, "HMD")
 
     def test_errors_carry_line_numbers(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -408,6 +433,33 @@ class TestSurfaces:
         with pytest.raises(ValidationError,
                            match="^duplicate exposure for AAA/M age 0 year 1998$"):
             assemble_dataset(config)
+
+    def test_open_total_sums_cells_in_first_seen_order(self, tmp_path):
+        # Deaths and exposures come from two files whose rows are shuffled
+        # differently; the observed exposure tail is summed in the order
+        # each cell first appears (here: the deaths file's order).
+        rng = np.random.default_rng(5)
+        rows = [(g, year, age) for g in GENDERS for year in (2000, 2001, 2002)
+                for age in range(0, 111)]
+        exposure = {row: float(x) for row, x in zip(rows, rng.uniform(1, 1e6, len(rows)))}
+        order_d, order_e = rng.permutation(len(rows)), rng.permutation(len(rows))
+        write_individual_age_csv(tmp_path / "D.csv", [
+            ("AAA", rows[k][1], rows[k][0], rows[k][2], 1.0, None, "HMD")
+            for k in order_d])
+        write_individual_age_csv(tmp_path / "E.csv", [
+            ("AAA", rows[k][1], rows[k][0], rows[k][2], 1.0, exposure[rows[k]], "HMD")
+            for k in order_e])
+        config = tiny_config(tmp_path, [
+            {"path": "D.csv", "years": (2000, 2002), "quantities": ["deaths"]},
+            {"path": "E.csv", "years": (2000, 2002), "quantities": ["exposures"]},
+        ])
+        assembler = _Assembler(config)
+        assembler.load_sources()
+        for gender in GENDERS:
+            first_seen = [rows[k][2] for k in order_d if rows[k][:2] == (gender, 2001)]
+            expected = np.sum([exposure[(gender, 2001, age)] for age in first_seen])
+            total = assembler._prev_open_total("AAA", gender, 2001, 0, np.zeros(2))
+            assert total == float(expected)
 
     def test_virtual_cell_count(self):
         surface = flat_surface()
