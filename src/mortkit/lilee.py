@@ -265,22 +265,12 @@ def fit_common_trend(deaths, exposures, ages: AgeRange, years: YearRange, *,
 
     Constraints sum(B^2) = 1, sum(K) = 0 and sum(B) >= 0 are imposed by
     renormalization after every sweep (the force is invariant).  Starts
-    from A = log of pooled average rates, flat B, K = 0.
+    from A = log of pooled average rates, flat B, K = 0.  This is the
+    country-layer fit below with a zero offset.
     """
-    d = np.asarray(deaths, dtype=float)
-    E = np.asarray(exposures, dtype=float)
-    if d.shape != (len(ages), len(years)) or E.shape != d.shape:
-        raise ValidationError("deaths/exposures must be (n_ages, n_years)")
-    _check_death_rows(d, ages)
-    A0 = np.log(d.sum(axis=1) / E.sum(axis=1))
-    B0 = np.full(len(ages), 1.0 / np.sqrt(len(ages)))
-    K0 = np.zeros(len(years))
-    A, B, K, ll, trace, sweeps = _blockwise_fit(
-        d, E, 0.0, A0, B0, K0, fit_profile=True,
-        free_periods=np.ones(len(years), dtype=bool), center_periods=True,
-        sweep_tol=sweep_tol, max_sweeps=max_sweeps,
-    )
-    return TrendFit(A, B, K, ll, tuple(trace), sweeps)
+    return fit_country_deviation(deaths, exposures,
+                                 np.zeros_like(deaths, dtype=float), ages, years,
+                                 sweep_tol=sweep_tol, max_sweeps=max_sweeps)
 
 
 def fit_country_deviation(deaths, exposures, common_log_mu, ages: AgeRange,
@@ -294,6 +284,8 @@ def fit_country_deviation(deaths, exposures, common_log_mu, ages: AgeRange,
     d = np.asarray(deaths, dtype=float)
     E = np.asarray(exposures, dtype=float)
     offset = np.asarray(common_log_mu, dtype=float)
+    if d.shape != (len(ages), len(years)) or E.shape != d.shape:
+        raise ValidationError("deaths/exposures must be (n_ages, n_years)")
     if offset.shape != d.shape:
         raise ValidationError("common surface shape mismatch")
     _check_death_rows(d, ages)

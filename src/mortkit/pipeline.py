@@ -421,56 +421,46 @@ def _fanchart_rows(config, params, fit):
         jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
                   float(params["F"].K[-1]), float(params["F"].kappa[-1])),
     )
-    paths = project.simulate_period_effects(fit, spec)
-    central = project.central_period_effects(fit, spec)
+    paths = project.path_batch(fit, spec)
     probes = project.DEFAULT_PROBES
     records = []
 
-    def emit(quantity, gender, age, year, samples, best):
-        table = project.quantile_summary(samples, probes, best_estimate=best)
-        for p in probes:
-            records.append((quantity, gender, age, int(year), _probe_label(p),
-                            float(table[p])))
-        records.append((quantity, gender, age, int(year), "best",
-                        float(table["best"])))
-
-    for gender in GENDERS:
-        for j, year in enumerate(paths.years):
-            emit("K", gender, None, year, paths.K[gender][:, j],
-                 central.K[gender][0, j])
-            emit("kappa", gender, None, year, paths.kappa[gender][:, j],
-                 central.kappa[gender][0, j])
+    def emit(labels, year, values):
+        """Records for each (quantity, gender, age) column of `values`;
+        row 0 is the central path, the other rows the simulated paths."""
+        table = project.quantile_summary(values[1:], probes, best_estimate=values[0])
+        for k, (quantity, gender, age) in enumerate(labels):
+            for p in probes:
+                records.append((quantity, gender, age, int(year), _probe_label(p),
+                                float(table[p][k])))
+            records.append((quantity, gender, age, int(year), "best",
+                            float(table["best"][k])))
 
     span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
     a0 = config.ages.min_age   # closed curves cover ages a0..120
     for gender in GENDERS:
-        diag = {a: np.empty((config.n_paths, span[a])) for a in config.cohort_ages}
-        diag_c = {a: np.empty((1, span[a])) for a in config.cohort_ages}
+        rows = len(paths.K[gender])
+        diag = {a: np.empty((rows, span[a])) for a in config.cohort_ages}
         for j, year in enumerate(paths.years):
             mu = project.force_paths(params[gender], paths, gender, int(year))
-            mu_c = project.force_paths(params[gender], central, gender, int(year))
             q = -np.expm1(-mu)
-            q_c = -np.expm1(-mu_c)
-            closed = project.kannisto_close(q, a0)
-            closed_c = project.kannisto_close(q_c, a0)
-            mu_cl = -np.log1p(-closed)
-            mu_cl_c = -np.log1p(-closed_c)
+            mu_cl = -np.log1p(-project.kannisto_close(q, a0))
+            labels = [("K", gender, None), ("kappa", gender, None)]
+            columns = [paths.K[gender][:, j], paths.kappa[gender][:, j]]
             for age in config.report_ages:
-                i = config.ages.index(age)
-                emit("q", gender, age, year, q[:, i], q_c[0, i])
-                emit("e_per", gender, age, year,
-                     project.period_life_expectancy(mu_cl[:, age - a0:], age),
-                     float(project.period_life_expectancy(
-                         mu_cl_c[:, age - a0:], age)[0]))
+                labels += [("q", gender, age), ("e_per", gender, age)]
+                columns += [q[:, config.ages.index(age)],
+                            project.period_life_expectancy(mu_cl[:, age - a0:], age)]
+            emit(labels, year, np.column_stack(columns))
             for age, width in span.items():
                 if j < width:
                     diag[age][:, j] = mu_cl[:, age + j - a0]
-                    diag_c[age][:, j] = mu_cl_c[:, age + j - a0]
-        for age in config.cohort_ages:
+        if config.cohort_ages:
             # Cohort expectancy: the period kernel applied on the diagonal.
-            e_coh = project.period_life_expectancy(diag[age], age)
-            e_coh_c = project.period_life_expectancy(diag_c[age], age)
-            emit("e_coh", gender, age, paths.years[0], e_coh, float(e_coh_c[0]))
+            emit([("e_coh", gender, age) for age in config.cohort_ages],
+                 paths.years[0],
+                 np.column_stack([project.period_life_expectancy(diag[age], age)
+                                  for age in config.cohort_ages]))
 
     order = {q: i for i, q in enumerate(_QUANTITY_ORDER)}
     probe_rank = {"0.005": 0, "0.5": 1, "0.995": 2, "best": 3}

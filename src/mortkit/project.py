@@ -4,10 +4,13 @@ Paths start at the calibrated jump-off values and evolve by the fitted
 random-walk/AR(1) recursion, drawing one joint 4-dimensional Gaussian
 innovation per (path, year).  Each path gets its own counter-based RNG
 stream keyed by (seed, path index), so results are independent of
-execution order or thread count.  Simulated forces are turned into
-one-year death probabilities, closed to age 120 with a Kannisto logistic
-fitted on ages 80..90, and summarized as period/cohort life expectancies
-and empirical quantiles.
+execution order or thread count.  The fan charts summarise one batch:
+the zero-noise central path in row 0 and the simulated paths below it,
+so a single life-table pass yields both the best estimate and the
+quantiles.  Simulated forces are turned into one-year death
+probabilities, closed to age 120 with a Kannisto logistic fitted on ages
+80..90, and summarized as period/cohort life expectancies and empirical
+quantiles.
 """
 from __future__ import annotations
 
@@ -69,17 +72,18 @@ class ScenarioSpec:
 
 @dataclass(frozen=True)
 class SimulationPaths:
-    """Simulated period effects; arrays are (n_paths, n_years) with the
-    jump-off year in column 0."""
+    """Period effects per gender, read-only arrays of shape (rows, n_years)
+    with the jump-off year in column 0.  In a `path_batch` row 0 is the
+    central path and row i + 1 is simulated path i."""
 
     years: np.ndarray
     K: dict
     kappa: dict
-    central: bool = False
 
-    @property
-    def n_paths(self) -> int:
-        return self.K["M"].shape[0]
+    def __post_init__(self):
+        for table in (self.K, self.kappa):
+            for arr in table.values():
+                arr.flags.writeable = False
 
     def year_index(self, year: int) -> int:
         if not self.years[0] <= year <= self.years[-1]:
@@ -116,9 +120,6 @@ def _recur(spec: ScenarioSpec, fit: TimeSeriesFit, eps: np.ndarray) -> Simulatio
         for h in range(H):
             K[g][:, h + 1] = K[g][:, h] + theta + eps[:, h, ki]
             kap[g][:, h + 1] = c + phi * kap[g][:, h] + eps[:, h, di]
-    for table in (K, kap):
-        for arr in table.values():
-            arr.flags.writeable = False
     return SimulationPaths(years=years, K=K, kappa=kap)
 
 
@@ -141,12 +142,23 @@ def simulate_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> Simulatio
 
 
 def central_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
-    """The noise-free central path (all innovations zero); one path."""
-    one = ScenarioSpec(spec.jump_off_year, spec.horizon, 1, spec.seed, spec.jump_off)
-    H = spec.horizon - spec.jump_off_year
-    paths = _recur(one, fit, np.zeros((1, H, 4)))
-    return SimulationPaths(years=paths.years, K=paths.K, kappa=paths.kappa,
-                           central=True)
+    """The noise-free central path (all innovations zero); one row."""
+    return _recur(spec, fit, np.zeros((1, spec.horizon - spec.jump_off_year, 4)))
+
+
+def path_batch(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
+    """The central path in row 0, then simulated path i in row i + 1.
+
+    Life tables run once over the whole batch: row 0 gives the fan
+    charts' best estimate, rows 1.. their quantiles.
+    """
+    central = central_period_effects(fit, spec)
+    paths = simulate_period_effects(fit, spec)
+    return SimulationPaths(
+        years=paths.years,
+        K={g: np.vstack([central.K[g], paths.K[g]]) for g in GENDERS},
+        kappa={g: np.vstack([central.kappa[g], paths.kappa[g]]) for g in GENDERS},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +167,7 @@ def central_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> Simulation
 
 def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
                 year: int) -> np.ndarray:
-    """mu over the model ages for one year; shape (n_paths, n_ages)."""
+    """mu over the model ages for one year; shape (rows, n_ages)."""
     j = paths.year_index(year)
     K = paths.K[gender][:, j]
     kappa = paths.kappa[gender][:, j]

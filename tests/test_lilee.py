@@ -212,6 +212,25 @@ class TestCountryDeviation:
         np.testing.assert_array_equal(params.K, step1.K)
         np.testing.assert_allclose(params.kappa, step2.K, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("d_shape, E_shape, years", [
+        ((2, 4), (2, 4), YEARS3),                  # deaths span 4 years
+        ((2, 3), (2, 4), YEARS3),                  # exposures span 4 years
+        ((3, 3), (3, 3), YEARS3),                  # 3 ages against 2
+        ((2, 3), (2, 3), YearRange(2000, 2003)),   # 4 years declared
+    ])
+    def test_mismatched_shapes_refused(self, d_shape, E_shape, years):
+        d = np.full(d_shape, 5.0)
+        E = np.full(E_shape, 100.0)
+        with pytest.raises(ValidationError, match=r"\(n_ages, n_years\)"):
+            fit_country_deviation(d, E, np.zeros(d_shape), AGES2, years)
+        with pytest.raises(ValidationError, match=r"\(n_ages, n_years\)"):
+            fit_common_trend(d, E, AGES2, years)
+
+    def test_common_surface_shape_refused(self):
+        d = np.full((2, 3), 5.0)
+        with pytest.raises(ValidationError, match="common surface"):
+            fit_country_deviation(d, d * 20.0, np.zeros((2, 4)), AGES2, YEARS3)
+
     def test_evaluate_mu_matches_grid(self, rng):
         ages, years, d_T, E_T, d_c, E_c, _ = self._pooled_and_country(rng)
         params, _ = calibrate(d_T, E_T, d_c, E_c, ages, years)

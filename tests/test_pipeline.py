@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 import warnings
+from contextlib import ExitStack
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -12,7 +14,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mortkit import dynamics, lilee
+from mortkit import dynamics, lilee, pipeline, project
 from mortkit.cli import main
 from mortkit.config import load_run_config
 from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, STMF_BUCKETS, \
@@ -542,6 +544,118 @@ class TestFanChart:
         keys = [k for k in groups if k[0] == "e_coh"]
         assert {k[3] for k in keys} == {config.years.last}
         assert {k[2] for k in keys} == set(config.cohort_ages)
+
+
+def two_pass_fanchart_rows(config, params, fit):
+    """The fan-chart records as computed before the central path joined the
+    path batch: the central path ran through its own copy of the life
+    tables.  Kept as the oracle for `pipeline._fanchart_rows`."""
+    spec = project.ScenarioSpec(
+        jump_off_year=config.years.last, horizon=config.horizon,
+        n_paths=config.n_paths, seed=config.seed,
+        jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
+                  float(params["F"].K[-1]), float(params["F"].kappa[-1])),
+    )
+    paths = project.simulate_period_effects(fit, spec)
+    central = project.central_period_effects(fit, spec)
+    probes = project.DEFAULT_PROBES
+    records = []
+
+    def emit(quantity, gender, age, year, samples, best):
+        table = project.quantile_summary(samples, probes, best_estimate=best)
+        for p in probes:
+            records.append((quantity, gender, age, int(year),
+                            pipeline._probe_label(p), float(table[p])))
+        records.append((quantity, gender, age, int(year), "best",
+                        float(table["best"])))
+
+    for gender in GENDERS:
+        for j, year in enumerate(paths.years):
+            emit("K", gender, None, year, paths.K[gender][:, j],
+                 central.K[gender][0, j])
+            emit("kappa", gender, None, year, paths.kappa[gender][:, j],
+                 central.kappa[gender][0, j])
+
+    span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
+    a0 = config.ages.min_age
+    for gender in GENDERS:
+        diag = {a: np.empty((config.n_paths, span[a])) for a in config.cohort_ages}
+        diag_c = {a: np.empty((1, span[a])) for a in config.cohort_ages}
+        for j, year in enumerate(paths.years):
+            mu = project.force_paths(params[gender], paths, gender, int(year))
+            mu_c = project.force_paths(params[gender], central, gender, int(year))
+            q = -np.expm1(-mu)
+            q_c = -np.expm1(-mu_c)
+            mu_cl = -np.log1p(-project.kannisto_close(q, a0))
+            mu_cl_c = -np.log1p(-project.kannisto_close(q_c, a0))
+            for age in config.report_ages:
+                i = config.ages.index(age)
+                emit("q", gender, age, year, q[:, i], q_c[0, i])
+                emit("e_per", gender, age, year,
+                     project.period_life_expectancy(mu_cl[:, age - a0:], age),
+                     float(project.period_life_expectancy(
+                         mu_cl_c[:, age - a0:], age)[0]))
+            for age, width in span.items():
+                if j < width:
+                    diag[age][:, j] = mu_cl[:, age + j - a0]
+                    diag_c[age][:, j] = mu_cl_c[:, age + j - a0]
+        for age in config.cohort_ages:
+            e_coh = project.period_life_expectancy(diag[age], age)
+            e_coh_c = project.period_life_expectancy(diag_c[age], age)
+            emit("e_coh", gender, age, paths.years[0], e_coh, float(e_coh_c[0]))
+
+    order = {q: i for i, q in enumerate(pipeline._QUANTITY_ORDER)}
+    probe_rank = {"0.005": 0, "0.5": 1, "0.995": 2, "best": 3}
+    records.sort(key=lambda r: (order[r[0]], r[1], -1 if r[2] is None else r[2],
+                                r[3], probe_rank[r[4]]))
+    return records
+
+
+@pytest.fixture(scope="module")
+def fanchart_inputs(small_bundle):
+    """Config, params and dynamics fit of the small bundle's w1 scenario,
+    with a second report age and a horizon that reaches age 120 from 65."""
+    root, _ = small_bundle
+    config = load_run_config(root / "config.yaml")
+    dataset = assemble_dataset(config).dataset
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        params, _ = pipeline._calibrate(config, dataset)
+        fit, _ = pipeline._fit_dynamics(config, params, weight_last=None)
+    config = replace(config, n_paths=30, horizon=2075, report_ages=(65, 80))
+    return config, params, fit
+
+
+class TestFanChartRows:
+    @pytest.mark.parametrize("cohort_ages", [(65,), ()])
+    def test_matches_the_two_pass_oracle(self, fanchart_inputs, cohort_ages):
+        config, params, fit = fanchart_inputs
+        config = replace(config, cohort_ages=cohort_ages)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = pipeline._fanchart_rows(config, params, fit)
+            want = two_pass_fanchart_rows(config, params, fit)
+        assert got == want
+        assert bool(cohort_ages) == any(r[0] == "e_coh" for r in got)
+
+    @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
+    def test_one_life_table_pass_per_gender_and_year(self, fanchart_inputs,
+                                                     cohort_ages):
+        config, params, fit = fanchart_inputs
+        config = replace(config, cohort_ages=cohort_ages)
+        with warnings.catch_warnings(), ExitStack() as stack:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            calls = {name: stack.enter_context(mock.patch.object(
+                         project, name, wraps=getattr(project, name)))
+                     for name in ("kannisto_close", "period_life_expectancy",
+                                  "quantile_summary")}
+            pipeline._fanchart_rows(config, params, fit)
+        n_years = config.horizon - config.years.last + 1
+        assert calls["kannisto_close"].call_count == 2 * n_years
+        assert calls["period_life_expectancy"].call_count == 2 * (
+            n_years * len(config.report_ages) + len(cohort_ages))
+        assert calls["quantile_summary"].call_count == \
+            2 * (n_years + bool(cohort_ages))
 
 
 # ---------------------------------------------------------------------------

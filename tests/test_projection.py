@@ -10,7 +10,7 @@ from mortkit.errors import ValidationError
 from mortkit.lilee import LiLeeParams
 from mortkit.project import (MAX_AGE, ScenarioSpec, SimulationPaths,
                              central_period_effects, cohort_life_expectancy,
-                             force_paths, kannisto_close,
+                             force_paths, kannisto_close, path_batch,
                              period_life_expectancy,
                              quantile_summary, simulate_period_effects)
 
@@ -129,8 +129,9 @@ class TestSimulation:
     def test_central_path_is_the_zero_noise_recursion(self):
         fit = make_fit()
         central = central_period_effects(fit, make_spec(n_paths=500))
-        assert central.central
-        assert central.n_paths == 1
+        for table in (central.K, central.kappa):
+            assert {g: a.shape for g, a in table.items()} == \
+                {"M": (1, 11), "F": (1, 11)}
         drift_only = simulate_period_effects(
             make_fit(C=np.zeros((4, 4))), make_spec(n_paths=1))
         for g in ("M", "F"):
@@ -138,6 +139,33 @@ class TestSimulation:
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(central.kappa[g], drift_only.kappa[g],
                                        rtol=0, atol=1e-12)
+
+    def test_batch_has_the_central_path_in_row_zero(self):
+        fit = make_fit()
+        spec = make_spec(n_paths=5)
+        batch = path_batch(fit, spec)
+        central = central_period_effects(fit, spec)
+        paths = simulate_period_effects(fit, spec)
+        np.testing.assert_array_equal(batch.years, paths.years)
+        for g in ("M", "F"):
+            assert batch.K[g].shape == batch.kappa[g].shape == (6, 11)
+            assert np.array_equal(batch.K[g][:1], central.K[g])
+            assert np.array_equal(batch.kappa[g][:1], central.kappa[g])
+            assert np.array_equal(batch.K[g][1:], paths.K[g])
+            assert np.array_equal(batch.kappa[g][1:], paths.kappa[g])
+
+    def test_batch_rows_do_not_depend_on_path_count(self):
+        fit = make_fit()
+        small = path_batch(fit, make_spec(seed=7, n_paths=3))
+        large = path_batch(fit, make_spec(seed=7, n_paths=8))
+        for g in ("M", "F"):
+            assert np.array_equal(large.K[g][:4], small.K[g])
+            assert np.array_equal(large.kappa[g][:4], small.kappa[g])
+
+    def test_batch_is_immutable(self):
+        batch = path_batch(make_fit(), make_spec())
+        with pytest.raises(ValueError):
+            batch.kappa["F"][0, 1] = 99.0
 
     def test_rejects_asymmetric_covariance(self):
         bad = np.eye(4)
