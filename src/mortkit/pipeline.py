@@ -16,6 +16,7 @@ import json
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -413,54 +414,77 @@ def _fit_dynamics(config, params, weight_last):
     return fit, rows
 
 
-def _fanchart_rows(config, params, fit):
-    """All fan-chart records for one scenario, deterministically ordered."""
+@contextmanager
+def _clock(layers: dict, layer: str):
+    """Add the wall time of the block to `layers[layer]`."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        layers[layer] = layers.get(layer, 0.0) + time.perf_counter() - start
+
+
+def _fanchart_rows(config, params, fit, layers=None):
+    """All fan-chart records for one scenario, deterministically ordered.
+
+    Wall times of the simulate, life_tables and quantiles layers are
+    added to `layers` when it is given."""
+    layers = {} if layers is None else layers
     spec = project.ScenarioSpec(
         jump_off_year=config.years.last, horizon=config.horizon,
         n_paths=config.n_paths, seed=config.seed,
         jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
                   float(params["F"].K[-1]), float(params["F"].kappa[-1])),
     )
-    paths = project.path_batch(fit, spec)
+    with _clock(layers, "simulate"):
+        paths = project.path_batch(fit, spec)
     probes = project.DEFAULT_PROBES
     records = []
 
     def emit(labels, year, values):
         """Records for each (quantity, gender, age) column of `values`;
         row 0 is the central path, the other rows the simulated paths."""
-        table = project.quantile_summary(values[1:], probes, best_estimate=values[0])
-        for k, (quantity, gender, age) in enumerate(labels):
-            for p in probes:
-                records.append((quantity, gender, age, int(year), _probe_label(p),
-                                float(table[p][k])))
-            records.append((quantity, gender, age, int(year), "best",
-                            float(table["best"][k])))
+        with _clock(layers, "quantiles"):
+            table = project.quantile_summary(values[1:], probes,
+                                             best_estimate=values[0])
+            for k, (quantity, gender, age) in enumerate(labels):
+                for p in probes:
+                    records.append((quantity, gender, age, int(year),
+                                    _probe_label(p), float(table[p][k])))
+                records.append((quantity, gender, age, int(year), "best",
+                                float(table["best"][k])))
 
     span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
     a0 = config.ages.min_age   # closed curves cover ages a0..120
+    report_ages = config.report_ages
+    report_at = [config.ages.index(age) for age in report_ages]
+    r0 = min(report_ages, default=a0)
     for gender in GENDERS:
         rows = len(paths.K[gender])
         diag = {a: np.empty((rows, span[a])) for a in config.cohort_ages}
+        labels = [("K", gender, None), ("kappa", gender, None)]
+        labels += [("q", gender, age) for age in report_ages]
+        labels += [("e_per", gender, age) for age in report_ages]
         for j, year in enumerate(paths.years):
-            mu = project.force_paths(params[gender], paths, gender, int(year))
-            q = -np.expm1(-mu)
-            mu_cl = -np.log1p(-project.kannisto_close(q, a0))
-            labels = [("K", gender, None), ("kappa", gender, None)]
-            columns = [paths.K[gender][:, j], paths.kappa[gender][:, j]]
-            for age in config.report_ages:
-                labels += [("q", gender, age), ("e_per", gender, age)]
-                columns += [q[:, config.ages.index(age)],
-                            project.period_life_expectancy(mu_cl[:, age - a0:], age)]
+            with _clock(layers, "life_tables"):
+                mu = project.force_paths(params[gender], paths, gender, int(year))
+                mu_cl = project.kannisto_close(mu, a0, forces=True)
+                columns = [paths.K[gender][:, j], paths.kappa[gender][:, j],
+                           -np.expm1(-mu[:, report_at])]
+                if report_ages:
+                    columns.append(project.period_life_expectancy(
+                        mu_cl[:, r0 - a0:], report_ages))
+                for age, width in span.items():
+                    if j < width:
+                        diag[age][:, j] = mu_cl[:, age + j - a0]
             emit(labels, year, np.column_stack(columns))
-            for age, width in span.items():
-                if j < width:
-                    diag[age][:, j] = mu_cl[:, age + j - a0]
         if config.cohort_ages:
             # Cohort expectancy: the period kernel applied on the diagonal.
+            with _clock(layers, "life_tables"):
+                e_coh = np.column_stack([project.period_life_expectancy(diag[age], age)
+                                         for age in config.cohort_ages])
             emit([("e_coh", gender, age) for age in config.cohort_ages],
-                 paths.years[0],
-                 np.column_stack([project.period_life_expectancy(diag[age], age)
-                                  for age in config.cohort_ages]))
+                 paths.years[0], e_coh)
 
     order = {q: i for i, q in enumerate(_QUANTITY_ORDER)}
     probe_rank = {"0.005": 0, "0.5": 1, "0.995": 2, "best": 3}
@@ -497,6 +521,7 @@ class ScenarioResult:
     files: dict
     hashes: dict
     elapsed: float
+    layers: dict
 
     def to_json(self) -> dict:
         out = {
@@ -541,32 +566,38 @@ class RunReport:
 def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
                  out_dir: Path) -> ScenarioResult:
     """One grid value: calibrate (or reuse the shared `_calibrate` result),
-    fit dynamics, simulate, write."""
+    fit dynamics, simulate, write.  The result carries the wall time of
+    each layer the scenario ran."""
     start = time.perf_counter()
+    layers = {}
     label = _scenario_label(config, value)
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         params, calibration = shared_calibration
-        fit, _ = _fit_dynamics(config, params, weight_last=value)
+        weight_last = value
     else:
-        params, calibration = _calibrate(config, dataset, blend=value)
-        fit, _ = _fit_dynamics(config, params, weight_last=None)
+        with _clock(layers, "calibrate"):
+            params, calibration = _calibrate(config, dataset, blend=value)
+        weight_last = None
+    with _clock(layers, "dynamics"):
+        fit, _ = _fit_dynamics(config, params, weight_last=weight_last)
+    records = _fanchart_rows(config, params, fit, layers)
 
     files = {
         "params": f"params_{label}.csv",
         "tsfit": f"tsfit_{label}.csv",
         "fanchart": f"fanchart_{label}.csv",
     }
-    lilee.export_params_csv(out_dir / files["params"], params)
-    dynamics.export_fit_csv(out_dir / files["tsfit"], fit)
-    _write_fanchart(out_dir / files["fanchart"],
-                    _fanchart_rows(config, params, fit))
-    hashes = {name: _sha256(out_dir / name) for name in files.values()}
+    with _clock(layers, "write"):
+        lilee.export_params_csv(out_dir / files["params"], params)
+        dynamics.export_fit_csv(out_dir / files["tsfit"], fit)
+        _write_fanchart(out_dir / files["fanchart"], records)
+        hashes = {name: _sha256(out_dir / name) for name in files.values()}
     return ScenarioResult(
         label=label, value=value, status="ok", error=None,
         ts_params={name: float(v) for name, v in zip(dynamics.PSI_NAMES, fit.psi)},
         stationary=fit.stationary, ridged=fit.ridged, loglik=float(fit.loglik),
         score_norm=fit.score_norm, calibration=calibration, files=files,
-        hashes=hashes, elapsed=time.perf_counter() - start,
+        hashes=hashes, elapsed=time.perf_counter() - start, layers=layers,
     )
 
 
@@ -602,7 +633,7 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
             label=_scenario_label(config, value), value=value,
             status="failed", error=error, ts_params=None, stationary=None,
             ridged=None, loglik=None, score_norm=None, calibration=None,
-            files={}, hashes={}, elapsed=0.0,
+            files={}, hashes={}, elapsed=0.0, layers={},
         )
 
     workers = jobs if jobs else len(config.method_grid)
@@ -632,6 +663,7 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
         json.dump(report.to_json(), handle, indent=2, sort_keys=True)
         handle.write("\n")
     timings["scenario_seconds"] = {s.label: s.elapsed for s in results}
+    timings["scenario_layers"] = {s.label: s.layers for s in results}
     with (out_dir / "timings.json").open("w") as handle:
         json.dump(timings, handle, indent=2)
         handle.write("\n")

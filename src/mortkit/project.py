@@ -7,10 +7,10 @@ stream keyed by (seed, path index), so results are independent of
 execution order or thread count.  The fan charts summarise one batch:
 the zero-noise central path in row 0 and the simulated paths below it,
 so a single life-table pass yields both the best estimate and the
-quantiles.  Simulated forces are turned into one-year death
-probabilities, closed to age 120 with a Kannisto logistic fitted on ages
-80..90, and summarized as period/cohort life expectancies and empirical
-quantiles.
+quantiles.  Simulated forces are closed to age 120 with a Kannisto
+logistic fitted on ages 80..90 and summarized as one-year death
+probabilities, period/cohort life expectancies (every age from one
+backward pass over the forces) and empirical quantiles.
 """
 from __future__ import annotations
 
@@ -171,37 +171,48 @@ def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
     j = paths.year_index(year)
     K = paths.K[gender][:, j]
     kappa = paths.kappa[gender][:, j]
-    log_mu = (params.A + params.alpha)[None, :] \
-        + K[:, None] * params.B[None, :] + kappa[:, None] * params.beta[None, :]
-    return np.exp(log_mu)
+    mu = np.multiply.outer(K, params.B)
+    mu += params.A + params.alpha
+    mu += np.multiply.outer(kappa, params.beta)
+    return np.exp(mu, out=mu)
 
 
 # ---------------------------------------------------------------------------
 # Kannisto closure
 # ---------------------------------------------------------------------------
 
-def kannisto_close(q: np.ndarray, ages_lo: int = 0) -> np.ndarray:
-    """Extend death probabilities over ages `ages_lo`..90 up to age 120.
+def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
+                   forces: bool = False) -> np.ndarray:
+    """Extend a mortality curve over ages `ages_lo`..90 up to age 120.
 
-    The forces mu = -log(1-q) on ages 80..90 are fitted with the logistic
-    mu_x = c e^(phi x) / (1 + c e^(phi x)) by least squares on
+    With `forces=True` the curve and the result are forces of mortality,
+    the form the life tables use.  Otherwise both are one-year death
+    probabilities q = 1 - e^-mu, turned into forces for the fit and back
+    for the extension.  The forces on ages 80..90 are fitted with the
+    logistic mu_x = c e^(phi x) / (1 + c e^(phi x)) by least squares on
     logit(mu_x), then evaluated on 91..120.  Ages up to 90 pass through
     unchanged.  A non-increasing fit (phi <= 0) warns but is applied;
     forces at or above 1 are clamped just below 1 before the logit, with a
     warning.  Input may carry leading path/year axes.
     """
-    q = np.asarray(q, dtype=float)
-    n_in = q.shape[-1]
+    curve = np.asarray(curve, dtype=float)
+    n_in = curve.shape[-1]
     top_in = ages_lo + n_in - 1
     if top_in < KANNISTO_FIT_HI:
         raise ValidationError(
             f"closure needs ages up to {KANNISTO_FIT_HI}, input ends at {top_in}"
         )
-    if np.any(q <= 0) or np.any(q >= 1):
-        raise ValidationError("death probabilities must lie in (0, 1)")
     lo = KANNISTO_FIT_LO - ages_lo
     hi = KANNISTO_FIT_HI - ages_lo
-    mu_fit = -np.log1p(-q[..., lo:hi + 1])
+    # Written so that NaN, which compares false, fails the checks too.
+    if forces:
+        if not np.all((curve > 0) & (curve < np.inf)):
+            raise ValidationError("forces must be positive and finite")
+        mu_fit = curve[..., lo:hi + 1]
+    else:
+        if not np.all((curve > 0) & (curve < 1)):
+            raise ValidationError("death probabilities must lie in (0, 1)")
+        mu_fit = -np.log1p(-curve[..., lo:hi + 1])
     if np.any(mu_fit >= 1.0):
         warnings.warn("force >= 1 clamped below 1 for the logit fit",
                       RuntimeWarning, stacklevel=2)
@@ -216,11 +227,22 @@ def kannisto_close(q: np.ndarray, ages_lo: int = 0) -> np.ndarray:
     if np.any(slope <= 1e-12):
         warnings.warn("fitted logistic is non-increasing in age (phi <= 0)",
                       RuntimeWarning, stacklevel=2)
-    ext_ages = np.arange(top_in + 1, MAX_AGE + 1, dtype=float)
-    logit_mu = intercept[..., None] + slope[..., None] * ext_ages
-    mu_ext = 1.0 / (1.0 + np.exp(-logit_mu))
-    q_ext = -np.expm1(-mu_ext)
-    return np.concatenate([q, q_ext], axis=-1)
+    # The logistic is evaluated in place in the result's tail columns.
+    closed = np.empty(curve.shape[:-1] + (MAX_AGE + 1 - ages_lo,))
+    closed[..., :n_in] = curve
+    tail = closed[..., n_in:]
+    np.multiply.outer(slope, np.arange(top_in + 1, MAX_AGE + 1, dtype=float),
+                      out=tail)
+    tail += intercept[..., None]
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    tail += 1.0
+    np.divide(1.0, tail, out=tail)
+    if not forces:
+        np.negative(tail, out=tail)
+        np.expm1(tail, out=tail)
+        np.negative(tail, out=tail)
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -228,38 +250,62 @@ def kannisto_close(q: np.ndarray, ages_lo: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _year_fraction(mu: np.ndarray) -> np.ndarray:
-    """(1 - e^-mu)/mu with the mu -> 0 limit of 1."""
-    out = np.ones_like(mu)
-    nz = mu != 0
-    out[nz] = -np.expm1(-mu[nz]) / mu[nz]
-    return out
+    """(1 - e^-mu)/mu with the mu -> 0 limit of 1.  Steps run in place:
+    every temporary of this size costs a fresh allocation."""
+    fraction = np.negative(mu)
+    np.expm1(fraction, out=fraction)
+    np.negative(fraction, out=fraction)
+    zero = mu == 0
+    np.divide(fraction, mu, out=fraction, where=~zero)
+    fraction[zero] = 1.0
+    return fraction
 
 
 def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
-    """Expected years lived over a force sequence (trailing axis = ages)."""
-    mu = np.asarray(mu, dtype=float)
-    if np.any(mu < 0):
-        raise ValidationError("forces must be nonnegative")
-    cum = np.cumsum(mu, axis=-1)
-    survival = np.ones_like(mu)
-    survival[..., 1:] = np.exp(-cum[..., :-1])
-    return np.sum(survival * _year_fraction(mu), axis=-1)
+    """Expected years lived from every age of a force sequence up to its
+    end, by the backward recursion e_x = f_x + e^(-mu_x) e_(x+1) with f the
+    year fraction.  Ages run along axis 0 (the recursion steps over
+    contiguous rows); the result has the same layout.  An infinite force
+    ends the sequence at that age."""
+    # Written so that NaN, which compares false, fails the check too.
+    if not np.all(mu >= 0):
+        raise ValidationError("forces must be nonnegative and not NaN")
+    e = _year_fraction(mu)
+    survival = np.negative(mu)
+    np.exp(survival, out=survival)
+    scratch = np.empty_like(e[0])
+    for x in range(len(e) - 2, -1, -1):
+        np.multiply(survival[x], e[x + 1], out=scratch)
+        e[x] += scratch
+    return e
 
 
-def period_life_expectancy(mu: np.ndarray, age: int) -> np.ndarray:
+def _ages_major(mu: np.ndarray) -> np.ndarray:
+    """Forces with the trailing age axis moved to the front, contiguous."""
+    return np.ascontiguousarray(np.moveaxis(np.asarray(mu, dtype=float), -1, 0))
+
+
+def period_life_expectancy(mu: np.ndarray, age) -> np.ndarray:
     """Period life expectancy at `age` from one year's forces.
 
     `mu` covers ages `age`..120 on the trailing axis (leading axes may be
-    paths); the sum truncates at age 120.
+    paths); the sum truncates at age 120.  `age` may also be a tuple of
+    ages: `mu` then covers min(age)..120 and the result gains a trailing
+    axis with one column per age, all from one backward pass.
     """
     mu = np.asarray(mu, dtype=float)
-    expected = MAX_AGE - age + 1
+    ages = np.asarray(age, dtype=int)
+    if ages.ndim > 1 or ages.size == 0 or ages.max() > MAX_AGE:
+        raise ValidationError(f"need one or more ages up to {MAX_AGE}")
+    first = int(ages.min())
+    expected = MAX_AGE - first + 1
     if mu.shape[-1] != expected:
         raise ValidationError(
-            f"need forces for ages {age}..{MAX_AGE} ({expected} values), "
+            f"need forces for ages {first}..{MAX_AGE} ({expected} values), "
             f"got {mu.shape[-1]}"
         )
-    return _expectancy_kernel(mu)
+    e = _expectancy_kernel(_ages_major(mu))
+    return np.moveaxis(e[ages - first], 0, -1) if ages.ndim else e[0]
 
 
 def cohort_life_expectancy(mu_surface: np.ndarray, age: int) -> np.ndarray:
@@ -280,7 +326,7 @@ def cohort_life_expectancy(mu_surface: np.ndarray, age: int) -> np.ndarray:
         )
     steps = np.arange(span)
     diag = mu_surface[..., steps, age + steps]
-    return _expectancy_kernel(diag)
+    return _expectancy_kernel(_ages_major(diag))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,7 @@ def _model_tail_share(force: np.ndarray, exposures: np.ndarray,
     of the force, with exposures depleted cohort-wise by exp(-mu), up to
     age 110.
     """
-    q = -np.expm1(-np.asarray(force, dtype=float))
-    q_closed = kannisto_close(q, ages.min_age)
-    mu_closed = -np.log1p(-q_closed)
+    mu_closed = kannisto_close(force, ages.min_age, forces=True)
     top = ages.max_age
     tail_mu = mu_closed[top - ages.min_age + 1: OPEN_BUCKET_TOP - ages.min_age + 1]
     e = float(exposures[top - ages.min_age])

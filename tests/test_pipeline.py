@@ -13,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
+from oracles import cumsum_expectancy, q_space_kannisto_close, relative_error
 
 from mortkit import dynamics, lilee, pipeline, project
 from mortkit.cli import main
@@ -467,6 +468,36 @@ class TestWeightedScenarios:
         assert set(timings["scenario_seconds"]) == \
             {s.label for s in report.scenarios}
 
+    def test_timings_sidecar_reports_scenario_layers(self, wrun):
+        config, report = wrun
+        with (config.output_dir / "timings.json").open() as handle:
+            timings = json.load(handle)
+        layers = timings["scenario_layers"]
+        assert set(layers) == {s.label for s in report.scenarios}
+        for label, times in layers.items():
+            assert set(times) == {"dynamics", "simulate", "life_tables",
+                                  "quantiles", "write"}
+            assert all(t > 0.0 for t in times.values())
+            assert sum(times.values()) <= timings["scenario_seconds"][label]
+        report_text = (config.output_dir / "report.json").read_text()
+        assert "life_tables" not in report_text
+
+
+def test_adjusted_scenarios_time_their_own_calibration(almrun):
+    config, report = almrun
+    with (config.output_dir / "timings.json").open() as handle:
+        layers = json.load(handle)["scenario_layers"]
+    assert set(layers) == {s.label for s in report.scenarios}
+    assert all("calibrate" in times for times in layers.values())
+
+
+def test_failed_scenario_reports_no_layer_times(mixed):
+    config, _ = mixed
+    with (config.output_dir / "timings.json").open() as handle:
+        layers = json.load(handle)["scenario_layers"]
+    assert layers["w0"] == {}
+    assert "life_tables" in layers["w1"]
+
 
 def read_fanchart(path):
     """Parse rows into {(quantity, gender, age, year): {probe: value}}."""
@@ -549,7 +580,9 @@ class TestFanChart:
 def two_pass_fanchart_rows(config, params, fit):
     """The fan-chart records as computed before the central path joined the
     path batch: the central path ran through its own copy of the life
-    tables.  Kept as the oracle for `pipeline._fanchart_rows`."""
+    tables, closed in death-probability space, with one cumulative-sum
+    expectancy kernel per report age.  Kept as the oracle for
+    `pipeline._fanchart_rows`."""
     spec = project.ScenarioSpec(
         jump_off_year=config.years.last, horizon=config.horizon,
         n_paths=config.n_paths, seed=config.seed,
@@ -586,22 +619,21 @@ def two_pass_fanchart_rows(config, params, fit):
             mu_c = project.force_paths(params[gender], central, gender, int(year))
             q = -np.expm1(-mu)
             q_c = -np.expm1(-mu_c)
-            mu_cl = -np.log1p(-project.kannisto_close(q, a0))
-            mu_cl_c = -np.log1p(-project.kannisto_close(q_c, a0))
+            mu_cl = -np.log1p(-q_space_kannisto_close(q, a0))
+            mu_cl_c = -np.log1p(-q_space_kannisto_close(q_c, a0))
             for age in config.report_ages:
                 i = config.ages.index(age)
                 emit("q", gender, age, year, q[:, i], q_c[0, i])
                 emit("e_per", gender, age, year,
-                     project.period_life_expectancy(mu_cl[:, age - a0:], age),
-                     float(project.period_life_expectancy(
-                         mu_cl_c[:, age - a0:], age)[0]))
+                     cumsum_expectancy(mu_cl[:, age - a0:]),
+                     float(cumsum_expectancy(mu_cl_c[:, age - a0:])[0]))
             for age, width in span.items():
                 if j < width:
                     diag[age][:, j] = mu_cl[:, age + j - a0]
                     diag_c[age][:, j] = mu_cl_c[:, age + j - a0]
         for age in config.cohort_ages:
-            e_coh = project.period_life_expectancy(diag[age], age)
-            e_coh_c = project.period_life_expectancy(diag_c[age], age)
+            e_coh = cumsum_expectancy(diag[age])
+            e_coh_c = cumsum_expectancy(diag_c[age])
             emit("e_coh", gender, age, paths.years[0], e_coh, float(e_coh_c[0]))
 
     order = {q: i for i, q in enumerate(pipeline._QUANTITY_ORDER)}
@@ -635,7 +667,11 @@ class TestFanChartRows:
             warnings.simplefilter("ignore", RuntimeWarning)
             got = pipeline._fanchart_rows(config, params, fit)
             want = two_pass_fanchart_rows(config, params, fit)
-        assert got == want
+        assert [r[:5] for r in got] == [r[:5] for r in want]
+        assert relative_error([r[5] for r in got], [r[5] for r in want]) < 1e-12
+        # Only the expectancies come from reordered arithmetic.
+        assert [r for r in got if not r[0].startswith("e_")] == \
+            [r for r in want if not r[0].startswith("e_")]
         assert bool(cohort_ages) == any(r[0] == "e_coh" for r in got)
 
     @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
@@ -653,7 +689,7 @@ class TestFanChartRows:
         n_years = config.horizon - config.years.last + 1
         assert calls["kannisto_close"].call_count == 2 * n_years
         assert calls["period_life_expectancy"].call_count == 2 * (
-            n_years * len(config.report_ages) + len(cohort_ages))
+            n_years + len(cohort_ages))
         assert calls["quantile_summary"].call_count == \
             2 * (n_years + bool(cohort_ages))
 

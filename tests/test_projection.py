@@ -1,8 +1,10 @@
 """Stochastic projection, Kannisto closure and life-expectancy summaries."""
 import math
+import warnings
 
 import numpy as np
 import pytest
+from oracles import cumsum_expectancy, q_space_kannisto_close, relative_error
 
 from mortkit.data import AgeRange, YearRange
 from mortkit.dynamics import TimeSeriesFit
@@ -275,46 +277,52 @@ class TestKannistoClosure:
         ages = np.arange(0, 91)
         mu = np.full(91, 0.01)
         mu[80:] = logistic_mu(ages[80:])
-        closed = kannisto_close(-np.expm1(-mu))
-        mu_ext = -np.log1p(-closed[91:])
-        np.testing.assert_allclose(mu_ext, logistic_mu(np.arange(91, 121)),
+        closed = kannisto_close(mu, forces=True)
+        np.testing.assert_allclose(closed[91:], logistic_mu(np.arange(91, 121)),
                                    rtol=0, atol=1e-8)
 
     def test_input_ages_pass_through_unchanged(self):
-        q = np.linspace(0.001, 0.4, 91)
-        closed = kannisto_close(q)
+        mu = np.linspace(0.001, 0.4, 91)
+        closed = kannisto_close(mu, forces=True)
         assert closed.shape == (121,)
-        np.testing.assert_array_equal(closed[:91], q)
+        np.testing.assert_array_equal(closed[:91], mu)
 
     def test_extension_force_stays_below_one(self):
-        q = -np.expm1(-logistic_mu(np.arange(0, 91), level=0.4, slope=0.2))
-        closed = kannisto_close(q)
-        assert np.all(-np.log1p(-closed) < 1.0)
+        mu = logistic_mu(np.arange(0, 91), level=0.4, slope=0.2)
+        closed = kannisto_close(mu, forces=True)
+        assert np.all(closed < 1.0)
 
     def test_constant_tail_warns_and_extends_flat(self):
-        q = np.full(91, 0.05)
+        mu = np.full(91, 0.05)
         with pytest.warns(RuntimeWarning, match="non-increasing"):
-            closed = kannisto_close(q)
+            closed = kannisto_close(mu, forces=True)
         np.testing.assert_allclose(closed[91:], 0.05, rtol=1e-12)
 
     def test_declining_tail_warns_but_still_applies(self):
-        q = np.concatenate([np.full(80, 0.02),
-                            np.linspace(0.10, 0.05, 11)])
+        mu = np.concatenate([np.full(80, 0.02),
+                             np.linspace(0.10, 0.05, 11)])
         with pytest.warns(RuntimeWarning, match="non-increasing"):
-            closed = kannisto_close(q)
+            closed = kannisto_close(mu, forces=True)
         assert closed.shape == (121,)
         assert np.all(np.diff(closed[90:]) < 0)
 
     def test_extreme_force_clamped_with_warning(self):
-        q = np.linspace(0.01, 0.2, 91)
-        q[85] = 1.0 - 1e-13
+        mu = np.linspace(0.01, 0.2, 91)
+        mu[85] = -math.log(1e-13)
         with pytest.warns(RuntimeWarning, match="clamped"):
-            closed = kannisto_close(q)
-        assert np.all(closed < 1.0)
+            closed = kannisto_close(mu, forces=True)
+        assert np.all(closed[91:] < 1.0)
 
     def test_requires_ages_up_to_90(self):
         with pytest.raises(ValidationError, match="ends at 85"):
-            kannisto_close(np.full(86, 0.01))
+            kannisto_close(np.full(86, 0.01), forces=True)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.01, np.inf, np.nan])
+    def test_rejects_nonpositive_or_nonfinite_forces(self, bad):
+        mu = np.full(91, 0.01)
+        mu[40] = bad
+        with pytest.raises(ValidationError, match="positive and finite"):
+            kannisto_close(mu, forces=True)
 
     def test_rejects_probabilities_outside_unit_interval(self):
         q = np.full(91, 0.01)
@@ -322,15 +330,40 @@ class TestKannistoClosure:
         with pytest.raises(ValidationError, match=r"\(0, 1\)"):
             kannisto_close(q)
 
+    @pytest.mark.parametrize("bad", [1.0, np.nan])
+    def test_rejects_probabilities_of_one_or_nan(self, bad):
+        q = np.full(91, 0.01)
+        q[85] = bad
+        with pytest.raises(ValidationError, match=r"\(0, 1\)"):
+            kannisto_close(q)
+
     def test_batched_curves_match_per_curve_closure(self, rng):
-        base = -np.expm1(-logistic_mu(np.arange(0, 91), level=0.15))
+        base = logistic_mu(np.arange(0, 91), level=0.15)
         batch = base * rng.uniform(0.8, 1.2, size=(3, 2, 1))
-        closed = kannisto_close(batch)
+        closed = kannisto_close(batch, forces=True)
         assert closed.shape == (3, 2, 121)
         for i in range(3):
             for j in range(2):
-                np.testing.assert_array_equal(closed[i, j],
-                                              kannisto_close(batch[i, j]))
+                np.testing.assert_array_equal(
+                    closed[i, j], kannisto_close(batch[i, j], forces=True))
+
+    def test_probability_form_is_the_earlier_closure(self, rng):
+        mu = 1e-3 * np.exp(0.1 * np.arange(31)) * rng.uniform(0.8, 1.2, (5, 1))
+        q = -np.expm1(-mu)
+        np.testing.assert_array_equal(kannisto_close(q, 60),
+                                      q_space_kannisto_close(q, 60))
+
+    @pytest.mark.parametrize("ages_lo", [0, 60, 80])
+    def test_force_form_matches_the_probability_oracle(self, rng, ages_lo):
+        n = 91 - ages_lo
+        mu = np.exp(rng.uniform(-9, -0.3, size=(40, 3, n))) \
+            * np.linspace(1.0, 4.0, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = kannisto_close(mu, ages_lo, forces=True)
+            want = -np.log1p(-q_space_kannisto_close(-np.expm1(-mu), ages_lo))
+        assert got.shape == (40, 3, MAX_AGE + 1 - ages_lo)
+        assert relative_error(got, want) < 1e-12
 
 
 class TestLifeExpectancy:
@@ -373,6 +406,43 @@ class TestLifeExpectancy:
         mu[3] = -0.01
         with pytest.raises(ValidationError, match="nonnegative"):
             period_life_expectancy(mu, 65)
+
+    def test_rejects_nan_force(self):
+        mu = np.full((2, 56), 0.01)
+        mu[1, 3] = np.nan
+        with pytest.raises(ValidationError, match="not NaN"):
+            period_life_expectancy(mu, 65)
+        with pytest.raises(ValidationError, match="not NaN"):
+            period_life_expectancy(mu, (65, 70))
+
+    def test_cohort_rejects_nan_force(self):
+        surface = np.full((56, MAX_AGE + 1), 0.01)
+        surface[3, 68] = np.nan
+        with pytest.raises(ValidationError, match="not NaN"):
+            cohort_life_expectancy(surface, 65)
+
+    def test_infinite_force_ends_life_within_the_year(self):
+        mu = np.full(56, 0.02)
+        mu[10] = np.inf
+        value = period_life_expectancy(mu, 65)
+        assert value == pytest.approx(le_oracle(mu[:10]), rel=1e-14)
+        assert period_life_expectancy(np.full(56, np.inf), 65) == 0.0
+
+    def test_ages_tuple_adds_one_column_per_age(self, rng):
+        mu = np.exp(rng.uniform(-8, -0.5, size=(3, 4, 61)))
+        values = period_life_expectancy(mu, (60, 65, 120, 60))
+        assert values.shape == (3, 4, 4)
+        for k, age in enumerate((60, 65, 120, 60)):
+            np.testing.assert_array_equal(
+                values[..., k], period_life_expectancy(mu[..., age - 60:], age))
+
+    def test_ages_tuple_checks_the_curve_and_the_ages(self):
+        with pytest.raises(ValidationError, match="61 values"):
+            period_life_expectancy(np.full(56, 0.01), (65, 60))
+        with pytest.raises(ValidationError, match="one or more ages"):
+            period_life_expectancy(np.full(56, 0.01), ())
+        with pytest.raises(ValidationError, match="one or more ages"):
+            period_life_expectancy(np.full(56, 0.01), (65, 121))
 
     def test_cohort_equals_period_on_constant_surface(self, rng):
         curve = np.exp(rng.uniform(-7, -0.5, size=MAX_AGE + 1))
@@ -431,3 +501,50 @@ class TestQuantileSummary:
     def test_rejects_probe_outside_unit_interval(self, rng):
         with pytest.raises(ValidationError, match="probes"):
             quantile_summary(rng.standard_normal(10), probes=(0.5, 1.5))
+
+
+class TestExpectancyAgainstTheCumsumKernel:
+    """The backward recursion against the per-age cumulative-sum kernel it
+    replaced, at 1e-12 relative."""
+
+    @staticmethod
+    def per_age(mu, ages):
+        first = min(ages)
+        return np.stack([cumsum_expectancy(mu[..., a - first:]) for a in ages],
+                        axis=-1)
+
+    def test_random_curves_and_ages(self, rng):
+        for _ in range(60):
+            ages = tuple(int(a) for a in rng.integers(0, MAX_AGE + 1,
+                                                      size=rng.integers(1, 6)))
+            n = MAX_AGE - min(ages) + 1
+            lead = tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(0, 3)))
+            mu = np.exp(rng.uniform(np.log(1e-9), np.log(3.0), size=lead + (n,)))
+            got = period_life_expectancy(mu, ages)
+            assert got.shape == lead + (len(ages),)
+            assert relative_error(got, self.per_age(mu, ages)) < 1e-12
+            assert relative_error(period_life_expectancy(mu, min(ages)),
+                                  cumsum_expectancy(mu)) < 1e-12
+
+    def test_zero_forces(self):
+        mu = np.zeros((7, 56))
+        mu[3, 20:] = 0.05
+        ages = (65, 80, 120)
+        got = period_life_expectancy(mu, ages)
+        assert relative_error(got, self.per_age(mu, ages)) < 1e-12
+        np.testing.assert_array_equal(got[0], [56.0, 41.0, 1.0])
+
+    def test_enormous_forces(self, rng):
+        mu = np.exp(rng.uniform(-7, -1, size=(5, 121)))
+        mu[:, 100:] = 1e6
+        mu[4] = 1e6
+        ages = (0, 65, 99, 100, 120)
+        got = period_life_expectancy(mu, ages)
+        assert not np.any(np.isnan(got))
+        assert relative_error(got, self.per_age(mu, ages)) < 1e-12
+
+    def test_cohort_diagonal(self, rng):
+        surface = np.exp(rng.uniform(-9, 0.5, size=(4, 56, MAX_AGE + 1)))
+        steps = np.arange(56)
+        want = cumsum_expectancy(surface[:, steps, 65 + steps])
+        assert relative_error(cohort_life_expectancy(surface, 65), want) < 1e-12
