@@ -8,7 +8,7 @@ by exactly one source; overlap and gaps are refused up front.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import yaml

@@ -637,12 +637,12 @@ def write_individual_age_csv(path, records):
             ])
 
 
-def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
+def load_weekly_csv(path, source_shape: str, *, year=None,
                     gender=None) -> BucketedWeeklySeries:
     """Read a weekly bucketed file into a single series.
 
-    Optional country/year/gender filters select one series from files
-    that interleave several; after filtering the keys must be unique.
+    Optional year/gender filters select one series from files that
+    interleave several; after filtering the keys must be unique.
     STMF exposures come from the optional exposure column when present,
     otherwise from deaths/death_rate for weeks with a positive rate.
     """
@@ -668,8 +668,6 @@ def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
         row_gender = row[3].strip()
         if row_gender not in GENDERS:
             raise ParseError(f"{path}:{lineno}: gender must be one of {GENDERS}")
-        if country is not None and row_country != country:
-            continue
         if year is not None and row_year != year:
             continue
         if gender is not None and row_gender != gender:
@@ -695,7 +693,7 @@ def load_weekly_csv(path, source_shape: str, *, country=None, year=None,
         keys.add(key)
         if len(keys) > 1:
             raise ParseError(
-                f"{path}: multiple series {sorted(keys)}; pass country/year/gender filters"
+                f"{path}: multiple series {sorted(keys)}; pass year/gender filters"
             )
         cell = (bucket, week)
         if cell in records:

@@ -269,6 +269,24 @@ def fit_weighted_mle(rows, weights=None, *,
     )
 
 
+def fit_period_effects(params: dict, weight_last: float | None = None
+                       ) -> TimeSeriesFit:
+    """Fit the dynamics of the per-gender period effects in `params`
+    (gender -> LiLeeParams) over their calibration years.  Every
+    observation row has unit weight, except that `weight_last` weights
+    the final one."""
+    series = PeriodEffectSeries(
+        years=params["M"].years,
+        K={g: params[g].K for g in GENDERS},
+        kappa={g: params[g].kappa for g in GENDERS},
+    )
+    rows = build_design(series)
+    weights = np.ones(len(rows))
+    if weight_last is not None:
+        weights[-1] = weight_last
+    return fit_weighted_mle(rows, weights)
+
+
 def psi_covariance(fit: TimeSeriesFit, rows) -> np.ndarray:
     """Asymptotic covariance of Psi: (sum_t w_t X' C^-1 X)^-1."""
     Ys, Xs = _stack(list(rows))

@@ -4,10 +4,10 @@ The common trend log mu^T = A_x + B_x K_t is fitted to pool-aggregated
 deaths and exposures; a country's deviation log(mu^c / mu^T) = a_x + b_x k_t
 is fitted conditionally on the common fit.  Both steps maximize the
 Poisson log-likelihood sum(d log mu - E mu) by cyclic blockwise Newton
-updates with post-sweep renormalization.  An adjusted variant pins the
-age profiles to blended end-of-period log rates and the period effects to
-zero in the final year, so the fitted final-year rates reproduce a blend
-of the last two observed years.
+updates with post-sweep renormalization.  The adjusted variant runs the
+same two steps with the age profiles pinned to blended end-of-period log
+rates and the period effects to zero in the final year, so the fitted
+final-year rates reproduce a blend of the last two observed years.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import AgeRange, YearRange, GENDERS
+from .data import GENDERS, AgeRange, MultiPopulationDataset, YearRange
 from .errors import ConvergenceError, ParseError, ValidationError
 
 #: Convergence: relative log-likelihood improvement per sweep below this.
@@ -67,16 +67,14 @@ class LiLeeParams:
         if self.model_kind == ADJUSTED_LEE_MILLER and self.blend_weight is None:
             raise ValidationError("adjusted variant needs a blend weight")
 
-    def log_mu_common(self, K=None) -> np.ndarray:
-        """log mu^T over the grid, or for externally supplied K values."""
-        K = self.K if K is None else np.asarray(K)
-        return self.A[:, None] + self.B[:, None] * K[None, ...].reshape(1, -1)
+    def log_mu_common(self) -> np.ndarray:
+        """log mu^T over the calibration grid."""
+        return self.A[:, None] + self.B[:, None] * self.K[None, :]
 
-    def log_mu(self, K=None, kappa=None) -> np.ndarray:
-        """log mu^c = log mu^T + deviation over the grid (or supplied periods)."""
-        kappa = self.kappa if kappa is None else np.asarray(kappa)
-        dev = self.alpha[:, None] + self.beta[:, None] * kappa[None, ...].reshape(1, -1)
-        return self.log_mu_common(K) + dev
+    def log_mu(self) -> np.ndarray:
+        """log mu^c = log mu^T + deviation over the calibration grid."""
+        dev = self.alpha[:, None] + self.beta[:, None] * self.kappa[None, :]
+        return self.log_mu_common() + dev
 
     @property
     def jump_off(self) -> tuple[float, float]:
@@ -103,22 +101,6 @@ class LeeMillerAnchors:
     blend_weight: float
     common: np.ndarray    # blended log m^T at the last two years
     country: np.ndarray   # blended log of the country/trend rate ratio
-
-
-def evaluate_mu(params: LiLeeParams, age: int, year: int, *,
-                K_t: float | None = None, kappa_t: float | None = None) -> float:
-    """Country force of mortality at one (age, year).
-
-    Years beyond calibration need explicit K_t/kappa_t (simulated or
-    central-path values).
-    """
-    i = params.ages.index(age)
-    if K_t is None or kappa_t is None:
-        j = params.years.index(year)
-        K_t = params.K[j] if K_t is None else K_t
-        kappa_t = params.kappa[j] if kappa_t is None else kappa_t
-    return float(np.exp(params.A[i] + params.B[i] * K_t
-                        + params.alpha[i] + params.beta[i] * kappa_t))
 
 
 # ---------------------------------------------------------------------------
@@ -160,18 +142,19 @@ def loglik_gradient(deaths, exposures, offset, B, K):
     }
 
 
-def _blockwise_fit(deaths, exposures, offset, A, B, K, *, fit_profile,
-                   free_periods, center_periods, sweep_tol, max_sweeps):
-    """Cyclic Newton maximization shared by all calibration steps.
+def _blockwise_fit(d, E, offset, A, *, anchored, sweep_tol, max_sweeps):
+    """Cyclic Newton maximization of one layer log mu = offset + A + B K'.
 
-    log mu = offset + A + B K'.  `fit_profile` releases A; `free_periods`
-    masks which K entries move (the adjusted variant pins the last year);
-    `center_periods` absorbs mean(K) into A after each sweep.  Each block
-    update backtracks (halving) if it would lower the likelihood, so the
-    trace is non-decreasing.  Returns (A, B, K, loglik, trace, sweeps).
+    Starts from flat B and K = 0.  Unless `anchored`, A is released and
+    mean(K) is absorbed into A after each sweep; an anchored fit keeps A
+    fixed and pins K to 0 in the final year.  Each block update
+    backtracks (halving) if it would lower the likelihood, so the trace
+    is non-decreasing.  Returns (A, B, K, loglik, trace, sweeps).
     """
-    d = np.asarray(deaths, dtype=float)
-    E = np.asarray(exposures, dtype=float)
+    B = np.full(len(A), 1.0 / np.sqrt(len(A)))
+    K = np.zeros(d.shape[1])
+    free = np.ones(K.size, dtype=bool)
+    free[-1] = not anchored
 
     def ll(A, B, K):
         return poisson_loglik(d, E, offset + A[:, None] + B[:, None] * K[None, :])
@@ -191,9 +174,8 @@ def _blockwise_fit(deaths, exposures, offset, A, B, K, *, fit_profile,
 
     current = ll(A, B, K)
     trace = [current]
-    free = np.asarray(free_periods, dtype=bool)
     for sweep in range(1, max_sweeps + 1):
-        if fit_profile:
+        if not anchored:
             d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
             delta = (d - d_hat).sum(axis=1) / d_hat.sum(axis=1)
             A, B, K, current = apply_block(A, B, K, "A", delta, current)
@@ -210,10 +192,10 @@ def _blockwise_fit(deaths, exposures, offset, A, B, K, *, fit_profile,
         if np.all(den > 0):
             A, B, K, current = apply_block(A, B, K, "B", num / den, current)
 
-        # Renormalize without changing mu: optional centering, unit scale,
-        # positive orientation.  The likelihood is invariant, so the
-        # pre-normalization value is kept and the trace stays monotone.
-        if center_periods and fit_profile:
+        # Renormalize without changing mu: centering (unanchored only),
+        # unit scale, positive orientation.  The likelihood is invariant,
+        # so the pre-normalization value is kept and the trace stays monotone.
+        if not anchored:
             shift = K.mean()
             A = A + B * shift
             K = K - shift
@@ -230,21 +212,12 @@ def _blockwise_fit(deaths, exposures, offset, A, B, K, *, fit_profile,
         # delta bottoms out at exactly zero once no block can improve.
         improvement = trace[-1] - trace[-2]
         if improvement < sweep_tol:
-            return A, B, K, current, trace, sweep
+            return A, B, K, current, tuple(trace), sweep
     raise ConvergenceError(
         f"calibration did not converge in {max_sweeps} sweeps "
         f"(last improvement {trace[-1] - trace[-2]:.3e})",
         last_iterate={"A": A, "B": B, "K": K, "loglik": current},
     )
-
-
-def _check_death_rows(deaths, ages: AgeRange):
-    row_tot = np.asarray(deaths).sum(axis=1)
-    if np.any(row_tot <= 0):
-        age = ages.min_age + int(np.argmax(row_tot <= 0))
-        raise ValidationError(
-            f"all-zero death row at age {age}: the age profile is unbounded below"
-        )
 
 
 @dataclass(frozen=True)
@@ -259,6 +232,36 @@ class TrendFit:
     sweeps: int
 
 
+def _fit_layer(deaths, exposures, offset, ages: AgeRange, years: YearRange,
+               anchor=None, *, sweep_tol=SWEEP_TOL, max_sweeps=MAX_SWEEPS
+               ) -> TrendFit:
+    """Fit one layer log mu = offset + profile_x + B_x K_t.
+
+    Without `anchor` (Li-Lee) the profile is fitted from a start at
+    log(sum_t d / sum_t E e^offset), K is centred, and an all-zero death
+    row is refused.  With `anchor` (adjusted variant) the profile is fixed
+    bit-for-bit to it and K is pinned to 0 in the final year.  Both keep
+    sum(B^2) = 1 and sum(B) >= 0.
+    """
+    d, E, offset = (np.asarray(a, dtype=float) for a in (deaths, exposures, offset))
+    if d.shape != (len(ages), len(years)) or E.shape != d.shape:
+        raise ValidationError("deaths/exposures must be (n_ages, n_years)")
+    if offset.shape != d.shape:
+        raise ValidationError("common surface shape mismatch")
+    options = {"sweep_tol": sweep_tol, "max_sweeps": max_sweeps}
+    if anchor is not None:
+        fit = _blockwise_fit(d, E, offset + anchor[:, None], np.zeros(len(ages)),
+                             anchored=True, **options)
+        return TrendFit(anchor, *fit[1:])
+    empty = d.sum(axis=1) <= 0
+    if np.any(empty):
+        age = ages.min_age + int(np.argmax(empty))
+        raise ValidationError(f"all-zero death row at age {age}: the age "
+                              "profile is unbounded below")
+    a0 = np.log(d.sum(axis=1) / (E * np.exp(offset)).sum(axis=1))
+    return TrendFit(*_blockwise_fit(d, E, offset, a0, anchored=False, **options))
+
+
 def fit_common_trend(deaths, exposures, ages: AgeRange, years: YearRange, *,
                      sweep_tol=SWEEP_TOL, max_sweeps=MAX_SWEEPS) -> TrendFit:
     """Fit log mu^T = A_x + B_x K_t to pool-aggregated data.
@@ -268,9 +271,8 @@ def fit_common_trend(deaths, exposures, ages: AgeRange, years: YearRange, *,
     from A = log of pooled average rates, flat B, K = 0.  This is the
     country-layer fit below with a zero offset.
     """
-    return fit_country_deviation(deaths, exposures,
-                                 np.zeros_like(deaths, dtype=float), ages, years,
-                                 sweep_tol=sweep_tol, max_sweeps=max_sweeps)
+    return _fit_layer(deaths, exposures, np.zeros_like(deaths, dtype=float),
+                      ages, years, sweep_tol=sweep_tol, max_sweeps=max_sweeps)
 
 
 def fit_country_deviation(deaths, exposures, common_log_mu, ages: AgeRange,
@@ -281,43 +283,67 @@ def fit_country_deviation(deaths, exposures, common_log_mu, ages: AgeRange,
     `common_log_mu` is the fitted log mu^T surface, held fixed as an
     offset.  Same constraints and scheme as the common step.
     """
-    d = np.asarray(deaths, dtype=float)
-    E = np.asarray(exposures, dtype=float)
-    offset = np.asarray(common_log_mu, dtype=float)
-    if d.shape != (len(ages), len(years)) or E.shape != d.shape:
-        raise ValidationError("deaths/exposures must be (n_ages, n_years)")
-    if offset.shape != d.shape:
-        raise ValidationError("common surface shape mismatch")
-    _check_death_rows(d, ages)
-    expected = E * np.exp(offset)
-    a0 = np.log(d.sum(axis=1) / expected.sum(axis=1))
-    b0 = np.full(len(ages), 1.0 / np.sqrt(len(ages)))
-    k0 = np.zeros(len(years))
-    a, b, k, ll, trace, sweeps = _blockwise_fit(
-        d, E, offset, a0, b0, k0, fit_profile=True,
-        free_periods=np.ones(len(years), dtype=bool), center_periods=True,
-        sweep_tol=sweep_tol, max_sweeps=max_sweeps,
-    )
-    return TrendFit(a, b, k, ll, tuple(trace), sweeps)
+    return _fit_layer(deaths, exposures, common_log_mu, ages, years,
+                      sweep_tol=sweep_tol, max_sweeps=max_sweeps)
 
 
-def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
-              years: YearRange) -> tuple[LiLeeParams, FittedSurface]:
-    """Run both steps and package the result for one gender."""
-    step1 = fit_common_trend(d_common, E_common, ages, years)
+def _fit_two_step(d_common, E_common, d_country, E_country, ages, years,
+                  anchors: LeeMillerAnchors | None = None):
+    """The common layer on the pool, then the country layer on top of it;
+    with `anchors`, both layers of the adjusted variant."""
+    fixed = (None, None) if anchors is None else (anchors.common, anchors.country)
+    step1 = _fit_layer(d_common, E_common, np.zeros_like(d_common, dtype=float),
+                       ages, years, fixed[0])
     log_mu_T = step1.profile[:, None] + step1.B[:, None] * step1.K[None, :]
-    step2 = fit_country_deviation(d_country, E_country, log_mu_T, ages, years)
+    step2 = _fit_layer(d_country, E_country, log_mu_T, ages, years, fixed[1])
+    kind = {} if anchors is None else {"model_kind": ADJUSTED_LEE_MILLER,
+                                       "blend_weight": anchors.blend_weight}
     params = LiLeeParams(
         ages=ages, years=years, A=step1.profile, B=step1.B, K=step1.K,
-        alpha=step2.profile, beta=step2.B, kappa=step2.K,
+        alpha=step2.profile, beta=step2.B, kappa=step2.K, **kind,
     )
     fitted = FittedSurface(
-        mu_common=np.exp(log_mu_T),
-        mu_country=np.exp(params.log_mu()),
+        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
         loglik_common=step1.loglik, loglik_country=step2.loglik,
         sweeps_common=step1.sweeps, sweeps_country=step2.sweeps,
     )
     return params, fitted
+
+
+def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
+              years: YearRange) -> tuple[LiLeeParams, FittedSurface]:
+    """Run both Li-Lee steps and package the result for one gender."""
+    return _fit_two_step(d_common, E_common, d_country, E_country, ages, years)
+
+
+def calibrate_dataset(dataset: MultiPopulationDataset, country: str,
+                      blend_weight: float | None = None) -> tuple[dict, dict]:
+    """Fit `country` against the dataset's pool for each gender.
+
+    Returns the per-gender parameters (Li-Lee, or with `blend_weight` the
+    adjusted variant of that blend) and per gender the sweeps,
+    log-likelihood and Poisson deviance of the common and country layers.
+    """
+    params, diagnostics = {}, {}
+    for gender in GENDERS:
+        d_T, E_T = dataset.aggregate(gender)
+        surf = dataset.surface(country, gender)
+        args = (d_T, E_T, surf.deaths, surf.exposures, dataset.ages, dataset.years)
+        if blend_weight is None:
+            params[gender], fitted = calibrate(*args)
+        else:
+            params[gender], fitted = fit_adjusted_lee_miller(*args, blend_weight)
+        diagnostics[gender] = {
+            layer: {"sweeps": int(sweeps), "loglik": float(loglik),
+                    "deviance": deviance(d, E, np.log(mu))}
+            for layer, sweeps, loglik, d, E, mu in (
+                ("common", fitted.sweeps_common, fitted.loglik_common,
+                 d_T, E_T, fitted.mu_common),
+                ("country", fitted.sweeps_country, fitted.loglik_country,
+                 surf.deaths, surf.exposures, fitted.mu_country),
+            )
+        }
+    return params, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +360,10 @@ def lee_miller_anchors(d_common, E_common, d_country, E_country,
     """
     if not 0.0 <= blend_weight <= 1.0:
         raise ValidationError(f"blend weight {blend_weight} outside [0, 1]")
-    d_T = np.asarray(d_common, dtype=float)
-    E_T = np.asarray(E_common, dtype=float)
-    d_c = np.asarray(d_country, dtype=float)
-    E_c = np.asarray(E_country, dtype=float)
+    d_T, E_T, d_c, E_c = (np.asarray(a, dtype=float)
+                          for a in (d_common, E_common, d_country, E_country))
+    if d_T.ndim != 2 or not d_T.shape == E_T.shape == d_c.shape == E_c.shape:
+        raise ValidationError("deaths/exposures must share one (n_ages, n_years) shape")
     if d_T.shape[1] < 2:
         raise ValidationError("anchors need at least two calibration years")
     for name, arr in (("pooled", d_T), ("country", d_c)):
@@ -357,53 +383,17 @@ def lee_miller_anchors(d_common, E_common, d_country, E_country,
 
 def fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
                             ages: AgeRange, years: YearRange,
-                            blend_weight: float, *, sweep_tol=SWEEP_TOL,
-                            max_sweeps=MAX_SWEEPS
+                            blend_weight: float
                             ) -> tuple[LiLeeParams, FittedSurface]:
-    """Adjusted variant: anchored age profiles, final-year period pinning.
-
-    The age profiles are fixed bit-for-bit to the blended anchors; only B,
-    K (with K pinned to 0 in the final year) and the country analogues are
-    estimated, under sum(B^2) = 1.
+    """Adjusted variant: the Li-Lee two-step fit with both age profiles
+    fixed bit-for-bit to the blended anchors and K, kappa pinned to 0 in
+    the final year; only B, K and their country analogues are estimated,
+    under sum(B^2) = 1.
     """
     anchors = lee_miller_anchors(d_common, E_common, d_country, E_country,
                                  blend_weight)
-    d_T = np.asarray(d_common, dtype=float)
-    E_T = np.asarray(E_common, dtype=float)
-    nt = len(years)
-    free = np.ones(nt, dtype=bool)
-    free[-1] = False
-
-    B0 = np.full(len(ages), 1.0 / np.sqrt(len(ages)))
-    K0 = np.zeros(nt)
-    _, B, K, ll1, trace1, sweeps1 = _blockwise_fit(
-        d_T, E_T, anchors.common[:, None], np.zeros(len(ages)), B0, K0,
-        fit_profile=False, free_periods=free, center_periods=False,
-        sweep_tol=sweep_tol, max_sweeps=max_sweeps,
-    )
-    log_mu_T = anchors.common[:, None] + B[:, None] * K[None, :]
-
-    d_c = np.asarray(d_country, dtype=float)
-    E_c = np.asarray(E_country, dtype=float)
-    offset = log_mu_T + anchors.country[:, None]
-    b0 = np.full(len(ages), 1.0 / np.sqrt(len(ages)))
-    k0 = np.zeros(nt)
-    _, beta, kappa, ll2, trace2, sweeps2 = _blockwise_fit(
-        d_c, E_c, offset, np.zeros(len(ages)), b0, k0,
-        fit_profile=False, free_periods=free, center_periods=False,
-        sweep_tol=sweep_tol, max_sweeps=max_sweeps,
-    )
-    params = LiLeeParams(
-        ages=ages, years=years, A=anchors.common, B=B, K=K,
-        alpha=anchors.country, beta=beta, kappa=kappa,
-        model_kind=ADJUSTED_LEE_MILLER, blend_weight=blend_weight,
-    )
-    fitted = FittedSurface(
-        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
-        loglik_common=ll1, loglik_country=ll2,
-        sweeps_common=sweeps1, sweeps_country=sweeps2,
-    )
-    return params, fitted
+    return _fit_two_step(d_common, E_common, d_country, E_country, ages, years,
+                         anchors)
 
 
 # ---------------------------------------------------------------------------

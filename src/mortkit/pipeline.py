@@ -373,47 +373,6 @@ def _scenario_label(config, value) -> str:
     return f"{prefix}{value:g}"
 
 
-def _calibrate(config, dataset, blend=None):
-    """Per-gender Li-Lee parameters, or with `blend` the adjusted
-    Lee-Miller variant of that blend weight, and per gender the sweeps,
-    log-likelihood and Poisson deviance of the common and country fits."""
-    params = {}
-    diagnostics = {}
-    for gender in GENDERS:
-        d_T, E_T = dataset.aggregate(gender)
-        surf = dataset.surface(config.country_of_interest, gender)
-        args = (d_T, E_T, surf.deaths, surf.exposures, config.ages, config.years)
-        if blend is None:
-            params[gender], fitted = lilee.calibrate(*args)
-        else:
-            params[gender], fitted = lilee.fit_adjusted_lee_miller(*args, blend)
-        diagnostics[gender] = {
-            layer: {"sweeps": int(sweeps), "loglik": float(loglik),
-                    "deviance": lilee.deviance(d, E, np.log(mu))}
-            for layer, sweeps, loglik, d, E, mu in (
-                ("common", fitted.sweeps_common, fitted.loglik_common,
-                 d_T, E_T, fitted.mu_common),
-                ("country", fitted.sweeps_country, fitted.loglik_country,
-                 surf.deaths, surf.exposures, fitted.mu_country),
-            )
-        }
-    return params, diagnostics
-
-
-def _fit_dynamics(config, params, weight_last):
-    series = dynamics.PeriodEffectSeries(
-        years=config.years,
-        K={g: params[g].K for g in GENDERS},
-        kappa={g: params[g].kappa for g in GENDERS},
-    )
-    rows = dynamics.build_design(series)
-    weights = np.ones(len(rows))
-    if weight_last is not None:
-        weights[-1] = weight_last
-    fit = dynamics.fit_weighted_mle(rows, weights)
-    return fit, rows
-
-
 @contextmanager
 def _clock(layers: dict, layer: str):
     """Add the wall time of the block to `layers[layer]`."""
@@ -549,10 +508,6 @@ class RunReport:
     def all_ok(self) -> bool:
         return all(s.status == "ok" for s in self.scenarios)
 
-    @property
-    def any_ok(self) -> bool:
-        return any(s.status == "ok" for s in self.scenarios)
-
     def to_json(self) -> dict:
         return {
             "config": self.config_summary,
@@ -565,7 +520,7 @@ class RunReport:
 
 def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
                  out_dir: Path) -> ScenarioResult:
-    """One grid value: calibrate (or reuse the shared `_calibrate` result),
+    """One grid value: calibrate (or reuse the shared Li-Lee calibration),
     fit dynamics, simulate, write.  The result carries the wall time of
     each layer the scenario ran."""
     start = time.perf_counter()
@@ -576,10 +531,11 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
         weight_last = value
     else:
         with _clock(layers, "calibrate"):
-            params, calibration = _calibrate(config, dataset, blend=value)
+            params, calibration = lilee.calibrate_dataset(
+                dataset, config.country_of_interest, value)
         weight_last = None
     with _clock(layers, "dynamics"):
-        fit, _ = _fit_dynamics(config, params, weight_last=weight_last)
+        fit = dynamics.fit_period_effects(params, weight_last)
     records = _fanchart_rows(config, params, fit, layers)
 
     files = {
@@ -616,7 +572,8 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         t0 = time.perf_counter()
         try:
-            shared_calibration = _calibrate(config, assembled.dataset)
+            shared_calibration = lilee.calibrate_dataset(
+                assembled.dataset, config.country_of_interest)
         except Exception as exc:  # isolated: reported on every scenario
             shared_error = f"{type(exc).__name__}: {exc}"
         timings["calibrate"] = time.perf_counter() - t0

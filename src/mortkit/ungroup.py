@@ -20,10 +20,9 @@ import numpy as np
 
 from .data import (AgeBucket, AgeRange, BucketedAnnualSeries, GENDERS,
                    MultiPopulationDataset, YearRange)
-from .dynamics import (InstabilityWarning, PeriodEffectSeries, TimeSeriesFit,
-                       build_design, fit_weighted_mle)
+from .dynamics import InstabilityWarning, TimeSeriesFit, fit_period_effects
 from .errors import ValidationError
-from .lilee import LiLeeParams, calibrate
+from .lilee import calibrate_dataset
 from .project import OPEN_BUCKET_TOP, kannisto_close
 
 #: Default gender-specific share of open-bucket excess allocated to age 90.
@@ -33,16 +32,6 @@ DEATH_ALLOCATION_RATE = {"M": 0.20, "F": 0.145}
 # ---------------------------------------------------------------------------
 # Exposure protocol
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BucketScaleFactors:
-    """Per-bucket multiplicative factors applied by a scaling step."""
-
-    factors: dict
-
-    def __getitem__(self, bucket: AgeBucket) -> float:
-        return self.factors[bucket]
-
 
 def shift_exposure_curve(prev_curve: np.ndarray) -> np.ndarray:
     """Advance last year's exposures one age: the age-x cohort becomes the
@@ -64,10 +53,11 @@ def shift_exposure_curve(prev_curve: np.ndarray) -> np.ndarray:
 
 def scale_curve_to_buckets(curve: np.ndarray, bucket_totals: dict,
                            first_age: int = 0
-                           ) -> tuple[np.ndarray, BucketScaleFactors]:
+                           ) -> tuple[np.ndarray, dict]:
     """Rescale a curve so each closed bucket's sum matches its total.
 
-    Ages outside the given buckets are copied through unchanged.  A bucket
+    Returns the scaled curve and the factor applied to each bucket.  Ages
+    outside the given buckets are copied through unchanged.  A bucket
     whose curve mass is zero against a positive total cannot be scaled.
     """
     curve = np.asarray(curve, dtype=float)
@@ -92,7 +82,7 @@ def scale_curve_to_buckets(curve: np.ndarray, bucket_totals: dict,
         b = total / mass
         out[lo:hi + 1] = curve[lo:hi + 1] * b
         factors[bucket] = b
-    return out, BucketScaleFactors(factors)
+    return out, factors
 
 
 def apply_open_bucket_exposure(prev_values: np.ndarray, open_total: float,
@@ -123,7 +113,7 @@ class UngroupedExposures:
 
     ages: AgeRange
     values: np.ndarray
-    scale_factors: BucketScaleFactors
+    scale_factors: dict       # bucket -> factor
     open_shift: float
 
 
@@ -214,36 +204,16 @@ class AuxiliaryModel:
 
 
 def fit_auxiliary_projection_model(dataset: MultiPopulationDataset,
-                                   country: str, *,
-                                   start_year: int | None = None
-                                   ) -> AuxiliaryModel:
+                                   country: str) -> AuxiliaryModel:
     """Calibrate the auxiliary model on individual-age (observed) years.
 
-    The dataset must already be restricted to observed years; start_year
-    trims its beginning.  Time dynamics are fitted with unit weights.  An
-    AR(1) coefficient at or beyond the unit circle warns (projection would
-    be unstable) but is kept.
+    The dataset must already be restricted to observed years.  This is
+    the Li-Lee calibration and dynamics fit of the scenarios, with unit
+    weights.  An AR(1) coefficient at or beyond the unit circle warns
+    (projection would be unstable) but is kept.
     """
-    years = dataset.years
-    if start_year is not None and start_year > years.first:
-        years = YearRange(start_year, years.last)
-    j0 = dataset.years.index(years.first)
-    ages = dataset.ages
-
-    params = {}
-    for gender in GENDERS:
-        d_T, E_T = dataset.aggregate(gender)
-        surf = dataset.surface(country, gender)
-        p, _ = calibrate(d_T[:, j0:], E_T[:, j0:],
-                         surf.deaths[:, j0:], surf.exposures[:, j0:],
-                         ages, years)
-        params[gender] = p
-    series = PeriodEffectSeries(
-        years=years,
-        K={g: params[g].K for g in GENDERS},
-        kappa={g: params[g].kappa for g in GENDERS},
-    )
-    fit = fit_weighted_mle(build_design(series))
+    params, _ = calibrate_dataset(dataset, country)
+    fit = fit_period_effects(params)
     for gender in GENDERS:
         phi = fit.ar_coefficient(gender)
         if abs(phi) >= 1.0:
@@ -252,7 +222,8 @@ def fit_auxiliary_projection_model(dataset: MultiPopulationDataset,
                 "central projection is unstable",
                 InstabilityWarning, stacklevel=2,
             )
-    return AuxiliaryModel(country=country, params=params, ts_fit=fit, years=years)
+    return AuxiliaryModel(country=country, params=params, ts_fit=fit,
+                          years=dataset.years)
 
 
 def expected_deaths(force: np.ndarray, exposures: np.ndarray) -> np.ndarray:
@@ -296,7 +267,7 @@ class UngroupedDeaths:
 
     ages: AgeRange
     values: np.ndarray
-    scale_factors: BucketScaleFactors
+    scale_factors: dict       # bucket -> factor
     open_rule: str            # "reference-tail" or "model-tail"
     tail_estimate: float      # estimated deaths beyond the model top age
 
@@ -373,7 +344,7 @@ def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
             )
         b = remainder / mass if mass > 0 else 1.0
         out[open_lo_idx:] = profile[open_lo_idx:] * b
-        factors = BucketScaleFactors({**factors.factors, open_bucket: b})
+        factors[open_bucket] = b
         rule = "model-tail"
     if np.any(out < 0):
         raise ValidationError("ungrouped deaths became negative")

@@ -1,10 +1,14 @@
-"""Earlier life-table kernels, kept as oracles for the ones in
-`mortkit.project`: a per-age cumulative-sum expectancy and a Kannisto
-closure that runs in death-probability space."""
+"""Earlier kernels, kept as oracles for the ones in the package: a
+per-age cumulative-sum expectancy and a Kannisto closure that runs in
+death-probability space (`mortkit.project`), and the adjusted Lee-Miller
+variant as its own pair of fits (`mortkit.lilee`)."""
 import warnings
 
 import numpy as np
 
+from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
+                           FittedSurface, LiLeeParams, lee_miller_anchors,
+                           poisson_loglik)
 from mortkit.project import FORCE_CLAMP, KANNISTO_FIT_HI, KANNISTO_FIT_LO, MAX_AGE
 
 
@@ -51,3 +55,101 @@ def relative_error(got, want):
     want = np.asarray(want, dtype=float)
     scale = np.where(want == 0, 1.0, np.abs(want))
     return float(np.max(np.abs(got - want) / scale, initial=0.0))
+
+
+def _two_fit_blockwise(deaths, exposures, offset, A, B, K, *, fit_profile,
+                       free_periods, center_periods, sweep_tol, max_sweeps):
+    """The cyclic Newton fit as it stood when the adjusted variant ran its
+    own pair of fits: log mu = offset + A + B K', with the profile release,
+    the free periods and the centering as separate switches."""
+    d = np.asarray(deaths, dtype=float)
+    E = np.asarray(exposures, dtype=float)
+
+    def ll(A, B, K):
+        return poisson_loglik(d, E, offset + A[:, None] + B[:, None] * K[None, :])
+
+    def apply_block(A, B, K, which, delta, current):
+        step = 1.0
+        for _ in range(40):
+            cand = [A.copy(), B.copy(), K.copy()]
+            idx = {"A": 0, "B": 1, "K": 2}[which]
+            cand[idx] = cand[idx] + step * delta
+            new = ll(*cand)
+            if new >= current:
+                return cand[0], cand[1], cand[2], new
+            step *= 0.5
+        return A, B, K, current
+
+    current = ll(A, B, K)
+    trace = [current]
+    free = np.asarray(free_periods, dtype=bool)
+    for sweep in range(1, max_sweeps + 1):
+        if fit_profile:
+            d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
+            delta = (d - d_hat).sum(axis=1) / d_hat.sum(axis=1)
+            A, B, K, current = apply_block(A, B, K, "A", delta, current)
+        d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
+        num = B @ (d - d_hat)
+        den = (B ** 2) @ d_hat
+        delta = np.where(free, num / den, 0.0)
+        A, B, K, current = apply_block(A, B, K, "K", delta, current)
+        d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
+        num = (d - d_hat) @ K
+        den = d_hat @ (K ** 2)
+        if np.all(den > 0):
+            A, B, K, current = apply_block(A, B, K, "B", num / den, current)
+        if center_periods and fit_profile:
+            shift = K.mean()
+            A = A + B * shift
+            K = K - shift
+        scale = float(np.sqrt(np.sum(B ** 2)))
+        if scale > 0:
+            B, K = B / scale, K * scale
+        if B.sum() < 0:
+            B, K = -B, -K
+        trace.append(current)
+        if trace[-1] - trace[-2] < sweep_tol:
+            return A, B, K, current, trace, sweep
+    raise AssertionError("oracle fit did not converge")
+
+
+def two_fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
+                                ages, years, blend_weight):
+    """The adjusted Lee-Miller variant as its own pair of anchored fits,
+    each with its own B0/K0 start, before it shared the Li-Lee two-step
+    fit.  Returns (LiLeeParams, FittedSurface)."""
+    anchors = lee_miller_anchors(d_common, E_common, d_country, E_country,
+                                 blend_weight)
+    d_T = np.asarray(d_common, dtype=float)
+    E_T = np.asarray(E_common, dtype=float)
+    nt = len(years)
+    free = np.ones(nt, dtype=bool)
+    free[-1] = False
+    options = {"sweep_tol": SWEEP_TOL, "max_sweeps": MAX_SWEEPS}
+
+    B0 = np.full(len(ages), 1.0 / np.sqrt(len(ages)))
+    K0 = np.zeros(nt)
+    _, B, K, ll1, _, sweeps1 = _two_fit_blockwise(
+        d_T, E_T, anchors.common[:, None], np.zeros(len(ages)), B0, K0,
+        fit_profile=False, free_periods=free, center_periods=False, **options)
+    log_mu_T = anchors.common[:, None] + B[:, None] * K[None, :]
+
+    d_c = np.asarray(d_country, dtype=float)
+    E_c = np.asarray(E_country, dtype=float)
+    offset = log_mu_T + anchors.country[:, None]
+    b0 = np.full(len(ages), 1.0 / np.sqrt(len(ages)))
+    k0 = np.zeros(nt)
+    _, beta, kappa, ll2, _, sweeps2 = _two_fit_blockwise(
+        d_c, E_c, offset, np.zeros(len(ages)), b0, k0,
+        fit_profile=False, free_periods=free, center_periods=False, **options)
+    params = LiLeeParams(
+        ages=ages, years=years, A=anchors.common, B=B, K=K,
+        alpha=anchors.country, beta=beta, kappa=kappa,
+        model_kind=ADJUSTED_LEE_MILLER, blend_weight=blend_weight,
+    )
+    fitted = FittedSurface(
+        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
+        loglik_common=ll1, loglik_country=ll2,
+        sweeps_common=sweeps1, sweeps_country=sweeps2,
+    )
+    return params, fitted

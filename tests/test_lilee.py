@@ -1,12 +1,13 @@
 """Two-step calibration: likelihood, constraints, oracle comparisons."""
 import numpy as np
 import pytest
+from oracles import two_fit_adjusted_lee_miller
 from scipy.optimize import minimize
 
 from mortkit.data import AgeRange, YearRange
 from mortkit.errors import ConvergenceError, ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, LiLeeParams, calibrate,
-                           evaluate_mu, export_params_csv,
+                           export_params_csv,
                            fit_adjusted_lee_miller, fit_common_trend,
                            fit_country_deviation, import_params_csv,
                            lee_miller_anchors, loglik_gradient,
@@ -231,13 +232,6 @@ class TestCountryDeviation:
         with pytest.raises(ValidationError, match="common surface"):
             fit_country_deviation(d, d * 20.0, np.zeros((2, 4)), AGES2, YEARS3)
 
-    def test_evaluate_mu_matches_grid(self, rng):
-        ages, years, d_T, E_T, d_c, E_c, _ = self._pooled_and_country(rng)
-        params, _ = calibrate(d_T, E_T, d_c, E_c, ages, years)
-        grid = np.exp(params.log_mu())
-        assert evaluate_mu(params, 62, 2005) == pytest.approx(
-            grid[2, 5], rel=1e-14)
-
 
 class TestAdjustedLeeMiller:
     @staticmethod
@@ -285,6 +279,44 @@ class TestAdjustedLeeMiller:
         params, _ = fit_adjusted_lee_miller(d_T, E_T, d_c, E_c, ages, years, 0.0)
         np.testing.assert_allclose(np.exp(params.log_mu()[:, -1]),
                                    d_c[:, -2] / E_c[:, -2], rtol=1e-12)
+
+    @pytest.mark.parametrize("w", [0.0, 0.37, 1.0])
+    def test_matches_the_two_fit_oracle(self, rng, w):
+        # The shared two-step fit reproduces the variant's own pair of
+        # anchored fits bit for bit.
+        for nx, nt in ((5, 8), (7, 12)):
+            ages, years, *grids = self._inputs(rng, nx, nt)
+            params, fitted = fit_adjusted_lee_miller(*grids, ages, years, w)
+            want_params, want_fitted = two_fit_adjusted_lee_miller(
+                *grids, ages, years, w)
+            for name in ("A", "B", "K", "alpha", "beta", "kappa"):
+                assert np.array_equal(getattr(params, name),
+                                      getattr(want_params, name)), name
+            assert (params.model_kind, params.blend_weight) == (
+                want_params.model_kind, want_params.blend_weight)
+            assert np.array_equal(fitted.mu_common, want_fitted.mu_common)
+            assert np.array_equal(fitted.mu_country, want_fitted.mu_country)
+            assert (fitted.loglik_common, fitted.loglik_country,
+                    fitted.sweeps_common, fitted.sweeps_country) == (
+                want_fitted.loglik_common, want_fitted.loglik_country,
+                want_fitted.sweeps_common, want_fitted.sweeps_country)
+
+    @pytest.mark.parametrize("which, shape", [
+        (2, (5, 7)),    # country deaths one year short
+        (3, (5, 9)),    # country exposures one year long
+        (1, (4, 8)),    # pooled exposures one age short
+    ])
+    def test_mismatched_shapes_refused(self, rng, which, shape):
+        ages, years, *grids = self._inputs(rng)
+        grids[which] = np.full(shape, 10.0)
+        with pytest.raises(ValidationError, match="n_ages, n_years"):
+            fit_adjusted_lee_miller(*grids, ages, years, 0.5)
+
+    def test_declared_grid_mismatch_refused(self, rng):
+        ages, years, d_T, E_T, d_c, E_c = self._inputs(rng)
+        with pytest.raises(ValidationError, match=r"\(n_ages, n_years\)"):
+            fit_adjusted_lee_miller(d_T, E_T, d_c, E_c, ages,
+                                    YearRange(years.first, years.last + 1), 0.5)
 
     def test_zero_anchor_deaths_refused(self, rng):
         ages, years, d_T, E_T, d_c, E_c = self._inputs(rng)
