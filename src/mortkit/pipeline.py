@@ -7,12 +7,15 @@ year, or a blend weight of the adjusted variant) producing parameter,
 time-series-fit and fan-chart CSVs.  Scenarios are isolated: one failing
 scenario is reported as failed without aborting the others.  Reruns of
 the same config are byte-identical; wall-clock timings therefore go to a
-sidecar file outside the hashed outputs.
+sidecar file outside the hashed outputs.  Every output is written under a
+temporary name and moved into place, `report.json` last, so the files on
+disk always match the hashes the report gives.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -420,7 +423,8 @@ def _fanchart_rows(config, params, fit, layers=None):
     r0 = min(report_ages, default=a0)
     for gender in GENDERS:
         rows = len(paths.K[gender])
-        diag = {a: np.empty((rows, span[a])) for a in config.cohort_ages}
+        # Ages-major like the closed forces, so the kernel reads it in place.
+        diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
         labels = [("K", gender, None), ("kappa", gender, None)]
         labels += [("q", gender, age) for age in report_ages]
         labels += [("e_per", gender, age) for age in report_ages]
@@ -463,6 +467,29 @@ def _write_fanchart(path, records):
 
 def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _publish(out_dir: Path, writers: dict):
+    """Write each output under a temporary name in `out_dir`, then move
+    them all into place with `os.replace`.  `writers` maps a file name to
+    a function that writes a given path.  If any write raises, none of
+    the outputs is moved and no temporary file is left behind, so a file
+    on disk is always complete."""
+    staged = {name: out_dir / f".{name}.tmp" for name in writers}
+    try:
+        for name, write in writers.items():
+            write(staged[name])
+        for name, path in staged.items():
+            os.replace(path, out_dir / name)
+    finally:
+        for path in staged.values():
+            path.unlink(missing_ok=True)
+
+
+def _write_json(path, blob, **options):
+    with Path(path).open("w") as handle:
+        json.dump(blob, handle, indent=2, **options)
+        handle.write("\n")
 
 
 @dataclass
@@ -544,9 +571,11 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
         "fanchart": f"fanchart_{label}.csv",
     }
     with _clock(layers, "write"):
-        lilee.export_params_csv(out_dir / files["params"], params)
-        dynamics.export_fit_csv(out_dir / files["tsfit"], fit)
-        _write_fanchart(out_dir / files["fanchart"], records)
+        _publish(out_dir, {
+            files["params"]: lambda path: lilee.export_params_csv(path, params),
+            files["tsfit"]: lambda path: dynamics.export_fit_csv(path, fit),
+            files["fanchart"]: lambda path: _write_fanchart(path, records),
+        })
         hashes = {name: _sha256(out_dir / name) for name in files.values()}
     return ScenarioResult(
         label=label, value=value, status="ok", error=None,
@@ -616,14 +645,15 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
         exposure_origins=assembled.exposure_origins,
         scenarios=results,
     )
-    with (out_dir / "report.json").open("w") as handle:
-        json.dump(report.to_json(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
     timings["scenario_seconds"] = {s.label: s.elapsed for s in results}
     timings["scenario_layers"] = {s.label: s.layers for s in results}
-    with (out_dir / "timings.json").open("w") as handle:
-        json.dump(timings, handle, indent=2)
-        handle.write("\n")
+    # The report is moved into place last: once it is on disk, so is every
+    # file it hashes.
+    _publish(out_dir, {
+        "timings.json": lambda path: _write_json(path, timings),
+        "report.json": lambda path: _write_json(path, report.to_json(),
+                                                sort_keys=True),
+    })
     return report
 
 

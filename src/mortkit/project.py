@@ -126,19 +126,24 @@ def _recur(spec: ScenarioSpec, fit: TimeSeriesFit, eps: np.ndarray) -> Simulatio
 def simulate_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
     """Simulate n paths of (K, kappa) for both genders.
 
-    One 4-dim draw per (path, year) via a Philox stream keyed by
+    One 4-dim draw per (path, year) from a Philox stream keyed by
     (seed, path index): reruns with the same seed are bit-identical and
     path i's stream never depends on how many paths run or in what order.
+    One generator serves every path: before path i it is given the state
+    a fresh `Philox(key=[seed, i])` starts in, so no generator is
+    constructed per path.
     """
     L = _innovation_factor(fit.C)
     H = spec.horizon - spec.jump_off_year
-    eps = np.empty((spec.n_paths, H, 4))
+    bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    z = np.empty((spec.n_paths, H, 4))
     for i in range(spec.n_paths):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([spec.seed, i], dtype=np.uint64))
-        )
-        eps[i] = rng.standard_normal((H, 4)) @ L.T
-    return _recur(spec, fit, eps)
+        fresh["state"]["key"][1] = i
+        bits.state = fresh
+        rng.standard_normal(out=z[i])
+    return _recur(spec, fit, z @ L.T)
 
 
 def central_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
@@ -167,14 +172,17 @@ def path_batch(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
 
 def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
                 year: int) -> np.ndarray:
-    """mu over the model ages for one year; shape (rows, n_ages)."""
+    """mu over the model ages for one year; shape (rows, n_ages).
+
+    The result is the transposed view of an ages-major array, the layout
+    the closure and the expectancy kernel work in."""
     j = paths.year_index(year)
     K = paths.K[gender][:, j]
     kappa = paths.kappa[gender][:, j]
-    mu = np.multiply.outer(K, params.B)
-    mu += params.A + params.alpha
-    mu += np.multiply.outer(kappa, params.beta)
-    return np.exp(mu, out=mu)
+    mu = np.multiply.outer(params.B, K)
+    mu += (params.A + params.alpha)[:, None]
+    mu += np.multiply.outer(params.beta, kappa)
+    return np.exp(mu, out=mu).T
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +201,9 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
     logit(mu_x), then evaluated on 91..120.  Ages up to 90 pass through
     unchanged.  A non-increasing fit (phi <= 0) warns but is applied;
     forces at or above 1 are clamped just below 1 before the logit, with a
-    warning.  Input may carry leading path/year axes.
+    warning.  Input may carry leading path/year axes; the result is laid
+    out ages-major (the age axis outermost in memory), so that the
+    expectancy kernel reads it without a copy.
     """
     curve = np.asarray(curve, dtype=float)
     n_in = curve.shape[-1]
@@ -204,15 +214,20 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
         )
     lo = KANNISTO_FIT_LO - ages_lo
     hi = KANNISTO_FIT_HI - ages_lo
-    # Written so that NaN, which compares false, fails the checks too.
+    # min and max propagate NaN, which compares false, so NaN fails the
+    # checks too; the initial values let an empty batch through.
+    low, high = curve.min(initial=np.inf), curve.max(initial=-np.inf)
+    # The fit ages are copied to C order so that the sums below reduce
+    # over contiguous rows whatever the input's layout.
+    fit_ages = np.ascontiguousarray(curve[..., lo:hi + 1])
     if forces:
-        if not np.all((curve > 0) & (curve < np.inf)):
+        if not (low > 0 and high < np.inf):
             raise ValidationError("forces must be positive and finite")
-        mu_fit = curve[..., lo:hi + 1]
+        mu_fit = fit_ages
     else:
-        if not np.all((curve > 0) & (curve < 1)):
+        if not (low > 0 and high < 1):
             raise ValidationError("death probabilities must lie in (0, 1)")
-        mu_fit = -np.log1p(-curve[..., lo:hi + 1])
+        mu_fit = -np.log1p(-fit_ages)
     if np.any(mu_fit >= 1.0):
         warnings.warn("force >= 1 clamped below 1 for the logit fit",
                       RuntimeWarning, stacklevel=2)
@@ -228,7 +243,8 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
         warnings.warn("fitted logistic is non-increasing in age (phi <= 0)",
                       RuntimeWarning, stacklevel=2)
     # The logistic is evaluated in place in the result's tail columns.
-    closed = np.empty(curve.shape[:-1] + (MAX_AGE + 1 - ages_lo,))
+    closed = np.moveaxis(
+        np.empty((MAX_AGE + 1 - ages_lo,) + curve.shape[:-1]), 0, -1)
     closed[..., :n_in] = curve
     tail = closed[..., n_in:]
     np.multiply.outer(slope, np.arange(top_in + 1, MAX_AGE + 1, dtype=float),
@@ -255,9 +271,9 @@ def _year_fraction(mu: np.ndarray) -> np.ndarray:
     fraction = np.negative(mu)
     np.expm1(fraction, out=fraction)
     np.negative(fraction, out=fraction)
-    zero = mu == 0
-    np.divide(fraction, mu, out=fraction, where=~zero)
-    fraction[zero] = 1.0
+    with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
+        np.divide(fraction, mu, out=fraction)
+    fraction[mu == 0] = 1.0
     return fraction
 
 
@@ -267,8 +283,9 @@ def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
     year fraction.  Ages run along axis 0 (the recursion steps over
     contiguous rows); the result has the same layout.  An infinite force
     ends the sequence at that age."""
-    # Written so that NaN, which compares false, fails the check too.
-    if not np.all(mu >= 0):
+    # min propagates NaN, which compares false, so NaN fails the check
+    # too; the initial value lets an empty batch through.
+    if not mu.min(initial=np.inf) >= 0:
         raise ValidationError("forces must be nonnegative and not NaN")
     e = _year_fraction(mu)
     survival = np.negative(mu)
@@ -281,7 +298,9 @@ def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
 
 
 def _ages_major(mu: np.ndarray) -> np.ndarray:
-    """Forces with the trailing age axis moved to the front, contiguous."""
+    """Forces with the trailing age axis moved to the front, contiguous:
+    a view of the ages-major arrays `force_paths` and `kannisto_close`
+    return, a copy of any other layout."""
     return np.ascontiguousarray(np.moveaxis(np.asarray(mu, dtype=float), -1, 0))
 
 

@@ -1,7 +1,8 @@
 """Earlier kernels, kept as oracles for the ones in the package: a
-per-age cumulative-sum expectancy and a Kannisto closure that runs in
-death-probability space (`mortkit.project`), and the adjusted Lee-Miller
-variant as its own pair of fits (`mortkit.lilee`)."""
+per-age cumulative-sum expectancy, a masked year fraction, a Kannisto
+closure that runs in death-probability space and a simulation that
+constructs one generator per path (`mortkit.project`), and the adjusted
+Lee-Miller variant as its own pair of fits (`mortkit.lilee`)."""
 import warnings
 
 import numpy as np
@@ -9,7 +10,8 @@ import numpy as np
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
                            FittedSurface, LiLeeParams, lee_miller_anchors,
                            poisson_loglik)
-from mortkit.project import FORCE_CLAMP, KANNISTO_FIT_HI, KANNISTO_FIT_LO, MAX_AGE
+from mortkit.project import (FORCE_CLAMP, KANNISTO_FIT_HI, KANNISTO_FIT_LO,
+                             MAX_AGE, _innovation_factor, _recur)
 
 
 def cumsum_expectancy(mu):
@@ -23,6 +25,30 @@ def cumsum_expectancy(mu):
     nz = mu != 0
     fraction[nz] = -np.expm1(-mu[nz]) / mu[nz]
     return np.sum(survival * fraction, axis=-1)
+
+
+def masked_year_fraction(mu):
+    """(1 - e^-mu)/mu, dividing only where mu is nonzero and setting the
+    limit 1 at mu = 0."""
+    mu = np.asarray(mu, dtype=float)
+    fraction = -np.expm1(-mu)
+    zero = mu == 0
+    np.divide(fraction, mu, out=fraction, where=~zero)
+    fraction[zero] = 1.0
+    return fraction
+
+
+def per_path_period_effects(fit, spec):
+    """Simulated period effects with one `Generator(Philox(key=[seed, i]))`
+    constructed for each path i, each path's normals times L' on their own."""
+    L = _innovation_factor(fit.C)
+    H = spec.horizon - spec.jump_off_year
+    eps = np.empty((spec.n_paths, H, 4))
+    for i in range(spec.n_paths):
+        rng = np.random.Generator(
+            np.random.Philox(key=np.array([spec.seed, i], dtype=np.uint64)))
+        eps[i] = rng.standard_normal((H, 4)) @ L.T
+    return _recur(spec, fit, eps)
 
 
 def q_space_kannisto_close(q, ages_lo=0):

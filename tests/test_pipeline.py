@@ -833,6 +833,37 @@ class TestScenarioIsolation:
                     (root / "out_solo" / name).read_bytes(), name
             assert survivor.hashes == solo.hashes
 
+    def test_torn_fanchart_write_leaves_no_file(self, wbundle, tmp_path):
+        """A fan-chart write that raises partway fails its scenario and
+        leaves none of its files on disk; the report hashes exactly the
+        files that are there."""
+        root, _, _ = wbundle
+        config = load_run_config(root / "config.yaml").with_overrides(
+            output_dir=tmp_path / "out")
+        real = pipeline._write_fanchart
+
+        def torn(path, records):
+            if "w0" in Path(path).name:
+                real(path, records[:len(records) // 2])
+                raise OSError("disk full")
+            real(path, records)
+
+        with mock.patch.object(pipeline, "_write_fanchart", torn):
+            report = quiet_run(config)
+        by_label = {s.label: s for s in report.scenarios}
+        assert by_label["w0"].status == "failed"
+        assert by_label["w0"].error == "OSError: disk full"
+        assert by_label["w1"].status == "ok"
+        out = config.output_dir
+        assert [p.name for p in out.glob("fanchart_*.csv")] == ["fanchart_w1.csv"]
+        on_disk = json.loads((out / "report.json").read_text())
+        hashes = {name: digest for scenario in on_disk["scenarios"]
+                  for name, digest in scenario["hashes"].items()}
+        assert sorted(p.name for p in out.iterdir()) == \
+            sorted([*hashes, "report.json", "timings.json"])
+        for name, digest in hashes.items():
+            assert sha256(out / name) == digest
+
     def test_failed_scenario_json_carries_the_error(self, mixed):
         _, report = mixed
         failed = [s for s in report.scenarios if s.status == "failed"][0]

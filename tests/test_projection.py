@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import cumsum_expectancy, q_space_kannisto_close, relative_error
+from oracles import (cumsum_expectancy, masked_year_fraction,
+                     per_path_period_effects, q_space_kannisto_close,
+                     relative_error)
 
+from mortkit import project
 from mortkit.data import AgeRange, YearRange
 from mortkit.dynamics import TimeSeriesFit
 from mortkit.errors import ValidationError
@@ -24,6 +27,10 @@ COV = np.array([
     [0.0090, 0.0042, 0.0240, 0.0060],
     [0.0015, 0.0051, 0.0060, 0.0135],
 ])
+
+#: Rank 2: the innovations span a plane of the four dimensions.
+PLANE = np.array([[0.15, 0.00], [0.04, 0.08], [0.06, 0.10], [0.01, 0.07]])
+RANK_TWO_COV = PLANE @ PLANE.T
 
 JUMP_OFF = (1.5, 0.3, -0.8, 0.1)
 
@@ -184,6 +191,31 @@ class TestSimulation:
         paths = simulate_period_effects(make_fit(), make_spec())
         with pytest.raises(ValueError):
             paths.K["M"][0, 0] = 99.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    @pytest.mark.parametrize("n_paths", [1, 3, 257])
+    def test_matches_one_generator_per_path(self, seed, n_paths):
+        self.assert_matches_one_generator_per_path(
+            make_fit(), make_spec(seed=seed, n_paths=n_paths))
+
+    @pytest.mark.parametrize("seed", [0, 2**40])
+    def test_one_year_horizon_matches_one_generator_per_path(self, seed):
+        self.assert_matches_one_generator_per_path(
+            make_fit(), make_spec(horizon=2021, seed=seed, n_paths=3))
+
+    def test_rank_deficient_covariance_matches_one_generator_per_path(self):
+        assert np.linalg.matrix_rank(RANK_TWO_COV) == 2
+        self.assert_matches_one_generator_per_path(
+            make_fit(C=RANK_TWO_COV), make_spec(seed=7, n_paths=257))
+
+    @staticmethod
+    def assert_matches_one_generator_per_path(fit, spec):
+        got = simulate_period_effects(fit, spec)
+        want = per_path_period_effects(fit, spec)
+        np.testing.assert_array_equal(got.years, want.years)
+        for g in ("M", "F"):
+            assert np.array_equal(got.K[g], want.K[g])
+            assert np.array_equal(got.kappa[g], want.kappa[g])
 
     def test_year_index_bounds(self):
         paths = simulate_period_effects(make_fit(), make_spec(horizon=2025))
@@ -353,6 +385,16 @@ class TestKannistoClosure:
         np.testing.assert_array_equal(kannisto_close(q, 60),
                                       q_space_kannisto_close(q, 60))
 
+    def test_probability_form_ignores_the_input_layout(self, rng):
+        mu = 1e-3 * np.exp(0.1 * np.arange(31)) * rng.uniform(0.8, 1.2, (5, 1))
+        q = -np.expm1(-mu)
+        np.testing.assert_array_equal(kannisto_close(np.asfortranarray(q), 60),
+                                      q_space_kannisto_close(q, 60))
+
+    def test_empty_batch_closes_to_an_empty_batch(self):
+        closed = kannisto_close(np.empty((0, 91)), 0, forces=True)
+        assert closed.shape == (0, MAX_AGE + 1)
+
     @pytest.mark.parametrize("ages_lo", [0, 60, 80])
     def test_force_form_matches_the_probability_oracle(self, rng, ages_lo):
         n = 91 - ages_lo
@@ -396,6 +438,22 @@ class TestLifeExpectancy:
         values = period_life_expectancy(mu, 65)
         for i in range(4):
             assert values[i] == pytest.approx(le_oracle(mu[i]), rel=1e-12)
+
+    def test_empty_batch_gives_empty_result(self):
+        assert period_life_expectancy(np.empty((0, 56)), 65).shape == (0,)
+
+    def test_cohort_empty_batch_gives_empty_result(self):
+        surface = np.empty((0, 56, MAX_AGE + 1))
+        assert cohort_life_expectancy(surface, 65).shape == (0,)
+
+    def test_year_fraction_matches_the_masked_division(self):
+        mu = np.array([[0.0, 1e-300, 1e-3, 0.5],
+                       [3.0, 700.0, np.inf, -0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project._year_fraction(mu)
+        np.testing.assert_array_equal(got, masked_year_fraction(mu))
+        assert got[0, 0] == got[1, 3] == 1.0 and got[1, 2] == 0.0
 
     def test_rejects_truncated_curve(self):
         with pytest.raises(ValidationError, match="56 values"):
@@ -474,6 +532,24 @@ class TestLifeExpectancy:
     def test_surface_must_reach_top_age(self):
         with pytest.raises(ValidationError, match="0..120"):
             cohort_life_expectancy(np.full((56, 91), 0.01), 65)
+
+
+class TestAgesMajorLayout:
+    """The forces and their closure come back laid out ages-major, so the
+    expectancy kernel reads them in place."""
+
+    def test_kernel_reads_forces_without_a_copy(self):
+        paths = simulate_period_effects(make_fit(), make_spec(n_paths=6))
+        mu = force_paths(tiny_params([-4.0, -3.0]), paths, "F", 2022)
+        assert mu.shape == (6, 2)
+        assert np.shares_memory(project._ages_major(mu), mu)
+
+    def test_kernel_reads_closed_forces_without_a_copy(self, rng):
+        mu = logistic_mu(np.arange(0, 91)) * rng.uniform(0.8, 1.2, size=(7, 1))
+        closed = kannisto_close(mu, forces=True)
+        assert closed.shape == (7, MAX_AGE + 1)
+        assert np.shares_memory(project._ages_major(closed), closed)
+        assert np.shares_memory(project._ages_major(closed[:, 65:]), closed)
 
 
 class TestQuantileSummary:
