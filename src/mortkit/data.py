@@ -637,12 +637,13 @@ def write_individual_age_csv(path, records):
             ])
 
 
-def load_weekly_csv(path, source_shape: str, *, year=None,
-                    gender=None) -> BucketedWeeklySeries:
+def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     """Read a weekly bucketed file into a single series.
 
     Optional year/gender filters select one series from files that
-    interleave several; after filtering the keys must be unique.
+    interleave several; after filtering the keys must be unique.  A tuple
+    of genders splits the file in one parse: the result then maps each of
+    those genders to its series, and the keys must be unique per gender.
     STMF exposures come from the optional exposure column when present,
     otherwise from deaths/death_rate for weeks with a positive rate.
     """
@@ -654,9 +655,13 @@ def load_weekly_csv(path, source_shape: str, *, year=None,
         raise ParseError(f"{path}:1: expected header starting {','.join(base)}")
     has_exposure = source_shape == "STMF" and len(header) > 7 and header[7] == "exposure"
     allowed = _BUCKET_SETS[source_shape]
+    split = isinstance(gender, tuple)
+    wanted = gender if split else (gender,)
 
+    # Per series slot (the gender when splitting, else None): its key and
+    # its {(bucket, week): (deaths, rate, exposure)} records.
+    keys = {}
     records = {}
-    keys = set()
     for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if not "".join(row).strip():
             continue
@@ -670,7 +675,7 @@ def load_weekly_csv(path, source_shape: str, *, year=None,
             raise ParseError(f"{path}:{lineno}: gender must be one of {GENDERS}")
         if year is not None and row_year != year:
             continue
-        if gender is not None and row_gender != gender:
+        if gender is not None and row_gender not in wanted:
             continue
         try:
             bucket = AgeBucket.parse(row[4])
@@ -690,21 +695,31 @@ def load_weekly_csv(path, source_shape: str, *, year=None,
             if has_exposure and len(row) > 7:
                 exposure = _parse_float(row[7], "exposure", path, lineno, allow_empty=True)
         key = (row_country, row_year, row_gender)
-        keys.add(key)
-        if len(keys) > 1:
+        slot = row_gender if split else None
+        if keys.setdefault(slot, key) != key:
             raise ParseError(
-                f"{path}: multiple series {sorted(keys)}; pass year/gender filters"
+                f"{path}: multiple series {sorted({keys[slot], key})}; "
+                "pass year/gender filters"
             )
-        cell = (bucket, week)
-        if cell in records:
+        cells = records.setdefault(slot, {})
+        if (bucket, week) in cells:
             raise ParseError(
                 f"{path}:{lineno}: duplicate row for bucket {bucket.label}, week {week}"
             )
-        records[cell] = (deaths, rate, exposure)
+        cells[bucket, week] = (deaths, rate, exposure)
 
-    if not records:
-        raise ParseError(f"{path}: no rows match the requested series")
-    (s_country, s_year, s_gender), = keys
+    series = {}
+    for slot in (wanted if split else (None,)):
+        if slot not in records:
+            raise ParseError(f"{path}: no rows match the requested series")
+        series[slot] = _weekly_series(keys[slot], records[slot], source_shape,
+                                      has_exposure)
+    return series if split else series[None]
+
+
+def _weekly_series(key, records, source_shape, has_exposure) -> BucketedWeeklySeries:
+    """One series from its (country, year, gender) key and its records."""
+    s_country, s_year, s_gender = key
     week_count = max(week for _, week in records)
     buckets = sorted({bucket for bucket, _ in records})
 

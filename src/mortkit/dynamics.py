@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import YearRange, GENDERS
-from .errors import ConvergenceError, ParseError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 #: Convergence tolerance on the per-iteration log-likelihood change (a
 #: log-likelihood delta is the log of the likelihood ratio).
@@ -296,7 +296,7 @@ def psi_covariance(fit: TimeSeriesFit, rows) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Fit CSV round trip
+# Fit CSV output
 # ---------------------------------------------------------------------------
 
 def export_fit_csv(path, fit: TimeSeriesFit):
@@ -312,22 +312,3 @@ def export_fit_csv(path, fit: TimeSeriesFit):
             for j in range(i, 4):
                 writer.writerow((f"C_{i + 1}{j + 1}",
                                  format(float(fit.C[i, j]), ".17g")))
-
-
-def import_fit_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back (psi, C) from export_fit_csv output."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != ("param", "value"):
-        raise ParseError(f"{path}: expected header param,value")
-    values = {name: float(value) for name, value in rows[1:] if name}
-    try:
-        psi = np.array([values[name] for name in PSI_NAMES])
-        C = np.zeros((4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                C[i, j] = C[j, i] = values[f"C_{i + 1}{j + 1}"]
-    except KeyError as exc:
-        raise ParseError(f"{path}: missing entry {exc}") from exc
-    return psi, C

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import GENDERS, AgeRange, MultiPopulationDataset, YearRange
-from .errors import ConvergenceError, ParseError, ValidationError
+from .errors import ConvergenceError, ValidationError
 
 #: Convergence: relative log-likelihood improvement per sweep below this.
 SWEEP_TOL = 1e-10
@@ -109,7 +109,7 @@ class LeeMillerAnchors:
 
 def poisson_loglik(deaths, exposures, log_mu) -> float:
     """sum(d log mu - E mu); deaths may be real-valued, no factorial term."""
-    return float(np.sum(deaths * log_mu - exposures * np.exp(log_mu)))
+    return float((deaths * log_mu - exposures * np.exp(log_mu)).sum())
 
 
 def saturated_loglik(deaths, exposures) -> float:
@@ -421,39 +421,3 @@ def export_params_csv(path, params_by_gender: dict):
                 for idx, value in zip(axes[name], values):
                     writer.writerow((name, gender, int(idx),
                                      format(float(value), ".17g")))
-
-
-def import_params_csv(path, *, model_kind=LI_LEE, blend_weight=None) -> dict:
-    """Inverse of export_params_csv."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != ("param", "gender", "index", "value"):
-        raise ParseError(f"{path}: expected header param,gender,index,value")
-    table = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not f.strip() for f in row):
-            continue
-        name, gender, idx, value = row
-        if name not in _PARAM_FIELDS:
-            raise ParseError(f"{path}:{lineno}: unknown param {name!r}")
-        table.setdefault((gender, name), []).append((int(idx), float(value)))
-    genders = sorted({g for g, _ in table})
-    out = {}
-    for gender in genders:
-        arrays = {}
-        indexes = {}
-        for name in _PARAM_FIELDS:
-            entries = sorted(table.get((gender, name), ()))
-            if not entries:
-                raise ParseError(f"{path}: missing {name} for gender {gender}")
-            indexes[name] = [i for i, _ in entries]
-            arrays[name] = np.array([v for _, v in entries])
-        ages = AgeRange(indexes["A"][0], indexes["A"][-1])
-        years = YearRange(indexes["K"][0], indexes["K"][-1])
-        out[gender] = LiLeeParams(
-            ages=ages, years=years, A=arrays["A"], B=arrays["B"], K=arrays["K"],
-            alpha=arrays["alpha"], beta=arrays["beta"], kappa=arrays["kappa"],
-            model_kind=model_kind, blend_weight=blend_weight,
-        )
-    return out

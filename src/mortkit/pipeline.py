@@ -18,9 +18,10 @@ import json
 import os
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +62,12 @@ class AssembledData:
 
 
 def _load_weekly_decl(decl):
-    """Load one weekly declaration per gender, aggregating constituents."""
+    """One series per gender for a weekly declaration, aggregating constituents."""
+    loaded = [load_weekly_csv(p, decl.shape, year=decl.years.first, gender=GENDERS)
+              for p in decl.paths]
     out = {}
     for gender in GENDERS:
-        series = [
-            load_weekly_csv(p, decl.shape, year=decl.years.first, gender=gender)
-            for p in decl.paths
-        ]
+        series = [by_gender[gender] for by_gender in loaded]
         if len(series) > 1:
             if decl.country != UK_CODE:
                 raise ConfigError(
@@ -386,20 +386,20 @@ def _clock(layers: dict, layer: str):
         layers[layer] = layers.get(layer, 0.0) + time.perf_counter() - start
 
 
-def _fanchart_rows(config, params, fit, layers=None):
-    """All fan-chart records for one scenario, deterministically ordered.
+def _timed(unit, *args):
+    """Run one work unit as `unit(*args, layers)`.  Returns its result, the
+    wall time of each layer it ran (`layers`) and its own wall time."""
+    start = time.perf_counter()
+    layers = {}
+    result = unit(*args, layers)
+    return result, layers, time.perf_counter() - start
 
-    Wall times of the simulate, life_tables and quantiles layers are
-    added to `layers` when it is given."""
-    layers = {} if layers is None else layers
-    spec = project.ScenarioSpec(
-        jump_off_year=config.years.last, horizon=config.horizon,
-        n_paths=config.n_paths, seed=config.seed,
-        jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
-                  float(params["F"].K[-1]), float(params["F"].kappa[-1])),
-    )
-    with _clock(layers, "simulate"):
-        paths = project.path_batch(fit, spec)
+
+def _life_table_rows(config, params, paths, gender, layers):
+    """The life-table unit of one (scenario, gender): the gender's fan-chart
+    records from the scenario's path batch, unordered, with one life-table
+    pass and one quantile call per projection year and one per cohort
+    diagonal.  Adds the wall time of each layer it ran to `layers`."""
     probes = project.DEFAULT_PROBES
     records = []
 
@@ -421,34 +421,38 @@ def _fanchart_rows(config, params, fit, layers=None):
     report_ages = config.report_ages
     report_at = [config.ages.index(age) for age in report_ages]
     r0 = min(report_ages, default=a0)
-    for gender in GENDERS:
-        rows = len(paths.K[gender])
-        # Ages-major like the closed forces, so the kernel reads it in place.
-        diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
-        labels = [("K", gender, None), ("kappa", gender, None)]
-        labels += [("q", gender, age) for age in report_ages]
-        labels += [("e_per", gender, age) for age in report_ages]
-        for j, year in enumerate(paths.years):
-            with _clock(layers, "life_tables"):
-                mu = project.force_paths(params[gender], paths, gender, int(year))
-                mu_cl = project.kannisto_close(mu, a0, forces=True)
-                columns = [paths.K[gender][:, j], paths.kappa[gender][:, j],
-                           -np.expm1(-mu[:, report_at])]
-                if report_ages:
-                    columns.append(project.period_life_expectancy(
-                        mu_cl[:, r0 - a0:], report_ages))
-                for age, width in span.items():
-                    if j < width:
-                        diag[age][:, j] = mu_cl[:, age + j - a0]
-            emit(labels, year, np.column_stack(columns))
-        if config.cohort_ages:
-            # Cohort expectancy: the period kernel applied on the diagonal.
-            with _clock(layers, "life_tables"):
-                e_coh = np.column_stack([project.period_life_expectancy(diag[age], age)
-                                         for age in config.cohort_ages])
-            emit([("e_coh", gender, age) for age in config.cohort_ages],
-                 paths.years[0], e_coh)
+    rows = len(paths.K[gender])
+    # Ages-major like the closed forces, so the kernel reads it in place.
+    diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
+    labels = [("K", gender, None), ("kappa", gender, None)]
+    labels += [("q", gender, age) for age in report_ages]
+    labels += [("e_per", gender, age) for age in report_ages]
+    for j, year in enumerate(paths.years):
+        with _clock(layers, "life_tables"):
+            mu = project.force_paths(params[gender], paths, gender, int(year))
+            mu_cl = project.kannisto_close(mu, a0, forces=True)
+            columns = [paths.K[gender][:, j], paths.kappa[gender][:, j],
+                       -np.expm1(-mu[:, report_at])]
+            if report_ages:
+                columns.append(project.period_life_expectancy(
+                    mu_cl[:, r0 - a0:], report_ages))
+            for age, width in span.items():
+                if j < width:
+                    diag[age][:, j] = mu_cl[:, age + j - a0]
+        emit(labels, year, np.column_stack(columns))
+    if config.cohort_ages:
+        # Cohort expectancy: the period kernel applied on the diagonal.
+        with _clock(layers, "life_tables"):
+            e_coh = np.column_stack([project.period_life_expectancy(diag[age], age)
+                                     for age in config.cohort_ages])
+        emit([("e_coh", gender, age) for age in config.cohort_ages],
+             paths.years[0], e_coh)
+    return records
 
+
+def _fanchart_order(records):
+    """Sort records in place into the fan chart's fixed order (quantity,
+    gender, age, year, probe) and return them."""
     order = {q: i for i, q in enumerate(_QUANTITY_ORDER)}
     probe_rank = {"0.005": 0, "0.5": 1, "0.995": 2, "best": 3}
     records.sort(key=lambda r: (order[r[0]], r[1], -1 if r[2] is None else r[2],
@@ -497,17 +501,17 @@ class ScenarioResult:
     label: str
     value: float
     status: str
-    error: str | None
-    ts_params: dict | None
-    stationary: dict | None
-    ridged: bool | None
-    loglik: float | None
-    score_norm: float | None
-    calibration: dict | None
-    files: dict
-    hashes: dict
-    elapsed: float
-    layers: dict
+    error: str | None = None
+    ts_params: dict | None = None
+    stationary: dict | None = None
+    ridged: bool | None = None
+    loglik: float | None = None
+    score_norm: float | None = None
+    calibration: dict | None = None
+    files: dict = field(default_factory=dict)
+    hashes: dict = field(default_factory=dict)
+    elapsed: float = 0.0
+    layers: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         out = {
@@ -546,13 +550,11 @@ class RunReport:
 
 
 def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
-                 out_dir: Path) -> ScenarioResult:
-    """One grid value: calibrate (or reuse the shared Li-Lee calibration),
-    fit dynamics, simulate, write.  The result carries the wall time of
-    each layer the scenario ran."""
-    start = time.perf_counter()
-    layers = {}
-    label = _scenario_label(config, value)
+                 layers: dict):
+    """The fit unit of one grid value: calibrate (or reuse the shared Li-Lee
+    calibration), fit the dynamics and simulate the path batch both
+    genders' life-table units read.  Returns (params, calibration, fit,
+    paths) and adds the wall time of each layer it ran to `layers`."""
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         params, calibration = shared_calibration
         weight_last = value
@@ -563,8 +565,29 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
         weight_last = None
     with _clock(layers, "dynamics"):
         fit = dynamics.fit_period_effects(params, weight_last)
-    records = _fanchart_rows(config, params, fit, layers)
+    with _clock(layers, "simulate"):
+        paths = project.path_batch(fit, project.ScenarioSpec(
+            jump_off_year=config.years.last, horizon=config.horizon,
+            n_paths=config.n_paths, seed=config.seed,
+            jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
+                      float(params["F"].K[-1]), float(params["F"].kappa[-1])),
+        ))
+    return params, calibration, fit, paths
 
+
+def _write_scenario(config: RunConfig, value: float, units, out_dir: Path
+                    ) -> ScenarioResult:
+    """The write step of one scenario: merge the records of its M and F
+    life-table units, then publish and hash its files.  `units` are the
+    (result, layers, seconds) of its fit unit and of those two units; the
+    scenario's layer times and wall time are their sums plus this step's."""
+    start = time.perf_counter()
+    (params, calibration, fit, _), *tables = [result for result, _, _ in units]
+    layers = Counter()
+    for _, unit_layers, _ in units:
+        layers.update(unit_layers)
+    records = _fanchart_order([r for table in tables for r in table])
+    label = _scenario_label(config, value)
     files = {
         "params": f"params_{label}.csv",
         "tsfit": f"tsfit_{label}.csv",
@@ -577,17 +600,23 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
             files["fanchart"]: lambda path: _write_fanchart(path, records),
         })
         hashes = {name: _sha256(out_dir / name) for name in files.values()}
+    elapsed = sum(seconds for _, _, seconds in units) + time.perf_counter() - start
     return ScenarioResult(
         label=label, value=value, status="ok", error=None,
         ts_params={name: float(v) for name, v in zip(dynamics.PSI_NAMES, fit.psi)},
         stationary=fit.stationary, ridged=fit.ridged, loglik=float(fit.loglik),
         score_norm=fit.score_norm, calibration=calibration, files=files,
-        hashes=hashes, elapsed=time.perf_counter() - start, layers=layers,
+        hashes=hashes, elapsed=elapsed, layers=layers,
     )
 
 
 def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
-    """Execute every scenario in the method grid and write all outputs."""
+    """Execute every scenario in the method grid and write all outputs.
+
+    Each scenario is split into work units on one thread pool: a fit unit
+    (`run_scenario`), then one life-table unit per gender once its paths
+    exist, then a write step on this thread once both are done.  Workers
+    never wait on a future, so any pool size makes progress."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -607,25 +636,31 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
             shared_error = f"{type(exc).__name__}: {exc}"
         timings["calibrate"] = time.perf_counter() - t0
 
-    def run_one(value):
+    def finish(value, units):
+        """The scenario's result once its units are done.  Its first failed
+        unit, in the order fit, M, F, fails it."""
         error = shared_error
         if error is None:
             try:
-                return run_scenario(config, assembled.dataset, value,
-                                    shared_calibration, out_dir)
+                return _write_scenario(config, value, [u.result() for u in units],
+                                       out_dir)
             except Exception as exc:  # one scenario never aborts the others
                 error = f"{type(exc).__name__}: {exc}"
-        return ScenarioResult(
-            label=_scenario_label(config, value), value=value,
-            status="failed", error=error, ts_params=None, stationary=None,
-            ridged=None, loglik=None, score_norm=None, calibration=None,
-            files={}, hashes={}, elapsed=0.0, layers={},
-        )
+        return ScenarioResult(_scenario_label(config, value), value, "failed", error)
 
     workers = jobs if jobs else len(config.method_grid)
+    grid = config.method_grid if shared_error is None else ()
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        results = list(pool.map(run_one, config.method_grid))
+        units = {value: [pool.submit(_timed, run_scenario, config, assembled.dataset,
+                                     value, shared_calibration)]
+                 for value in grid}
+        for scenario in units.values():
+            if scenario[0].exception() is None:
+                params, _, _, paths = scenario[0].result()[0]
+                scenario += [pool.submit(_timed, _life_table_rows, config, params,
+                                         paths, gender) for gender in GENDERS]
+        results = [finish(value, units.pop(value, ())) for value in config.method_grid]
     timings["scenarios"] = time.perf_counter() - t0
 
     report = RunReport(

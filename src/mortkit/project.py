@@ -265,14 +265,14 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
 # Life expectancy
 # ---------------------------------------------------------------------------
 
-def _year_fraction(mu: np.ndarray) -> np.ndarray:
-    """(1 - e^-mu)/mu with the mu -> 0 limit of 1.  Steps run in place:
-    every temporary of this size costs a fresh allocation."""
-    fraction = np.negative(mu)
-    np.expm1(fraction, out=fraction)
-    np.negative(fraction, out=fraction)
+def _year_fraction(mu: np.ndarray, negated=None) -> np.ndarray:
+    """(1 - e^-mu)/mu with the mu -> 0 limit of 1, as expm1(-mu)/(-mu), which
+    IEEE sign symmetry makes equal bit for bit; `negated` may hold -mu.
+    Steps run in place: every temporary of this size costs a fresh allocation."""
+    negated = np.negative(mu) if negated is None else negated
+    fraction = np.expm1(negated)
     with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
-        np.divide(fraction, mu, out=fraction)
+        np.divide(fraction, negated, out=fraction)
     fraction[mu == 0] = 1.0
     return fraction
 
@@ -287,13 +287,17 @@ def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
     # too; the initial value lets an empty batch through.
     if not mu.min(initial=np.inf) >= 0:
         raise ValidationError("forces must be nonnegative and not NaN")
-    e = _year_fraction(mu)
-    survival = np.negative(mu)
+    # C order makes the rows below views.  Each age's step runs under the
+    # GIL, so it is two ufunc calls on prepared rows with positional outputs.
+    survival = np.negative(mu, order="C")
+    e = _year_fraction(mu, survival)
     np.exp(survival, out=survival)
-    scratch = np.empty_like(e[0])
-    for x in range(len(e) - 2, -1, -1):
-        np.multiply(survival[x], e[x + 1], out=scratch)
-        e[x] += scratch
+    rows = list(e.reshape(len(e), -1))
+    factors = list(survival.reshape(len(e), -1))
+    scratch = np.empty_like(rows[0])
+    for x in range(len(rows) - 2, -1, -1):
+        np.multiply(factors[x], rows[x + 1], scratch)
+        np.add(rows[x], scratch, rows[x])
     return e
 
 

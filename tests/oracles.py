@@ -1,5 +1,6 @@
 """Earlier kernels, kept as oracles for the ones in the package: a
-per-age cumulative-sum expectancy, a masked year fraction, a Kannisto
+per-age cumulative-sum expectancy, a masked year fraction and the
+backward recursion that negated the forces twice, a Kannisto
 closure that runs in death-probability space and a simulation that
 constructs one generator per path (`mortkit.project`), and the adjusted
 Lee-Miller variant as its own pair of fits (`mortkit.lilee`)."""
@@ -36,6 +37,17 @@ def masked_year_fraction(mu):
     np.divide(fraction, mu, out=fraction, where=~zero)
     fraction[zero] = 1.0
     return fraction
+
+
+def negate_twice_expectancy_kernel(mu):
+    """The backward recursion e_x = f_x + e^(-mu_x) e_(x+1) over ages-major
+    forces, with the masked year fraction -expm1(-mu)/mu and the survival
+    factor from its own negation of mu."""
+    e = masked_year_fraction(mu)
+    survival = np.exp(-np.asarray(mu, dtype=float))
+    for x in range(len(e) - 2, -1, -1):
+        e[x] += survival[x] * e[x + 1]
+    return e
 
 
 def per_path_period_effects(fit, spec):

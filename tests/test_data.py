@@ -141,6 +141,60 @@ class TestWeeklyCsv:
         loaded = load_weekly_csv(path, "STMF", gender="F")
         assert loaded.gender == "F"
 
+    @staticmethod
+    def _two_gender_file(path):
+        write_weekly_csv(path, weekly_stmf(gender="M"), "STMF")
+        write_weekly_csv(path, weekly_stmf(gender="F"), "STMF", append=True)
+        return path
+
+    def test_gender_tuple_splits_the_file_in_one_parse(self, tmp_path):
+        path = self._two_gender_file(tmp_path / "two.csv")
+        split = load_weekly_csv(path, "STMF", year=2020, gender=GENDERS)
+        assert list(split) == list(GENDERS)
+        for gender in GENDERS:
+            one = load_weekly_csv(path, "STMF", year=2020, gender=gender)
+            got = split[gender]
+            assert (got.country, got.gender, got.year, got.week_count,
+                    got.exposure_origin) == (one.country, one.gender, one.year,
+                                             one.week_count, one.exposure_origin)
+            for table in ("deaths", "exposures", "death_rates"):
+                assert list(getattr(got, table)) == list(getattr(one, table))
+                for bucket, values in getattr(one, table).items():
+                    np.testing.assert_array_equal(getattr(got, table)[bucket],
+                                                  values)
+
+    @pytest.mark.parametrize("gender", GENDERS)
+    def test_bad_row_of_either_gender_keeps_its_line(self, tmp_path, gender):
+        path = self._two_gender_file(tmp_path / "two.csv")
+        lines = path.read_text().splitlines(keepends=True)
+        # Line 1 is the header; the F rows follow all five M buckets.
+        lineno = 2 + 3 * 52 + 9 + (5 * 52 if gender == "F" else 0)
+        fields = lines[lineno - 1].split(",")
+        assert fields[3] == gender
+        fields[5] = "n/a"
+        lines[lineno - 1] = ",".join(fields)
+        path.write_text("".join(lines))
+        message = f"{path}:{lineno}: unparseable deaths 'n/a'"
+        with pytest.raises(ParseError) as split:
+            load_weekly_csv(path, "STMF", gender=GENDERS)
+        with pytest.raises(ParseError) as one:
+            load_weekly_csv(path, "STMF", gender=gender)
+        assert str(split.value) == str(one.value) == message
+
+    def test_split_needs_one_series_per_gender(self, tmp_path):
+        path = self._two_gender_file(tmp_path / "two.csv")
+        write_weekly_csv(path, weekly_stmf(country="NLD", gender="F"), "STMF",
+                         append=True)
+        with pytest.raises(ParseError, match="multiple series"):
+            load_weekly_csv(path, "STMF", gender=GENDERS)
+        assert load_weekly_csv(path, "STMF", gender=("M",))["M"].country == "BEL"
+
+    def test_split_needs_rows_for_every_gender(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_weekly_csv(path, weekly_stmf(gender="M"), "STMF")
+        with pytest.raises(ParseError, match="no rows match"):
+            load_weekly_csv(path, "STMF", gender=GENDERS)
+
     def test_duplicate_cell_refused(self, tmp_path):
         path = tmp_path / "dup.csv"
         write_weekly_csv(path, weekly_stmf(), "STMF")

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from readback import import_fit_csv
 from scipy import optimize, stats
 
 import mortkit
@@ -13,8 +14,7 @@ from mortkit import dynamics
 from mortkit.data import YearRange
 from mortkit.dynamics import (LOG_2PI, PSI_NAMES, PeriodEffectSeries,
                               TimeSeriesFit, build_design, export_fit_csv,
-                              fit_weighted_mle, import_fit_csv, loglik,
-                              psi_covariance)
+                              fit_weighted_mle, loglik, psi_covariance)
 from mortkit.errors import ConvergenceError, ParseError, ValidationError
 
 TRUE_PSI = np.array([-0.20, -0.016, 0.95, -0.17, -0.030, 0.90])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 from oracles import two_fit_adjusted_lee_miller
+from readback import import_params_csv
 from scipy.optimize import minimize
 
 from mortkit.data import AgeRange, YearRange
@@ -9,7 +10,7 @@ from mortkit.errors import ConvergenceError, ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, LiLeeParams, calibrate,
                            export_params_csv,
                            fit_adjusted_lee_miller, fit_common_trend,
-                           fit_country_deviation, import_params_csv,
+                           fit_country_deviation,
                            lee_miller_anchors, loglik_gradient,
                            poisson_loglik)
 
@@ -72,6 +73,14 @@ class TestLikelihood:
         got = poisson_loglik(np.array([[2.5]]), np.array([[10.0]]),
                              np.log(np.array([[0.25]])))
         assert got == pytest.approx(2.5 * np.log(0.25) - 2.5, rel=1e-15)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (31, 17)])
+    def test_loglik_is_the_numpy_sum_bit_for_bit(self, rng, shape):
+        d = rng.poisson(50.0, size=shape).astype(float)
+        E = rng.uniform(1e3, 1e5, size=shape)
+        log_mu = rng.uniform(-9.0, -1.0, size=shape)
+        assert poisson_loglik(d, E, log_mu) == \
+            float(np.sum(d * log_mu - E * np.exp(log_mu)))
 
     def test_gradient_matches_finite_differences(self, rng):
         d, E = random_small_problem(rng)

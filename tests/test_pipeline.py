@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import ExitStack
 from dataclasses import replace
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 import yaml
 from oracles import cumsum_expectancy, q_space_kannisto_close, relative_error
+from readback import import_params_csv
 
 from mortkit import dynamics, lilee, pipeline, project
 from mortkit.cli import main
@@ -23,7 +25,6 @@ from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, STMF_BUCKETS, \
 from mortkit.errors import ConfigError, ValidationError
 from mortkit.fixture import (FixtureParams, WeeklyDegradation, build_truth,
                              make_synthetic_fixture, seasonal_weights)
-from mortkit.lilee import import_params_csv
 from mortkit.pipeline import assemble_dataset, diff_reports, run_pipeline
 
 TRUE_THETA = {"M": -0.20, "F": -0.17}
@@ -325,6 +326,17 @@ class TestFixtureBundle:
 # ---------------------------------------------------------------------------
 
 class TestAssembly:
+    def test_each_weekly_file_parsed_once(self, wbundle):
+        root, _, _ = wbundle
+        config = load_run_config(root / "config.yaml")
+        with warnings.catch_warnings(), mock.patch.object(
+                pipeline, "load_weekly_csv", wraps=pipeline.load_weekly_csv) as load:
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assemble_dataset(config)
+        assert sorted(str(c.args[0]) for c in load.call_args_list) == \
+            sorted(str(p) for decl in config.weekly_sources for p in decl.paths)
+        assert all(c.kwargs["gender"] == GENDERS for c in load.call_args_list)
+
     def test_virtual_cells_match_declared_weekly_coverage(self, assembled):
         assert assembled.virtual_cells == {
             "AAA": {"deaths": 0, "exposures": 0},
@@ -582,7 +594,7 @@ def two_pass_fanchart_rows(config, params, fit):
     path batch: the central path ran through its own copy of the life
     tables, closed in death-probability space, with one cumulative-sum
     expectancy kernel per report age.  Kept as the oracle for
-    `pipeline._fanchart_rows`."""
+    the merged records of `pipeline._life_table_rows`."""
     spec = project.ScenarioSpec(
         jump_off_year=config.years.last, horizon=config.horizon,
         n_paths=config.n_paths, seed=config.seed,
@@ -658,6 +670,21 @@ def fanchart_inputs(small_bundle):
     return config, params, fit
 
 
+def fanchart_rows(config, params, fit):
+    """Both genders' life-table units over one path batch, merged in the
+    fan chart's order as the write step merges them."""
+    spec = project.ScenarioSpec(
+        jump_off_year=config.years.last, horizon=config.horizon,
+        n_paths=config.n_paths, seed=config.seed,
+        jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
+                  float(params["F"].K[-1]), float(params["F"].kappa[-1])),
+    )
+    paths = project.path_batch(fit, spec)
+    return pipeline._fanchart_order(
+        [r for gender in GENDERS
+         for r in pipeline._life_table_rows(config, params, paths, gender, {})])
+
+
 class TestFanChartRows:
     @pytest.mark.parametrize("cohort_ages", [(65,), ()])
     def test_matches_the_two_pass_oracle(self, fanchart_inputs, cohort_ages):
@@ -665,7 +692,7 @@ class TestFanChartRows:
         config = replace(config, cohort_ages=cohort_ages)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = pipeline._fanchart_rows(config, params, fit)
+            got = fanchart_rows(config, params, fit)
             want = two_pass_fanchart_rows(config, params, fit)
         assert [r[:5] for r in got] == [r[:5] for r in want]
         assert relative_error([r[5] for r in got], [r[5] for r in want]) < 1e-12
@@ -685,7 +712,7 @@ class TestFanChartRows:
                          project, name, wraps=getattr(project, name)))
                      for name in ("kannisto_close", "period_life_expectancy",
                                   "quantile_summary")}
-            pipeline._fanchart_rows(config, params, fit)
+            fanchart_rows(config, params, fit)
         n_years = config.horizon - config.years.last + 1
         assert calls["kannisto_close"].call_count == 2 * n_years
         assert calls["period_life_expectancy"].call_count == 2 * (
@@ -872,6 +899,110 @@ class TestScenarioIsolation:
         assert "error" in blob
         assert "loglik" not in blob
         assert "score_norm" not in blob
+
+
+# ---------------------------------------------------------------------------
+# Work units: a fit unit per scenario, a life-table unit per (scenario, gender)
+# ---------------------------------------------------------------------------
+
+def cli_run_within(config_path, out, jobs, seconds=120):
+    """`mortkit run` in a fresh interpreter, killed after `seconds`: a pool
+    whose workers wait on one another never returns, and only a process
+    can be stopped from outside."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from mortkit.cli import main; sys.exit(main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", code, str(root / "src"), "run",
+         "--config", str(config_path), "--out", str(out), "--jobs", str(jobs)],
+        capture_output=True, text=True, timeout=seconds)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture(scope="module")
+def grid3(small_bundle):
+    """Path of the small bundle's config over three adjusted Lee-Miller
+    blends."""
+    root, _ = small_bundle
+    return rewrite_config(root, "grid3.yaml",
+                          method={"kind": "ADJUSTED_LEE_MILLER",
+                                  "grid": [1.0, 0.5, 0.0]})
+
+
+@pytest.fixture(scope="module")
+def grid3_runs(grid3, tmp_path_factory):
+    """{jobs: (config, report)}; the one-worker run goes first, in its own
+    process under a time limit, and doubles as the deadlock guard."""
+    out = tmp_path_factory.mktemp("grid3")
+    cli_run_within(grid3, out / "jobs1", 1)
+    runs = {1: (load_run_config(grid3).with_overrides(output_dir=out / "jobs1"),
+                None)}
+    for jobs in (2, 3, 7):
+        config = load_run_config(grid3).with_overrides(output_dir=out / f"jobs{jobs}")
+        runs[jobs] = config, quiet_run(config, jobs)
+    return runs
+
+
+def assert_same_files(out_a, out_b, names):
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+class TestWorkUnits:
+    def test_any_pool_size_writes_the_same_files(self, grid3_runs):
+        first, _ = grid3_runs[1]
+        for _, report in list(grid3_runs.values())[1:]:
+            assert report.all_ok and len(report.scenarios) == 3
+        names = sorted(p.name for p in first.output_dir.iterdir())
+        for config, _ in grid3_runs.values():
+            assert sorted(p.name for p in config.output_dir.iterdir()) == names
+            assert_same_files(first.output_dir, config.output_dir,
+                              [n for n in names if n != "timings.json"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_female_life_tables_fail_only_their_scenario(
+            self, grid3, grid3_runs, tmp_path, jobs):
+        real_fit, real_tables = pipeline.run_scenario, pipeline._life_table_rows
+        doomed = []
+
+        def fit(config, dataset, value, shared_calibration, layers):
+            result = real_fit(config, dataset, value, shared_calibration, layers)
+            if value == 0.5:
+                doomed.append(result[3])
+            return result
+
+        def tables(config, params, paths, gender, layers):
+            if gender == "F" and any(paths is p for p in doomed):
+                raise FloatingPointError("injected F life-table fault")
+            return real_tables(config, params, paths, gender, layers)
+
+        config = load_run_config(grid3).with_overrides(output_dir=tmp_path / "out")
+        with mock.patch.object(pipeline, "run_scenario", fit), \
+                mock.patch.object(pipeline, "_life_table_rows", tables):
+            report = quiet_run(config, jobs)
+        clean_config, clean = grid3_runs[2]
+        failed, = [s for s in report.scenarios if s.status == "failed"]
+        assert failed.label == "alm0.5"
+        assert failed.error == "FloatingPointError: injected F life-table fault"
+        assert failed.files == {}
+        assert not list(config.output_dir.glob("*alm0.5*"))
+        for want, got in zip(clean.scenarios, report.scenarios):
+            if want.label != "alm0.5":
+                assert got.to_json() == want.to_json()
+                assert_same_files(clean_config.output_dir, config.output_dir,
+                                  want.files.values())
+
+    def test_male_error_wins_when_both_genders_fail(self, grid3, tmp_path):
+        def tables(config, params, paths, gender, layers):
+            if gender == "M":
+                time.sleep(0.2)   # the F unit fails first
+            raise ArithmeticError(f"{gender} fault")
+
+        config = load_run_config(grid3).with_overrides(output_dir=tmp_path / "out")
+        with mock.patch.object(pipeline, "_life_table_rows", tables):
+            report = quiet_run(config, 2)
+        assert [s.error for s in report.scenarios] == \
+            ["ArithmeticError: M fault"] * 3
 
 
 # ---------------------------------------------------------------------------

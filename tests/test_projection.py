@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from oracles import (cumsum_expectancy, masked_year_fraction,
+                     negate_twice_expectancy_kernel,
                      per_path_period_effects, q_space_kannisto_close,
                      relative_error)
 
@@ -454,6 +455,21 @@ class TestLifeExpectancy:
             got = project._year_fraction(mu)
         np.testing.assert_array_equal(got, masked_year_fraction(mu))
         assert got[0, 0] == got[1, 3] == 1.0 and got[1, 2] == 0.0
+
+    def test_kernel_matches_the_twice_negating_oracle(self, rng):
+        mu = np.exp(rng.uniform(-12, 1, size=(121, 9)))
+        mu[:, 0] = 0.0
+        mu[::3, 1] = -0.0
+        mu[5::7, 2] = 1e-300
+        mu[40, 3] = np.inf
+        mu[:, 4] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project._expectancy_kernel(mu)
+            fraction = project._year_fraction(mu, np.negative(mu))
+        np.testing.assert_array_equal(got, negate_twice_expectancy_kernel(mu))
+        np.testing.assert_array_equal(fraction, masked_year_fraction(mu))
+        assert got[0, 0] == 121.0 and got[40, 3] == 0.0
 
     def test_rejects_truncated_curve(self):
         with pytest.raises(ValidationError, match="56 values"):
