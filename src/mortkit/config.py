@@ -225,6 +225,9 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
     report = doc.get("report", {}) or {}
     report_ages = tuple(int(a) for a in report.get("ages", (0, 65)))
     cohort_ages = tuple(int(a) for a in report.get("cohort_ages", ()))
+    for key, listed in (("ages", report_ages), ("cohort_ages", cohort_ages)):
+        if len(set(listed)) != len(listed):
+            raise ConfigError(f"report {key} must be distinct")
     for age in report_ages + cohort_ages:
         if not ages.min_age <= age <= ages.max_age:
             raise ConfigError(f"report age {age} outside the model ages {ages}")

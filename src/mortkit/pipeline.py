@@ -398,23 +398,22 @@ def _timed(unit, *args):
 def _life_table_rows(config, params, paths, gender, layers):
     """The life-table unit of one (scenario, gender): the gender's fan-chart
     records from the scenario's path batch, unordered, with one life-table
-    pass and one quantile call per projection year and one per cohort
-    diagonal.  Adds the wall time of each layer it ran to `layers`."""
+    pass and one quantile call per projection year and one for the cohort
+    ages.  Adds the wall time of each layer it ran to `layers`."""
     probes = project.DEFAULT_PROBES
+    names = [_probe_label(p) for p in probes] + ["best"]
     records = []
 
-    def emit(labels, year, values):
-        """Records for each (quantity, gender, age) column of `values`;
-        row 0 is the central path, the other rows the simulated paths."""
+    def emit(labels, year, table):
+        """Records for each (quantity, gender, age) row of `table`: column 0
+        is the central path, the others the simulated paths."""
         with _clock(layers, "quantiles"):
-            table = project.quantile_summary(values[1:], probes,
-                                             best_estimate=values[0])
+            levels = project.quantile_summary(table.T[1:], probes,
+                                              best_estimate=table[:, 0])
+            columns = [levels[key].tolist() for key in (*probes, "best")]
             for k, (quantity, gender, age) in enumerate(labels):
-                for p in probes:
-                    records.append((quantity, gender, age, int(year),
-                                    _probe_label(p), float(table[p][k])))
-                records.append((quantity, gender, age, int(year), "best",
-                                float(table["best"][k])))
+                for name, column in zip(names, columns):
+                    records.append((quantity, gender, age, year, name, column[k]))
 
     span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
     a0 = config.ages.min_age   # closed curves cover ages a0..120
@@ -431,22 +430,23 @@ def _life_table_rows(config, params, paths, gender, layers):
         with _clock(layers, "life_tables"):
             mu = project.force_paths(params[gender], paths, gender, int(year))
             mu_cl = project.kannisto_close(mu, a0, forces=True)
-            columns = [paths.K[gender][:, j], paths.kappa[gender][:, j],
-                       -np.expm1(-mu[:, report_at])]
+            table = np.empty((len(labels), rows))   # one row per label
+            table[0], table[1] = paths.K[gender][:, j], paths.kappa[gender][:, j]
+            table[2:2 + len(report_ages)] = -np.expm1(-mu.T[report_at])
             if report_ages:
-                columns.append(project.period_life_expectancy(
-                    mu_cl[:, r0 - a0:], report_ages))
+                table[2 + len(report_ages):] = project.period_life_expectancy(
+                    mu_cl[:, r0 - a0:], report_ages).T
             for age, width in span.items():
                 if j < width:
                     diag[age][:, j] = mu_cl[:, age + j - a0]
-        emit(labels, year, np.column_stack(columns))
+        emit(labels, int(year), table)
     if config.cohort_ages:
         # Cohort expectancy: the period kernel applied on the diagonal.
         with _clock(layers, "life_tables"):
-            e_coh = np.column_stack([project.period_life_expectancy(diag[age], age)
-                                     for age in config.cohort_ages])
+            e_coh = np.stack([project.period_life_expectancy(diag[age], age)
+                              for age in config.cohort_ages])
         emit([("e_coh", gender, age) for age in config.cohort_ages],
-             paths.years[0], e_coh)
+             int(paths.years[0]), e_coh)
     return records
 
 

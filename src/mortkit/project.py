@@ -178,10 +178,10 @@ def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
     the closure and the expectancy kernel work in."""
     j = paths.year_index(year)
     K = paths.K[gender][:, j]
-    kappa = paths.kappa[gender][:, j]
-    mu = np.multiply.outer(params.B, K)
-    mu += (params.A + params.alpha)[:, None]
-    mu += np.multiply.outer(params.beta, kappa)
+    # One contraction sums (B K + (A + alpha)) + beta kappa in that order, bit-equal
+    # to broadcast sums on builds without fused multiply-add (not for one row).
+    coef = np.stack([params.B, params.A + params.alpha, params.beta], axis=1)
+    mu = np.einsum("xk,kr->xr", coef, [K, np.ones_like(K), paths.kappa[gender][:, j]])
     return np.exp(mu, out=mu).T
 
 
@@ -242,14 +242,13 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
     if np.any(slope <= 1e-12):
         warnings.warn("fitted logistic is non-increasing in age (phi <= 0)",
                       RuntimeWarning, stacklevel=2)
-    # The logistic is evaluated in place in the result's tail columns.
-    closed = np.moveaxis(
-        np.empty((MAX_AGE + 1 - ages_lo,) + curve.shape[:-1]), 0, -1)
-    closed[..., :n_in] = curve
-    tail = closed[..., n_in:]
-    np.multiply.outer(slope, np.arange(top_in + 1, MAX_AGE + 1, dtype=float),
+    # The logistic fills the tail in place, one contiguous age row at a time.
+    closed = np.empty((MAX_AGE + 1 - ages_lo,) + curve.shape[:-1])
+    closed[:n_in] = np.moveaxis(curve, -1, 0)
+    tail = closed[n_in:]
+    np.multiply.outer(np.arange(top_in + 1, MAX_AGE + 1, dtype=float), slope,
                       out=tail)
-    tail += intercept[..., None]
+    tail += intercept
     np.negative(tail, out=tail)
     np.exp(tail, out=tail)
     tail += 1.0
@@ -258,22 +257,24 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
         np.negative(tail, out=tail)
         np.expm1(tail, out=tail)
         np.negative(tail, out=tail)
-    return closed
+    return np.moveaxis(closed, 0, -1)
 
 
 # ---------------------------------------------------------------------------
 # Life expectancy
 # ---------------------------------------------------------------------------
 
-def _year_fraction(mu: np.ndarray, negated=None) -> np.ndarray:
+def _year_fraction(mu: np.ndarray, negated=None, least=0.0) -> np.ndarray:
     """(1 - e^-mu)/mu with the mu -> 0 limit of 1, as expm1(-mu)/(-mu), which
-    IEEE sign symmetry makes equal bit for bit; `negated` may hold -mu.
+    IEEE sign symmetry makes equal bit for bit; `negated` may hold -mu, and a
+    known positive least force `least` skips the scan for zeros.
     Steps run in place: every temporary of this size costs a fresh allocation."""
     negated = np.negative(mu) if negated is None else negated
     fraction = np.expm1(negated)
     with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
         np.divide(fraction, negated, out=fraction)
-    fraction[mu == 0] = 1.0
+    if least == 0:
+        fraction[mu == 0] = 1.0
     return fraction
 
 
@@ -285,12 +286,13 @@ def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
     ends the sequence at that age."""
     # min propagates NaN, which compares false, so NaN fails the check
     # too; the initial value lets an empty batch through.
-    if not mu.min(initial=np.inf) >= 0:
+    least = mu.min(initial=np.inf)
+    if not least >= 0:
         raise ValidationError("forces must be nonnegative and not NaN")
     # C order makes the rows below views.  Each age's step runs under the
     # GIL, so it is two ufunc calls on prepared rows with positional outputs.
     survival = np.negative(mu, order="C")
-    e = _year_fraction(mu, survival)
+    e = _year_fraction(mu, survival, least)
     np.exp(survival, out=survival)
     rows = list(e.reshape(len(e), -1))
     factors = list(survival.reshape(len(e), -1))
@@ -363,12 +365,27 @@ def quantile_summary(samples: np.ndarray, probes=DEFAULT_PROBES,
 
     Returns {probe: value(s)} plus a "best" entry when the zero-noise
     central-path value is supplied; the median stays alongside it.
+    The values are `np.quantile(method="linear")`'s for float probes, from
+    one sort along the path axis (fastest when that axis is contiguous).
     """
     samples = np.asarray(samples, dtype=float)
     probes = tuple(probes)
     if any(not 0.0 <= p <= 1.0 for p in probes):
         raise ValidationError("probes must lie in [0, 1]")
-    levels = np.quantile(samples, probes, axis=0, method="linear")
+    ordered = np.sort(samples, axis=0)
+    n = len(ordered)
+    virtual = (n - 1) * np.array(probes, dtype=float)
+    # numpy's rules: an index at or past the last reads it on both sides, and
+    # the lerp runs from the upper neighbour when gamma >= 0.5.
+    top = virtual >= n - 1
+    below = np.where(top, -1.0, np.floor(virtual))
+    gamma = (virtual - below).reshape((-1,) + (1,) * (ordered.ndim - 1))
+    low = ordered[below.astype(np.intp)]
+    high = ordered[np.where(top, -1, below + 1).astype(np.intp)]
+    step = high - low
+    levels = low + step * gamma
+    np.subtract(high, step * (1 - gamma), out=levels, where=gamma >= 0.5)
+    np.copyto(levels, ordered[-1], where=np.isnan(ordered[-1]))   # NaN sorts last
     out = {p: levels[i] for i, p in enumerate(probes)}
     if best_estimate is not None:
         out["best"] = np.asarray(best_estimate, dtype=float)

@@ -1,13 +1,16 @@
 """Earlier kernels, kept as oracles for the ones in the package: a
 per-age cumulative-sum expectancy, a masked year fraction and the
 backward recursion that negated the forces twice, a Kannisto
-closure that runs in death-probability space and a simulation that
-constructs one generator per path (`mortkit.project`), and the adjusted
+closure that runs in death-probability space, a simulation that
+constructs one generator per path, forces from two broadcast outer
+products, the closure's tail evaluated on the path-major view and
+quantiles from `np.quantile` (`mortkit.project`), and the adjusted
 Lee-Miller variant as its own pair of fits (`mortkit.lilee`)."""
 import warnings
 
 import numpy as np
 
+from mortkit.errors import ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
                            FittedSurface, LiLeeParams, lee_miller_anchors,
                            poisson_loglik)
@@ -63,6 +66,44 @@ def per_path_period_effects(fit, spec):
     return _recur(spec, fit, eps)
 
 
+def outer_product_force_paths(params, paths, gender, year):
+    """mu over the model ages for one year, shape (rows, n_ages), built as
+    B K + (A + alpha) + beta kappa from two broadcast outer products."""
+    j = paths.year_index(year)
+    mu = np.multiply.outer(params.B, paths.K[gender][:, j])
+    mu += (params.A + params.alpha)[:, None]
+    mu += np.multiply.outer(params.beta, paths.kappa[gender][:, j])
+    return np.exp(mu, out=mu).T
+
+
+def np_quantile_summary(samples, probes, best_estimate=None):
+    """Quantiles over axis 0 from `np.quantile(method="linear")`, as a
+    {probe: value(s)} dict with a "best" entry when one is supplied."""
+    samples = np.asarray(samples, dtype=float)
+    probes = tuple(probes)
+    if any(not 0.0 <= p <= 1.0 for p in probes):
+        raise ValidationError("probes must lie in [0, 1]")
+    levels = np.quantile(samples, probes, axis=0, method="linear")
+    out = {p: levels[i] for i, p in enumerate(probes)}
+    if best_estimate is not None:
+        out["best"] = np.asarray(best_estimate, dtype=float)
+    return out
+
+
+def _logit_fit(mu_fit):
+    """Least-squares (slope, intercept) of logit(mu) on ages 80..90, with
+    forces at or above 1 clamped just below 1."""
+    if np.any(mu_fit >= 1.0):
+        warnings.warn("force >= 1 clamped below 1 for the logit fit",
+                      RuntimeWarning, stacklevel=3)
+        mu_fit = np.minimum(mu_fit, FORCE_CLAMP)
+    x = np.arange(KANNISTO_FIT_LO, KANNISTO_FIT_HI + 1, dtype=float)
+    y = np.log(mu_fit) - np.log1p(-mu_fit)
+    xbar = x.mean()
+    slope = ((x - xbar) * y).sum(axis=-1) / np.sum((x - xbar) ** 2)
+    return slope, y.mean(axis=-1) - slope * xbar
+
+
 def q_space_kannisto_close(q, ages_lo=0):
     """Death probabilities over ages `ages_lo`..90 extended to age 120 by
     a logistic in the force fitted on logit(mu) at ages 80..90, with
@@ -71,20 +112,33 @@ def q_space_kannisto_close(q, ages_lo=0):
     top_in = ages_lo + q.shape[-1] - 1
     lo = KANNISTO_FIT_LO - ages_lo
     hi = KANNISTO_FIT_HI - ages_lo
-    mu_fit = -np.log1p(-q[..., lo:hi + 1])
-    if np.any(mu_fit >= 1.0):
-        warnings.warn("force >= 1 clamped below 1 for the logit fit",
-                      RuntimeWarning, stacklevel=2)
-        mu_fit = np.minimum(mu_fit, FORCE_CLAMP)
-    x = np.arange(KANNISTO_FIT_LO, KANNISTO_FIT_HI + 1, dtype=float)
-    y = np.log(mu_fit) - np.log1p(-mu_fit)
-    xbar = x.mean()
-    slope = ((x - xbar) * y).sum(axis=-1) / np.sum((x - xbar) ** 2)
-    intercept = y.mean(axis=-1) - slope * xbar
+    slope, intercept = _logit_fit(-np.log1p(-q[..., lo:hi + 1]))
     ext_ages = np.arange(top_in + 1, MAX_AGE + 1, dtype=float)
     logit_mu = intercept[..., None] + slope[..., None] * ext_ages
     mu_ext = 1.0 / (1.0 + np.exp(-logit_mu))
     return np.concatenate([q, -np.expm1(-mu_ext)], axis=-1)
+
+
+def path_major_kannisto_close(mu, ages_lo=0):
+    """Forces over ages `ages_lo`..90 closed to age 120, with the tail
+    evaluated in place on the path-major view of an ages-major buffer,
+    one strided column per age."""
+    mu = np.asarray(mu, dtype=float)
+    n_in = mu.shape[-1]
+    lo = KANNISTO_FIT_LO - ages_lo
+    hi = KANNISTO_FIT_HI - ages_lo
+    slope, intercept = _logit_fit(np.ascontiguousarray(mu[..., lo:hi + 1]))
+    closed = np.moveaxis(np.empty((MAX_AGE + 1 - ages_lo,) + mu.shape[:-1]), 0, -1)
+    closed[..., :n_in] = mu
+    tail = closed[..., n_in:]
+    np.multiply.outer(slope, np.arange(ages_lo + n_in, MAX_AGE + 1, dtype=float),
+                      out=tail)
+    tail += intercept[..., None]
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    tail += 1.0
+    np.divide(1.0, tail, out=tail)
+    return closed
 
 
 def relative_error(got, want):

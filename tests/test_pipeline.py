@@ -14,7 +14,9 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
-from oracles import cumsum_expectancy, q_space_kannisto_close, relative_error
+from oracles import (cumsum_expectancy, np_quantile_summary,
+                     outer_product_force_paths, q_space_kannisto_close,
+                     relative_error)
 from readback import import_params_csv
 
 from mortkit import dynamics, lilee, pipeline, project
@@ -186,6 +188,14 @@ class TestRunConfig:
         doc = base_doc()
         doc["method"]["grid"] = [1.0, 1.0]
         with pytest.raises(ConfigError, match="distinct"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("key", ["ages", "cohort_ages"])
+    def test_duplicate_report_ages_refused(self, tmp_path, key):
+        doc = base_doc()
+        doc["simulation"]["horizon"] = 2100
+        doc["report"][key] = [65, 70, 65]
+        with pytest.raises(ConfigError, match=f"report {key} must be distinct"):
             load_doc(tmp_path, doc)
 
     def test_method_kind_is_case_insensitive(self, tmp_path):
@@ -593,21 +603,17 @@ def two_pass_fanchart_rows(config, params, fit):
     """The fan-chart records as computed before the central path joined the
     path batch: the central path ran through its own copy of the life
     tables, closed in death-probability space, with one cumulative-sum
-    expectancy kernel per report age.  Kept as the oracle for
-    the merged records of `pipeline._life_table_rows`."""
-    spec = project.ScenarioSpec(
-        jump_off_year=config.years.last, horizon=config.horizon,
-        n_paths=config.n_paths, seed=config.seed,
-        jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
-                  float(params["F"].K[-1]), float(params["F"].kappa[-1])),
-    )
+    expectancy kernel per report age, forces from outer products and
+    quantiles from `np.quantile`.  Kept as the oracle for the merged
+    records of `pipeline._life_table_rows`."""
+    spec = batch_spec(config, params)
     paths = project.simulate_period_effects(fit, spec)
     central = project.central_period_effects(fit, spec)
     probes = project.DEFAULT_PROBES
     records = []
 
     def emit(quantity, gender, age, year, samples, best):
-        table = project.quantile_summary(samples, probes, best_estimate=best)
+        table = np_quantile_summary(samples, probes, best_estimate=best)
         for p in probes:
             records.append((quantity, gender, age, int(year),
                             pipeline._probe_label(p), float(table[p])))
@@ -627,8 +633,9 @@ def two_pass_fanchart_rows(config, params, fit):
         diag = {a: np.empty((config.n_paths, span[a])) for a in config.cohort_ages}
         diag_c = {a: np.empty((1, span[a])) for a in config.cohort_ages}
         for j, year in enumerate(paths.years):
-            mu = project.force_paths(params[gender], paths, gender, int(year))
-            mu_c = project.force_paths(params[gender], central, gender, int(year))
+            mu = outer_product_force_paths(params[gender], paths, gender, int(year))
+            mu_c = outer_product_force_paths(params[gender], central, gender,
+                                             int(year))
             q = -np.expm1(-mu)
             q_c = -np.expm1(-mu_c)
             mu_cl = -np.log1p(-q_space_kannisto_close(q, a0))
@@ -670,16 +677,20 @@ def fanchart_inputs(small_bundle):
     return config, params, fit
 
 
-def fanchart_rows(config, params, fit):
-    """Both genders' life-table units over one path batch, merged in the
-    fan chart's order as the write step merges them."""
-    spec = project.ScenarioSpec(
+def batch_spec(config, params):
+    """The scenario spec of `config`, jumping off from the calibrated state."""
+    return project.ScenarioSpec(
         jump_off_year=config.years.last, horizon=config.horizon,
         n_paths=config.n_paths, seed=config.seed,
         jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
                   float(params["F"].K[-1]), float(params["F"].kappa[-1])),
     )
-    paths = project.path_batch(fit, spec)
+
+
+def fanchart_rows(config, params, fit):
+    """Both genders' life-table units over one path batch, merged in the
+    fan chart's order as the write step merges them."""
+    paths = project.path_batch(fit, batch_spec(config, params))
     return pipeline._fanchart_order(
         [r for gender in GENDERS
          for r in pipeline._life_table_rows(config, params, paths, gender, {})])
@@ -704,21 +715,25 @@ class TestFanChartRows:
     @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
     def test_one_life_table_pass_per_gender_and_year(self, fanchart_inputs,
                                                      cohort_ages):
+        """One life-table unit calls each traced life-table name once per
+        projection year, plus the cohort's calls: the counts the
+        benchmark's per-layer figures rest on."""
         config, params, fit = fanchart_inputs
         config = replace(config, cohort_ages=cohort_ages)
+        paths = project.path_batch(fit, batch_spec(config, params))
+        names = ("force_paths", "kannisto_close", "period_life_expectancy",
+                 "quantile_summary")
         with warnings.catch_warnings(), ExitStack() as stack:
             warnings.simplefilter("ignore", RuntimeWarning)
             calls = {name: stack.enter_context(mock.patch.object(
                          project, name, wraps=getattr(project, name)))
-                     for name in ("kannisto_close", "period_life_expectancy",
-                                  "quantile_summary")}
-            fanchart_rows(config, params, fit)
+                     for name in names}
+            pipeline._life_table_rows(config, params, paths, "F", {})
         n_years = config.horizon - config.years.last + 1
-        assert calls["kannisto_close"].call_count == 2 * n_years
-        assert calls["period_life_expectancy"].call_count == 2 * (
-            n_years + len(cohort_ages))
-        assert calls["quantile_summary"].call_count == \
-            2 * (n_years + bool(cohort_ages))
+        assert {name: calls[name].call_count for name in names} == {
+            "force_paths": n_years, "kannisto_close": n_years,
+            "period_life_expectancy": n_years + len(cohort_ages),
+            "quantile_summary": n_years + bool(cohort_ages)}
 
 
 # ---------------------------------------------------------------------------

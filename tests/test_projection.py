@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from oracles import (cumsum_expectancy, masked_year_fraction,
-                     negate_twice_expectancy_kernel,
+                     negate_twice_expectancy_kernel, np_quantile_summary,
+                     outer_product_force_paths, path_major_kannisto_close,
                      per_path_period_effects, q_space_kannisto_close,
                      relative_error)
 
@@ -463,12 +466,15 @@ class TestLifeExpectancy:
         mu[5::7, 2] = 1e-300
         mu[40, 3] = np.inf
         mu[:, 4] = np.inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = project._expectancy_kernel(mu)
-            fraction = project._year_fraction(mu, np.negative(mu))
-        np.testing.assert_array_equal(got, negate_twice_expectancy_kernel(mu))
-        np.testing.assert_array_equal(fraction, masked_year_fraction(mu))
+        zero_free = mu[:, 2:]   # least force 1e-300: the scan for zeros is skipped
+        assert zero_free.min() == 1e-300
+        for forces in (zero_free, mu):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = project._expectancy_kernel(forces)
+                fraction = project._year_fraction(forces, np.negative(forces))
+            np.testing.assert_array_equal(got, negate_twice_expectancy_kernel(forces))
+            np.testing.assert_array_equal(fraction, masked_year_fraction(forces))
         assert got[0, 0] == 121.0 and got[40, 3] == 0.0
 
     def test_rejects_truncated_curve(self):
@@ -640,3 +646,100 @@ class TestExpectancyAgainstTheCumsumKernel:
         steps = np.arange(56)
         want = cumsum_expectancy(surface[:, steps, 65 + steps])
         assert relative_error(cohort_life_expectancy(surface, 65), want) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One pass per step: forces, closure tail and quantiles against the forms
+# they replaced
+# ---------------------------------------------------------------------------
+
+def coefficients(n):
+    return hnp.arrays(float, n, elements=st.floats(-0.1, 0.1))
+
+
+@st.composite
+def force_inputs(draw):
+    """A (LiLeeParams, SimulationPaths) pair with random age and period
+    effects, 1 to 40 rows and 1 to 91 ages."""
+    n_ages = draw(st.integers(1, 91))
+    rows = draw(st.integers(1, 40))
+    years = YearRange(2018, 2020)
+    params = LiLeeParams(
+        ages=AgeRange(0, n_ages - 1), years=years,
+        A=draw(hnp.arrays(float, n_ages, elements=st.floats(-12.0, 0.0))),
+        B=draw(coefficients(n_ages)), K=np.zeros(3),
+        alpha=draw(hnp.arrays(float, n_ages, elements=st.floats(-1.0, 1.0))),
+        beta=draw(coefficients(n_ages)), kappa=np.zeros(3))
+    effects = {name: {g: draw(hnp.arrays(float, (rows, 2),
+                                         elements=st.floats(-bound, bound)))
+                      for g in ("M", "F")}
+               for name, bound in (("K", 100.0), ("kappa", 10.0))}
+    return params, SimulationPaths(years=np.arange(2020, 2022), **effects)
+
+
+class TestOnePassKernels:
+    @settings(deadline=None)
+    @given(force_inputs(), st.sampled_from(["M", "F"]), st.sampled_from([2020, 2021]))
+    def test_forces_match_the_outer_products(self, inputs, gender, year):
+        params, paths = inputs
+        got = force_paths(params, paths, gender, year)
+        want = outer_product_force_paths(params, paths, gender, year)
+        assert got.shape == want.shape
+        assert relative_error(got, want) < 1e-12
+        # A single row takes einsum's dot-product loop, which adds beta kappa
+        # before A + alpha; every batch of two or more rows is bit-equal.
+        if len(got) > 1:
+            np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 80), st.integers(0, 3), st.booleans(), st.data())
+    def test_closure_tail_matches_the_path_major_form(self, ages_lo, rows,
+                                                      ages_major, data):
+        n_in = 91 - ages_lo
+        forces = hnp.arrays(float, (n_in, rows) if ages_major else (rows, n_in),
+                            elements=st.floats(1e-6, 1.5))
+        mu = data.draw(forces)
+        mu = mu.T if ages_major else mu
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = kannisto_close(mu, ages_lo, forces=True)
+            want = path_major_kannisto_close(mu, ages_lo)
+        assert got.shape == want.shape == (rows, MAX_AGE + 1 - ages_lo)
+        np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 30), st.sampled_from([None, 0, 1, 4]), st.booleans(),
+           st.data())
+    def test_quantiles_equal_numpys_linear_method(self, n, columns, path_major,
+                                                  data):
+        """Ties, signed zeros, infinities and NaN columns, on 1-D samples
+        and on either layout of 2-D ones."""
+        values = st.one_of(st.floats(allow_nan=False),
+                           st.sampled_from([0.0, -0.0, 1.0, 2.5]))
+        if columns is None:
+            shape = (n,)
+        else:
+            shape = (n, columns) if path_major else (columns, n)
+        samples = data.draw(hnp.arrays(float, shape, elements=values))
+        if columns is not None and not path_major:
+            samples = samples.T
+        flat = samples.reshape(n, -1)
+        if flat.shape[1]:
+            for column in data.draw(st.sets(st.integers(0, flat.shape[1] - 1))):
+                flat[data.draw(st.integers(0, n - 1)), column] = np.nan
+        probes = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, 0.005, 0.5, 0.995, 1.0]),
+                      st.floats(0.0, 1.0)), min_size=1, max_size=4, unique=True))
+        best = samples[0]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = quantile_summary(samples, probes, best_estimate=best)
+            want = np_quantile_summary(samples, probes, best_estimate=best)
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.shape(got[key]) == np.shape(want[key])
+            np.testing.assert_array_equal(got[key], want[key])
+
+    def test_quantiles_interpolate_from_the_upper_side_at_one_half(self):
+        # 0.1 + 0.6 / 2 rounds to 0.4, 0.7 - 0.6 / 2 to the float below it.
+        got = quantile_summary(np.array([[0.7], [0.1]]), (0.5,))
+        assert got[0.5][0] == np.quantile([0.1, 0.7], 0.5) == 0.39999999999999997
