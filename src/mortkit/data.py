@@ -21,8 +21,12 @@ from .errors import ParseError, ValidationError
 
 GENDERS = ("M", "F")
 
-#: Admissible provenance codes for individual-age cells.
+#: Admissible provenance names for individual-age cells; surfaces and
+#: fragments store the index of a name, and the CSV files the name.
 PROVENANCE_CODES = ("HMD", "EURO", "STATBEL", "STMF", "EUROW", "VIRTUAL")
+
+#: Code of the cells that ungrouping filled.
+VIRTUAL = PROVENANCE_CODES.index("VIRTUAL")
 
 #: Quantities of a SurfaceFragment record, by their code.
 FRAGMENT_QUANTITIES = ("deaths", "exposure")
@@ -282,7 +286,8 @@ class MortalitySurface:
 
     Arrays are indexed [age, year].  Provenance is tracked separately for
     deaths and exposures because a single cell can mix sources (observed
-    deaths next to ungrouped exposures).
+    deaths next to ungrouped exposures); it is held as int8 codes into
+    PROVENANCE_CODES.
     """
 
     country: str
@@ -315,9 +320,10 @@ class MortalitySurface:
             )
         for name in ("deaths_provenance", "exposures_provenance"):
             codes = getattr(self, name)
-            if not np.isin(codes, PROVENANCE_CODES).all():
-                bad = set(np.unique(codes)) - set(PROVENANCE_CODES)
-                raise ValidationError(f"unknown provenance codes {sorted(bad)}")
+            if not (codes.dtype == np.int8 and codes.min() >= 0
+                    and codes.max() < len(PROVENANCE_CODES)):
+                raise ValidationError(
+                    f"{name} must hold int8 codes 0..{len(PROVENANCE_CODES) - 1}")
 
     @property
     def death_rates(self) -> np.ndarray:
@@ -325,8 +331,8 @@ class MortalitySurface:
 
     def virtual_cell_count(self) -> dict[str, int]:
         return {
-            "deaths": int(np.sum(self.deaths_provenance == "VIRTUAL")),
-            "exposures": int(np.sum(self.exposures_provenance == "VIRTUAL")),
+            "deaths": int(np.sum(self.deaths_provenance == VIRTUAL)),
+            "exposures": int(np.sum(self.exposures_provenance == VIRTUAL)),
         }
 
 

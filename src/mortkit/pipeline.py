@@ -28,10 +28,9 @@ import numpy as np
 
 from . import dynamics, lilee, project
 from .config import RunConfig, WEIGHTED_LIKELIHOOD, aux_start_for
-from .data import (FRAGMENT_QUANTITIES, GENDERS, PROVENANCE_CODES,
-                   MortalitySurface, MultiPopulationDataset, SurfaceFragment,
-                   UK_CODE, YearRange, aggregate_uk,
-                   annualize_weekly_deaths, annualize_weekly_exposure,
+from .data import (FRAGMENT_QUANTITIES, GENDERS, VIRTUAL, MortalitySurface,
+                   MultiPopulationDataset, SurfaceFragment, UK_CODE, YearRange,
+                   aggregate_uk, annualize_weekly_deaths, annualize_weekly_exposure,
                    check_eurostat_stmf_consistency, load_individual_age_csv,
                    load_weekly_csv)
 from .errors import ConfigError, ValidationError
@@ -39,14 +38,8 @@ from .ungroup import fit_auxiliary_projection_model, ungroup_deaths, ungroup_exp
 
 _QUANTITY_FIELD = {"deaths": "deaths", "exposures": "exposure"}
 
-#: Provenance names by code; the assembler keeps codes, and a cell no
-#: source filled keeps code 0 (HMD) until the gap check refuses it.
-_PROVENANCE_NAMES = np.array(PROVENANCE_CODES)
-_VIRTUAL = PROVENANCE_CODES.index("VIRTUAL")
-
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
-_PROBE_LABELS = {0.005: "0.005", 0.5: "0.5", 0.995: "0.995"}
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +85,8 @@ class _Assembler:
         self.years = config.years
         # Indexed [country, gender, quantity, age, year], quantities in
         # FRAGMENT_QUANTITIES order; the per-(country, gender) grids are views.
+        # A cell no source filled keeps NaN and provenance code 0 until the
+        # gap check refuses it.
         shape = (len(config.countries), len(GENDERS), len(FRAGMENT_QUANTITIES),
                  len(config.ages), len(config.years))
         self._values = np.full(shape, np.nan)
@@ -180,7 +175,7 @@ class _Assembler:
         ok = np.ones(len(self.years), dtype=bool)
         for g in GENDERS:
             ok &= ~np.isnan(grids[country, g]).any(axis=0)
-            ok &= ~(provs[country, g] == _VIRTUAL).any(axis=0)
+            ok &= ~(provs[country, g] == VIRTUAL).any(axis=0)
         return set(self.years.values()[ok].tolist())
 
     def last_fully_observed(self, country) -> int:
@@ -204,25 +199,8 @@ class _Assembler:
             raise ValidationError(
                 f"auxiliary window {window} too short; time dynamics need >= 8 years"
             )
-        j0 = self.years.index(window.first)
-        j1 = self.years.index(window.last) + 1
-        surfaces = {}
-        for c in members:
-            for g in GENDERS:
-                key = (c, g)
-                d = self.deaths[key][:, j0:j1]
-                e = self.exposures[key][:, j0:j1]
-                if np.any(np.isnan(d)) or np.any(np.isnan(e)):
-                    raise ValidationError(
-                        f"{c}/{g}: observed window {window} has gaps"
-                    )
-                surfaces[key] = MortalitySurface(
-                    c, g, self.ages, window, d.copy(), e.copy(),
-                    _PROVENANCE_NAMES[self.dprov[key][:, j0:j1]],
-                    _PROVENANCE_NAMES[self.eprov[key][:, j0:j1]],
-                )
-        dataset = MultiPopulationDataset(surfaces=surfaces, common_pool=pool)
-        aux = fit_auxiliary_projection_model(dataset, country)
+        aux = fit_auxiliary_projection_model(self._dataset(members, pool, window),
+                                             country)
         self._aux_cache[country] = aux
         return aux
 
@@ -277,7 +255,7 @@ class _Assembler:
             result = ungroup_exposures(prev_col, annual, self.ages,
                                        prev_open_total=total_prev)
             self.exposures[key][:, j] = result.values
-            self.eprov[key][:, j] = _VIRTUAL
+            self.eprov[key][:, j] = VIRTUAL
 
     def _reference_tail(self, country, gender, ref_year):
         try:
@@ -319,18 +297,19 @@ class _Assembler:
                 allocation_rate=self.config.death_allocation_rate[gender],
             )
             self.deaths[key][:, j] = result.values
-            self.dprov[key][:, j] = _VIRTUAL
+            self.dprov[key][:, j] = VIRTUAL
 
-    # -- final assembly -------------------------------------------------------
+    # -- datasets -------------------------------------------------------------
 
-    def build(self) -> AssembledData:
+    def _dataset(self, countries, pool, window) -> MultiPopulationDataset:
+        """One surface per (country, gender) over the years of `window`,
+        copied from the grids; a cell no source filled is refused by name."""
+        cols = slice(self.years.index(window.first), self.years.index(window.last) + 1)
         surfaces = {}
-        virtual = {}
-        for country in self.config.countries:
-            v = {"deaths": 0, "exposures": 0}
+        for country in countries:
             for gender in GENDERS:
                 key = (country, gender)
-                d, e = self.deaths[key], self.exposures[key]
+                d, e = self.deaths[key][:, cols], self.exposures[key][:, cols]
                 for name, arr in (("deaths", d), ("exposures", e)):
                     holes = np.argwhere(np.isnan(arr))
                     if holes.size:
@@ -338,18 +317,21 @@ class _Assembler:
                         raise ValidationError(
                             f"{country}/{gender}: no source produced {name} for "
                             f"age {self.ages.min_age + x}, year "
-                            f"{self.years.first + t} (and {len(holes) - 1} more cells)"
+                            f"{window.first + t} (and {len(holes) - 1} more cells)"
                         )
                 surfaces[key] = MortalitySurface(
-                    country, gender, self.ages, self.years,
-                    d.copy(), e.copy(), _PROVENANCE_NAMES[self.dprov[key]],
-                    _PROVENANCE_NAMES[self.eprov[key]],
-                )
-                for name, count in surfaces[key].virtual_cell_count().items():
-                    v[name] += count
-            virtual[country] = v
-        dataset = MultiPopulationDataset(surfaces=surfaces,
-                                         common_pool=self.config.common_pool)
+                    country, gender, self.ages, window, d.copy(), e.copy(),
+                    self.dprov[key][:, cols].copy(), self.eprov[key][:, cols].copy())
+        return MultiPopulationDataset(surfaces=surfaces, common_pool=pool)
+
+    def build(self) -> AssembledData:
+        dataset = self._dataset(self.config.countries, self.config.common_pool,
+                                self.years)
+        virtual = {}
+        for (country, _), surface in dataset.surfaces.items():
+            counts = virtual.setdefault(country, {"deaths": 0, "exposures": 0})
+            for name, count in surface.virtual_cell_count().items():
+                counts[name] += count
         return AssembledData(dataset=dataset, consistency=self.consistency,
                              exposure_origins=self.exposure_origins,
                              virtual_cells=virtual)
@@ -366,10 +348,6 @@ def assemble_dataset(config: RunConfig) -> AssembledData:
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
-
-def _probe_label(p) -> str:
-    return _PROBE_LABELS.get(p, format(p, "g"))
-
 
 def _scenario_label(config, value) -> str:
     prefix = "w" if config.method_kind == WEIGHTED_LIKELIHOOD else "alm"
@@ -401,7 +379,7 @@ def _life_table_rows(config, params, paths, gender, layers):
     pass and one quantile call per projection year and one for the cohort
     ages.  Adds the wall time of each layer it ran to `layers`."""
     probes = project.DEFAULT_PROBES
-    names = [_probe_label(p) for p in probes] + ["best"]
+    names = [format(p, "g") for p in probes] + ["best"]
     records = []
 
     def emit(labels, year, table):
@@ -569,8 +547,7 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
         paths = project.path_batch(fit, project.ScenarioSpec(
             jump_off_year=config.years.last, horizon=config.horizon,
             n_paths=config.n_paths, seed=config.seed,
-            jump_off=(float(params["M"].K[-1]), float(params["M"].kappa[-1]),
-                      float(params["F"].K[-1]), float(params["F"].kappa[-1])),
+            jump_off=params["M"].jump_off + params["F"].jump_off,
         ))
     return params, calibration, fit, paths
 

@@ -23,7 +23,7 @@ from .data import (AgeBucket, AgeRange, BucketedAnnualSeries, GENDERS,
 from .dynamics import InstabilityWarning, TimeSeriesFit, fit_period_effects
 from .errors import ValidationError
 from .lilee import calibrate_dataset
-from .project import OPEN_BUCKET_TOP, kannisto_close
+from .project import OPEN_BUCKET_TOP, ScenarioSpec, central_period_effects, kannisto_close
 
 #: Default gender-specific share of open-bucket excess allocated to age 90.
 DEATH_ALLOCATION_RATE = {"M": 0.20, "F": 0.145}
@@ -187,19 +187,17 @@ class AuxiliaryModel:
     years: YearRange
 
     def central_force(self, gender: str, year: int) -> np.ndarray:
-        """Fitted force for calibration years, zero-noise projection after."""
+        """Fitted force for calibration years, after them the force of the
+        scenarios' central path jumping off at the last calibration year."""
         p = self.params[gender]
         if year <= self.years.last:
             j = self.years.index(year)
             return np.exp(p.log_mu()[:, j])
-        K = float(p.K[-1])
-        kappa = float(p.kappa[-1])
-        theta = self.ts_fit.drift(gender)
-        c = self.ts_fit.ar_intercept(gender)
-        phi = self.ts_fit.ar_coefficient(gender)
-        for _ in range(year - self.years.last):
-            K = K + theta
-            kappa = c + phi * kappa
+        central = central_period_effects(self.ts_fit, ScenarioSpec(
+            jump_off_year=self.years.last, horizon=year, n_paths=1, seed=0,
+            jump_off=self.params["M"].jump_off + self.params["F"].jump_off))
+        K, kappa = central.K[gender][0, -1], central.kappa[gender][0, -1]
+        # The link's order of addition; a one-row force_paths adds in another.
         return np.exp(p.A + p.B * K + p.alpha + p.beta * kappa)
 
 

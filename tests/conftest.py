@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 
 from mortkit.data import (AgeBucket, AgeRange, BucketedWeeklySeries,
-                          EUROW_BUCKETS, MortalitySurface, STMF_BUCKETS,
-                          YearRange)
+                          EUROW_BUCKETS, MortalitySurface, PROVENANCE_CODES,
+                          STMF_BUCKETS, YearRange)
 
 
 def weekly_stmf(country="BEL", gender="M", year=2020, weeks=52,
@@ -39,7 +39,7 @@ def flat_surface(country="AAA", gender="M", ages=AgeRange(0, 4),
     shape = (len(ages), len(years))
     exposures = np.full(shape, float(exposure))
     deaths = exposures * rate
-    prov = np.full(shape, "HMD", dtype="<U8")
+    prov = np.full(shape, PROVENANCE_CODES.index("HMD"), dtype=np.int8)
     return MortalitySurface(country, gender, ages, years, deaths, exposures,
                             prov, prov.copy())
 

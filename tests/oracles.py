@@ -4,8 +4,9 @@ backward recursion that negated the forces twice, a Kannisto
 closure that runs in death-probability space, a simulation that
 constructs one generator per path, forces from two broadcast outer
 products, the closure's tail evaluated on the path-major view and
-quantiles from `np.quantile` (`mortkit.project`), and the adjusted
-Lee-Miller variant as its own pair of fits (`mortkit.lilee`)."""
+quantiles from `np.quantile` (`mortkit.project`), the adjusted
+Lee-Miller variant as its own pair of fits (`mortkit.lilee`), and the
+auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`)."""
 import warnings
 
 import numpy as np
@@ -139,6 +140,21 @@ def path_major_kannisto_close(mu, ages_lo=0):
     tail += 1.0
     np.divide(1.0, tail, out=tail)
     return closed
+
+
+def scalar_central_force(aux, gender, year):
+    """The auxiliary model's force in a year after its calibration window,
+    from K and kappa stepped one scalar year at a time with zero noise."""
+    p = aux.params[gender]
+    K = float(p.K[-1])
+    kappa = float(p.kappa[-1])
+    theta = aux.ts_fit.drift(gender)
+    c = aux.ts_fit.ar_intercept(gender)
+    phi = aux.ts_fit.ar_coefficient(gender)
+    for _ in range(year - aux.years.last):
+        K = K + theta
+        kappa = c + phi * kappa
+    return np.exp(p.A + p.B * K + p.alpha + p.beta * kappa)
 
 
 def relative_error(got, want):

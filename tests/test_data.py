@@ -1,6 +1,7 @@
 """Data model, weekly ingestion and annualization rules."""
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from mortkit.config import build_run_config
 from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS,
                           FRAGMENT_QUANTITIES, GENDERS, MortalitySurface,
                           MultiPopulationDataset, PROVENANCE_CODES,
-                          STMF_BUCKETS, SurfaceFragment, YearRange,
+                          STMF_BUCKETS, VIRTUAL, SurfaceFragment, YearRange,
                           aggregate_uk, annualize_weekly_deaths,
                           annualize_weekly_exposure,
                           check_eurostat_stmf_consistency,
@@ -457,7 +458,7 @@ def tiny_config(root, sources):
 class TestSurfaces:
     def test_rate_sanity_bound(self):
         ages, years = AgeRange(0, 1), YearRange(2000, 2000)
-        prov = np.full((2, 1), "HMD", dtype="<U8")
+        prov = np.full((2, 1), PROVENANCE_CODES.index("HMD"), dtype=np.int8)
         with pytest.raises(ValidationError, match="sanity bound"):
             MortalitySurface("AAA", "M", ages, years,
                             np.array([[6.0], [1.0]]), np.ones((2, 1)),
@@ -518,13 +519,26 @@ class TestSurfaces:
     def test_virtual_cell_count(self):
         surface = flat_surface()
         prov = surface.deaths_provenance.copy()
-        prov[:, -1] = "VIRTUAL"
+        prov[:, -1] = VIRTUAL
         patched = MortalitySurface(
             surface.country, surface.gender, surface.ages, surface.years,
             surface.deaths, surface.exposures, prov,
             surface.exposures_provenance)
         assert patched.virtual_cell_count() == {
             "deaths": len(surface.ages), "exposures": 0}
+
+    @pytest.mark.parametrize("codes", [
+        np.full((5, 3), "HMD"),                               # names, not codes
+        np.full((5, 3), len(PROVENANCE_CODES), dtype=np.int8),
+        np.full((5, 3), -1, dtype=np.int8),
+        np.zeros((5, 3), dtype=np.int64),                     # codes of another width
+    ], ids=["names", "past-last-code", "negative", "int64"])
+    @pytest.mark.parametrize("field", ["deaths_provenance", "exposures_provenance"])
+    def test_provenance_must_be_int8_codes(self, codes, field):
+        surface = flat_surface()
+        with pytest.raises(ValidationError, match=f"{field} must hold int8 codes 0..5"):
+            replace(surface, **{field: codes})
+        replace(surface, **{field: np.full((5, 3), VIRTUAL, dtype=np.int8)})
 
     def test_death_rates(self):
         surface = flat_surface(rate=0.02)

@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import time
@@ -22,8 +23,8 @@ from readback import import_params_csv
 from mortkit import dynamics, lilee, pipeline, project
 from mortkit.cli import main
 from mortkit.config import load_run_config
-from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, STMF_BUCKETS, \
-    YearRange, load_weekly_csv
+from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, PROVENANCE_CODES, \
+    STMF_BUCKETS, VIRTUAL, YearRange, load_weekly_csv
 from mortkit.errors import ConfigError, ValidationError
 from mortkit.fixture import (FixtureParams, WeeklyDegradation, build_truth,
                              make_synthetic_fixture, seasonal_weights)
@@ -377,15 +378,15 @@ class TestAssembly:
                                       truth.deaths[("CCC", "F")][:, j])
         np.testing.assert_array_equal(surface.exposures[:, j],
                                       truth.exposures[("CCC", "F")][:, j])
-        assert np.all(surface.deaths_provenance[:, j] == "HMD")
+        assert np.all(surface.deaths_provenance[:, j] == PROVENANCE_CODES.index("HMD"))
 
     def test_virtual_columns_flagged(self, wbundle, assembled):
         _, params, _ = wbundle
         surface = assembled.dataset.surface("CCC", "M")
         for year in (2019, 2020):
             j = params.years.index(year)
-            assert np.all(surface.deaths_provenance[:, j] == "VIRTUAL")
-            assert np.all(surface.exposures_provenance[:, j] == "VIRTUAL")
+            assert np.all(surface.deaths_provenance[:, j] == VIRTUAL)
+            assert np.all(surface.exposures_provenance[:, j] == VIRTUAL)
 
     def test_ungrouped_deaths_conserve_closed_buckets(self, wbundle, assembled):
         root, params, _ = wbundle
@@ -413,6 +414,23 @@ class TestAssembly:
             annual_total = 52.0 * series.exposures[bucket][0]
             assert surface.exposures[bucket.lower:bucket.upper + 1, j].sum() \
                 == pytest.approx(annual_total, rel=1e-9)
+
+    def test_gap_in_auxiliary_window_named_by_cell(self, wbundle, tmp_path):
+        # AAA lacks one row inside the auxiliary model's window (CCC's
+        # observed years), so ungrouping CCC's deaths refuses that cell.
+        root, _, _ = wbundle
+        bundle = shutil.copytree(root, tmp_path / "bundle")
+        data = bundle / "data" / "AAA.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(line for line in lines
+                                if not line.startswith("AAA,2010,M,30,")))
+        assembler = pipeline._Assembler(load_run_config(bundle / "config.yaml"))
+        assembler.load_sources()
+        with warnings.catch_warnings(), pytest.raises(
+                ValidationError, match=r"^AAA/M: no source produced deaths for "
+                                       r"age 30, year 2010 \(and 0 more cells\)$"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assembler.ungroup_all()
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +634,7 @@ def two_pass_fanchart_rows(config, params, fit):
         table = np_quantile_summary(samples, probes, best_estimate=best)
         for p in probes:
             records.append((quantity, gender, age, int(year),
-                            pipeline._probe_label(p), float(table[p])))
+                            format(p, "g"), float(table[p])))
         records.append((quantity, gender, age, int(year), "best",
                         float(table["best"])))
 

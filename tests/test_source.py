@@ -1,13 +1,20 @@
-"""Source hygiene of the package: no module imports a name it never uses."""
+"""Source hygiene of the package: no module imports a name it never uses,
+and every module-level function and class is named somewhere else."""
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "mortkit"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "mortkit"
 
 #: Every module but `__init__.py`, whose imports are re-exports.
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+#: Every Python source that may name a definition of the package.
+CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list:
@@ -40,3 +47,52 @@ def test_checker_counts_annotations_and_attribute_roots():
     source = ("from __future__ import annotations\nimport numpy as np\n"
               "from x import T\ndef f(a: T):\n    return np.zeros(1)\n")
     assert unused_imports(source) == []
+
+
+def names_used(source: str) -> set:
+    """Names a module reads, imports or spells as a whole string (the
+    bench tracer patches names given as strings), leaving out each
+    module-level definition's mentions of its own name."""
+    used = set()
+    for node in ast.parse(source).body:
+        own = node.name if isinstance(node, DEFINITIONS) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                name = sub.id
+            elif isinstance(sub, ast.Attribute):
+                name = sub.attr
+            elif isinstance(sub, ast.alias):
+                name = sub.name.rpartition(".")[2]
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                name = sub.value
+            else:
+                continue
+            if name != own:
+                used.add(name)
+    return used
+
+
+def dead_definitions(source: str, used: set) -> list:
+    """Module-level functions and classes of `source` missing from `used`."""
+    return sorted(node.name for node in ast.parse(source).body
+                  if isinstance(node, DEFINITIONS) and node.name not in used)
+
+
+@pytest.fixture(scope="module")
+def corpus_names():
+    return set().union(*(names_used(p.read_text()) for p in CORPUS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_module_level_definition(path, corpus_names):
+    assert dead_definitions(path.read_text(), corpus_names) == []
+
+
+def test_checker_sees_a_dead_definition():
+    module = ("def called():\n    pass\n\n"
+              "def recursive(n):\n    return recursive(n - 1)\n\n"
+              "class Unused:\n    def copy(self) -> 'Unused':\n        return Unused()\n\n"
+              "def patched():\n    pass\n")
+    caller = "from m import called\nsetattr(m, 'patched', None)\n"
+    used = names_used(module) | names_used(caller)
+    assert dead_definitions(module, used) == ["Unused", "recursive"]

@@ -1,12 +1,16 @@
 """Exposure and death ungrouping protocols."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles import scalar_central_force
 
 from mortkit.data import (AgeBucket, AgeRange, BucketedAnnualSeries,
-                          EUROW_BUCKETS, STMF_BUCKETS, YearRange)
+                          EUROW_BUCKETS, GENDERS, STMF_BUCKETS, YearRange)
+from mortkit.dynamics import PSI_NAMES, TimeSeriesFit
 from mortkit.errors import ValidationError
+from mortkit.lilee import LiLeeParams
 from mortkit.project import kannisto_close
-from mortkit.ungroup import (apply_open_bucket_deaths,
+from mortkit.ungroup import (AuxiliaryModel, apply_open_bucket_deaths,
                              apply_open_bucket_exposure,
                              scale_curve_to_buckets, shift_exposure_curve,
                              ungroup_deaths, ungroup_exposures)
@@ -249,3 +253,46 @@ class TestConservationProperty:
             for bucket in EUROW_BUCKETS[:-1]:
                 got = result.values[bucket.lower:bucket.upper + 1].sum()
                 assert got == pytest.approx(totals[bucket], rel=1e-9)
+
+
+class TestAuxiliaryModel:
+    WINDOW = YearRange(2000, 2011)
+
+    @staticmethod
+    def model(dynamics, jump_off):
+        """An auxiliary model over ages 0..90 whose per-gender drift,
+        intercept and AR coefficient are `dynamics[g]` and whose final
+        calibration year holds K, kappa = `jump_off[g]`."""
+        rng = np.random.default_rng(3)
+        years = TestAuxiliaryModel.WINDOW
+        params = {}
+        for gender in GENDERS:
+            K = rng.normal(size=len(years))
+            kappa = rng.normal(size=len(years))
+            K[-1], kappa[-1] = jump_off[gender]
+            params[gender] = LiLeeParams(
+                ages=AGES, years=years, A=np.linspace(-8.0, -1.5, len(AGES)),
+                B=rng.uniform(0.0, 0.03, len(AGES)), K=K,
+                alpha=rng.normal(0.0, 0.1, len(AGES)),
+                beta=rng.uniform(0.0, 0.03, len(AGES)), kappa=kappa)
+        values = {f"{name}_{g}": v for g in GENDERS
+                  for name, v in zip(("theta", "c", "phi"), dynamics[g])}
+        psi = np.array([values[name] for name in PSI_NAMES])
+        fit = TimeSeriesFit(psi=psi, C=np.eye(4), weights=np.ones(len(years) - 1),
+                            loglik=0.0, iterations=0)
+        return AuxiliaryModel(country="AAA", params=params, ts_fit=fit, years=years)
+
+    @settings(deadline=None)
+    @given(st.fixed_dictionaries({g: st.tuples(
+               st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.floats(-1.2, 1.2))
+               for g in GENDERS}),
+           st.fixed_dictionaries({g: st.tuples(
+               st.floats(-20.0, 20.0), st.floats(-5.0, 5.0)) for g in GENDERS}),
+           st.sampled_from(GENDERS), st.integers(1, 40))
+    def test_projected_force_matches_the_scalar_recursion(self, dynamics, jump_off,
+                                                          gender, ahead):
+        aux = self.model(dynamics, jump_off)
+        year = self.WINDOW.last + ahead
+        assert np.array_equal(aux.central_force(gender, year),
+                              scalar_central_force(aux, gender, year))
+
