@@ -13,13 +13,11 @@ from pathlib import Path
 
 import yaml
 
-from .data import AgeRange, YearRange, INDIVIDUAL_SHAPES, WEEKLY_SHAPES
+from .data import AgeRange, YearRange, INDIVIDUAL_SHAPES, QUANTITIES, WEEKLY_SHAPES
 from .errors import ConfigError
 from .lilee import ADJUSTED_LEE_MILLER
 from .project import MAX_AGE
 from .ungroup import DEATH_ALLOCATION_RATE
-
-QUANTITIES = ("deaths", "exposures")
 
 WEIGHTED_LIKELIHOOD = "WEIGHTED_LIKELIHOOD"
 METHOD_KINDS = (WEIGHTED_LIKELIHOOD, ADJUSTED_LEE_MILLER)

@@ -28,8 +28,9 @@ PROVENANCE_CODES = ("HMD", "EURO", "STATBEL", "STMF", "EUROW", "VIRTUAL")
 #: Code of the cells that ungrouping filled.
 VIRTUAL = PROVENANCE_CODES.index("VIRTUAL")
 
-#: Quantities of a SurfaceFragment record, by their code.
-FRAGMENT_QUANTITIES = ("deaths", "exposure")
+#: The two quantities of a cell: source declarations name them, and a
+#: SurfaceFragment record holds the index of one.
+QUANTITIES = ("deaths", "exposures")
 
 #: Highest age an individual-age file may carry.
 MAX_FILE_AGE = 110
@@ -39,6 +40,12 @@ RATE_SANITY_BOUND = 5.0
 
 #: Relative tolerance for the weekly identity death_rate * exposure = deaths.
 RATE_IDENTITY_RTOL = 1e-6
+
+#: EUROW and STMF weekly deaths agree within CONSISTENCY_SLACK plus
+#: CONSISTENCY_RTOL times the larger count; the slack absorbs sub-one
+#: rounding in published counts.
+CONSISTENCY_RTOL = 1e-3
+CONSISTENCY_SLACK = 1.0
 
 #: Relative tolerance for the constant-weekly-exposure check.
 EXPOSURE_CONSTANCY_RTOL = 1e-6
@@ -248,9 +255,6 @@ class BucketedWeeklySeries:
                     f"(first offending week {week})"
                 )
 
-    def buckets(self) -> tuple[AgeBucket, ...]:
-        return tuple(sorted(self.deaths))
-
 
 @dataclass(frozen=True)
 class BucketedAnnualSeries:
@@ -270,10 +274,6 @@ class BucketedAnnualSeries:
             raise ValidationError("negative annual deaths")
         if self.exposures is not None and any(v <= 0 for v in self.exposures.values()):
             raise ValidationError("nonpositive annual exposure")
-
-    def buckets(self) -> tuple[AgeBucket, ...]:
-        table = self.deaths if self.deaths is not None else self.exposures
-        return tuple(sorted(table))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ class SurfaceFragment:
 
     Parallel record arrays in insertion order: `country` (index into
     `countries`), `gender` (into GENDERS), `age`, `year`, `quantity` (into
-    FRAGMENT_QUANTITIES), `value` and `provenance` (into PROVENANCE_CODES).
+    QUANTITIES), `value` and `provenance` (into PROVENANCE_CODES).
     Deaths and exposures of one cell may come from different files;
     `check_unique` refuses a (cell, quantity) given twice.
     """
@@ -365,7 +365,7 @@ class SurfaceFragment:
         keep = self.age >= min_age
         for column, names, wanted in ((self.country, self.countries, countries),
                                       (self.gender, GENDERS, genders),
-                                      (self.quantity, FRAGMENT_QUANTITIES, quantities),
+                                      (self.quantity, QUANTITIES, quantities),
                                       (self.year, None, years)):
             if wanted is not None:
                 codes = [i for i, name in enumerate(names) if name in wanted] \
@@ -393,13 +393,13 @@ class SurfaceFragment:
         for column in (self.age, self.year):
             values, index = np.unique(column, return_inverse=True)
             key = key * len(values) + index
-        key = key * len(FRAGMENT_QUANTITIES) + self.quantity
+        key = key * len(QUANTITIES) + self.quantity
         order = np.argsort(key, kind="stable")
         repeat = key[order[1:]] == key[order[:-1]]
         if repeat.any():
             i = order[1:][repeat].min()
             raise ValidationError(
-                f"duplicate {FRAGMENT_QUANTITIES[self.quantity[i]]} for "
+                f"duplicate {QUANTITIES[self.quantity[i]]} for "
                 f"{self.countries[self.country[i]]}/{GENDERS[self.gender[i]]} "
                 f"age {self.age[i]} year {self.year[i]}"
             )
@@ -901,15 +901,12 @@ def _eurow_cover(stmf_bucket: AgeBucket) -> tuple[AgeBucket, ...]:
                  and b.lower >= stmf_bucket.lower and b.upper <= stmf_bucket.upper)
 
 
-def check_eurostat_stmf_consistency(
-    euro: BucketedWeeklySeries, stmf: BucketedWeeklySeries,
-    rel_tol: float = 1e-3, abs_slack: float = 1.0,
-) -> ConsistencyReport:
+def check_eurostat_stmf_consistency(euro: BucketedWeeklySeries,
+                                    stmf: BucketedWeeklySeries) -> ConsistencyReport:
     """Compare EUROW weekly deaths, rolled up to STMF buckets, per week.
 
-    Counts agree when |euro - stmf| <= abs_slack + rel_tol * max(|counts|);
-    the absolute slack absorbs sub-one rounding in published counts.
-    Inconsistency is an outcome, not an error.
+    Counts agree when |euro - stmf| <= CONSISTENCY_SLACK + CONSISTENCY_RTOL
+    * max(|counts|).  Inconsistency is an outcome, not an error.
     """
     if euro.week_count != stmf.week_count:
         return ConsistencyReport(False, False, (),
@@ -931,6 +928,6 @@ def check_eurostat_stmf_consistency(
             e, s = euro_total[week - 1], stmf_total[week - 1]
             if np.isnan(e) or np.isnan(s):
                 continue
-            if abs(e - s) > abs_slack + rel_tol * max(abs(e), abs(s)):
+            if abs(e - s) > CONSISTENCY_SLACK + CONSISTENCY_RTOL * max(abs(e), abs(s)):
                 mismatches.append((stmf_bucket.label, week, float(e), float(s)))
     return ConsistencyReport(True, not mismatches, tuple(mismatches))

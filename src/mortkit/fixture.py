@@ -22,6 +22,7 @@ from .data import (AgeRange, BucketedWeeklySeries, EUROW_BUCKETS, GENDERS,
                    REGULAR_WEEKS, STMF_BUCKETS, YearRange,
                    write_individual_age_csv, write_weekly_csv)
 from .errors import ConfigError
+from .project import MAX_AGE
 
 #: Seasonal modulation amplitude for weekly death counts.
 SEASONAL_AMPLITUDE = 0.18
@@ -403,7 +404,7 @@ def make_synthetic_fixture(params: FixtureParams, out_dir) -> dict:
     horizon = params.horizon
     if horizon is None:
         fallback = params.years.last + 10
-        needed = [params.years.last + (120 - a) for a in params.cohort_ages]
+        needed = [params.years.last + (MAX_AGE - a) for a in params.cohort_ages]
         horizon = max([fallback] + needed)
     config_doc = {
         "country_of_interest": params.country_of_interest,

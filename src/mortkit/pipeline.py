@@ -28,15 +28,13 @@ import numpy as np
 
 from . import dynamics, lilee, project
 from .config import RunConfig, WEIGHTED_LIKELIHOOD, aux_start_for
-from .data import (FRAGMENT_QUANTITIES, GENDERS, VIRTUAL, MortalitySurface,
+from .data import (GENDERS, QUANTITIES, VIRTUAL, MortalitySurface,
                    MultiPopulationDataset, SurfaceFragment, UK_CODE, YearRange,
                    aggregate_uk, annualize_weekly_deaths, annualize_weekly_exposure,
                    check_eurostat_stmf_consistency, load_individual_age_csv,
                    load_weekly_csv)
 from .errors import ConfigError, ValidationError
 from .ungroup import fit_auxiliary_projection_model, ungroup_deaths, ungroup_exposures
-
-_QUANTITY_FIELD = {"deaths": "deaths", "exposures": "exposure"}
 
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
@@ -84,10 +82,10 @@ class _Assembler:
         self.ages = config.ages
         self.years = config.years
         # Indexed [country, gender, quantity, age, year], quantities in
-        # FRAGMENT_QUANTITIES order; the per-(country, gender) grids are views.
+        # QUANTITIES order; the per-(country, gender) grids are views.
         # A cell no source filled keeps NaN and provenance code 0 until the
         # gap check refuses it.
-        shape = (len(config.countries), len(GENDERS), len(FRAGMENT_QUANTITIES),
+        shape = (len(config.countries), len(GENDERS), len(QUANTITIES),
                  len(config.ages), len(config.years))
         self._values = np.full(shape, np.nan)
         self._provenance = np.zeros(shape, dtype=np.int8)
@@ -112,10 +110,9 @@ class _Assembler:
         declared = []
         for decl in self.config.individual_sources:
             frag = load_individual_age_csv(decl.path, decl.shape)
-            fields = {_QUANTITY_FIELD[q] for q in decl.quantities}
             years = set(range(decl.years.first, decl.years.last + 1))
             declared.append(frag.restrict(countries={decl.country}, years=years,
-                                          quantities=fields))
+                                          quantities=decl.quantities))
         self.observed.update(*declared)
         self.observed.check_unique()
         for decl in self.config.weekly_sources:
@@ -211,7 +208,7 @@ class _Assembler:
         summed in the order each cell first appears among the records."""
         tail = self.observed.restrict({country}, {gender}, {prev_year}, min_age=open_lower)
         ages, first = np.unique(tail.age, return_index=True)
-        exposure = tail.quantity == FRAGMENT_QUANTITIES.index("exposure")
+        exposure = tail.quantity == QUANTITIES.index("exposures")
         cells = tail.value[exposure][
             np.argsort(first[np.searchsorted(ages, tail.age[exposure])])]
         span = self.ages.max_age - open_lower + 1
@@ -375,24 +372,12 @@ def _timed(unit, *args):
 
 def _life_table_rows(config, params, paths, gender, layers):
     """The life-table unit of one (scenario, gender): the gender's fan-chart
-    records from the scenario's path batch, unordered, with one life-table
-    pass and one quantile call per projection year and one for the cohort
-    ages.  Adds the wall time of each layer it ran to `layers`."""
+    blocks (quantity, gender, age, years, levels) from the scenario's path
+    batch, unordered, with one life-table pass and one quantile call per
+    projection year and one for the cohort ages.  `levels` has one row per
+    year and one column per probe, then one with row 0 of the batch (the
+    best estimate).  Adds the wall time of each layer it ran to `layers`."""
     probes = project.DEFAULT_PROBES
-    names = [format(p, "g") for p in probes] + ["best"]
-    records = []
-
-    def emit(labels, year, table):
-        """Records for each (quantity, gender, age) row of `table`: column 0
-        is the central path, the others the simulated paths."""
-        with _clock(layers, "quantiles"):
-            levels = project.quantile_summary(table.T[1:], probes,
-                                              best_estimate=table[:, 0])
-            columns = [levels[key].tolist() for key in (*probes, "best")]
-            for k, (quantity, gender, age) in enumerate(labels):
-                for name, column in zip(names, columns):
-                    records.append((quantity, gender, age, year, name, column[k]))
-
     span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
     a0 = config.ages.min_age   # closed curves cover ages a0..120
     report_ages = config.report_ages
@@ -401,9 +386,9 @@ def _life_table_rows(config, params, paths, gender, layers):
     rows = len(paths.K[gender])
     # Ages-major like the closed forces, so the kernel reads it in place.
     diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
-    labels = [("K", gender, None), ("kappa", gender, None)]
-    labels += [("q", gender, age) for age in report_ages]
-    labels += [("e_per", gender, age) for age in report_ages]
+    labels = [("K", None), ("kappa", None)] + [("q", age) for age in report_ages]
+    labels += [("e_per", age) for age in report_ages]
+    levels = np.empty((len(labels), len(paths.years), len(probes) + 1))
     for j, year in enumerate(paths.years):
         with _clock(layers, "life_tables"):
             mu = project.force_paths(params[gender], paths, gender, int(year))
@@ -417,34 +402,38 @@ def _life_table_rows(config, params, paths, gender, layers):
             for age, width in span.items():
                 if j < width:
                     diag[age][:, j] = mu_cl[:, age + j - a0]
-        emit(labels, int(year), table)
+        with _clock(layers, "quantiles"):
+            levels[:, j, :-1] = project.quantile_summary(table.T[1:], probes).T
+            levels[:, j, -1] = table[:, 0]
+    blocks = [(quantity, gender, age, paths.years, levels[k])
+              for k, (quantity, age) in enumerate(labels)]
     if config.cohort_ages:
         # Cohort expectancy: the period kernel applied on the diagonal.
         with _clock(layers, "life_tables"):
             e_coh = np.stack([project.period_life_expectancy(diag[age], age)
                               for age in config.cohort_ages])
-        emit([("e_coh", gender, age) for age in config.cohort_ages],
-             int(paths.years[0]), e_coh)
-    return records
+        with _clock(layers, "quantiles"):
+            cohort = np.column_stack(
+                [project.quantile_summary(e_coh.T[1:], probes).T, e_coh[:, 0]])
+        blocks += [("e_coh", gender, age, paths.years[:1], cohort[k:k + 1])
+                   for k, age in enumerate(config.cohort_ages)]
+    return blocks
 
 
-def _fanchart_order(records):
-    """Sort records in place into the fan chart's fixed order (quantity,
-    gender, age, year, probe) and return them."""
+def _write_fanchart(path, blocks):
+    """Write the blocks in the fan chart's fixed order: quantity, gender and
+    age, then each block's years, each year's probes and its best estimate."""
+    probes = [format(p, "g") for p in project.DEFAULT_PROBES] + ["best"]
     order = {q: i for i, q in enumerate(_QUANTITY_ORDER)}
-    probe_rank = {"0.005": 0, "0.5": 1, "0.995": 2, "best": 3}
-    records.sort(key=lambda r: (order[r[0]], r[1], -1 if r[2] is None else r[2],
-                                r[3], probe_rank.get(r[4], 99)))
-    return records
-
-
-def _write_fanchart(path, records):
+    blocks = sorted(blocks, key=lambda b: (order[b[0]], b[1],
+                                           -1 if b[2] is None else b[2]))
     with Path(path).open("w", newline="") as handle:
         handle.write("quantity,gender,age,year,probe,value\n")
-        for quantity, gender, age, year, probe, value in records:
-            age_text = "" if age is None else str(age)
-            handle.write(f"{quantity},{gender},{age_text},{year},{probe},"
-                         f"{format(value, '.17g')}\n")
+        for quantity, gender, age, years, levels in blocks:
+            head = f"{quantity},{gender},{'' if age is None else age}"
+            for year, row in zip(years.tolist(), levels.tolist()):
+                for probe, value in zip(probes, row):
+                    handle.write(f"{head},{year},{probe},{format(value, '.17g')}\n")
 
 
 def _sha256(path) -> str:
@@ -554,16 +543,16 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
 
 def _write_scenario(config: RunConfig, value: float, units, out_dir: Path
                     ) -> ScenarioResult:
-    """The write step of one scenario: merge the records of its M and F
-    life-table units, then publish and hash its files.  `units` are the
-    (result, layers, seconds) of its fit unit and of those two units; the
+    """The write step of one scenario: publish its files, the fan chart from
+    the blocks of its M and F life-table units, and hash them.  `units` are
+    the (result, layers, seconds) of its fit unit and of those two units; the
     scenario's layer times and wall time are their sums plus this step's."""
     start = time.perf_counter()
     (params, calibration, fit, _), *tables = [result for result, _, _ in units]
     layers = Counter()
     for _, unit_layers, _ in units:
         layers.update(unit_layers)
-    records = _fanchart_order([r for table in tables for r in table])
+    blocks = [block for table in tables for block in table]
     label = _scenario_label(config, value)
     files = {
         "params": f"params_{label}.csv",
@@ -574,7 +563,7 @@ def _write_scenario(config: RunConfig, value: float, units, out_dir: Path
         _publish(out_dir, {
             files["params"]: lambda path: lilee.export_params_csv(path, params),
             files["tsfit"]: lambda path: dynamics.export_fit_csv(path, fit),
-            files["fanchart"]: lambda path: _write_fanchart(path, records),
+            files["fanchart"]: lambda path: _write_fanchart(path, blocks),
         })
         hashes = {name: _sha256(out_dir / name) for name in files.values()}
     elapsed = sum(seconds for _, _, seconds in units) + time.perf_counter() - start

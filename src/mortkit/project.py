@@ -358,13 +358,11 @@ def cohort_life_expectancy(mu_surface: np.ndarray, age: int) -> np.ndarray:
 # Quantile summaries
 # ---------------------------------------------------------------------------
 
-def quantile_summary(samples: np.ndarray, probes=DEFAULT_PROBES,
-                     best_estimate=None) -> dict:
+def quantile_summary(samples: np.ndarray, probes=DEFAULT_PROBES) -> np.ndarray:
     """Empirical quantiles over the path axis (axis 0), linear
     interpolation of order statistics.
 
-    Returns {probe: value(s)} plus a "best" entry when the zero-noise
-    central-path value is supplied; the median stays alongside it.
+    Returns one level per probe on axis 0: shape (len(probes), ...).
     The values are `np.quantile(method="linear")`'s for float probes, from
     one sort along the path axis (fastest when that axis is contiguous).
     """
@@ -386,7 +384,4 @@ def quantile_summary(samples: np.ndarray, probes=DEFAULT_PROBES,
     levels = low + step * gamma
     np.subtract(high, step * (1 - gamma), out=levels, where=gamma >= 0.5)
     np.copyto(levels, ordered[-1], where=np.isnan(ordered[-1]))   # NaN sorts last
-    out = {p: levels[i] for i, p in enumerate(probes)}
-    if best_estimate is not None:
-        out["best"] = np.asarray(best_estimate, dtype=float)
-    return out
+    return levels

@@ -77,18 +77,14 @@ def outer_product_force_paths(params, paths, gender, year):
     return np.exp(mu, out=mu).T
 
 
-def np_quantile_summary(samples, probes, best_estimate=None):
-    """Quantiles over axis 0 from `np.quantile(method="linear")`, as a
-    {probe: value(s)} dict with a "best" entry when one is supplied."""
+def np_quantile_summary(samples, probes):
+    """Quantiles over axis 0 from `np.quantile(method="linear")`, one level
+    per probe on axis 0."""
     samples = np.asarray(samples, dtype=float)
     probes = tuple(probes)
     if any(not 0.0 <= p <= 1.0 for p in probes):
         raise ValidationError("probes must lie in [0, 1]")
-    levels = np.quantile(samples, probes, axis=0, method="linear")
-    out = {p: levels[i] for i, p in enumerate(probes)}
-    if best_estimate is not None:
-        out["best"] = np.asarray(best_estimate, dtype=float)
-    return out
+    return np.quantile(samples, probes, axis=0, method="linear")
 
 
 def _logit_fit(mu_fit):

@@ -9,10 +9,10 @@ import pytest
 from conftest import flat_surface, weekly_eurow, weekly_stmf
 from mortkit import data
 from mortkit.config import build_run_config
-from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS,
-                          FRAGMENT_QUANTITIES, GENDERS, MortalitySurface,
-                          MultiPopulationDataset, PROVENANCE_CODES,
-                          STMF_BUCKETS, VIRTUAL, SurfaceFragment, YearRange,
+from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS, GENDERS,
+                          MortalitySurface, MultiPopulationDataset,
+                          PROVENANCE_CODES, QUANTITIES, STMF_BUCKETS, VIRTUAL,
+                          SurfaceFragment, YearRange,
                           aggregate_uk, annualize_weekly_deaths,
                           annualize_weekly_exposure,
                           check_eurostat_stmf_consistency,
@@ -292,7 +292,7 @@ def fragment_records(frag):
     """(country, gender, age, year, quantity, value, provenance) of every
     record, in the fragment's order."""
     return [
-        (frag.countries[c], GENDERS[g], int(a), int(y), FRAGMENT_QUANTITIES[q],
+        (frag.countries[c], GENDERS[g], int(a), int(y), QUANTITIES[q],
          float(v), PROVENANCE_CODES[p])
         for c, g, a, y, q, v, p in zip(frag.country, frag.gender, frag.age, frag.year,
                                        frag.quantity, frag.value, frag.provenance)
@@ -362,9 +362,9 @@ class TestIndividualCsv:
         frag = load_individual_age_csv(path, "HMD")
         assert fragment_records(frag) == [
             ("AAA", "M", 0, 2001, "deaths", 12.5, "HMD"),
-            ("AAA", "M", 0, 2001, "exposure", 1000.0, "HMD"),
+            ("AAA", "M", 0, 2001, "exposures", 1000.0, "HMD"),
             ("AAA", "M", 1, 2001, "deaths", 3.25, "VIRTUAL"),
-            ("AAA", "M", 1, 2001, "exposure", 990.5, "VIRTUAL"),
+            ("AAA", "M", 1, 2001, "exposures", 990.5, "VIRTUAL"),
             ("AAA", "F", 0, 2001, "deaths", 9.0, "EUROW"),
         ]
 
@@ -486,7 +486,7 @@ class TestSurfaces:
             {"path": "AAA_old.csv", "years": (1998, 1999), "quantities": ["exposures"]},
         ])
         with pytest.raises(ValidationError,
-                           match="^duplicate exposure for AAA/M age 0 year 1998$"):
+                           match="^duplicate exposures for AAA/M age 0 year 1998$"):
             assemble_dataset(config)
 
     def test_open_total_sums_cells_in_first_seen_order(self, tmp_path):

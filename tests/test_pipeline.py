@@ -618,25 +618,24 @@ class TestFanChart:
 
 
 def two_pass_fanchart_rows(config, params, fit):
-    """The fan-chart records as computed before the central path joined the
-    path batch: the central path ran through its own copy of the life
-    tables, closed in death-probability space, with one cumulative-sum
-    expectancy kernel per report age, forces from outer products and
-    quantiles from `np.quantile`.  Kept as the oracle for the merged
-    records of `pipeline._life_table_rows`."""
+    """The fan-chart rows (quantity, gender, age, year, probe, value) as
+    computed before the central path joined the path batch: the central
+    path ran through its own copy of the life tables, closed in
+    death-probability space, with one cumulative-sum expectancy kernel per
+    report age, forces from outer products and quantiles from
+    `np.quantile`.  Kept as the oracle for the fan chart written from the
+    blocks of `pipeline._life_table_rows`."""
     spec = batch_spec(config, params)
     paths = project.simulate_period_effects(fit, spec)
     central = project.central_period_effects(fit, spec)
     probes = project.DEFAULT_PROBES
+    names = [format(p, "g") for p in probes] + ["best"]
     records = []
 
     def emit(quantity, gender, age, year, samples, best):
-        table = np_quantile_summary(samples, probes, best_estimate=best)
-        for p in probes:
-            records.append((quantity, gender, age, int(year),
-                            format(p, "g"), float(table[p])))
-        records.append((quantity, gender, age, int(year), "best",
-                        float(table["best"])))
+        levels = np_quantile_summary(samples, probes)
+        for name, value in zip(names, [*levels, best]):
+            records.append((quantity, gender, age, int(year), name, float(value)))
 
     for gender in GENDERS:
         for j, year in enumerate(paths.years):
@@ -674,9 +673,8 @@ def two_pass_fanchart_rows(config, params, fit):
             emit("e_coh", gender, age, paths.years[0], e_coh, float(e_coh_c[0]))
 
     order = {q: i for i, q in enumerate(pipeline._QUANTITY_ORDER)}
-    probe_rank = {"0.005": 0, "0.5": 1, "0.995": 2, "best": 3}
     records.sort(key=lambda r: (order[r[0]], r[1], -1 if r[2] is None else r[2],
-                                r[3], probe_rank[r[4]]))
+                                r[3], names.index(r[4])))
     return records
 
 
@@ -705,23 +703,37 @@ def batch_spec(config, params):
     )
 
 
-def fanchart_rows(config, params, fit):
-    """Both genders' life-table units over one path batch, merged in the
-    fan chart's order as the write step merges them."""
+def write_fanchart(config, params, fit, path):
+    """Write the fan chart of both genders' life-table units over one path
+    batch to `path`, as the write step writes it."""
     paths = project.path_batch(fit, batch_spec(config, params))
-    return pipeline._fanchart_order(
-        [r for gender in GENDERS
-         for r in pipeline._life_table_rows(config, params, paths, gender, {})])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pipeline._write_fanchart(path, [
+            block for gender in GENDERS
+            for block in pipeline._life_table_rows(config, params, paths, gender, {})])
+
+
+def fanchart_rows(path):
+    """The (quantity, gender, age, year, probe, value) rows of a fan chart."""
+    rows = []
+    for line in Path(path).read_text().splitlines()[1:]:
+        quantity, gender, age, year, probe, value = line.split(",")
+        rows.append((quantity, gender, None if age == "" else int(age), int(year),
+                     probe, float(value)))
+    return rows
 
 
 class TestFanChartRows:
     @pytest.mark.parametrize("cohort_ages", [(65,), ()])
-    def test_matches_the_two_pass_oracle(self, fanchart_inputs, cohort_ages):
+    def test_matches_the_two_pass_oracle(self, fanchart_inputs, cohort_ages,
+                                         tmp_path):
         config, params, fit = fanchart_inputs
         config = replace(config, cohort_ages=cohort_ages)
+        write_fanchart(config, params, fit, tmp_path / "fanchart.csv")
+        got = fanchart_rows(tmp_path / "fanchart.csv")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = fanchart_rows(config, params, fit)
             want = two_pass_fanchart_rows(config, params, fit)
         assert [r[:5] for r in got] == [r[:5] for r in want]
         assert relative_error([r[5] for r in got], [r[5] for r in want]) < 1e-12
@@ -729,6 +741,15 @@ class TestFanChartRows:
         assert [r for r in got if not r[0].startswith("e_")] == \
             [r for r in want if not r[0].startswith("e_")]
         assert bool(cohort_ages) == any(r[0] == "e_coh" for r in got)
+
+    def test_order_of_the_ages_does_not_matter(self, fanchart_inputs, tmp_path):
+        config, params, fit = fanchart_inputs
+        for name, report_ages, cohort_ages in (("given", (80, 65), (70, 65)),
+                                               ("sorted", (65, 80), (65, 70))):
+            write_fanchart(replace(config, report_ages=report_ages,
+                                   cohort_ages=cohort_ages),
+                           params, fit, tmp_path / name)
+        assert (tmp_path / "given").read_bytes() == (tmp_path / "sorted").read_bytes()
 
     @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
     def test_one_life_table_pass_per_gender_and_year(self, fanchart_inputs,

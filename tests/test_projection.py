@@ -577,24 +577,16 @@ class TestAgesMajorLayout:
 class TestQuantileSummary:
     def test_identical_paths_collapse(self):
         samples = np.full((50, 3), 2.5)
-        summary = quantile_summary(samples)
-        for probe in (0.005, 0.5, 0.995):
-            np.testing.assert_array_equal(summary[probe], [2.5, 2.5, 2.5])
+        np.testing.assert_array_equal(quantile_summary(samples), np.full((3, 3), 2.5))
 
     def test_median_of_standard_normal(self, rng):
-        summary = quantile_summary(rng.standard_normal(10_000))
-        assert abs(summary[0.5]) < 0.05
+        _, median, _ = quantile_summary(rng.standard_normal(10_000))
+        assert abs(median) < 0.05
 
     def test_quantiles_monotone_in_probe(self, rng):
-        summary = quantile_summary(rng.standard_normal((500, 4)))
-        assert np.all(summary[0.005] <= summary[0.5])
-        assert np.all(summary[0.5] <= summary[0.995])
-
-    def test_best_estimate_reported_alongside_median(self, rng):
-        samples = rng.standard_normal((100, 2))
-        summary = quantile_summary(samples, best_estimate=[0.1, 0.2])
-        np.testing.assert_array_equal(summary["best"], [0.1, 0.2])
-        assert 0.5 in summary
+        low, median, high = quantile_summary(rng.standard_normal((500, 4)))
+        assert np.all(low <= median)
+        assert np.all(median <= high)
 
     def test_rejects_probe_outside_unit_interval(self, rng):
         with pytest.raises(ValidationError, match="probes"):
@@ -730,16 +722,13 @@ class TestOnePassKernels:
         probes = data.draw(st.lists(
             st.one_of(st.sampled_from([0.0, 0.005, 0.5, 0.995, 1.0]),
                       st.floats(0.0, 1.0)), min_size=1, max_size=4, unique=True))
-        best = samples[0]
         with np.errstate(invalid="ignore", over="ignore"):
-            got = quantile_summary(samples, probes, best_estimate=best)
-            want = np_quantile_summary(samples, probes, best_estimate=best)
-        assert got.keys() == want.keys()
-        for key in want:
-            assert np.shape(got[key]) == np.shape(want[key])
-            np.testing.assert_array_equal(got[key], want[key])
+            got = quantile_summary(samples, probes)
+            want = np_quantile_summary(samples, probes)
+        assert got.shape == want.shape == (len(probes),) + samples.shape[1:]
+        np.testing.assert_array_equal(got, want)
 
     def test_quantiles_interpolate_from_the_upper_side_at_one_half(self):
         # 0.1 + 0.6 / 2 rounds to 0.4, 0.7 - 0.6 / 2 to the float below it.
         got = quantile_summary(np.array([[0.7], [0.1]]), (0.5,))
-        assert got[0.5][0] == np.quantile([0.1, 0.7], 0.5) == 0.39999999999999997
+        assert got[0, 0] == np.quantile([0.1, 0.7], 0.5) == 0.39999999999999997

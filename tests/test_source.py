@@ -1,5 +1,6 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and every module-level function and class is named somewhere else."""
+every module-level function and class is named somewhere else, and every
+method of such a class is read as an attribute somewhere."""
 import ast
 from pathlib import Path
 
@@ -14,7 +15,8 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 #: Every Python source that may name a definition of the package.
 CORPUS = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py"))
 
-DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
 
 
 def unused_imports(source: str) -> list:
@@ -96,3 +98,44 @@ def test_checker_sees_a_dead_definition():
     caller = "from m import called\nsetattr(m, 'patched', None)\n"
     used = names_used(module) | names_used(caller)
     assert dead_definitions(module, used) == ["Unused", "recursive"]
+
+
+def attributes_used(source: str) -> set:
+    """Attribute names a module reads and strings it spells whole."""
+    return {sub.attr if isinstance(sub, ast.Attribute) else sub.value
+            for sub in ast.walk(ast.parse(source))
+            if isinstance(sub, ast.Attribute)
+            or isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
+
+
+def dead_methods(source: str, used: set) -> list:
+    """Non-dunder methods and properties of the module-level classes of
+    `source`, as "Class.method", whose name is missing from `used`."""
+    return sorted(f"{node.name}.{item.name}" for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) for item in node.body
+                  if isinstance(item, FUNCTIONS)
+                  and not (item.name.startswith("__") and item.name.endswith("__"))
+                  and item.name not in used)
+
+
+@pytest.fixture(scope="module")
+def corpus_attributes():
+    return set().union(*(attributes_used(p.read_text()) for p in CORPUS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_method(path, corpus_attributes):
+    assert dead_methods(path.read_text(), corpus_attributes) == []
+
+
+def test_checker_sees_a_dead_method():
+    module = ("class Series:\n"
+              "    def __len__(self):\n        return 0\n\n"
+              "    def called(self):\n        return self.helper()\n\n"
+              "    def helper(self):\n        return 1\n\n"
+              "    @property\n    def unread(self):\n        return 2\n\n"
+              "    def patched(self):\n        pass\n\n"
+              "    def unused(self):\n        pass\n")
+    caller = "Series().called()\nsetattr(Series, 'patched', None)\ncalled = unread = 1\n"
+    used = attributes_used(module) | attributes_used(caller)
+    assert dead_methods(module, used) == ["Series.unread", "Series.unused"]
