@@ -219,8 +219,7 @@ def _score_norm(Ys, Xs, w, psi, C) -> float:
     return float(np.abs(step).max() / (1.0 + np.abs(psi).max()))
 
 
-def fit_weighted_mle(rows, weights=None, *,
-                     max_iter=MAX_FIT_ITER) -> TimeSeriesFit:
+def fit_weighted_mle(rows, weights=None) -> TimeSeriesFit:
     """Maximize the weighted likelihood by alternating exact steps.
 
     Given C, Psi is the weighted GLS solution; given Psi, C is the
@@ -250,7 +249,7 @@ def fit_weighted_mle(rows, weights=None, *,
     C, _ = _cov_step(Ys, Xs, w, psi, warn=False)
     current = loglik(psi, C, rows, w)
     ridged_any = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_FIT_ITER + 1):
         psi_prev, C_prev = psi, C
         psi = _gls_step(Ys, Xs, w, C)
         C, ridged = _cov_step(Ys, Xs, w, psi)
@@ -264,7 +263,7 @@ def fit_weighted_mle(rows, weights=None, *,
                                  score_norm=_score_norm(Ys, Xs, w, psi, C))
         current = new
     raise ConvergenceError(
-        f"time-series fit did not converge in {max_iter} iterations",
+        f"time-series fit did not converge in {MAX_FIT_ITER} iterations",
         last_iterate={"psi": psi, "C": C, "loglik": current},
     )
 

@@ -142,84 +142,6 @@ def loglik_gradient(deaths, exposures, offset, B, K):
     }
 
 
-def _blockwise_fit(d, E, offset, A, *, anchored, sweep_tol, max_sweeps):
-    """Cyclic Newton maximization of one layer log mu = offset + A + B K'.
-
-    Starts from flat B and K = 0.  Unless `anchored`, A is released and
-    mean(K) is absorbed into A after each sweep; an anchored fit keeps A
-    fixed and pins K to 0 in the final year.  Each block update
-    backtracks (halving) if it would lower the likelihood, so the trace
-    is non-decreasing.  Returns (A, B, K, loglik, trace, sweeps).
-    """
-    B = np.full(len(A), 1.0 / np.sqrt(len(A)))
-    K = np.zeros(d.shape[1])
-    free = np.ones(K.size, dtype=bool)
-    free[-1] = not anchored
-
-    def ll(A, B, K):
-        return poisson_loglik(d, E, offset + A[:, None] + B[:, None] * K[None, :])
-
-    def apply_block(A, B, K, which, delta, current):
-        # Halve the Newton step until the likelihood stops decreasing.
-        step = 1.0
-        for _ in range(40):
-            cand = [A.copy(), B.copy(), K.copy()]
-            idx = {"A": 0, "B": 1, "K": 2}[which]
-            cand[idx] = cand[idx] + step * delta
-            new = ll(*cand)
-            if new >= current:
-                return cand[0], cand[1], cand[2], new
-            step *= 0.5
-        return A, B, K, current
-
-    current = ll(A, B, K)
-    trace = [current]
-    for sweep in range(1, max_sweeps + 1):
-        if not anchored:
-            d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
-            delta = (d - d_hat).sum(axis=1) / d_hat.sum(axis=1)
-            A, B, K, current = apply_block(A, B, K, "A", delta, current)
-
-        d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
-        num = B @ (d - d_hat)
-        den = (B ** 2) @ d_hat
-        delta = np.where(free, num / den, 0.0)
-        A, B, K, current = apply_block(A, B, K, "K", delta, current)
-
-        d_hat = E * np.exp(offset + A[:, None] + B[:, None] * K[None, :])
-        num = (d - d_hat) @ K
-        den = d_hat @ (K ** 2)
-        if np.all(den > 0):
-            A, B, K, current = apply_block(A, B, K, "B", num / den, current)
-
-        # Renormalize without changing mu: centering (unanchored only),
-        # unit scale, positive orientation.  The likelihood is invariant,
-        # so the pre-normalization value is kept and the trace stays monotone.
-        if not anchored:
-            shift = K.mean()
-            A = A + B * shift
-            K = K - shift
-        scale = float(np.sqrt(np.sum(B ** 2)))
-        if scale > 0:
-            B, K = B / scale, K * scale
-        if B.sum() < 0:
-            B, K = -B, -K
-        trace.append(current)
-
-        # A log-likelihood gain is the log of the likelihood ratio, so the
-        # per-sweep delta is already a relative measure; no rescaling by the
-        # likelihood level.  Blocks never decrease the computed value, so the
-        # delta bottoms out at exactly zero once no block can improve.
-        improvement = trace[-1] - trace[-2]
-        if improvement < sweep_tol:
-            return A, B, K, current, tuple(trace), sweep
-    raise ConvergenceError(
-        f"calibration did not converge in {max_sweeps} sweeps "
-        f"(last improvement {trace[-1] - trace[-2]:.3e})",
-        last_iterate={"A": A, "B": B, "K": K, "loglik": current},
-    )
-
-
 @dataclass(frozen=True)
 class TrendFit:
     """One bilinear layer's fitted parameters and diagnostics."""
@@ -232,70 +154,115 @@ class TrendFit:
     sweeps: int
 
 
-def _fit_layer(deaths, exposures, offset, ages: AgeRange, years: YearRange,
-               anchor=None, *, sweep_tol=SWEEP_TOL, max_sweeps=MAX_SWEEPS
-               ) -> TrendFit:
-    """Fit one layer log mu = offset + profile_x + B_x K_t.
+def fit_layer(deaths, exposures, offset, ages: AgeRange, years: YearRange,
+              anchor=None) -> TrendFit:
+    """Fit one layer log mu = offset + profile_x + B_x K_t by cyclic Newton.
 
-    Without `anchor` (Li-Lee) the profile is fitted from a start at
-    log(sum_t d / sum_t E e^offset), K is centred, and an all-zero death
-    row is refused.  With `anchor` (adjusted variant) the profile is fixed
-    bit-for-bit to it and K is pinned to 0 in the final year.  Both keep
-    sum(B^2) = 1 and sum(B) >= 0.
+    Without `anchor` (Li-Lee) the profile is fitted from log(sum_t d /
+    sum_t E e^offset), K is centred, and an all-zero death row is refused.
+    With `anchor` (adjusted variant) the profile is the anchor bit for bit
+    and K is 0 in the final year.  B starts flat and K at 0; every sweep
+    ends with sum(B^2) = 1 and sum(B) >= 0.  Stops at the first sweep that
+    gains less than SWEEP_TOL; raises ConvergenceError after MAX_SWEEPS.
     """
     d, E, offset = (np.asarray(a, dtype=float) for a in (deaths, exposures, offset))
     if d.shape != (len(ages), len(years)) or E.shape != d.shape:
         raise ValidationError("deaths/exposures must be (n_ages, n_years)")
     if offset.shape != d.shape:
         raise ValidationError("common surface shape mismatch")
-    options = {"sweep_tol": sweep_tol, "max_sweeps": max_sweeps}
-    if anchor is not None:
-        fit = _blockwise_fit(d, E, offset + anchor[:, None], np.zeros(len(ages)),
-                             anchored=True, **options)
-        return TrendFit(anchor, *fit[1:])
-    empty = d.sum(axis=1) <= 0
-    if np.any(empty):
-        age = ages.min_age + int(np.argmax(empty))
-        raise ValidationError(f"all-zero death row at age {age}: the age "
-                              "profile is unbounded below")
-    a0 = np.log(d.sum(axis=1) / (E * np.exp(offset)).sum(axis=1))
-    return TrendFit(*_blockwise_fit(d, E, offset, a0, anchored=False, **options))
+    if anchor is None:
+        empty = d.sum(axis=1) <= 0
+        if np.any(empty):
+            age = ages.min_age + int(np.argmax(empty))
+            raise ValidationError(f"all-zero death row at age {age}: the age "
+                                  "profile is unbounded below")
+        start = np.log(d.sum(axis=1) / (E * np.exp(offset)).sum(axis=1))
+    else:
+        offset = offset + anchor[:, None]
+        start = np.zeros(len(ages))
+    theta = [start, np.full(len(ages), 1.0 / np.sqrt(len(ages))), np.zeros(d.shape[1])]
+
+    def log_mu(A, B, K):
+        return offset + A[:, None] + B[:, None] * K[None, :]
+
+    def halve(block, delta, current):
+        # Halve the Newton step on one block (0: A, 1: B, 2: K) until the
+        # likelihood stops decreasing; keep the iterate if none does.
+        step = 1.0
+        for _ in range(40):
+            cand = list(theta)
+            cand[block] = theta[block] + step * delta
+            new = poisson_loglik(d, E, log_mu(*cand))
+            if new >= current:
+                theta[block] = cand[block]
+                return new
+            step *= 0.5
+        return current
+
+    current = poisson_loglik(d, E, log_mu(*theta))
+    trace = [current]
+    for sweep in range(1, MAX_SWEEPS + 1):
+        if anchor is None:
+            d_hat = E * np.exp(log_mu(*theta))
+            current = halve(0, (d - d_hat).sum(axis=1) / d_hat.sum(axis=1), current)
+        d_hat = E * np.exp(log_mu(*theta))
+        B = theta[1]
+        delta = (B @ (d - d_hat)) / ((B ** 2) @ d_hat)
+        if anchor is not None:
+            delta[-1] = 0.0
+        current = halve(2, delta, current)
+        d_hat = E * np.exp(log_mu(*theta))
+        K = theta[2]
+        den = d_hat @ (K ** 2)
+        if np.all(den > 0):
+            current = halve(1, ((d - d_hat) @ K) / den, current)
+
+        # Renormalize without changing mu: centering (unanchored only),
+        # unit scale, positive orientation.  The likelihood is invariant,
+        # so the pre-normalization value is kept and the trace stays monotone.
+        A, B, K = theta
+        if anchor is None:
+            shift = K.mean()
+            A = A + B * shift
+            K = K - shift
+        scale = float(np.sqrt(np.sum(B ** 2)))
+        if scale > 0:
+            B, K = B / scale, K * scale
+        if B.sum() < 0:
+            B, K = -B, -K
+        theta[:] = A, B, K
+        trace.append(current)
+
+        # A log-likelihood gain is a log likelihood ratio, already relative.
+        # Blocks never lower the value, so the gain ends at exactly zero.
+        if trace[-1] - trace[-2] < SWEEP_TOL:
+            profile = A if anchor is None else anchor
+            return TrendFit(profile, B, K, current, tuple(trace), sweep)
+    raise ConvergenceError(
+        f"calibration did not converge in {MAX_SWEEPS} sweeps "
+        f"(last improvement {trace[-1] - trace[-2]:.3e})",
+        last_iterate={"A": theta[0], "B": theta[1], "K": theta[2], "loglik": current},
+    )
 
 
-def fit_common_trend(deaths, exposures, ages: AgeRange, years: YearRange, *,
-                     sweep_tol=SWEEP_TOL, max_sweeps=MAX_SWEEPS) -> TrendFit:
-    """Fit log mu^T = A_x + B_x K_t to pool-aggregated data.
-
-    Constraints sum(B^2) = 1, sum(K) = 0 and sum(B) >= 0 are imposed by
-    renormalization after every sweep (the force is invariant).  Starts
-    from A = log of pooled average rates, flat B, K = 0.  This is the
-    country-layer fit below with a zero offset.
-    """
-    return _fit_layer(deaths, exposures, np.zeros_like(deaths, dtype=float),
-                      ages, years, sweep_tol=sweep_tol, max_sweeps=max_sweeps)
+def fit_common_trend(deaths, exposures, ages: AgeRange, years: YearRange) -> TrendFit:
+    """Fit log mu^T = A_x + B_x K_t to pool-aggregated data: `fit_layer`
+    with a zero offset, so sum(B^2) = 1, sum(K) = 0 and sum(B) >= 0."""
+    return fit_layer(deaths, exposures, np.zeros_like(deaths, dtype=float),
+                     ages, years)
 
 
-def fit_country_deviation(deaths, exposures, common_log_mu, ages: AgeRange,
-                          years: YearRange, *, sweep_tol=SWEEP_TOL,
-                          max_sweeps=MAX_SWEEPS) -> TrendFit:
-    """Fit the country layer a_x + b_x k_t conditionally on the common trend.
-
-    `common_log_mu` is the fitted log mu^T surface, held fixed as an
-    offset.  Same constraints and scheme as the common step.
-    """
-    return _fit_layer(deaths, exposures, common_log_mu, ages, years,
-                      sweep_tol=sweep_tol, max_sweeps=max_sweeps)
-
-
-def _fit_two_step(d_common, E_common, d_country, E_country, ages, years,
-                  anchors: LeeMillerAnchors | None = None):
-    """The common layer on the pool, then the country layer on top of it;
+def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
+              years: YearRange, anchors: LeeMillerAnchors | None = None
+              ) -> tuple[LiLeeParams, FittedSurface]:
+    """Fit the common layer on the pool, then the country layer with the
+    fitted log mu^T as its offset, and package the result for one gender;
     with `anchors`, both layers of the adjusted variant."""
     fixed = (None, None) if anchors is None else (anchors.common, anchors.country)
-    step1 = _fit_layer(d_common, E_common, np.zeros_like(d_common, dtype=float),
-                       ages, years, fixed[0])
+    step1 = fit_layer(d_common, E_common, np.zeros_like(d_common, dtype=float),
+                      ages, years, fixed[0])
     log_mu_T = step1.profile[:, None] + step1.B[:, None] * step1.K[None, :]
-    step2 = _fit_layer(d_country, E_country, log_mu_T, ages, years, fixed[1])
+    step2 = fit_layer(d_country, E_country, log_mu_T, ages, years, fixed[1])
     kind = {} if anchors is None else {"model_kind": ADJUSTED_LEE_MILLER,
                                        "blend_weight": anchors.blend_weight}
     params = LiLeeParams(
@@ -308,12 +275,6 @@ def _fit_two_step(d_common, E_common, d_country, E_country, ages, years,
         sweeps_common=step1.sweeps, sweeps_country=step2.sweeps,
     )
     return params, fitted
-
-
-def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
-              years: YearRange) -> tuple[LiLeeParams, FittedSurface]:
-    """Run both Li-Lee steps and package the result for one gender."""
-    return _fit_two_step(d_common, E_common, d_country, E_country, ages, years)
 
 
 def calibrate_dataset(dataset: MultiPopulationDataset, country: str,
@@ -392,8 +353,8 @@ def fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
     """
     anchors = lee_miller_anchors(d_common, E_common, d_country, E_country,
                                  blend_weight)
-    return _fit_two_step(d_common, E_common, d_country, E_country, ages, years,
-                         anchors)
+    return calibrate(d_common, E_common, d_country, E_country, ages, years,
+                     anchors)
 
 
 # ---------------------------------------------------------------------------

@@ -264,12 +264,11 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
 # Life expectancy
 # ---------------------------------------------------------------------------
 
-def _year_fraction(mu: np.ndarray, negated=None, least=0.0) -> np.ndarray:
+def _year_fraction(mu: np.ndarray, negated: np.ndarray, least: float) -> np.ndarray:
     """(1 - e^-mu)/mu with the mu -> 0 limit of 1, as expm1(-mu)/(-mu), which
-    IEEE sign symmetry makes equal bit for bit; `negated` may hold -mu, and a
+    IEEE sign symmetry makes equal bit for bit; `negated` holds -mu, and a
     known positive least force `least` skips the scan for zeros.
     Steps run in place: every temporary of this size costs a fresh allocation."""
-    negated = np.negative(mu) if negated is None else negated
     fraction = np.expm1(negated)
     with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
         np.divide(fraction, negated, out=fraction)

@@ -4,8 +4,9 @@ backward recursion that negated the forces twice, a Kannisto
 closure that runs in death-probability space, a simulation that
 constructs one generator per path, forces from two broadcast outer
 products, the closure's tail evaluated on the path-major view and
-quantiles from `np.quantile` (`mortkit.project`), the adjusted
-Lee-Miller variant as its own pair of fits (`mortkit.lilee`), and the
+quantiles from `np.quantile` (`mortkit.project`), the Li-Lee
+calibration and its adjusted Lee-Miller variant each as its own pair of
+fits (`mortkit.lilee`), and the
 auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`)."""
 import warnings
 
@@ -215,6 +216,35 @@ def _two_fit_blockwise(deaths, exposures, offset, A, B, K, *, fit_profile,
         if trace[-1] - trace[-2] < sweep_tol:
             return A, B, K, current, trace, sweep
     raise AssertionError("oracle fit did not converge")
+
+
+def two_fit_li_lee(d_common, E_common, d_country, E_country, ages, years):
+    """The Li-Lee calibration as its own pair of fits, each released from
+    the log average rates (the country's over the fitted common surface)
+    with flat B and K = 0, all periods free and K centred.  Returns
+    (LiLeeParams, FittedSurface)."""
+    nx, nt = len(ages), len(years)
+
+    def fit(deaths, exposures, offset):
+        d = np.asarray(deaths, dtype=float)
+        E = np.asarray(exposures, dtype=float)
+        A0 = np.log(d.sum(axis=1) / (E * np.exp(offset)).sum(axis=1))
+        return _two_fit_blockwise(
+            d, E, offset, A0, np.full(nx, 1.0 / np.sqrt(nx)), np.zeros(nt),
+            fit_profile=True, free_periods=np.ones(nt, dtype=bool),
+            center_periods=True, sweep_tol=SWEEP_TOL, max_sweeps=MAX_SWEEPS)
+
+    A, B, K, ll1, _, sweeps1 = fit(d_common, E_common, np.zeros((nx, nt)))
+    log_mu_T = A[:, None] + B[:, None] * K[None, :]
+    alpha, beta, kappa, ll2, _, sweeps2 = fit(d_country, E_country, log_mu_T)
+    params = LiLeeParams(ages=ages, years=years, A=A, B=B, K=K,
+                         alpha=alpha, beta=beta, kappa=kappa)
+    fitted = FittedSurface(
+        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
+        loglik_common=ll1, loglik_country=ll2,
+        sweeps_common=sweeps1, sweeps_country=sweeps2,
+    )
+    return params, fitted
 
 
 def two_fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,

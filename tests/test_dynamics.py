@@ -265,7 +265,8 @@ class TestWeightedFit:
         with pytest.raises(ValidationError, match=r"\[0, 1\]"):
             fit_weighted_mle(rows, bad)
 
-    def test_collinear_residuals_ridge_then_diagnostic_error(self, rng):
+    def test_collinear_residuals_ridge_then_diagnostic_error(self, rng, monkeypatch):
+        monkeypatch.setattr(dynamics, "MAX_FIT_ITER", 60)
         series = simulate_series(rng, 14)
         rows = build_design(PeriodEffectSeries(
             years=series.years,
@@ -274,7 +275,7 @@ class TestWeightedFit:
         ))
         with pytest.warns(RuntimeWarning, match="ridge"):
             with pytest.raises(ConvergenceError) as excinfo:
-                fit_weighted_mle(rows, max_iter=60)
+                fit_weighted_mle(rows)
         last = excinfo.value.last_iterate
         assert set(last) == {"psi", "C", "loglik"}
         assert np.isfinite(last["loglik"])

@@ -1,17 +1,17 @@
 """Two-step calibration: likelihood, constraints, oracle comparisons."""
 import numpy as np
 import pytest
-from oracles import two_fit_adjusted_lee_miller
+from oracles import two_fit_adjusted_lee_miller, two_fit_li_lee
 from readback import import_params_csv
 from scipy.optimize import minimize
 
+from mortkit import lilee
 from mortkit.data import AgeRange, YearRange
 from mortkit.errors import ConvergenceError, ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, LiLeeParams, calibrate,
                            export_params_csv,
                            fit_adjusted_lee_miller, fit_common_trend,
-                           fit_country_deviation,
-                           lee_miller_anchors, loglik_gradient,
+                           fit_layer, lee_miller_anchors, loglik_gradient,
                            poisson_loglik)
 
 AGES2 = AgeRange(60, 61)
@@ -48,6 +48,22 @@ def nelder_mead_oracle(deaths, exposures, restarts=6, seed=0):
         if best is None or res.fun < best.fun:
             best = res
     return -best.fun, unpack(best.x)
+
+
+def assert_same_calibration(got, want):
+    """Bit-for-bit equal params, fitted surfaces, likelihoods and sweeps."""
+    (params, fitted), (want_params, want_fitted) = got, want
+    for name in ("A", "B", "K", "alpha", "beta", "kappa"):
+        assert np.array_equal(getattr(params, name),
+                              getattr(want_params, name)), name
+    assert (params.model_kind, params.blend_weight) == (
+        want_params.model_kind, want_params.blend_weight)
+    assert np.array_equal(fitted.mu_common, want_fitted.mu_common)
+    assert np.array_equal(fitted.mu_country, want_fitted.mu_country)
+    assert (fitted.loglik_common, fitted.loglik_country,
+            fitted.sweeps_common, fitted.sweeps_country) == (
+        want_fitted.loglik_common, want_fitted.loglik_country,
+        want_fitted.sweeps_common, want_fitted.sweeps_country)
 
 
 def random_small_problem(rng):
@@ -145,10 +161,12 @@ class TestCommonTrend:
         with pytest.raises(ValidationError, match="age 60"):
             fit_common_trend(d, E, AGES2, YEARS3)
 
-    def test_nonconvergence_reports_last_iterate(self, rng):
+    def test_nonconvergence_reports_last_iterate(self, rng, monkeypatch):
+        monkeypatch.setattr(lilee, "SWEEP_TOL", 0.0)
+        monkeypatch.setattr(lilee, "MAX_SWEEPS", 2)
         d, E = random_small_problem(rng)
         with pytest.raises(ConvergenceError) as excinfo:
-            fit_common_trend(d, E, AGES2, YEARS3, sweep_tol=0.0, max_sweeps=2)
+            fit_common_trend(d, E, AGES2, YEARS3)
         assert set(excinfo.value.last_iterate) >= {"A", "B", "K", "loglik"}
 
     def test_generative_recovery(self, rng):
@@ -216,11 +234,18 @@ class TestCountryDeviation:
         ages, years, d_T, E_T, d_c, E_c, _ = self._pooled_and_country(rng)
         step1 = fit_common_trend(d_T, E_T, ages, years)
         log_mu_T = step1.profile[:, None] + step1.B[:, None] * step1.K[None, :]
-        step2 = fit_country_deviation(d_c, E_c, log_mu_T, ages, years)
+        step2 = fit_layer(d_c, E_c, log_mu_T, ages, years)
         params, _ = calibrate(d_T, E_T, d_c, E_c, ages, years)
         np.testing.assert_array_equal(params.A, step1.profile)
         np.testing.assert_array_equal(params.K, step1.K)
         np.testing.assert_allclose(params.kappa, step2.K, rtol=0, atol=0)
+
+    def test_matches_the_two_fit_oracle(self, rng):
+        # The one layer fit reproduces the Li-Lee pair of fits bit for bit.
+        for nx, nt in ((6, 12), (3, 5), (9, 20), (5, 8), (11, 30)):
+            ages, years, *grids, _ = self._pooled_and_country(rng, nx, nt)
+            assert_same_calibration(calibrate(*grids, ages, years),
+                                    two_fit_li_lee(*grids, ages, years))
 
     @pytest.mark.parametrize("d_shape, E_shape, years", [
         ((2, 4), (2, 4), YEARS3),                  # deaths span 4 years
@@ -232,14 +257,14 @@ class TestCountryDeviation:
         d = np.full(d_shape, 5.0)
         E = np.full(E_shape, 100.0)
         with pytest.raises(ValidationError, match=r"\(n_ages, n_years\)"):
-            fit_country_deviation(d, E, np.zeros(d_shape), AGES2, years)
+            fit_layer(d, E, np.zeros(d_shape), AGES2, years)
         with pytest.raises(ValidationError, match=r"\(n_ages, n_years\)"):
             fit_common_trend(d, E, AGES2, years)
 
     def test_common_surface_shape_refused(self):
         d = np.full((2, 3), 5.0)
         with pytest.raises(ValidationError, match="common surface"):
-            fit_country_deviation(d, d * 20.0, np.zeros((2, 4)), AGES2, YEARS3)
+            fit_layer(d, d * 20.0, np.zeros((2, 4)), AGES2, YEARS3)
 
 
 class TestAdjustedLeeMiller:
@@ -295,20 +320,9 @@ class TestAdjustedLeeMiller:
         # anchored fits bit for bit.
         for nx, nt in ((5, 8), (7, 12)):
             ages, years, *grids = self._inputs(rng, nx, nt)
-            params, fitted = fit_adjusted_lee_miller(*grids, ages, years, w)
-            want_params, want_fitted = two_fit_adjusted_lee_miller(
-                *grids, ages, years, w)
-            for name in ("A", "B", "K", "alpha", "beta", "kappa"):
-                assert np.array_equal(getattr(params, name),
-                                      getattr(want_params, name)), name
-            assert (params.model_kind, params.blend_weight) == (
-                want_params.model_kind, want_params.blend_weight)
-            assert np.array_equal(fitted.mu_common, want_fitted.mu_common)
-            assert np.array_equal(fitted.mu_country, want_fitted.mu_country)
-            assert (fitted.loglik_common, fitted.loglik_country,
-                    fitted.sweeps_common, fitted.sweeps_country) == (
-                want_fitted.loglik_common, want_fitted.loglik_country,
-                want_fitted.sweeps_common, want_fitted.sweeps_country)
+            assert_same_calibration(
+                fit_adjusted_lee_miller(*grids, ages, years, w),
+                two_fit_adjusted_lee_miller(*grids, ages, years, w))
 
     @pytest.mark.parametrize("which, shape", [
         (2, (5, 7)),    # country deaths one year short

@@ -455,7 +455,7 @@ class TestLifeExpectancy:
                        [3.0, 700.0, np.inf, -0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = project._year_fraction(mu)
+            got = project._year_fraction(mu, np.negative(mu), 0.0)
         np.testing.assert_array_equal(got, masked_year_fraction(mu))
         assert got[0, 0] == got[1, 3] == 1.0 and got[1, 2] == 0.0
 
@@ -472,7 +472,7 @@ class TestLifeExpectancy:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = project._expectancy_kernel(forces)
-                fraction = project._year_fraction(forces, np.negative(forces))
+                fraction = project._year_fraction(forces, np.negative(forces), 0.0)
             np.testing.assert_array_equal(got, negate_twice_expectancy_kernel(forces))
             np.testing.assert_array_equal(fraction, masked_year_fraction(forces))
         assert got[0, 0] == 121.0 and got[40, 3] == 0.0
