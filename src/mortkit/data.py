@@ -499,13 +499,13 @@ def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
     """Read an individual-age file into a fragment.
 
     Header: country,year,gender,age,deaths,exposure with an optional
-    trailing provenance column (written by the ungrouping emitter).  The
+    trailing provenance column (written by `write_individual_age_csv`).  The
     exposure field may be empty for deaths-only publications.  The data
     rows are parsed in one `np.loadtxt` call; a file that call cannot
     provably read as the row loop would is read row by row, which is also
     where every `file:line` error comes from.
     """
-    if source_shape not in INDIVIDUAL_SHAPES + ("VIRTUAL",):
+    if source_shape not in INDIVIDUAL_SHAPES:
         raise ValidationError(f"unknown individual-age shape {source_shape!r}")
     path, header, body = _read_csv(path)
     if header[:6] != INDIVIDUAL_HEADER:
@@ -753,37 +753,38 @@ def _weekly_series(key, records, source_shape, has_exposure) -> BucketedWeeklySe
     )
 
 
-def write_weekly_csv(path, series: BucketedWeeklySeries, source_shape: str,
-                     *, append=False):
-    """Emit a weekly series in STMF or EUROW schema (fixture support)."""
+def write_weekly_csv(path, series, source_shape: str):
+    """Emit weekly series in STMF or EUROW schema (fixture support): one
+    header, then every series of the sequence `series` in order."""
     if source_shape not in WEEKLY_SHAPES:
         raise ValidationError(f"unknown weekly shape {source_shape!r}")
-    path = Path(path)
-    mode = "a" if append and path.exists() else "w"
-    with_exposure = source_shape == "STMF" and series.exposures is not None
-    with path.open(mode, newline="") as handle:
+    carried = {source_shape == "STMF" and s.exposures is not None for s in series}
+    if len(carried) > 1:
+        raise ValidationError("weekly series disagree on carrying exposures")
+    with_exposure = carried == {True}
+    if source_shape == "STMF":
+        header = STMF_HEADER + (("exposure",) if with_exposure else ())
+    else:
+        header = EUROW_HEADER
+    with Path(path).open("w", newline="") as handle:
         writer = csv.writer(handle)
-        if mode == "w":
-            if source_shape == "STMF":
-                header = STMF_HEADER + (("exposure",) if with_exposure else ())
-            else:
-                header = EUROW_HEADER
-            writer.writerow(header)
-        for bucket in sorted(series.deaths):
-            for week in range(1, series.week_count + 1):
-                d = series.deaths[bucket][week - 1]
-                row = [series.country, series.year, week, series.gender,
-                       bucket.label, format(float(d), ".17g")]
-                if source_shape == "STMF":
-                    if series.death_rates is not None:
-                        m = series.death_rates[bucket][week - 1]
-                    else:
-                        m = d / series.exposures[bucket][week - 1]
-                    row.append("" if np.isnan(m) else format(float(m), ".17g"))
-                    if with_exposure:
-                        e = series.exposures[bucket][week - 1]
-                        row.append(format(float(e), ".17g"))
-                writer.writerow(row)
+        writer.writerow(header)
+        for one in series:
+            for bucket in sorted(one.deaths):
+                for week in range(1, one.week_count + 1):
+                    d = one.deaths[bucket][week - 1]
+                    row = [one.country, one.year, week, one.gender,
+                           bucket.label, format(float(d), ".17g")]
+                    if source_shape == "STMF":
+                        if one.death_rates is not None:
+                            m = one.death_rates[bucket][week - 1]
+                        else:
+                            m = d / one.exposures[bucket][week - 1]
+                        row.append("" if np.isnan(m) else format(float(m), ".17g"))
+                        if with_exposure:
+                            e = one.exposures[bucket][week - 1]
+                            row.append(format(float(e), ".17g"))
+                    writer.writerow(row)
 
 
 # ---------------------------------------------------------------------------

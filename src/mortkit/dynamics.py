@@ -73,15 +73,22 @@ class PeriodEffectSeries:
 
 
 @dataclass(frozen=True)
-class ObservationRow:
-    """One year's stacked observation: Y in R^4, design X in R^(4x6)."""
+class Design:
+    """One series' observations, a row per year after the first: `years`
+    (T,), Y (T, 4), X (T, 4, 6); a slice or an index array selects rows."""
 
-    year: int
+    years: np.ndarray
     Y: np.ndarray
     X: np.ndarray
 
+    def __len__(self):
+        return len(self.years)
 
-def build_design(series: PeriodEffectSeries) -> list[ObservationRow]:
+    def __getitem__(self, rows) -> Design:
+        return Design(self.years[rows], self.Y[rows], self.X[rows])
+
+
+def build_design(series: PeriodEffectSeries) -> Design:
     """Rows for t_min+1 .. t_max; exactly |T|-1 of them.
 
     Row layout (male block first):
@@ -91,22 +98,14 @@ def build_design(series: PeriodEffectSeries) -> list[ObservationRow]:
              [0, 0,          0, 1, 0,          0],
              [0, 0,          0, 0, 1, kappa^F_{t-1}]]
     """
-    K_m = np.asarray(series.K["M"], dtype=float)
-    K_f = np.asarray(series.K["F"], dtype=float)
-    k_m = np.asarray(series.kappa["M"], dtype=float)
-    k_f = np.asarray(series.kappa["F"], dtype=float)
-    rows = []
-    for j in range(1, len(series.years)):
-        Y = np.array([K_m[j] - K_m[j - 1], k_m[j], K_f[j] - K_f[j - 1], k_f[j]])
-        X = np.zeros((4, 6))
-        X[0, 0] = 1.0
-        X[1, 1] = 1.0
-        X[1, 2] = k_m[j - 1]
-        X[2, 3] = 1.0
-        X[3, 4] = 1.0
-        X[3, 5] = k_f[j - 1]
-        rows.append(ObservationRow(int(series.years.first + j), Y, X))
-    return rows
+    K_m, K_f, k_m, k_f = (np.asarray(table[g], dtype=float)
+                          for table in (series.K, series.kappa) for g in GENDERS)
+    Y = np.stack([np.diff(K_m), k_m[1:], np.diff(K_f), k_f[1:]], axis=1)
+    X = np.zeros((len(Y), 4, 6))
+    X[:, [0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
+    X[:, 1, 2] = k_m[:-1]
+    X[:, 3, 5] = k_f[:-1]
+    return Design(series.years.values()[1:], Y, X)
 
 
 @dataclass(frozen=True)
@@ -146,12 +145,6 @@ class TimeSeriesFit:
         return self.param(f"phi_{gender}")
 
 
-def _stack(rows):
-    Ys = np.stack([r.Y for r in rows])
-    Xs = np.stack([r.X for r in rows])
-    return Ys, Xs
-
-
 def _check_pd(C) -> np.ndarray:
     C = np.asarray(C, dtype=float)
     if C.shape != (4, 4) or not np.allclose(C, C.T, atol=1e-12):
@@ -163,7 +156,14 @@ def _check_pd(C) -> np.ndarray:
     return C
 
 
-def loglik(psi, C, rows, weights=None) -> float:
+def _weights(design: Design, weights) -> np.ndarray:
+    w = np.ones(len(design)) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (len(design),):
+        raise ValidationError("one weight per observation row required")
+    return w
+
+
+def loglik(psi, C, design: Design, weights=None) -> float:
     """Weighted Gaussian log-likelihood
     -0.5 * sum_t w_t * (4 log 2pi + log|C| + r_t' C^-1 r_t).
 
@@ -172,11 +172,8 @@ def loglik(psi, C, rows, weights=None) -> float:
     """
     C = _check_pd(C)
     psi = np.asarray(psi, dtype=float)
-    Ys, Xs = _stack(rows)
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (len(rows),):
-        raise ValidationError("one weight per observation row required")
-    resid = Ys - Xs @ psi
+    w = _weights(design, weights)
+    resid = design.Y - design.X @ psi
     Cinv = np.linalg.inv(C)
     _, logdet = np.linalg.slogdet(C)
     quad = np.einsum("ti,ij,tj->t", resid, Cinv, resid)
@@ -219,7 +216,7 @@ def _score_norm(Ys, Xs, w, psi, C) -> float:
     return float(np.abs(step).max() / (1.0 + np.abs(psi).max()))
 
 
-def fit_weighted_mle(rows, weights=None) -> TimeSeriesFit:
+def fit_weighted_mle(design: Design, weights=None) -> TimeSeriesFit:
     """Maximize the weighted likelihood by alternating exact steps.
 
     Given C, Psi is the weighted GLS solution; given Psi, C is the
@@ -232,10 +229,7 @@ def fit_weighted_mle(rows, weights=None) -> TimeSeriesFit:
     equations at the returned point, as a deterministic diagnostic of how
     exactly the fixed point was reached.
     """
-    rows = list(rows)
-    w = np.ones(len(rows)) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (len(rows),):
-        raise ValidationError("one weight per observation row required")
+    w = _weights(design, weights)
     if np.any(w < 0) or np.any(w > 1):
         raise ValidationError("weights must lie in [0, 1]")
     if np.sum(w) < MIN_EFFECTIVE_OBS:
@@ -243,18 +237,17 @@ def fit_weighted_mle(rows, weights=None) -> TimeSeriesFit:
             f"need >= {MIN_EFFECTIVE_OBS} effective observations, "
             f"got sum(w) = {np.sum(w):g}"
         )
-    Ys, Xs = _stack(rows)
-
+    Ys, Xs = design.Y, design.X
     psi = _gls_step(Ys, Xs, w, np.eye(4))
     C, _ = _cov_step(Ys, Xs, w, psi, warn=False)
-    current = loglik(psi, C, rows, w)
+    current = loglik(psi, C, design, w)
     ridged_any = False
     for it in range(1, MAX_FIT_ITER + 1):
         psi_prev, C_prev = psi, C
         psi = _gls_step(Ys, Xs, w, C)
         C, ridged = _cov_step(Ys, Xs, w, psi)
         ridged_any = ridged_any or ridged
-        new = loglik(psi, C, rows, w)
+        new = loglik(psi, C, design, w)
         step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
         scale = 1.0 + max(np.abs(psi).max(), np.abs(C).max())
         if abs(new - current) < FIT_TOL and step <= PARAM_TOL * scale:
@@ -279,18 +272,17 @@ def fit_period_effects(params: dict, weight_last: float | None = None
         K={g: params[g].K for g in GENDERS},
         kappa={g: params[g].kappa for g in GENDERS},
     )
-    rows = build_design(series)
-    weights = np.ones(len(rows))
+    design = build_design(series)
+    weights = np.ones(len(design))
     if weight_last is not None:
         weights[-1] = weight_last
-    return fit_weighted_mle(rows, weights)
+    return fit_weighted_mle(design, weights)
 
 
-def psi_covariance(fit: TimeSeriesFit, rows) -> np.ndarray:
+def psi_covariance(fit: TimeSeriesFit, design: Design) -> np.ndarray:
     """Asymptotic covariance of Psi: (sum_t w_t X' C^-1 X)^-1."""
-    Ys, Xs = _stack(list(rows))
     Cinv = np.linalg.inv(fit.C)
-    info = np.einsum("t,tki,kl,tlj->ij", fit.weights, Xs, Cinv, Xs)
+    info = np.einsum("t,tki,kl,tlj->ij", fit.weights, design.X, Cinv, design.X)
     return np.linalg.inv(info)
 
 

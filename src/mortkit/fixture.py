@@ -245,15 +245,16 @@ def degrade_to_weekly(truth: FixtureTruth, spec: WeeklyDegradation,
                       country: str, gender: str, shape: str,
                       share: float = 1.0, *,
                       exposure_column: bool = True) -> BucketedWeeklySeries:
-    """One gender's weekly series for a degraded year.
+    """One gender's weekly series for a degraded year, labelled `country`:
+    the degraded country or a constituent that carries `share` of it.
 
     Deaths follow the seasonal profile scaled so that the 52/weeks
     annualization rule returns the annual bucket totals exactly; weekly
     exposures are the constant annual/52 value.
     """
     j = truth.years.index(spec.year)
-    d_col = truth.deaths[(country, gender)][:, j] * share
-    e_col = truth.exposures[(country, gender)][:, j] * share
+    d_col = truth.deaths[(spec.country, gender)][:, j] * share
+    e_col = truth.exposures[(spec.country, gender)][:, j] * share
     buckets = STMF_BUCKETS if shape == "STMF" else EUROW_BUCKETS
     d_tot = _bucket_totals(d_col, buckets, truth.ages)
     e_tot = _bucket_totals(e_col, buckets, truth.ages)
@@ -353,21 +354,10 @@ def make_synthetic_fixture(params: FixtureParams, out_dir) -> dict:
             for name, share in pieces.items():
                 rel = f"weekly/{name}_{spec.year}_{shape.lower()}.csv"
                 paths.append(rel)
-                target = out / rel
-                for g_idx, gender in enumerate(GENDERS):
-                    series = degrade_to_weekly(
-                        truth, spec, spec.country, gender, shape, share,
-                        exposure_column=params.stmf_exposure_column,
-                    )
-                    if name != spec.country:
-                        series = BucketedWeeklySeries(
-                            country=name, gender=gender, year=spec.year,
-                            week_count=spec.weeks, deaths=series.deaths,
-                            exposures=series.exposures,
-                            death_rates=series.death_rates,
-                            exposure_origin=series.exposure_origin,
-                        )
-                    write_weekly_csv(target, series, shape, append=g_idx > 0)
+                write_weekly_csv(out / rel, [
+                    degrade_to_weekly(truth, spec, name, gender, shape, share,
+                                      exposure_column=params.stmf_exposure_column)
+                    for gender in GENDERS], shape)
             weekly_files.extend(paths)
             if shape == "STMF":
                 quantities = ["exposures"] if "EUROW" in spec.shapes \

@@ -113,7 +113,6 @@ class UngroupedExposures:
 
     ages: AgeRange
     values: np.ndarray
-    scale_factors: dict       # bucket -> factor
     open_shift: float
 
 
@@ -158,7 +157,7 @@ def ungroup_exposures(prev_curve: np.ndarray, buckets: BucketedAnnualSeries,
     _check_partition(closed, open_bucket, ages.max_age)
 
     shifted = shift_exposure_curve(prev)
-    scaled, factors = scale_curve_to_buckets(shifted, closed, ages.min_age)
+    scaled, _ = scale_curve_to_buckets(shifted, closed, ages.min_age)
 
     open_lo = open_bucket.lower - ages.min_age
     if prev_open_total is None:
@@ -169,8 +168,7 @@ def ungroup_exposures(prev_curve: np.ndarray, buckets: BucketedAnnualSeries,
     )
     out = scaled.copy()
     out[open_lo:] = adjusted
-    return UngroupedExposures(ages=ages, values=out, scale_factors=factors,
-                              open_shift=float(shift))
+    return UngroupedExposures(ages=ages, values=out, open_shift=float(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +263,6 @@ class UngroupedDeaths:
 
     ages: AgeRange
     values: np.ndarray
-    scale_factors: dict       # bucket -> factor
     open_rule: str            # "reference-tail" or "model-tail"
     tail_estimate: float      # estimated deaths beyond the model top age
 
@@ -315,7 +312,7 @@ def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
 
     force = aux.central_force(gender, year)
     profile = expected_deaths(force, exposures)
-    scaled, factors = scale_curve_to_buckets(profile, closed, ages.min_age)
+    scaled, _ = scale_curve_to_buckets(profile, closed, ages.min_age)
 
     out = scaled.copy()
     open_lo_idx = open_bucket.lower - ages.min_age
@@ -342,9 +339,8 @@ def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
             )
         b = remainder / mass if mass > 0 else 1.0
         out[open_lo_idx:] = profile[open_lo_idx:] * b
-        factors[open_bucket] = b
         rule = "model-tail"
     if np.any(out < 0):
         raise ValidationError("ungrouped deaths became negative")
-    return UngroupedDeaths(ages=ages, values=out, scale_factors=factors,
-                           open_rule=rule, tail_estimate=float(tail_estimate))
+    return UngroupedDeaths(ages=ages, values=out, open_rule=rule,
+                           tail_estimate=float(tail_estimate))

@@ -6,8 +6,10 @@ constructs one generator per path, forces from two broadcast outer
 products, the closure's tail evaluated on the path-major view and
 quantiles from `np.quantile` (`mortkit.project`), the Li-Lee
 calibration and its adjusted Lee-Miller variant each as its own pair of
-fits (`mortkit.lilee`), and the
-auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`)."""
+fits (`mortkit.lilee`), the
+auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
+the dynamics design built one observation row per year
+(`mortkit.dynamics`)."""
 import warnings
 
 import numpy as np
@@ -287,3 +289,24 @@ def two_fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
         sweeps_common=sweeps1, sweeps_country=sweeps2,
     )
     return params, fitted
+
+
+def per_row_design(series):
+    """The dynamics observations as a list of per-year (year, Y, X)
+    triples, each row's Y in R^4 and X in R^(4x6) built on its own."""
+    K_m = np.asarray(series.K["M"], dtype=float)
+    K_f = np.asarray(series.K["F"], dtype=float)
+    k_m = np.asarray(series.kappa["M"], dtype=float)
+    k_f = np.asarray(series.kappa["F"], dtype=float)
+    rows = []
+    for j in range(1, len(series.years)):
+        Y = np.array([K_m[j] - K_m[j - 1], k_m[j], K_f[j] - K_f[j - 1], k_f[j]])
+        X = np.zeros((4, 6))
+        X[0, 0] = 1.0
+        X[1, 1] = 1.0
+        X[1, 2] = k_m[j - 1]
+        X[2, 3] = 1.0
+        X[3, 4] = 1.0
+        X[3, 5] = k_f[j - 1]
+        rows.append((int(series.years.first + j), Y, X))
+    return rows

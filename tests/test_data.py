@@ -104,7 +104,7 @@ class TestWeeklyCsv:
     def test_stmf_roundtrip_with_exposure_column(self, tmp_path):
         series = weekly_stmf(deaths_per_week={b: 7.25 for b in STMF_BUCKETS})
         path = tmp_path / "stmf.csv"
-        write_weekly_csv(path, series, "STMF")
+        write_weekly_csv(path, [series], "STMF")
         loaded = load_weekly_csv(path, "STMF")
         assert loaded.exposure_origin == "column"
         assert loaded.week_count == 52
@@ -117,7 +117,7 @@ class TestWeeklyCsv:
     def test_stmf_derived_exposure(self, tmp_path):
         series = weekly_stmf(with_exposures=False)
         path = tmp_path / "stmf.csv"
-        write_weekly_csv(path, series, "STMF")
+        write_weekly_csv(path, [series], "STMF")
         loaded = load_weekly_csv(path, "STMF")
         assert loaded.exposure_origin == "derived"
         for bucket in STMF_BUCKETS:
@@ -128,15 +128,20 @@ class TestWeeklyCsv:
     def test_eurow_roundtrip(self, tmp_path):
         series = weekly_eurow()
         path = tmp_path / "eurow.csv"
-        write_weekly_csv(path, series, "EUROW")
+        write_weekly_csv(path, [series], "EUROW")
         loaded = load_weekly_csv(path, "EUROW")
         assert loaded.exposures is None
         assert set(loaded.deaths) == set(EUROW_BUCKETS)
 
+    def test_series_must_agree_on_carrying_exposures(self, tmp_path):
+        mixed = [weekly_stmf(gender="M"),
+                 weekly_stmf(gender="F", with_exposures=False)]
+        with pytest.raises(ValidationError, match="disagree"):
+            write_weekly_csv(tmp_path / "mixed.csv", mixed, "STMF")
+
     def test_multiple_series_need_filters(self, tmp_path):
         path = tmp_path / "two.csv"
-        write_weekly_csv(path, weekly_stmf(gender="M"), "STMF")
-        write_weekly_csv(path, weekly_stmf(gender="F"), "STMF", append=True)
+        write_weekly_csv(path, [weekly_stmf(gender=g) for g in GENDERS], "STMF")
         with pytest.raises(ParseError, match="multiple series"):
             load_weekly_csv(path, "STMF")
         loaded = load_weekly_csv(path, "STMF", gender="F")
@@ -144,8 +149,7 @@ class TestWeeklyCsv:
 
     @staticmethod
     def _two_gender_file(path):
-        write_weekly_csv(path, weekly_stmf(gender="M"), "STMF")
-        write_weekly_csv(path, weekly_stmf(gender="F"), "STMF", append=True)
+        write_weekly_csv(path, [weekly_stmf(gender=g) for g in GENDERS], "STMF")
         return path
 
     def test_gender_tuple_splits_the_file_in_one_parse(self, tmp_path):
@@ -183,22 +187,22 @@ class TestWeeklyCsv:
         assert str(split.value) == str(one.value) == message
 
     def test_split_needs_one_series_per_gender(self, tmp_path):
-        path = self._two_gender_file(tmp_path / "two.csv")
-        write_weekly_csv(path, weekly_stmf(country="NLD", gender="F"), "STMF",
-                         append=True)
+        path = tmp_path / "three.csv"
+        write_weekly_csv(path, [weekly_stmf(gender="M"), weekly_stmf(gender="F"),
+                                weekly_stmf(country="NLD", gender="F")], "STMF")
         with pytest.raises(ParseError, match="multiple series"):
             load_weekly_csv(path, "STMF", gender=GENDERS)
         assert load_weekly_csv(path, "STMF", gender=("M",))["M"].country == "BEL"
 
     def test_split_needs_rows_for_every_gender(self, tmp_path):
         path = tmp_path / "m.csv"
-        write_weekly_csv(path, weekly_stmf(gender="M"), "STMF")
+        write_weekly_csv(path, [weekly_stmf(gender="M")], "STMF")
         with pytest.raises(ParseError, match="no rows match"):
             load_weekly_csv(path, "STMF", gender=GENDERS)
 
     def test_duplicate_cell_refused(self, tmp_path):
         path = tmp_path / "dup.csv"
-        write_weekly_csv(path, weekly_stmf(), "STMF")
+        write_weekly_csv(path, [weekly_stmf()], "STMF")
         with path.open("a") as handle:
             handle.write("BEL,2020,1,M,0-14,10,0.002,5000\n")
         with pytest.raises(ParseError, match="duplicate row"):
@@ -206,7 +210,7 @@ class TestWeeklyCsv:
 
     def test_foreign_bucket_refused(self, tmp_path):
         path = tmp_path / "bad.csv"
-        write_weekly_csv(path, weekly_stmf(), "STMF")
+        write_weekly_csv(path, [weekly_stmf()], "STMF")
         with path.open("a") as handle:
             handle.write("BEL,2020,1,M,5-9,10,0.002,5000\n")
         with pytest.raises(ParseError, match="not valid for STMF"):
@@ -375,6 +379,11 @@ class TestIndividualCsv:
         frag = load_individual_age_csv(path, "STATBEL")
         assert fragment_records(frag)[0] == ("BEL", "F", 40, 2005, "deaths", 11.0,
                                              "STATBEL")
+
+    @pytest.mark.parametrize("shape", ["VIRTUAL", "STMF"])
+    def test_only_individual_shapes_are_read(self, tmp_path, shape):
+        with pytest.raises(ValidationError, match="unknown individual-age shape"):
+            load_individual_age_csv(tmp_path / "ind.csv", shape)
 
     @pytest.mark.parametrize("name", sorted(EDGE_FILES))
     def test_one_call_parse_matches_row_loop(self, tmp_path, monkeypatch, name):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import per_row_design
 from readback import import_fit_csv
 from scipy import optimize, stats
 
@@ -46,14 +47,14 @@ def simulate_series(rng, n_years, psi=TRUE_PSI, chol=CHOL, first_year=1990):
     )
 
 
-def gls_solution(rows, weights, C):
+def gls_solution(design, weights, C):
     """Independent weighted GLS solve of the stacked normal equations."""
     Cinv = np.linalg.inv(C)
     lhs = np.zeros((6, 6))
     rhs = np.zeros(6)
-    for row, w in zip(rows, weights):
-        lhs += w * row.X.T @ Cinv @ row.X
-        rhs += w * row.X.T @ Cinv @ row.Y
+    for Y, X, w in zip(design.Y, design.X, weights):
+        lhs += w * X.T @ Cinv @ X
+        rhs += w * X.T @ Cinv @ Y
     return np.linalg.solve(lhs, rhs)
 
 
@@ -62,13 +63,13 @@ class TestDesign:
         series = simulate_series(rng, 14)
         rows = build_design(series)
         assert len(rows) == 13
-        assert rows[0].year == 1991
-        assert rows[-1].year == 2003
+        assert rows.years[0] == 1991
+        assert rows.years[-1] == 2003
 
     def test_observation_stacks_diffs_and_levels(self, rng):
         series = simulate_series(rng, 5)
-        row = build_design(series)[2]
-        np.testing.assert_allclose(row.Y, [
+        design = build_design(series)
+        np.testing.assert_allclose(design.Y[2], [
             series.K["M"][3] - series.K["M"][2],
             series.kappa["M"][3],
             series.K["F"][3] - series.K["F"][2],
@@ -78,14 +79,14 @@ class TestDesign:
     def test_design_sparsity_pattern(self, rng):
         series = simulate_series(rng, 9)
         allowed = {(0, 0), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5)}
-        for j, row in enumerate(build_design(series), start=1):
-            assert row.X.shape == (4, 6)
-            nonzero = set(zip(*np.nonzero(row.X)))
+        for j, X in enumerate(build_design(series).X, start=1):
+            assert X.shape == (4, 6)
+            nonzero = set(zip(*np.nonzero(X)))
             assert nonzero <= allowed
             for i, k in ((0, 0), (1, 1), (2, 3), (3, 4)):
-                assert row.X[i, k] == 1.0
-            assert row.X[1, 2] == series.kappa["M"][j - 1]
-            assert row.X[3, 5] == series.kappa["F"][j - 1]
+                assert X[i, k] == 1.0
+            assert X[1, 2] == series.kappa["M"][j - 1]
+            assert X[3, 5] == series.kappa["F"][j - 1]
 
     def test_series_requires_both_genders(self):
         years = YearRange(2000, 2004)
@@ -101,6 +102,29 @@ class TestDesign:
                 K={"M": np.zeros(5), "F": np.zeros(4)},
                 kappa={"M": np.zeros(5), "F": np.zeros(5)},
             )
+
+    def test_arrays_equal_the_per_row_oracle(self, rng):
+        for n_years in range(2, 41):
+            series = simulate_series(rng, n_years,
+                                     first_year=int(rng.integers(1900, 2000)))
+            design = build_design(series)
+            years, Ys, Xs = zip(*per_row_design(series))
+            assert np.array_equal(design.years, years)
+            assert np.array_equal(design.Y, np.stack(Ys))
+            assert np.array_equal(design.X, np.stack(Xs))
+
+    def test_dropping_the_last_row_is_the_shorter_series(self, rng):
+        for n_years in range(2, 41):
+            series = simulate_series(rng, n_years)
+            shorter = PeriodEffectSeries(
+                years=YearRange(series.years.first, series.years.last - 1),
+                K={g: v[:-1] for g, v in series.K.items()},
+                kappa={g: v[:-1] for g, v in series.kappa.items()},
+            )
+            head, want = build_design(series)[:-1], build_design(shorter)
+            assert len(head) == n_years - 2
+            for field in ("years", "Y", "X"):
+                assert np.array_equal(getattr(head, field), getattr(want, field))
 
 
 class TestLoglik:
@@ -121,8 +145,8 @@ class TestLoglik:
         psi = TRUE_PSI + 0.05 * rng.standard_normal(6)
         weights = rng.uniform(0.1, 1.0, size=len(rows))
         expected = sum(
-            w * stats.multivariate_normal(mean=row.X @ psi, cov=TRUE_C).logpdf(row.Y)
-            for row, w in zip(rows, weights)
+            w * stats.multivariate_normal(mean=X @ psi, cov=TRUE_C).logpdf(Y)
+            for Y, X, w in zip(rows.Y, rows.X, weights)
         )
         value = loglik(psi, TRUE_C, rows, weights)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -137,7 +161,7 @@ class TestLoglik:
     def test_row_order_invariance(self, rng):
         series = simulate_series(rng, 10)
         rows = build_design(series)
-        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        shuffled = rows[rng.permutation(len(rows))]
         assert loglik(TRUE_PSI, TRUE_C, shuffled) == pytest.approx(
             loglik(TRUE_PSI, TRUE_C, rows), rel=1e-14)
 
@@ -182,8 +206,8 @@ class TestWeightedFit:
         weights = np.linspace(0.4, 1.0, len(rows))
         fit = fit_weighted_mle(rows, weights)
         moment = np.zeros((4, 4))
-        for row, w in zip(rows, weights):
-            resid = row.Y - row.X @ fit.psi
+        for Y, X, w in zip(rows.Y, rows.X, weights):
+            resid = Y - X @ fit.psi
             moment += w * np.outer(resid, resid)
         np.testing.assert_allclose(
             fit.C, moment / weights.sum(), rtol=0, atol=1e-12)
@@ -312,11 +336,10 @@ class TestFixedPoint:
         rows = build_design(simulate_series(rng, 20))
         weights = rng.uniform(0.3, 1.0, size=len(rows))
         fit = fit_weighted_mle(rows, weights)
-        Ys, Xs = dynamics._stack(rows)
         psi = fit.psi + 0.01 * rng.standard_normal(6)
         expected = (np.abs(gls_solution(rows, weights, fit.C) - psi).max()
                     / (1.0 + np.abs(psi).max()))
-        got = dynamics._score_norm(Ys, Xs, weights, psi, fit.C)
+        got = dynamics._score_norm(rows.Y, rows.X, weights, psi, fit.C)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_import_loads_no_scipy(self):

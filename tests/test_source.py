@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every module-level function and class is named somewhere else, and every
-method of such a class is read as an attribute somewhere."""
+method and dataclass field of such a class is read as an attribute
+somewhere."""
 import ast
 from pathlib import Path
 
@@ -139,3 +140,37 @@ def test_checker_sees_a_dead_method():
     caller = "Series().called()\nsetattr(Series, 'patched', None)\ncalled = unread = 1\n"
     used = attributes_used(module) | attributes_used(caller)
     assert dead_methods(module, used) == ["Series.unread", "Series.unused"]
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def dead_fields(source: str, used: set) -> list:
+    """Annotated fields of the module-level dataclasses of `source`, as
+    "Class.field", whose name is missing from `used`."""
+    return sorted(f"{node.name}.{item.target.id}" for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef)
+                  and any(_decorator_name(d) == "dataclass"
+                          for d in node.decorator_list)
+                  for item in node.body
+                  if isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)
+                  and item.target.id not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_dataclass_field(path, corpus_attributes):
+    assert dead_fields(path.read_text(), corpus_attributes) == []
+
+
+def test_checker_sees_a_dead_field():
+    module = ("from dataclasses import dataclass\nimport dataclasses\n\n"
+              "@dataclass(frozen=True)\nclass Fit:\n    psi: list\n"
+              "    unread: dict\n    named: int = 0\n\n"
+              "@dataclasses.dataclass\nclass Row:\n    year: int\n\n"
+              "class Plain:\n    annotated: int\n")
+    caller = "fit = Fit(psi=[], unread={}, named=1)\nprint(fit.psi, 'named')\n"
+    used = attributes_used(module) | attributes_used(caller)
+    assert dead_fields(module, used) == ["Fit.unread", "Row.year"]
