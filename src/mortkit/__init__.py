@@ -19,9 +19,8 @@ from .dynamics import (PeriodEffectSeries, TimeSeriesFit, build_design,
                        fit_weighted_mle)
 from .errors import (ConfigError, ConvergenceError, MortkitError, ParseError,
                      ValidationError)
-from .lilee import (FittedSurface, LiLeeParams, calibrate,
-                    fit_adjusted_lee_miller, lee_miller_anchors,
-                    poisson_loglik)
+from .lilee import (LiLeeParams, calibrate, fit_adjusted_lee_miller,
+                    lee_miller_anchors, poisson_loglik)
 from .pipeline import RunReport, ScenarioResult, assemble_dataset, run_pipeline
 from .project import (ScenarioSpec, SimulationPaths, central_period_effects,
                       cohort_life_expectancy, kannisto_close,
@@ -34,8 +33,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgeBucket", "AgeRange", "AuxiliaryModel", "BucketedAnnualSeries",
-    "BucketedWeeklySeries", "ConfigError", "ConvergenceError",
-    "FittedSurface", "LiLeeParams", "MortalitySurface", "MortkitError",
+    "BucketedWeeklySeries", "ConfigError", "ConvergenceError", "LiLeeParams",
+    "MortalitySurface", "MortkitError",
     "MultiPopulationDataset", "ParseError", "PeriodEffectSeries",
     "RunConfig", "RunReport", "ScenarioResult", "ScenarioSpec",
     "SimulationPaths", "SurfaceFragment", "TimeSeriesFit",

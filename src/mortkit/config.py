@@ -82,17 +82,22 @@ class RunConfig:
         return self.common_pool + extra
 
 
-def _need(mapping, key, where):
+def _as(kind, value, key, where):
+    """`value` of `key` in `where` read by `kind`, refused as a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value {value!r} for {key!r} in {where}") from exc
+
+
+def _need(mapping, key, where, kind=None):
     if key not in mapping:
         raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key]
+    return mapping[key] if kind is None else _as(kind, mapping[key], key, where)
 
 
 def _year_range(node, where) -> YearRange:
-    try:
-        return YearRange(int(_need(node, "first", where)), int(_need(node, "last", where)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad year range in {where}: {exc}") from exc
+    return YearRange(_need(node, "first", where, int), _need(node, "last", where, int))
 
 
 def _parse_source(node, base: Path, index: int) -> SourceDecl:
@@ -110,7 +115,8 @@ def _parse_source(node, base: Path, index: int) -> SourceDecl:
         raise ConfigError(f"{where}: constituent lists are weekly-only")
     country = str(_need(node, "country", where))
     if "year" in node:
-        years = YearRange(int(node["year"]), int(node["year"]))
+        year = _need(node, "year", where, int)
+        years = YearRange(year, year)
     else:
         years = _year_range(_need(node, "years", where), where)
     quantities = tuple(node.get("quantities", QUANTITIES))
@@ -165,8 +171,8 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         raise ConfigError("common_pool must not be empty")
 
     ages_node = _need(doc, "ages", "config")
-    ages = AgeRange(int(_need(ages_node, "min", "ages")),
-                    int(_need(ages_node, "max", "ages")))
+    ages = AgeRange(_need(ages_node, "min", "ages", int),
+                    _need(ages_node, "max", "ages", int))
     years = _year_range(_need(doc, "years", "config"), "years")
     if len(years) < 3:
         raise ConfigError("calibration window must span at least three years")
@@ -185,25 +191,27 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
     ung = doc.get("ungrouping", {}) or {}
     raw_start = ung.get("aux_start_year", years.first)
     if isinstance(raw_start, dict):
-        aux_start = {str(k): int(v) for k, v in raw_start.items()}
+        aux_start = {str(k): _as(int, v, str(k), "ungrouping.aux_start_year")
+                     for k, v in raw_start.items()}
         aux_start.setdefault("default", years.first)
     else:
-        aux_start = {"default": int(raw_start)}
+        aux_start = {"default": _as(int, raw_start, "aux_start_year", "ungrouping")}
     aux_pool = tuple(str(c) for c in ung.get("aux_pool", pool))
     rates = dict(DEATH_ALLOCATION_RATE)
-    rates.update({str(k): float(v)
+    rates.update({str(k): _as(float, v, str(k), "ungrouping.death_allocation_rate")
                   for k, v in (ung.get("death_allocation_rate", {}) or {}).items()})
     for gender, rate in rates.items():
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"death allocation rate for {gender} outside (0, 1]")
-    reference_year = {str(k): int(v)
+    reference_year = {str(k): _as(int, v, str(k), "ungrouping.reference_year")
                       for k, v in (ung.get("reference_year", {}) or {}).items()}
 
     method_node = _need(doc, "method", "config")
     kind = str(_need(method_node, "kind", "method")).upper()
     if kind not in METHOD_KINDS:
         raise ConfigError(f"method kind must be one of {METHOD_KINDS}, got {kind!r}")
-    grid = tuple(float(v) for v in _need(method_node, "grid", "method"))
+    grid = tuple(_as(float, v, "grid", "method")
+                 for v in _need(method_node, "grid", "method"))
     if not grid:
         raise ConfigError("method grid must not be empty")
     if any(not 0.0 <= v <= 1.0 for v in grid):
@@ -212,17 +220,19 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         raise ConfigError("method grid values must be distinct")
 
     sim = _need(doc, "simulation", "config")
-    n_paths = int(_need(sim, "n_paths", "simulation"))
-    horizon = int(_need(sim, "horizon", "simulation"))
-    seed = int(_need(sim, "seed", "simulation"))
+    n_paths = _need(sim, "n_paths", "simulation", int)
+    horizon = _need(sim, "horizon", "simulation", int)
+    seed = _need(sim, "seed", "simulation", int)
     if horizon <= years.last:
         raise ConfigError(f"horizon {horizon} must exceed the calibration end {years.last}")
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
 
     report = doc.get("report", {}) or {}
-    report_ages = tuple(int(a) for a in report.get("ages", (0, 65)))
-    cohort_ages = tuple(int(a) for a in report.get("cohort_ages", ()))
+    report_ages = tuple(_as(int, a, "ages", "report")
+                        for a in report.get("ages", (0, 65)))
+    cohort_ages = tuple(_as(int, a, "cohort_ages", "report")
+                        for a in report.get("cohort_ages", ()))
     for key, listed in (("ages", report_ages), ("cohort_ages", cohort_ages)):
         if len(set(listed)) != len(listed):
             raise ConfigError(f"report {key} must be distinct")

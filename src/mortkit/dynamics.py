@@ -24,14 +24,10 @@ import numpy as np
 from .data import YearRange, GENDERS
 from .errors import ConvergenceError, ValidationError
 
-#: Convergence tolerance on the per-iteration log-likelihood change (a
-#: log-likelihood delta is the log of the likelihood ratio).
-FIT_TOL = 1e-12
-
-#: The iterates themselves must also settle to within this, relative to
-#: 1 + the largest parameter magnitude: the likelihood is second-order
-#: flat at the optimum, so a small delta alone does not pin the
-#: GLS/moment fixed point down.
+#: The fit stops when no entry of (Psi, C) moves by more than this,
+#: relative to 1 + their largest magnitude.  The alternation's fixed point
+#: is the maximum-likelihood estimate, so the settled iterate alone defines
+#: the stop; the likelihood, flat to second order there, adds nothing.
 PARAM_TOL = 1e-13
 
 #: Maximum alternating iterations.
@@ -220,14 +216,13 @@ def fit_weighted_mle(design: Design, weights=None) -> TimeSeriesFit:
     """Maximize the weighted likelihood by alternating exact steps.
 
     Given C, Psi is the weighted GLS solution; given Psi, C is the
-    weighted residual second moment.  Iterates from C = I until the
-    log-likelihood change drops below FIT_TOL and the iterates settle
-    (PARAM_TOL), so the returned pair is a fixed point of both exact
-    steps to near machine precision; for this SUR likelihood that fixed
-    point is the maximum-likelihood estimate.  The fit carries
-    `score_norm`, the relative Newton step left in the GLS normal
-    equations at the returned point, as a deterministic diagnostic of how
-    exactly the fixed point was reached.
+    weighted residual second moment.  Iterates from C = I until no entry
+    of (Psi, C) moves by more than PARAM_TOL relative to its scale: the
+    settled pair is a fixed point of both exact steps, which for this SUR
+    likelihood is the maximum-likelihood estimate.  The log-likelihood is
+    evaluated only there.  `score_norm`, the relative Newton step left in
+    the GLS normal equations at the returned point, is a deterministic
+    diagnostic of how exactly the fixed point was reached.
     """
     w = _weights(design, weights)
     if np.any(w < 0) or np.any(w > 1):
@@ -240,24 +235,22 @@ def fit_weighted_mle(design: Design, weights=None) -> TimeSeriesFit:
     Ys, Xs = design.Y, design.X
     psi = _gls_step(Ys, Xs, w, np.eye(4))
     C, _ = _cov_step(Ys, Xs, w, psi, warn=False)
-    current = loglik(psi, C, design, w)
     ridged_any = False
     for it in range(1, MAX_FIT_ITER + 1):
         psi_prev, C_prev = psi, C
         psi = _gls_step(Ys, Xs, w, C)
         C, ridged = _cov_step(Ys, Xs, w, psi)
         ridged_any = ridged_any or ridged
-        new = loglik(psi, C, design, w)
         step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
         scale = 1.0 + max(np.abs(psi).max(), np.abs(C).max())
-        if abs(new - current) < FIT_TOL and step <= PARAM_TOL * scale:
-            return TimeSeriesFit(psi=psi, C=C, weights=w, loglik=new,
+        if step <= PARAM_TOL * scale:
+            return TimeSeriesFit(psi=psi, C=C, weights=w,
+                                 loglik=loglik(psi, C, design, w),
                                  iterations=it, ridged=ridged_any,
                                  score_norm=_score_norm(Ys, Xs, w, psi, C))
-        current = new
     raise ConvergenceError(
         f"time-series fit did not converge in {MAX_FIT_ITER} iterations",
-        last_iterate={"psi": psi, "C": C, "loglik": current},
+        last_iterate={"psi": psi, "C": C, "loglik": loglik(psi, C, design, w)},
     )
 
 

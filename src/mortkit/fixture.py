@@ -149,15 +149,11 @@ def fixture_params_from_doc(doc: dict) -> FixtureParams:
 
 @dataclass(frozen=True)
 class FixtureTruth:
-    """Per-gender common terms and per-(country, gender) cell values."""
+    """Period effects and per-(country, gender) cell values."""
 
     ages: AgeRange
     years: YearRange
-    A: dict                  # gender -> (n_ages,)
-    B: dict
     K: dict                  # gender -> (n_years,)
-    alpha: dict              # (country, gender) -> (n_ages,)
-    beta: dict
     kappa: dict              # (country, gender) -> (n_years,)
     deaths: dict             # (country, gender) -> (n_ages, n_years)
     exposures: dict
@@ -188,7 +184,7 @@ def build_truth(params: FixtureParams) -> FixtureTruth:
         A[gender] = A[gender] + B[gender] * walk.mean()
         K[gender] = walk - walk.mean()
 
-    alpha, beta, kappa, deaths, exposures = {}, {}, {}, {}, {}
+    kappa, deaths, exposures = {}, {}, {}
     t_idx = np.arange(nt, dtype=float)
     age_profile = 0.25 + 0.75 * np.exp(-x / 45.0)
     for idx, country in enumerate(params.countries):
@@ -203,7 +199,7 @@ def build_truth(params: FixtureParams) -> FixtureTruth:
                     + params.sigma_kappa * rng.standard_normal()
             a_dev = a_dev + b_dev * series.mean()
             series = series - series.mean()
-            alpha[key], beta[key], kappa[key] = a_dev, b_dev, series
+            kappa[key] = series
 
             log_mu = (A[gender][:, None] + np.outer(B[gender], K[gender])
                       + a_dev[:, None] + np.outer(b_dev, series))
@@ -216,8 +212,7 @@ def build_truth(params: FixtureParams) -> FixtureTruth:
                  * np.outer(age_profile, 1.003 ** t_idx))
             deaths[key] = rng.poisson(np.exp(log_mu) * E).astype(float)
             exposures[key] = E
-    return FixtureTruth(ages=params.ages, years=params.years, A=A, B=B, K=K,
-                        alpha=alpha, beta=beta, kappa=kappa,
+    return FixtureTruth(ages=params.ages, years=params.years, K=K, kappa=kappa,
                         deaths=deaths, exposures=exposures)
 
 

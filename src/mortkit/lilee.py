@@ -83,18 +83,6 @@ class LiLeeParams:
 
 
 @dataclass(frozen=True)
-class FittedSurface:
-    """Fitted forces plus per-step diagnostics for one calibration."""
-
-    mu_common: np.ndarray
-    mu_country: np.ndarray
-    loglik_common: float
-    loglik_country: float
-    sweeps_common: int
-    sweeps_country: int
-
-
-@dataclass(frozen=True)
 class LeeMillerAnchors:
     """Blended final-year log-rate anchors for the adjusted variant."""
 
@@ -119,11 +107,6 @@ def saturated_loglik(deaths, exposures) -> float:
     out = np.zeros_like(d)
     out[pos] = d[pos] * np.log(d[pos] / np.asarray(exposures)[pos]) - d[pos]
     return float(np.sum(out))
-
-
-def deviance(deaths, exposures, log_mu) -> float:
-    """Nonnegative gap to the saturated model."""
-    return saturated_loglik(deaths, exposures) - poisson_loglik(deaths, exposures, log_mu)
 
 
 def loglik_gradient(deaths, exposures, offset, B, K):
@@ -254,10 +237,11 @@ def fit_common_trend(deaths, exposures, ages: AgeRange, years: YearRange) -> Tre
 
 def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
               years: YearRange, anchors: LeeMillerAnchors | None = None
-              ) -> tuple[LiLeeParams, FittedSurface]:
+              ) -> tuple[LiLeeParams, dict]:
     """Fit the common layer on the pool, then the country layer with the
     fitted log mu^T as its offset, and package the result for one gender;
-    with `anchors`, both layers of the adjusted variant."""
+    with `anchors`, both layers of the adjusted variant.  Returns the
+    parameters and each layer's `TrendFit` under "common" and "country"."""
     fixed = (None, None) if anchors is None else (anchors.common, anchors.country)
     step1 = fit_layer(d_common, E_common, np.zeros_like(d_common, dtype=float),
                       ages, years, fixed[0])
@@ -269,12 +253,7 @@ def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
         ages=ages, years=years, A=step1.profile, B=step1.B, K=step1.K,
         alpha=step2.profile, beta=step2.B, kappa=step2.K, **kind,
     )
-    fitted = FittedSurface(
-        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
-        loglik_common=step1.loglik, loglik_country=step2.loglik,
-        sweeps_common=step1.sweeps, sweeps_country=step2.sweeps,
-    )
-    return params, fitted
+    return params, {"common": step1, "country": step2}
 
 
 def calibrate_dataset(dataset: MultiPopulationDataset, country: str,
@@ -282,27 +261,22 @@ def calibrate_dataset(dataset: MultiPopulationDataset, country: str,
     """Fit `country` against the dataset's pool for each gender.
 
     Returns the per-gender parameters (Li-Lee, or with `blend_weight` the
-    adjusted variant of that blend) and per gender the sweeps,
-    log-likelihood and Poisson deviance of the common and country layers.
+    adjusted variant of that blend) and per gender each layer's sweeps,
+    log-likelihood and Poisson deviance, the saturated log-likelihood less
+    the reported one.
     """
     params, diagnostics = {}, {}
     for gender in GENDERS:
         d_T, E_T = dataset.aggregate(gender)
         surf = dataset.surface(country, gender)
         args = (d_T, E_T, surf.deaths, surf.exposures, dataset.ages, dataset.years)
-        if blend_weight is None:
-            params[gender], fitted = calibrate(*args)
-        else:
-            params[gender], fitted = fit_adjusted_lee_miller(*args, blend_weight)
+        params[gender], fits = (calibrate(*args) if blend_weight is None
+                                else fit_adjusted_lee_miller(*args, blend_weight))
+        data = {"common": (d_T, E_T), "country": (surf.deaths, surf.exposures)}
         diagnostics[gender] = {
-            layer: {"sweeps": int(sweeps), "loglik": float(loglik),
-                    "deviance": deviance(d, E, np.log(mu))}
-            for layer, sweeps, loglik, d, E, mu in (
-                ("common", fitted.sweeps_common, fitted.loglik_common,
-                 d_T, E_T, fitted.mu_common),
-                ("country", fitted.sweeps_country, fitted.loglik_country,
-                 surf.deaths, surf.exposures, fitted.mu_country),
-            )
+            layer: {"sweeps": fit.sweeps, "loglik": fit.loglik,
+                    "deviance": saturated_loglik(*data[layer]) - fit.loglik}
+            for layer, fit in fits.items()
         }
     return params, diagnostics
 
@@ -345,7 +319,7 @@ def lee_miller_anchors(d_common, E_common, d_country, E_country,
 def fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
                             ages: AgeRange, years: YearRange,
                             blend_weight: float
-                            ) -> tuple[LiLeeParams, FittedSurface]:
+                            ) -> tuple[LiLeeParams, dict]:
     """Adjusted variant: the Li-Lee two-step fit with both age profiles
     fixed bit-for-bit to the blended anchors and K, kappa pinned to 0 in
     the final year; only B, K and their country analogues are estimated,

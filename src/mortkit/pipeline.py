@@ -201,20 +201,18 @@ class _Assembler:
         self._aux_cache[country] = aux
         return aux
 
-    def _prev_open_total(self, country, gender, prev_year, open_lower, prev_col):
-        """Last year's open-bucket exposure total: observed tail (which may
-        extend past the model top age) when available, else the
-        within-range sum of the previous curve.  The observed values are
-        summed in the order each cell first appears among the records."""
+    def _prev_open_total(self, country, gender, prev_year, open_lower):
+        """Last year's observed open-bucket exposure total (which may extend
+        past the model top age), summed in the order each cell first appears
+        among the records; None, for the previous curve's sum, when the tail
+        does not reach the model top age."""
         tail = self.observed.restrict({country}, {gender}, {prev_year}, min_age=open_lower)
         ages, first = np.unique(tail.age, return_index=True)
         exposure = tail.quantity == QUANTITIES.index("exposures")
         cells = tail.value[exposure][
             np.argsort(first[np.searchsorted(ages, tail.age[exposure])])]
         span = self.ages.max_age - open_lower + 1
-        if len(cells) >= span:
-            return float(np.sum(cells))
-        return float(prev_col[open_lower - self.ages.min_age:].sum())
+        return float(np.sum(cells)) if len(cells) >= span else None
 
     def ungroup_all(self):
         # Exposures first (they chain on each other), then deaths (they
@@ -248,7 +246,7 @@ class _Assembler:
                 )
             open_lower = next(b.lower for b in annual.exposures if b.is_open)
             total_prev = self._prev_open_total(country, gender, year - 1,
-                                               open_lower, prev_col)
+                                               open_lower)
             result = ungroup_exposures(prev_col, annual, self.ages,
                                        prev_open_total=total_prev)
             self.exposures[key][:, j] = result.values

@@ -8,16 +8,17 @@ quantiles from `np.quantile` (`mortkit.project`), the Li-Lee
 calibration and its adjusted Lee-Miller variant each as its own pair of
 fits (`mortkit.lilee`), the
 auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
-the dynamics design built one observation row per year
+the dynamics design built one observation row per year and the
+dynamics fit that also waited for the log-likelihood to settle
 (`mortkit.dynamics`)."""
 import warnings
 
 import numpy as np
 
-from mortkit.errors import ValidationError
+from mortkit import dynamics
+from mortkit.errors import ConvergenceError, ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
-                           FittedSurface, LiLeeParams, lee_miller_anchors,
-                           poisson_loglik)
+                           LiLeeParams, lee_miller_anchors, poisson_loglik)
 from mortkit.project import (FORCE_CLAMP, KANNISTO_FIT_HI, KANNISTO_FIT_LO,
                              MAX_AGE, _innovation_factor, _recur)
 
@@ -224,7 +225,7 @@ def two_fit_li_lee(d_common, E_common, d_country, E_country, ages, years):
     """The Li-Lee calibration as its own pair of fits, each released from
     the log average rates (the country's over the fitted common surface)
     with flat B and K = 0, all periods free and K centred.  Returns
-    (LiLeeParams, FittedSurface)."""
+    (LiLeeParams, {layer: (loglik, sweeps)})."""
     nx, nt = len(ages), len(years)
 
     def fit(deaths, exposures, offset):
@@ -241,19 +242,14 @@ def two_fit_li_lee(d_common, E_common, d_country, E_country, ages, years):
     alpha, beta, kappa, ll2, _, sweeps2 = fit(d_country, E_country, log_mu_T)
     params = LiLeeParams(ages=ages, years=years, A=A, B=B, K=K,
                          alpha=alpha, beta=beta, kappa=kappa)
-    fitted = FittedSurface(
-        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
-        loglik_common=ll1, loglik_country=ll2,
-        sweeps_common=sweeps1, sweeps_country=sweeps2,
-    )
-    return params, fitted
+    return params, {"common": (ll1, sweeps1), "country": (ll2, sweeps2)}
 
 
 def two_fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
                                 ages, years, blend_weight):
     """The adjusted Lee-Miller variant as its own pair of anchored fits,
     each with its own B0/K0 start, before it shared the Li-Lee two-step
-    fit.  Returns (LiLeeParams, FittedSurface)."""
+    fit.  Returns (LiLeeParams, {layer: (loglik, sweeps)})."""
     anchors = lee_miller_anchors(d_common, E_common, d_country, E_country,
                                  blend_weight)
     d_T = np.asarray(d_common, dtype=float)
@@ -283,12 +279,7 @@ def two_fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
         alpha=anchors.country, beta=beta, kappa=kappa,
         model_kind=ADJUSTED_LEE_MILLER, blend_weight=blend_weight,
     )
-    fitted = FittedSurface(
-        mu_common=np.exp(log_mu_T), mu_country=np.exp(params.log_mu()),
-        loglik_common=ll1, loglik_country=ll2,
-        sweeps_common=sweeps1, sweeps_country=sweeps2,
-    )
-    return params, fitted
+    return params, {"common": (ll1, sweeps1), "country": (ll2, sweeps2)}
 
 
 def per_row_design(series):
@@ -310,3 +301,32 @@ def per_row_design(series):
         X[3, 5] = k_f[j - 1]
         rows.append((int(series.years.first + j), Y, X))
     return rows
+
+
+def two_rule_weighted_mle(design, weights=None):
+    """The weighted dynamics fit that stopped only when the per-iteration
+    log-likelihood change also fell below 1e-12, evaluating the
+    likelihood on every iteration."""
+    fit_tol = 1e-12
+    w = dynamics._weights(design, weights)
+    Ys, Xs = design.Y, design.X
+    psi = dynamics._gls_step(Ys, Xs, w, np.eye(4))
+    C, _ = dynamics._cov_step(Ys, Xs, w, psi, warn=False)
+    current = dynamics.loglik(psi, C, design, w)
+    ridged_any = False
+    for it in range(1, dynamics.MAX_FIT_ITER + 1):
+        psi_prev, C_prev = psi, C
+        psi = dynamics._gls_step(Ys, Xs, w, C)
+        C, ridged = dynamics._cov_step(Ys, Xs, w, psi)
+        ridged_any = ridged_any or ridged
+        new = dynamics.loglik(psi, C, design, w)
+        step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
+        scale = 1.0 + max(np.abs(psi).max(), np.abs(C).max())
+        if abs(new - current) < fit_tol and step <= dynamics.PARAM_TOL * scale:
+            return dynamics.TimeSeriesFit(
+                psi=psi, C=C, weights=w, loglik=new, iterations=it,
+                ridged=ridged_any,
+                score_norm=dynamics._score_norm(Ys, Xs, w, psi, C))
+        current = new
+    raise ConvergenceError("two-rule fit did not converge",
+                           last_iterate={"psi": psi, "C": C, "loglik": current})

@@ -522,8 +522,10 @@ class TestSurfaces:
         for gender in GENDERS:
             first_seen = [rows[k][2] for k in order_d if rows[k][:2] == (gender, 2001)]
             expected = np.sum([exposure[(gender, 2001, age)] for age in first_seen])
-            total = assembler._prev_open_total("AAA", gender, 2001, 0, np.zeros(2))
+            total = assembler._prev_open_total("AAA", gender, 2001, 0)
             assert total == float(expected)
+            # No observed tail: `ungroup_exposures` sums the previous curve.
+            assert assembler._prev_open_total("AAA", gender, 1999, 0) is None
 
     def test_virtual_cell_count(self):
         surface = flat_surface()

@@ -263,6 +263,28 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="ZZZ"):
             load_doc(tmp_path, doc)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("simulation", "n_paths", "many"),
+        ("ages", "min", None),
+        ("method", "grid", ["x"]),
+    ])
+    def test_malformed_value_names_key_and_section(self, tmp_path, section,
+                                                   key, value):
+        doc = base_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"'{key}' in {section}"):
+            load_doc(tmp_path, doc)
+
+    def test_malformed_weekly_year_names_its_source(self, tmp_path):
+        doc = base_doc()
+        doc["ages"] = {"min": 0, "max": 90}
+        doc["sources"]["weekly"] = [{
+            "path": "weekly/AAA_2020.csv", "shape": "STMF", "country": "AAA",
+            "year": "2020a", "quantities": ["deaths", "exposures"],
+        }]
+        with pytest.raises(ConfigError, match=r"'2020a' for 'year' in sources\[2\]"):
+            load_doc(tmp_path, doc)
+
     def test_overrides_replace_seed_and_output(self, tmp_path):
         config = load_doc(tmp_path, base_doc())
         updated = config.with_overrides(seed=99, output_dir=tmp_path / "elsewhere")
@@ -780,27 +802,29 @@ class TestFanChartRows:
 # ---------------------------------------------------------------------------
 
 def check_calibration_diagnostics(config, dataset, scenario, blend=None):
-    """The scenario's `calibration` entry against fits made here."""
+    """The scenario's `calibration` entry against fits made here: sweeps
+    and log-likelihood from each layer's fit, and the deviance exactly
+    the saturated log-likelihood less that log-likelihood, which is the
+    likelihood of the fitted surface to 1e-12."""
     blob = scenario.to_json()["calibration"]
     for gender in GENDERS:
         d_T, E_T = dataset.aggregate(gender)
         surf = dataset.surface(config.country_of_interest, gender)
         args = (d_T, E_T, surf.deaths, surf.exposures, config.ages, config.years)
         if blend is None:
-            _, fitted = lilee.calibrate(*args)
+            params, fits = lilee.calibrate(*args)
         else:
-            _, fitted = lilee.fit_adjusted_lee_miller(*args, blend)
-        for layer, d, E, mu, sweeps, loglik in (
-            ("common", d_T, E_T, fitted.mu_common, fitted.sweeps_common,
-             fitted.loglik_common),
-            ("country", surf.deaths, surf.exposures, fitted.mu_country,
-             fitted.sweeps_country, fitted.loglik_country),
+            params, fits = lilee.fit_adjusted_lee_miller(*args, blend)
+        for layer, d, E, log_mu in (
+            ("common", d_T, E_T, params.log_mu_common()),
+            ("country", surf.deaths, surf.exposures, params.log_mu()),
         ):
-            entry = blob[gender][layer]
-            assert (entry["sweeps"], entry["loglik"]) == (sweeps, loglik)
+            entry, fit = blob[gender][layer], fits[layer]
+            assert (entry["sweeps"], entry["loglik"]) == (fit.sweeps, fit.loglik)
             assert entry["deviance"] >= 0.0
+            assert entry["deviance"] == lilee.saturated_loglik(d, E) - fit.loglik
             assert entry["deviance"] == pytest.approx(
-                lilee.saturated_loglik(d, E) - lilee.poisson_loglik(d, E, np.log(mu)),
+                lilee.saturated_loglik(d, E) - lilee.poisson_loglik(d, E, log_mu),
                 rel=1e-12, abs=1e-9)
 
 
@@ -1207,6 +1231,16 @@ class TestCli:
         with bad.open("w") as handle:
             yaml.safe_dump(doc, handle)
         assert main(["run", "--config", str(bad)]) == 1
+
+    def test_run_reports_a_malformed_value_on_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        doc = base_doc()
+        doc["simulation"]["n_paths"] = "many"
+        with bad.open("w") as handle:
+            yaml.safe_dump(doc, handle)
+        assert main(["run", "--config", str(bad)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad value 'many' for 'n_paths' in simulation"]
 
     def test_fixture_command_writes_bundle(self, tmp_path, capsys):
         params_file = tmp_path / "params.yaml"
