@@ -5,12 +5,12 @@ the country effect an AR(1) with intercept; the four innovations of one
 year are jointly Gaussian with covariance C.  Stacking both genders gives
 per-year observations Y_t = (dK^M, kappa^M_t, dK^F, kappa^F_t) that are
 linear in the six mean parameters Psi = (theta^M, c^M, phi^M, theta^F,
-c^F, phi^F).  The weighted Gaussian log-likelihood is maximized by
-alternating a weighted GLS step for Psi with the closed-form weighted
-covariance update.  For SUR models this alternation converges to the
-maximum-likelihood estimate (Oberhofer & Kmenta, Econometrica 1974), so
-the fit ends at the GLS/moment fixed point and reports how far Psi is
-from solving its normal equations there as `score_norm`.
+c^F, phi^F), one regressor each.  The weighted Gaussian log-likelihood is
+maximized by alternating a weighted GLS step for Psi, on the
+cross-products G = Z'WZ and H = Z'WY (Zellner's SUR estimator), with the
+closed-form weighted covariance update.  For SUR models this alternation
+converges to the maximum-likelihood estimate (Oberhofer & Kmenta,
+Econometrica 1974).
 """
 from __future__ import annotations
 
@@ -40,6 +40,11 @@ MIN_EFFECTIVE_OBS = 7
 RIDGE_SCALE = 1e-12
 
 PSI_NAMES = ("theta_M", "c_M", "phi_M", "theta_F", "c_F", "phi_F")
+
+#: The equation (column of Y) each mean parameter enters, and the first
+#: parameter of each equation.
+_EQUATION = (0, 1, 1, 2, 3, 3)
+_FIRST = np.searchsorted(_EQUATION, range(4))
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -71,17 +76,21 @@ class PeriodEffectSeries:
 @dataclass(frozen=True)
 class Design:
     """One series' observations, a row per year after the first: `years`
-    (T,), Y (T, 4), X (T, 4, 6); a slice or an index array selects rows."""
+    (T,), Y (T, 4) and Z (T, 6); a slice or an index array selects rows."""
 
     years: np.ndarray
     Y: np.ndarray
-    X: np.ndarray
+    Z: np.ndarray
 
     def __len__(self):
         return len(self.years)
 
     def __getitem__(self, rows) -> Design:
-        return Design(self.years[rows], self.Y[rows], self.X[rows])
+        return Design(self.years[rows], self.Y[rows], self.Z[rows])
+
+    def residuals(self, psi) -> np.ndarray:
+        """Y - Yhat: each equation sums its parameters times their regressors."""
+        return self.Y - np.add.reduceat(self.Z * psi, _FIRST, axis=1)
 
 
 def build_design(series: PeriodEffectSeries) -> Design:
@@ -89,19 +98,15 @@ def build_design(series: PeriodEffectSeries) -> Design:
 
     Row layout (male block first):
         Y = (K^M_t - K^M_{t-1}, kappa^M_t, K^F_t - K^F_{t-1}, kappa^F_t)
-        X = [[1, 0,          0, 0, 0,          0],
-             [0, 1, kappa^M_{t-1}, 0, 0,          0],
-             [0, 0,          0, 1, 0,          0],
-             [0, 0,          0, 0, 1, kappa^F_{t-1}]]
+        Z = (1, 1, kappa^M_{t-1}, 1, 1, kappa^F_{t-1})
     """
     K_m, K_f, k_m, k_f = (np.asarray(table[g], dtype=float)
                           for table in (series.K, series.kappa) for g in GENDERS)
     Y = np.stack([np.diff(K_m), k_m[1:], np.diff(K_f), k_f[1:]], axis=1)
-    X = np.zeros((len(Y), 4, 6))
-    X[:, [0, 1, 2, 3], [0, 1, 3, 4]] = 1.0
-    X[:, 1, 2] = k_m[:-1]
-    X[:, 3, 5] = k_f[:-1]
-    return Design(series.years.values()[1:], Y, X)
+    Z = np.ones((len(Y), 6))
+    Z[:, 2] = k_m[:-1]
+    Z[:, 5] = k_f[:-1]
+    return Design(series.years.values()[1:], Y, Z)
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,9 @@ class TimeSeriesFit:
     #: GLS normal equations at the returned point; NaN when the fit was not
     #: produced by `fit_weighted_mle`.
     score_norm: float = float("nan")
+    #: Asymptotic covariance of Psi, I^-1 at the returned C; None when the
+    #: fit was not produced by `fit_weighted_mle`.
+    psi_cov: np.ndarray | None = None
 
     def param(self, name: str) -> float:
         return float(self.psi[PSI_NAMES.index(name)])
@@ -167,24 +175,26 @@ def loglik(psi, C, design: Design, weights=None) -> float:
     constant is 2 log 2pi + 0.5 log|C|.
     """
     C = _check_pd(C)
-    psi = np.asarray(psi, dtype=float)
     w = _weights(design, weights)
-    resid = design.Y - design.X @ psi
+    resid = design.residuals(psi)
     Cinv = np.linalg.inv(C)
     _, logdet = np.linalg.slogdet(C)
     quad = np.einsum("ti,ij,tj->t", resid, Cinv, resid)
     return float(-0.5 * np.sum(w * (4.0 * LOG_2PI + logdet + quad)))
 
 
-def _gls_step(Ys, Xs, w, C):
+def _gls_step(G, H, C):
+    """The GLS solution for Psi at C and its information matrix, from
+    G = Z'WZ and H = Z'WY: info[i, j] = G[i, j] Cinv[e_i, e_j] and
+    rhs[i] = sum_l Cinv[e_i, l] H[i, l], with e = `_EQUATION`."""
     Cinv = np.linalg.inv(C)
-    lhs = np.einsum("t,tki,kl,tlj->ij", w, Xs, Cinv, Xs)
-    rhs = np.einsum("t,tki,kl,tl->i", w, Xs, Cinv, Ys)
-    return np.linalg.solve(lhs, rhs)
+    info = G * Cinv[np.ix_(_EQUATION, _EQUATION)]
+    rhs = np.sum(Cinv[_EQUATION, :] * H, axis=1)
+    return np.linalg.solve(info, rhs), info
 
 
-def _cov_step(Ys, Xs, w, psi, *, warn=True):
-    resid = Ys - Xs @ psi
+def _cov_step(design, w, psi, *, warn=True):
+    resid = design.residuals(psi)
     C = np.einsum("t,ti,tj->ij", w, resid, resid) / np.sum(w)
     C = 0.5 * (C + C.T)
     ridged = False
@@ -201,17 +211,6 @@ def _cov_step(Ys, Xs, w, psi, *, warn=True):
     return C, ridged
 
 
-def _score_norm(Ys, Xs, w, psi, C) -> float:
-    """Relative Newton step ||I^-1 g||_inf / (1 + ||psi||_inf) of the GLS
-    normal equations at (psi, C), with g = sum_t w_t X_t' C^-1 (Y_t - X_t psi)
-    and I = sum_t w_t X_t' C^-1 X_t.  The GLS solution at C is psi + I^-1 g,
-    so the step is its distance from psi.  The moment residual of C needs
-    no check: C is the last step of the alternation, so it is exact.
-    """
-    step = _gls_step(Ys, Xs, w, C) - psi
-    return float(np.abs(step).max() / (1.0 + np.abs(psi).max()))
-
-
 def fit_weighted_mle(design: Design, weights=None) -> TimeSeriesFit:
     """Maximize the weighted likelihood by alternating exact steps.
 
@@ -220,9 +219,10 @@ def fit_weighted_mle(design: Design, weights=None) -> TimeSeriesFit:
     of (Psi, C) moves by more than PARAM_TOL relative to its scale: the
     settled pair is a fixed point of both exact steps, which for this SUR
     likelihood is the maximum-likelihood estimate.  The log-likelihood is
-    evaluated only there.  `score_norm`, the relative Newton step left in
-    the GLS normal equations at the returned point, is a deterministic
-    diagnostic of how exactly the fixed point was reached.
+    evaluated only there.  One more GLS step at the returned C gives the
+    information matrix I, `psi_cov` = I^-1, and `score_norm`, the step's
+    length relative to 1 + ||Psi||_inf: how exactly the fixed point was
+    reached.  C needs no such check: it is the last step, so it is exact.
     """
     w = _weights(design, weights)
     if np.any(w < 0) or np.any(w > 1):
@@ -232,22 +232,26 @@ def fit_weighted_mle(design: Design, weights=None) -> TimeSeriesFit:
             f"need >= {MIN_EFFECTIVE_OBS} effective observations, "
             f"got sum(w) = {np.sum(w):g}"
         )
-    Ys, Xs = design.Y, design.X
-    psi = _gls_step(Ys, Xs, w, np.eye(4))
-    C, _ = _cov_step(Ys, Xs, w, psi, warn=False)
+    WZ = design.Z * w[:, None]
+    G, H = WZ.T @ design.Z, WZ.T @ design.Y
+    psi, _ = _gls_step(G, H, np.eye(4))
+    C, _ = _cov_step(design, w, psi, warn=False)
     ridged_any = False
     for it in range(1, MAX_FIT_ITER + 1):
         psi_prev, C_prev = psi, C
-        psi = _gls_step(Ys, Xs, w, C)
-        C, ridged = _cov_step(Ys, Xs, w, psi)
+        psi, _ = _gls_step(G, H, C)
+        C, ridged = _cov_step(design, w, psi)
         ridged_any = ridged_any or ridged
         step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
         scale = 1.0 + max(np.abs(psi).max(), np.abs(C).max())
         if step <= PARAM_TOL * scale:
-            return TimeSeriesFit(psi=psi, C=C, weights=w,
-                                 loglik=loglik(psi, C, design, w),
-                                 iterations=it, ridged=ridged_any,
-                                 score_norm=_score_norm(Ys, Xs, w, psi, C))
+            psi_next, info = _gls_step(G, H, C)
+            return TimeSeriesFit(
+                psi=psi, C=C, weights=w, loglik=loglik(psi, C, design, w),
+                iterations=it, ridged=ridged_any,
+                score_norm=float(np.abs(psi_next - psi).max()
+                                 / (1.0 + np.abs(psi).max())),
+                psi_cov=np.linalg.inv(info))
     raise ConvergenceError(
         f"time-series fit did not converge in {MAX_FIT_ITER} iterations",
         last_iterate={"psi": psi, "C": C, "loglik": loglik(psi, C, design, w)},
@@ -270,13 +274,6 @@ def fit_period_effects(params: dict, weight_last: float | None = None
     if weight_last is not None:
         weights[-1] = weight_last
     return fit_weighted_mle(design, weights)
-
-
-def psi_covariance(fit: TimeSeriesFit, design: Design) -> np.ndarray:
-    """Asymptotic covariance of Psi: (sum_t w_t X' C^-1 X)^-1."""
-    Cinv = np.linalg.inv(fit.C)
-    info = np.einsum("t,tki,kl,tlj->ij", fit.weights, design.X, Cinv, design.X)
-    return np.linalg.inv(info)
 
 
 # ---------------------------------------------------------------------------

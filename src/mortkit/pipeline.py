@@ -468,6 +468,7 @@ class ScenarioResult:
     status: str
     error: str | None = None
     ts_params: dict | None = None
+    ts_se: dict | None = None
     stationary: dict | None = None
     ridged: bool | None = None
     loglik: float | None = None
@@ -484,9 +485,10 @@ class ScenarioResult:
             "files": self.files, "hashes": self.hashes,
         }
         if self.status == "ok":
-            out.update(ts_params=self.ts_params, stationary=self.stationary,
-                       ridged=self.ridged, loglik=self.loglik,
-                       score_norm=self.score_norm, calibration=self.calibration)
+            out.update(ts_params=self.ts_params, ts_se=self.ts_se,
+                       stationary=self.stationary, ridged=self.ridged,
+                       loglik=self.loglik, score_norm=self.score_norm,
+                       calibration=self.calibration)
         else:
             out["error"] = self.error
         return out
@@ -568,6 +570,7 @@ def _write_scenario(config: RunConfig, value: float, units, out_dir: Path
     return ScenarioResult(
         label=label, value=value, status="ok", error=None,
         ts_params={name: float(v) for name, v in zip(dynamics.PSI_NAMES, fit.psi)},
+        ts_se=dict(zip(dynamics.PSI_NAMES, np.sqrt(np.diag(fit.psi_cov)).tolist())),
         stationary=fit.stationary, ridged=fit.ridged, loglik=float(fit.loglik),
         score_norm=fit.score_norm, calibration=calibration, files=files,
         hashes=hashes, elapsed=elapsed, layers=layers,

@@ -8,8 +8,9 @@ quantiles from `np.quantile` (`mortkit.project`), the Li-Lee
 calibration and its adjusted Lee-Miller variant each as its own pair of
 fits (`mortkit.lilee`), the
 auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
-the dynamics design built one observation row per year and the
-dynamics fit that also waited for the log-likelihood to settle
+the dynamics design built one observation row per year, and the
+dynamics fit on stacked per-year 4 x 6 design matrices with its einsum
+GLS step that also waited for the log-likelihood to settle
 (`mortkit.dynamics`)."""
 import warnings
 
@@ -303,21 +304,65 @@ def per_row_design(series):
     return rows
 
 
+def design_matrices(design):
+    """Each year's 4 x 6 design matrix X_t, shape (T, 4, 6): parameter i's
+    regressor Z_t[i] in row `_EQUATION[i]` of column i, zeros elsewhere."""
+    X = np.zeros((len(design), 4, 6))
+    X[:, dynamics._EQUATION, range(6)] = design.Z
+    return X
+
+
+def einsum_gls_step(Ys, Xs, w, C):
+    """The weighted GLS solution at C from per-year design matrices."""
+    Cinv = np.linalg.inv(C)
+    lhs = np.einsum("t,tki,kl,tlj->ij", w, Xs, Cinv, Xs)
+    rhs = np.einsum("t,tki,kl,tl->i", w, Xs, Cinv, Ys)
+    return np.linalg.solve(lhs, rhs)
+
+
+def per_matrix_cov_step(Ys, Xs, w, psi, *, warn=True):
+    """The weighted residual second moment of Y - X psi, ridged by
+    `RIDGE_SCALE` times its trace when singular."""
+    resid = Ys - Xs @ psi
+    C = np.einsum("t,ti,tj->ij", w, resid, resid) / np.sum(w)
+    C = 0.5 * (C + C.T)
+    ridged = False
+    if np.linalg.matrix_rank(C, tol=1e-12 * max(np.trace(C), 1e-300)) < 4:
+        tr = np.trace(C)
+        if tr <= 0:
+            raise ValidationError("degenerate residuals: zero covariance iterate")
+        C = C + dynamics.RIDGE_SCALE * tr * np.eye(4)
+        ridged = True
+        if warn:
+            warnings.warn("covariance iterate singular; ridge applied",
+                          RuntimeWarning, stacklevel=2)
+    return C, ridged
+
+
+def einsum_score_norm(Ys, Xs, w, psi, C) -> float:
+    """Relative Newton step ||I^-1 g||_inf / (1 + ||psi||_inf) of the GLS
+    normal equations at (psi, C): the distance of the GLS solution at C
+    from psi."""
+    step = einsum_gls_step(Ys, Xs, w, C) - psi
+    return float(np.abs(step).max() / (1.0 + np.abs(psi).max()))
+
+
 def two_rule_weighted_mle(design, weights=None):
     """The weighted dynamics fit that stopped only when the per-iteration
     log-likelihood change also fell below 1e-12, evaluating the
-    likelihood on every iteration."""
+    likelihood on every iteration, with the einsum GLS step and the
+    per-matrix covariance step."""
     fit_tol = 1e-12
     w = dynamics._weights(design, weights)
-    Ys, Xs = design.Y, design.X
-    psi = dynamics._gls_step(Ys, Xs, w, np.eye(4))
-    C, _ = dynamics._cov_step(Ys, Xs, w, psi, warn=False)
+    Ys, Xs = design.Y, design_matrices(design)
+    psi = einsum_gls_step(Ys, Xs, w, np.eye(4))
+    C, _ = per_matrix_cov_step(Ys, Xs, w, psi, warn=False)
     current = dynamics.loglik(psi, C, design, w)
     ridged_any = False
     for it in range(1, dynamics.MAX_FIT_ITER + 1):
         psi_prev, C_prev = psi, C
-        psi = dynamics._gls_step(Ys, Xs, w, C)
-        C, ridged = dynamics._cov_step(Ys, Xs, w, psi)
+        psi = einsum_gls_step(Ys, Xs, w, C)
+        C, ridged = per_matrix_cov_step(Ys, Xs, w, psi)
         ridged_any = ridged_any or ridged
         new = dynamics.loglik(psi, C, design, w)
         step = max(np.abs(psi - psi_prev).max(), np.abs(C - C_prev).max())
@@ -326,7 +371,7 @@ def two_rule_weighted_mle(design, weights=None):
             return dynamics.TimeSeriesFit(
                 psi=psi, C=C, weights=w, loglik=new, iterations=it,
                 ridged=ridged_any,
-                score_norm=dynamics._score_norm(Ys, Xs, w, psi, C))
+                score_norm=einsum_score_norm(Ys, Xs, w, psi, C))
         current = new
     raise ConvergenceError("two-rule fit did not converge",
                            last_iterate={"psi": psi, "C": C, "loglik": current})

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import per_row_design, two_rule_weighted_mle
+from oracles import design_matrices, per_row_design, two_rule_weighted_mle
 from readback import import_fit_csv
 from scipy import optimize, stats
 
@@ -15,7 +15,7 @@ from mortkit import dynamics
 from mortkit.data import YearRange
 from mortkit.dynamics import (LOG_2PI, PSI_NAMES, PeriodEffectSeries,
                               TimeSeriesFit, build_design, export_fit_csv,
-                              fit_weighted_mle, loglik, psi_covariance)
+                              fit_weighted_mle, loglik)
 from mortkit.errors import ConvergenceError, ParseError, ValidationError
 
 TRUE_PSI = np.array([-0.20, -0.016, 0.95, -0.17, -0.030, 0.90])
@@ -52,7 +52,7 @@ def gls_solution(design, weights, C):
     Cinv = np.linalg.inv(C)
     lhs = np.zeros((6, 6))
     rhs = np.zeros(6)
-    for Y, X, w in zip(design.Y, design.X, weights):
+    for Y, X, w in zip(design.Y, design_matrices(design), weights):
         lhs += w * X.T @ Cinv @ X
         rhs += w * X.T @ Cinv @ Y
     return np.linalg.solve(lhs, rhs)
@@ -79,7 +79,9 @@ class TestDesign:
     def test_design_sparsity_pattern(self, rng):
         series = simulate_series(rng, 9)
         allowed = {(0, 0), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5)}
-        for j, X in enumerate(build_design(series).X, start=1):
+        design = build_design(series)
+        for j, (Z, X) in enumerate(zip(design.Z, design_matrices(design)), start=1):
+            assert Z.shape == (6,)
             assert X.shape == (4, 6)
             nonzero = set(zip(*np.nonzero(X)))
             assert nonzero <= allowed
@@ -87,6 +89,7 @@ class TestDesign:
                 assert X[i, k] == 1.0
             assert X[1, 2] == series.kappa["M"][j - 1]
             assert X[3, 5] == series.kappa["F"][j - 1]
+            assert np.array_equal(Z, X.sum(axis=0))
 
     def test_series_requires_both_genders(self):
         years = YearRange(2000, 2004)
@@ -111,7 +114,7 @@ class TestDesign:
             years, Ys, Xs = zip(*per_row_design(series))
             assert np.array_equal(design.years, years)
             assert np.array_equal(design.Y, np.stack(Ys))
-            assert np.array_equal(design.X, np.stack(Xs))
+            assert np.array_equal(design_matrices(design), np.stack(Xs))
 
     def test_dropping_the_last_row_is_the_shorter_series(self, rng):
         for n_years in range(2, 41):
@@ -123,7 +126,7 @@ class TestDesign:
             )
             head, want = build_design(series)[:-1], build_design(shorter)
             assert len(head) == n_years - 2
-            for field in ("years", "Y", "X"):
+            for field in ("years", "Y", "Z"):
                 assert np.array_equal(getattr(head, field), getattr(want, field))
 
 
@@ -146,7 +149,7 @@ class TestLoglik:
         weights = rng.uniform(0.1, 1.0, size=len(rows))
         expected = sum(
             w * stats.multivariate_normal(mean=X @ psi, cov=TRUE_C).logpdf(Y)
-            for Y, X, w in zip(rows.Y, rows.X, weights)
+            for Y, X, w in zip(rows.Y, design_matrices(rows), weights)
         )
         value = loglik(psi, TRUE_C, rows, weights)
         assert value == pytest.approx(expected, rel=1e-12)
@@ -206,7 +209,7 @@ class TestWeightedFit:
         weights = np.linspace(0.4, 1.0, len(rows))
         fit = fit_weighted_mle(rows, weights)
         moment = np.zeros((4, 4))
-        for Y, X, w in zip(rows.Y, rows.X, weights):
+        for Y, X, w in zip(rows.Y, design_matrices(rows), weights):
             resid = Y - X @ fit.psi
             moment += w * np.outer(resid, resid)
         np.testing.assert_allclose(
@@ -227,7 +230,7 @@ class TestWeightedFit:
     def test_recovers_generative_parameters(self, rng):
         rows = build_design(simulate_series(rng, 500))
         fit = fit_weighted_mle(rows)
-        se = np.sqrt(np.diag(psi_covariance(fit, rows)))
+        se = np.sqrt(np.diag(fit.psi_cov))
         np.testing.assert_array_less(np.abs(fit.psi - TRUE_PSI), 3.0 * se)
         frob = np.linalg.norm(fit.C - TRUE_C) / np.linalg.norm(TRUE_C)
         assert frob < 0.10
@@ -290,13 +293,16 @@ class TestWeightedFit:
             fit_weighted_mle(rows, bad)
 
     def test_collinear_residuals_ridge_then_diagnostic_error(self, rng, monkeypatch):
-        monkeypatch.setattr(dynamics, "MAX_FIT_ITER", 60)
         series = simulate_series(rng, 14)
         rows = build_design(PeriodEffectSeries(
             years=series.years,
             K={"M": series.K["M"], "F": series.K["M"] + 1.0},
             kappa=series.kappa,
         ))
+        with pytest.warns(RuntimeWarning, match="ridge"):
+            assert fit_weighted_mle(rows).ridged
+        # Three iterations cannot settle the ridged iterate.
+        monkeypatch.setattr(dynamics, "MAX_FIT_ITER", 3)
         with pytest.warns(RuntimeWarning, match="ridge"):
             with pytest.raises(ConvergenceError) as excinfo:
                 fit_weighted_mle(rows)
@@ -332,15 +338,51 @@ class TestFixedPoint:
             res = optimize.minimize(neg, start, method="L-BFGS-B")
             assert -res.fun <= fit.loglik + 1e-8
 
-    def test_score_norm_is_the_relative_gls_step(self, rng):
+    def test_score_norm_is_the_relative_gls_step(self, rng, monkeypatch):
+        # A loose stop leaves a step that rounding does not hide.
+        monkeypatch.setattr(dynamics, "PARAM_TOL", 1e-6)
         rows = build_design(simulate_series(rng, 20))
         weights = rng.uniform(0.3, 1.0, size=len(rows))
         fit = fit_weighted_mle(rows, weights)
-        psi = fit.psi + 0.01 * rng.standard_normal(6)
-        expected = (np.abs(gls_solution(rows, weights, fit.C) - psi).max()
-                    / (1.0 + np.abs(psi).max()))
-        got = dynamics._score_norm(rows.Y, rows.X, weights, psi, fit.C)
-        assert got == pytest.approx(expected, rel=1e-9)
+        expected = (np.abs(gls_solution(rows, weights, fit.C) - fit.psi).max()
+                    / (1.0 + np.abs(fit.psi).max()))
+        # Measured over 30 seeds: steps of 1.2e-8 and more, on which the two
+        # GLS forms' rounding differs by at most 2.3e-8 relative.
+        assert expected > 1e-9
+        assert fit.score_norm == pytest.approx(expected, rel=1e-6)
+
+    def test_psi_cov_inverts_the_per_row_information(self, rng):
+        # Measured over 90 such fits: at most 3.5e-15 relative to the
+        # largest entry.
+        for n_years, w_last in ((12, None), (24, 0.0), (60, 0.5)):
+            series = simulate_series(rng, n_years)
+            rows = build_design(series)
+            weights = rng.uniform(0.5, 1.0, size=len(rows))
+            if w_last is not None:
+                weights[-1] = w_last
+            fit = fit_weighted_mle(rows, weights)
+            Cinv = np.linalg.inv(fit.C)
+            info = sum(w * X.T @ Cinv @ X
+                       for (_, _, X), w in zip(per_row_design(series), weights))
+            want = np.linalg.inv(info)
+            assert np.abs(fit.psi_cov - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_gls_step_equals_the_stacked_normal_equations(self, rng):
+        # Random SPD C with eigenvalues in [1e-3, 1]: over 2000 such cases
+        # the two solutions differ by at most 1.2e-13 relative to the
+        # largest entry.  The difference grows with cond(C), as any two
+        # backward-stable solves' do (2.9e-12 at cond(C) near 1e5).
+        for _ in range(50):
+            rows = build_design(simulate_series(rng, int(rng.integers(8, 60))))
+            weights = rng.uniform(0.0, 1.0, size=len(rows))
+            weights[rng.random(len(rows)) < 0.2] = 0.0
+            Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+            C = (Q * 10.0 ** rng.uniform(-3, 0, size=4)) @ Q.T
+            G = np.einsum("t,ti,tj->ij", weights, rows.Z, rows.Z)
+            H = np.einsum("t,ti,tl->il", weights, rows.Z, rows.Y)
+            got, _ = dynamics._gls_step(G, H, C)
+            want = gls_solution(rows, weights, C)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_import_loads_no_scipy(self):
         src = Path(mortkit.__file__).resolve().parents[1]
@@ -375,39 +417,44 @@ def random_design(rng):
 
 class TestStopRule:
     """The fit stops on its settled iterate alone; the two-rule fit that
-    also waited for the log-likelihood change to fall below 1e-12 is the
-    oracle.  Both run the same iterates, so the fit is always one of the
-    oracle's iterates, at its stop or earlier."""
+    also waited for the log-likelihood change to fall below 1e-12, with
+    the einsum GLS step over per-year design matrices, is the oracle.  The
+    cross-product step rounds differently from the einsum, so the two fits
+    agree to a bound, not bit for bit."""
 
-    def assert_same_fit(self, got, want):
-        assert np.array_equal(got.psi, want.psi)
-        assert np.array_equal(got.C, want.C)
-        assert (got.loglik, got.iterations, got.ridged, got.score_norm) == (
-            want.loglik, want.iterations, want.ridged, want.score_norm)
+    def assert_close_fit(self, got, want):
+        # Measured over 348 such designs: at most 9.4e-15 in psi and 6.3e-15
+        # in C relative to the largest entry, and the same iteration count.
+        assert np.abs(got.psi - want.psi).max() <= 1e-12 * np.abs(want.psi).max()
+        assert np.abs(got.C - want.C).max() <= 1e-12 * np.abs(want.C).max()
+        assert (got.iterations, got.ridged) == (want.iterations, want.ridged)
+        assert got.loglik == pytest.approx(want.loglik, rel=1e-12)
+        assert got.score_norm < 1e-12
 
-    def test_bit_identical_on_the_weight_zero_criterion_designs(self):
+    def test_close_on_the_weight_zero_criterion_designs(self):
         # Acceptance criterion 4's rows: its seed, 13 years from 2008.
         rows = build_design(simulate_series(np.random.default_rng(20260814), 13,
                                             first_year=2008))
         weights = np.ones(len(rows))
         weights[-1] = 0.0
         for design, w in ((rows, None), (rows, weights), (rows[:-1], None)):
-            self.assert_same_fit(fit_weighted_mle(design, w),
-                                 two_rule_weighted_mle(design, w))
+            self.assert_close_fit(fit_weighted_mle(design, w),
+                                  two_rule_weighted_mle(design, w))
 
-    def test_bit_identical_on_simulated_series(self, rng):
+    def test_close_on_simulated_series(self, rng):
         for n_years in (12, 14, 20, 30, 45, 80):
             rows = build_design(simulate_series(rng, n_years))
             for weights in (None, rng.uniform(0.3, 1.0, size=len(rows))):
-                self.assert_same_fit(fit_weighted_mle(rows, weights),
-                                     two_rule_weighted_mle(rows, weights))
+                self.assert_close_fit(fit_weighted_mle(rows, weights),
+                                      two_rule_weighted_mle(rows, weights))
 
     def test_earlier_stops_stay_within_the_oracle_bound(self, rng):
-        # Measured over these 40 designs: at most 6.7e-12 in psi and 2.3e-12
-        # in C relative to its largest entry, on the 10 designs where the
-        # iterate settled before the likelihood change resolved; the bound
-        # leaves a factor of 15.
-        earlier = 0
+        # Measured over these 40 designs, all of which both fits settle: at
+        # most 1.5e-11 in psi and 1.3e-12 in C relative to its largest
+        # entry, where the iterate settles before the likelihood change
+        # resolves or the two forms' rounding moves the stop; the bound
+        # leaves a factor of 7.
+        compared = 0
         for _ in range(40):
             rows, weights = random_design(rng)
             try:
@@ -415,12 +462,11 @@ class TestStopRule:
             except ConvergenceError:
                 continue
             got = fit_weighted_mle(rows, weights)
-            assert got.iterations <= want.iterations
-            earlier += got.iterations < want.iterations
+            compared += 1
             assert np.abs(got.psi - want.psi).max() <= 1e-10
             assert np.abs(got.C - want.C).max() <= 1e-10 * np.abs(want.C).max()
             assert got.score_norm < 1e-10
-        assert earlier >= 5
+        assert compared >= 30
 
     def test_near_deterministic_series_converges(self, monkeypatch):
         # Innovations 1e-8 of the usual size: the likelihood's rounding

@@ -496,6 +496,17 @@ class TestWeightedScenarios:
         for scenario in scenarios:
             assert 0.0 <= scenario["score_norm"] < 1e-9
 
+    def test_report_carries_parameter_standard_errors(self, wrun):
+        config, _ = wrun
+        with (config.output_dir / "report.json").open() as handle:
+            scenarios = json.load(handle)["scenarios"]
+        ok = [s for s in scenarios if s["status"] == "ok"]
+        assert ok
+        for scenario in ok:
+            se = scenario["ts_se"]
+            assert sorted(se) == sorted(dynamics.PSI_NAMES)
+            assert all(np.isfinite(v) and v > 0 for v in se.values())
+
     def test_report_file_round_trips(self, wrun):
         config, report = wrun
         with (config.output_dir / "report.json").open() as handle:

@@ -1,7 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
-every module-level function and class is named somewhere else, and every
-method and dataclass field of such a class is read as an attribute
-somewhere."""
+every module-level function and class is named somewhere else, only the
+listed ones are named by tests alone, and every method and dataclass
+field of such a class is read as an attribute somewhere."""
 import ast
 from pathlib import Path
 
@@ -111,6 +111,52 @@ def test_checker_counts_string_mentions_only_from_bench():
     caller = "report = {'deviance': 0.0}\n"
     assert dead_definitions(module, names_used(caller)) == ["deviance"]
     assert dead_definitions(module, names_used(caller, strings=True)) == []
+
+
+#: Package definitions that only tests name, each with why it stays.
+TEST_ONLY = {
+    "fit_common_trend": "acceptance criterion 2 fits the common layer alone",
+    "loglik_gradient": "acceptance criterion 2 checks the gradient at that fit",
+    "cohort_life_expectancy": "acceptance criterion 7 checks the cohort table",
+}
+
+#: The program: the package's modules, whose `__init__.py` re-exports call
+#: nothing, and the bench.
+PROGRAM = [*MODULES, *sorted(BENCH.rglob("*.py"))]
+
+
+def mislisted_test_only(sources: list, program: set, tests: set, listed) -> list:
+    """Names on which `listed` and the test-only definitions disagree: a
+    module-level definition of `sources` that `tests` name and `program`
+    does not, left off `listed`, or a listed name that is no such
+    definition."""
+    test_only = {node.name for source in sources for node in ast.parse(source).body
+                 if isinstance(node, DEFINITIONS)
+                 and node.name in tests and node.name not in program}
+    return sorted(test_only ^ set(listed))
+
+
+def test_test_only_definitions_are_listed():
+    program = set().union(*(names_used(p.read_text(), p.is_relative_to(BENCH))
+                            for p in PROGRAM))
+    tests = set().union(*(names_used(p.read_text())
+                          for p in sorted((ROOT / "tests").rglob("*.py"))))
+    sources = [p.read_text() for p in MODULES]
+    assert mislisted_test_only(sources, program, tests, TEST_ONLY) == []
+
+
+def test_checker_sees_test_only_definitions():
+    module = ("def run():\n    return called()\n\n"
+              "def called():\n    pass\n\n"
+              "def oracle():\n    pass\n")
+    program = names_used(module)
+    tests = names_used("from m import called, oracle\n")
+    assert mislisted_test_only([module], program, tests, ["oracle"]) == []
+    assert mislisted_test_only([module], program, tests, []) == ["oracle"]
+    assert mislisted_test_only([module], program, tests,
+                               ["called", "oracle"]) == ["called"]
+    assert mislisted_test_only([module], program | {"oracle"}, tests,
+                               ["oracle"]) == ["oracle"]
 
 
 def attributes_used(source: str) -> set:
