@@ -817,14 +817,24 @@ def annualize_weekly_exposure(series: BucketedWeeklySeries) -> BucketedAnnualSer
 
     The weekly values must be constant to relative 1e-6; STMF back-derives
     them from a constant annual figure, so any wobble signals broken input.
+    Exposures derived as deaths / rate are known only in weeks with a
+    positive rate: a week with no deaths at rate 0 takes the value of the
+    first such week, and a bucket without one is refused as incomplete.
     """
     if series.exposures is None:
         raise ValidationError(
             f"{series.country}/{series.gender} {series.year}: series has no exposures"
         )
-    _require_complete(series, series.exposures, "exposure")
+    exposures = dict(series.exposures)
+    if series.exposure_origin == "derived":
+        for bucket, arr in exposures.items():
+            rates, deaths = series.death_rates[bucket], series.deaths[bucket]
+            rated = arr[rates > 0]
+            quiet = np.isnan(arr) & (rates == 0) & (deaths == 0)
+            exposures[bucket] = np.where(quiet, rated[0] if rated.size else np.nan, arr)
+    _require_complete(series, exposures, "exposure")
     totals = {}
-    for bucket, arr in sorted(series.exposures.items()):
+    for bucket, arr in sorted(exposures.items()):
         ref = float(arr[0])
         if np.any(np.abs(arr - ref) > EXPOSURE_CONSTANCY_RTOL * abs(ref)):
             raise ValidationError(

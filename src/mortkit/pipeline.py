@@ -34,7 +34,8 @@ from .data import (GENDERS, QUANTITIES, VIRTUAL, MortalitySurface,
                    check_eurostat_stmf_consistency, load_individual_age_csv,
                    load_weekly_csv)
 from .errors import ConfigError, ValidationError
-from .ungroup import fit_auxiliary_projection_model, ungroup_deaths, ungroup_exposures
+from .ungroup import (fit_auxiliary_projection_model, needs_reference_tail,
+                      ungroup_deaths, ungroup_exposures)
 
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
@@ -89,15 +90,6 @@ class _Assembler:
                  len(config.ages), len(config.years))
         self._values = np.full(shape, np.nan)
         self._provenance = np.zeros(shape, dtype=np.int8)
-        self.deaths = {}
-        self.exposures = {}
-        self.dprov = {}
-        self.eprov = {}
-        for c, country in enumerate(config.countries):
-            for g, gender in enumerate(GENDERS):
-                key = (country, gender)
-                self.deaths[key], self.exposures[key] = self._values[c, g]
-                self.dprov[key], self.eprov[key] = self._provenance[c, g]
         self.observed = SurfaceFragment()
         self.weekly = {}
         self.consistency = []
@@ -165,19 +157,17 @@ class _Assembler:
 
     # -- observed-year bookkeeping ------------------------------------------
 
-    def _observed_years(self, country, quantity) -> set:
-        """Years whose full model-age column is observed for both genders."""
-        grids = self.deaths if quantity == "deaths" else self.exposures
-        provs = self.dprov if quantity == "deaths" else self.eprov
-        ok = np.ones(len(self.years), dtype=bool)
-        for g in GENDERS:
-            ok &= ~np.isnan(grids[country, g]).any(axis=0)
-            ok &= ~(provs[country, g] == VIRTUAL).any(axis=0)
-        return set(self.years.values()[ok].tolist())
+    def _observed_years(self, country, quantities) -> set:
+        """Years whose full model-age columns of `quantities` are observed
+        for both genders."""
+        c = self.config.countries.index(country)
+        q = [QUANTITIES.index(name) for name in quantities]
+        unobserved = np.isnan(self._values[c][:, q]) \
+            | (self._provenance[c][:, q] == VIRTUAL)
+        return set(self.years.values()[~unobserved.any(axis=(0, 1, 2))].tolist())
 
     def last_fully_observed(self, country) -> int:
-        years = self._observed_years(country, "deaths") \
-            & self._observed_years(country, "exposures")
+        years = self._observed_years(country, QUANTITIES)
         if not years:
             raise ValidationError(f"{country}: no fully observed years")
         return max(years)
@@ -201,19 +191,6 @@ class _Assembler:
         self._aux_cache[country] = aux
         return aux
 
-    def _prev_open_total(self, country, gender, prev_year, open_lower):
-        """Last year's observed open-bucket exposure total (which may extend
-        past the model top age), summed in the order each cell first appears
-        among the records; None, for the previous curve's sum, when the tail
-        does not reach the model top age."""
-        tail = self.observed.restrict({country}, {gender}, {prev_year}, min_age=open_lower)
-        ages, first = np.unique(tail.age, return_index=True)
-        exposure = tail.quantity == QUANTITIES.index("exposures")
-        cells = tail.value[exposure][
-            np.argsort(first[np.searchsorted(ages, tail.age[exposure])])]
-        span = self.ages.max_age - open_lower + 1
-        return float(np.sum(cells)) if len(cells) >= span else None
-
     def ungroup_all(self):
         # Exposures first (they chain on each other), then deaths (they
         # need the target year's virtual exposures plus the aux model).
@@ -233,66 +210,53 @@ class _Assembler:
             raise ValidationError(
                 f"{country}/{year}: cannot ungroup exposures without a previous year"
             )
-        for gender in GENDERS:
+        c = self.config.countries.index(country)
+        for g, gender in enumerate(GENDERS):
             series = entry["series"][gender]
             self.exposure_origins[f"{country}/{year}/{gender}"] = series.exposure_origin
             annual = annualize_weekly_exposure(series)
-            key = (country, gender)
-            prev_col = self.exposures[key][:, j - 1]
-            if np.any(np.isnan(prev_col)):
+            _, exposures = self._values[c, g]
+            _, provenance = self._provenance[c, g]
+            if np.any(np.isnan(exposures[:, j - 1])):
                 raise ValidationError(
                     f"{country}/{gender}: exposures for {year - 1} incomplete; "
                     "ungroup in chronological order"
                 )
-            open_lower = next(b.lower for b in annual.exposures if b.is_open)
-            total_prev = self._prev_open_total(country, gender, year - 1,
-                                               open_lower)
-            result = ungroup_exposures(prev_col, annual, self.ages,
-                                       prev_open_total=total_prev)
-            self.exposures[key][:, j] = result.values
-            self.eprov[key][:, j] = VIRTUAL
-
-    def _reference_tail(self, country, gender, ref_year):
-        try:
-            return self.observed.deaths_tail(country, gender, ref_year,
-                                             self.ages.max_age)
-        except ValidationError as exc:
-            raise ValidationError(
-                f"{country}/{gender}: reference year {ref_year} has no observed "
-                f"deaths at ages >= {self.ages.max_age}"
-            ) from exc
+            above_top = self.observed.restrict({country}, {gender}, {year - 1},
+                                               {"exposures"}, self.ages.max_age + 1)
+            result = ungroup_exposures(exposures[:, j - 1], annual, self.ages,
+                                       prev_above_top=above_top.value)
+            exposures[:, j] = result.values
+            provenance[:, j] = VIRTUAL
 
     def _ungroup_death_year(self, country, year, entry):
         j = self.years.index(year)
         aux = self._aux_model(country)
         ref_year = self.config.reference_year.get(
-            country, max(self._observed_years(country, "deaths"), default=None)
+            country, max(self._observed_years(country, ("deaths",)))
         )
-        for gender in GENDERS:
+        c = self.config.countries.index(country)
+        for g, gender in enumerate(GENDERS):
             series = entry["series"][gender]
             annual = annualize_weekly_deaths(series)
-            key = (country, gender)
-            exp_col = self.exposures[key][:, j]
-            if np.any(np.isnan(exp_col)):
+            deaths, exposures = self._values[c, g]
+            provenance, _ = self._provenance[c, g]
+            if np.any(np.isnan(exposures[:, j])):
                 raise ValidationError(
                     f"{country}/{gender}: exposures for {year} incomplete; "
                     "declare an exposure source for that year"
                 )
-            open_lower = next(b.lower for b in annual.deaths if b.is_open)
             tail = None
-            if open_lower == self.ages.max_age:
-                if ref_year is None:
-                    raise ValidationError(
-                        f"{country}: no observed reference year for the 90+ rule"
-                    )
-                tail = self._reference_tail(country, gender, ref_year)
+            if needs_reference_tail(annual, self.ages):
+                tail = self.observed.deaths_tail(country, gender, ref_year,
+                                                 self.ages.max_age)
             result = ungroup_deaths(
-                aux, gender, year, exp_col, annual, self.ages,
+                aux, gender, year, exposures[:, j], annual, self.ages,
                 reference_tail=tail,
                 allocation_rate=self.config.death_allocation_rate[gender],
             )
-            self.deaths[key][:, j] = result.values
-            self.dprov[key][:, j] = VIRTUAL
+            deaths[:, j] = result.values
+            provenance[:, j] = VIRTUAL
 
     # -- datasets -------------------------------------------------------------
 
@@ -302,10 +266,10 @@ class _Assembler:
         cols = slice(self.years.index(window.first), self.years.index(window.last) + 1)
         surfaces = {}
         for country in countries:
-            for gender in GENDERS:
-                key = (country, gender)
-                d, e = self.deaths[key][:, cols], self.exposures[key][:, cols]
-                for name, arr in (("deaths", d), ("exposures", e)):
+            c = self.config.countries.index(country)
+            for g, gender in enumerate(GENDERS):
+                d, e = self._values[c, g, :, :, cols]
+                for name, arr in zip(QUANTITIES, (d, e)):
                     holes = np.argwhere(np.isnan(arr))
                     if holes.size:
                         x, t = holes[0]
@@ -314,9 +278,10 @@ class _Assembler:
                             f"age {self.ages.min_age + x}, year "
                             f"{window.first + t} (and {len(holes) - 1} more cells)"
                         )
-                surfaces[key] = MortalitySurface(
+                dp, ep = self._provenance[c, g, :, :, cols]
+                surfaces[country, gender] = MortalitySurface(
                     country, gender, self.ages, window, d.copy(), e.copy(),
-                    self.dprov[key][:, cols].copy(), self.eprov[key][:, cols].copy())
+                    dp.copy(), ep.copy())
         return MultiPopulationDataset(surfaces=surfaces, common_pool=pool)
 
     def build(self) -> AssembledData:

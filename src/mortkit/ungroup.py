@@ -116,59 +116,56 @@ class UngroupedExposures:
     open_shift: float
 
 
-def _split_buckets(series_table: dict) -> tuple[dict, AgeBucket]:
-    closed = {b: v for b, v in series_table.items() if not b.is_open}
-    open_buckets = [b for b in series_table if b.is_open]
-    if len(open_buckets) != 1:
-        raise ValidationError("bucket structure must contain exactly one open bucket")
-    return closed, open_buckets[0]
-
-
-def _check_partition(closed: dict, open_bucket: AgeBucket, top_age: int):
-    covered = sorted(age for b in closed for age in b.ages())
-    expected = list(range(0, open_bucket.lower))
-    if covered != expected:
-        raise ValidationError(
-            f"closed buckets must tile ages 0..{open_bucket.lower - 1}"
-        )
-    if open_bucket.lower > top_age:
-        raise ValidationError(
-            f"open bucket {open_bucket.label} starts above the model top age {top_age}"
-        )
+def _buckets(series: BucketedAnnualSeries, name: str, ages: AgeRange
+             ) -> tuple[dict, AgeBucket]:
+    """The closed buckets of the series' `name` totals and its one open
+    bucket, which the closed ones tile up to and which starts no higher
+    than the model top age."""
+    table = getattr(series, name)
+    who = f"{series.country}/{series.gender} {series.year} {name}"
+    if table is None:
+        raise ValidationError(f"{who}: not in the annual series")
+    closed = {b: v for b, v in table.items() if not b.is_open}
+    opened = [b for b in table if b.is_open]
+    if len(opened) != 1:
+        expected = max((b.upper + 1 for b in closed), default=0)
+        raise ValidationError(f"{who}: need one open bucket ({expected}+), found "
+                              f"{', '.join(b.label for b in opened) or 'none'}")
+    lower = opened[0].lower
+    if sorted(age for b in closed for age in b.ages()) != list(range(lower)):
+        raise ValidationError(f"{who}: closed buckets must tile ages 0..{lower - 1}")
+    if lower > ages.max_age:
+        raise ValidationError(f"{who}: open bucket {opened[0].label} starts above "
+                              f"the model top age {ages.max_age}")
+    return closed, opened[0]
 
 
 def ungroup_exposures(prev_curve: np.ndarray, buckets: BucketedAnnualSeries,
-                      ages: AgeRange, *, prev_open_total: float | None = None
-                      ) -> UngroupedExposures:
+                      ages: AgeRange, *, prev_above_top=()) -> UngroupedExposures:
     """Turn one year's bucketed exposures into individual ages 0..top.
 
     `prev_curve` is the previous year's individual-age exposures over the
-    model ages (observed or already-virtual for chained years).
-    `prev_open_total` is last year's total exposure in the open bucket;
-    when the source data end at the model top age, the within-range sum is
-    used.
+    model ages (observed or already-virtual for chained years), and
+    `prev_above_top` its observed exposures at ages above the model top
+    age, if any.  Last year's open-bucket total is the curve's sum over
+    the open bucket plus theirs.
     """
-    if buckets.exposures is None:
-        raise ValidationError("annual series carries no exposures")
     prev = np.asarray(prev_curve, dtype=float)
     if prev.shape != (len(ages),):
         raise ValidationError("previous-year curve must cover the model ages")
-    closed, open_bucket = _split_buckets(buckets.exposures)
-    _check_partition(closed, open_bucket, ages.max_age)
+    closed, open_bucket = _buckets(buckets, "exposures", ages)
 
     shifted = shift_exposure_curve(prev)
     scaled, _ = scale_curve_to_buckets(shifted, closed, ages.min_age)
 
     open_lo = open_bucket.lower - ages.min_age
-    if prev_open_total is None:
-        prev_open_total = float(prev[open_lo:].sum())
+    prev_open_total = float(prev[open_lo:].sum()) + float(np.sum(prev_above_top))
     adjusted, shift = apply_open_bucket_exposure(
         prev[open_lo:], buckets.exposures[open_bucket], prev_open_total,
         open_bucket.lower,
     )
-    out = scaled.copy()
-    out[open_lo:] = adjusted
-    return UngroupedExposures(ages=ages, values=out, open_shift=float(shift))
+    scaled[open_lo:] = adjusted
+    return UngroupedExposures(ages=ages, values=scaled, open_shift=float(shift))
 
 
 # ---------------------------------------------------------------------------
@@ -291,39 +288,42 @@ def _model_tail_share(force: np.ndarray, exposures: np.ndarray,
     return tail_expected / total if total > 0 else 0.0
 
 
+def needs_reference_tail(buckets: BucketedAnnualSeries, ages: AgeRange) -> bool:
+    """Whether the year's open death bucket starts at the model top age
+    (90+ against a model ending at 90) and so follows the reference-tail
+    rule; one that starts below it follows the model-tail rule."""
+    return _buckets(buckets, "deaths", ages)[1].lower == ages.max_age
+
+
 def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
                    exposures: np.ndarray, buckets: BucketedAnnualSeries,
                    ages: AgeRange, *, reference_tail: np.ndarray | None = None,
-                   allocation_rate: float | None = None) -> UngroupedDeaths:
+                   allocation_rate: float) -> UngroupedDeaths:
     """Turn one year's bucketed deaths into individual ages.
 
     `exposures` are the (virtual) individual-age exposures of the target
-    year.  An open 90+ bucket needs `reference_tail` (reference-year
-    deaths at ages >= 90) and an allocation rate; an open 85+ bucket uses
-    the model-tail estimate instead.
+    year.  When `needs_reference_tail`, the open bucket needs
+    `reference_tail` (reference-year deaths at ages >= 90), of whose
+    excess `allocation_rate` goes to the top age; otherwise it uses the
+    model-tail estimate.
     """
-    if buckets.deaths is None:
-        raise ValidationError("annual series carries no deaths")
     exposures = np.asarray(exposures, dtype=float)
     if exposures.shape != (len(ages),):
         raise ValidationError("exposures must cover the model ages")
-    closed, open_bucket = _split_buckets(buckets.deaths)
-    _check_partition(closed, open_bucket, ages.max_age)
+    closed, open_bucket = _buckets(buckets, "deaths", ages)
 
     force = aux.central_force(gender, year)
     profile = expected_deaths(force, exposures)
-    scaled, _ = scale_curve_to_buckets(profile, closed, ages.min_age)
+    out, _ = scale_curve_to_buckets(profile, closed, ages.min_age)
 
-    out = scaled.copy()
     open_lo_idx = open_bucket.lower - ages.min_age
     open_total = float(buckets.deaths[open_bucket])
 
-    if open_bucket.lower == ages.max_age:
-        # 90+ against a model ending at 90: reference-year tail rule.
+    if needs_reference_tail(buckets, ages):
         if reference_tail is None:
             raise ValidationError("90+ bucket needs reference-year tail deaths")
-        rate = DEATH_ALLOCATION_RATE[gender] if allocation_rate is None else allocation_rate
-        out[open_lo_idx] = apply_open_bucket_deaths(reference_tail, open_total, rate)
+        out[open_lo_idx] = apply_open_bucket_deaths(reference_tail, open_total,
+                                                    allocation_rate)
         tail_estimate = float(np.asarray(reference_tail)[1:].sum())
         rule = "reference-tail"
     else:

@@ -11,12 +11,14 @@ auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
 the dynamics design built one observation row per year, and the
 dynamics fit on stacked per-year 4 x 6 design matrices with its einsum
 GLS step that also waited for the log-likelihood to settle
-(`mortkit.dynamics`)."""
+(`mortkit.dynamics`), and last year's open-bucket exposure total summed
+from the observed records (`mortkit.pipeline`)."""
 import warnings
 
 import numpy as np
 
 from mortkit import dynamics
+from mortkit.data import QUANTITIES
 from mortkit.errors import ConvergenceError, ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
                            LiLeeParams, lee_miller_anchors, poisson_loglik)
@@ -375,3 +377,17 @@ def two_rule_weighted_mle(design, weights=None):
         current = new
     raise ConvergenceError("two-rule fit did not converge",
                            last_iterate={"psi": psi, "C": C, "loglik": current})
+
+
+def first_seen_open_total(observed, country, gender, prev_year, open_lower, max_age):
+    """Last year's observed open-bucket exposure total (which may extend
+    past the model top age `max_age`), summed in the order each cell first
+    appears among the records of the fragment `observed`; None, for the
+    previous curve's sum, when the tail does not reach the top age."""
+    tail = observed.restrict({country}, {gender}, {prev_year}, min_age=open_lower)
+    ages, first = np.unique(tail.age, return_index=True)
+    exposure = tail.quantity == QUANTITIES.index("exposures")
+    cells = tail.value[exposure][
+        np.argsort(first[np.searchsorted(ages, tail.age[exposure])])]
+    span = max_age - open_lower + 1
+    return float(np.sum(cells)) if len(cells) >= span else None

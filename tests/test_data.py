@@ -1,5 +1,7 @@
 """Data model, weekly ingestion and annualization rules."""
 import io
+import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -7,12 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import flat_surface, weekly_eurow, weekly_stmf
-from mortkit import data
+from oracles import first_seen_open_total
+
+from mortkit import data, ungroup
 from mortkit.config import build_run_config
 from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS, GENDERS,
                           MortalitySurface, MultiPopulationDataset,
-                          PROVENANCE_CODES, QUANTITIES, STMF_BUCKETS, VIRTUAL,
-                          SurfaceFragment, YearRange,
+                          PROVENANCE_CODES, QUANTITIES, RATE_IDENTITY_RTOL,
+                          STMF_BUCKETS, VIRTUAL, SurfaceFragment, YearRange,
                           aggregate_uk, annualize_weekly_deaths,
                           annualize_weekly_exposure,
                           check_eurostat_stmf_consistency,
@@ -100,6 +104,24 @@ class TestAnnualization:
             annualize_weekly_exposure(series)
 
 
+def edited_stmf(path, edits, **series):
+    """Write `weekly_stmf(**series)` (10 deaths and an exposure of 5000 per
+    bucket and week) to `path` as STMF, then give the row of each (bucket
+    label, week) key of `edits` the (deaths, death_rate) fields of its
+    value, or drop the row where the value is None."""
+    write_weekly_csv(path, [weekly_stmf(**series)], "STMF")
+    header, *rows = path.read_text().splitlines()
+    kept = [header]
+    for row in rows:
+        fields = row.split(",")
+        key = (fields[4], int(fields[2]))
+        if key in edits and edits[key] is None:
+            continue
+        fields[5:7] = edits.get(key, fields[5:7])
+        kept.append(",".join(fields))
+    path.write_text("\n".join(kept) + "\n")
+
+
 class TestWeeklyCsv:
     def test_stmf_roundtrip_with_exposure_column(self, tmp_path):
         series = weekly_stmf(deaths_per_week={b: 7.25 for b in STMF_BUCKETS})
@@ -124,6 +146,45 @@ class TestWeeklyCsv:
             # d / (d/E) recovers E exactly where the rate is positive
             np.testing.assert_allclose(loaded.exposures[bucket], 5000.0,
                                        rtol=1e-12)
+
+    def test_derived_exposure_skips_a_week_without_deaths(self, tmp_path):
+        # E = d / m is unknown in a week with no deaths at rate 0; the
+        # exposure is constant, so the other weeks give it.
+        path = tmp_path / "stmf.csv"
+        edited_stmf(path, {("0-14", 7): ("0", "0")}, with_exposures=False)
+        annual = annualize_weekly_exposure(load_weekly_csv(path, "STMF"))
+        for bucket in STMF_BUCKETS:
+            assert annual.exposures[bucket] == pytest.approx(52 * 5000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("edits, weeks", [
+        ({("0-14", 7): None}, "7"),
+        ({("0-14", 7): ("10", "")}, "7"),
+        ({("0-14", 7): ("10", "0")}, "7"),
+        ({("0-14", week): ("0", "0") for week in range(1, 53)}, "1, 2, 3, 4, 5..."),
+    ], ids=["missing-row", "empty-rate", "deaths-at-rate-0", "no-positive-rate"])
+    def test_derived_exposure_still_refuses_holes(self, tmp_path, edits, weeks):
+        path = tmp_path / "stmf.csv"
+        edited_stmf(path, edits, with_exposures=False)
+        series = load_weekly_csv(path, "STMF")
+        with pytest.raises(ValidationError, match=re.escape(
+                f"BEL/M 2020: exposure missing for bucket 0-14, week(s) {weeks}")):
+            annualize_weekly_exposure(series)
+
+    @pytest.mark.parametrize("factor, refused", [
+        (1.001, True), (1.0 + RATE_IDENTITY_RTOL / 2, False)])
+    def test_rate_identity_of_a_loaded_file(self, tmp_path, factor, refused):
+        # d = 10 and E = 5000 in every week; week 3 of 0-14 has the rate
+        # d / E times `factor`, so m * E misses d by 10 * (factor - 1).
+        path = tmp_path / "stmf.csv"
+        rate = 10.0 / 5000.0 * factor
+        edited_stmf(path, {("0-14", 3): ("10", format(rate, ".17g"))})
+        if refused:
+            with pytest.raises(ValidationError, match=re.escape(
+                    "death_rate * exposure != deaths in bucket 0-14 "
+                    "(first offending week 3)")):
+                load_weekly_csv(path, "STMF")
+        else:
+            assert load_weekly_csv(path, "STMF").death_rates[AgeBucket(0, 14)][2] == rate
 
     def test_eurow_roundtrip(self, tmp_path):
         series = weekly_eurow()
@@ -447,16 +508,16 @@ class TestIndividualCsv:
             load_individual_age_csv(path, "HMD")
 
 
-def tiny_config(root, sources):
-    """A one-country run over ages 0-1 and years 2000-2002 reading the
-    given individual-age declarations."""
+def tiny_config(root, sources, max_age=1):
+    """A one-country run over ages 0..max_age and years 2000-2002 reading
+    the given individual-age declarations."""
     individual = [{"shape": "HMD", "country": "AAA",
                    "years": {"first": s["years"][0], "last": s["years"][1]},
                    **{k: v for k, v in s.items() if k != "years"}}
                   for s in sources]
     return build_run_config({
         "country_of_interest": "AAA", "common_pool": ["AAA"],
-        "ages": {"min": 0, "max": 1}, "years": {"first": 2000, "last": 2002},
+        "ages": {"min": 0, "max": max_age}, "years": {"first": 2000, "last": 2002},
         "sources": {"individual": individual},
         "method": {"kind": "WEIGHTED_LIKELIHOOD", "grid": [1.0]},
         "simulation": {"n_paths": 2, "horizon": 2010, "seed": 1},
@@ -498,14 +559,19 @@ class TestSurfaces:
                            match="^duplicate exposures for AAA/M age 0 year 1998$"):
             assemble_dataset(config)
 
-    def test_open_total_sums_cells_in_first_seen_order(self, tmp_path):
+    def test_open_total_matches_first_seen_order_and_fsum(self, tmp_path, monkeypatch):
         # Deaths and exposures come from two files whose rows are shuffled
-        # differently; the observed exposure tail is summed in the order
-        # each cell first appears (here: the deaths file's order).
+        # differently, over ages 0..110 against a model ending at 90.  Last
+        # year's open-bucket total that exposure ungrouping takes (the
+        # curve's sum over 85..90 plus the observed exposures above 90)
+        # matches the sum in the order each cell first appears among the
+        # records and the correctly rounded sum.
         rng = np.random.default_rng(5)
         rows = [(g, year, age) for g in GENDERS for year in (2000, 2001, 2002)
                 for age in range(0, 111)]
-        exposure = {row: float(x) for row, x in zip(rows, rng.uniform(1, 1e6, len(rows)))}
+        # Above 5e5 everywhere, so the age-0 extrapolation 2 E(0) - E(1) of
+        # the exposure shift stays positive.
+        exposure = {row: float(x) for row, x in zip(rows, rng.uniform(6e5, 1e6, len(rows)))}
         order_d, order_e = rng.permutation(len(rows)), rng.permutation(len(rows))
         write_individual_age_csv(tmp_path / "D.csv", [
             ("AAA", rows[k][1], rows[k][0], rows[k][2], 1.0, None, "HMD")
@@ -516,16 +582,27 @@ class TestSurfaces:
         config = tiny_config(tmp_path, [
             {"path": "D.csv", "years": (2000, 2002), "quantities": ["deaths"]},
             {"path": "E.csv", "years": (2000, 2002), "quantities": ["exposures"]},
-        ])
+        ], max_age=90)
         assembler = _Assembler(config)
         assembler.load_sources()
-        for gender in GENDERS:
-            first_seen = [rows[k][2] for k in order_d if rows[k][:2] == (gender, 2001)]
-            expected = np.sum([exposure[(gender, 2001, age)] for age in first_seen])
-            total = assembler._prev_open_total("AAA", gender, 2001, 0)
-            assert total == float(expected)
-            # No observed tail: `ungroup_exposures` sums the previous curve.
-            assert assembler._prev_open_total("AAA", gender, 1999, 0) is None
+        taken = []
+        apply = ungroup.apply_open_bucket_exposure
+
+        def record(prev, open_total, prev_open_total, open_lower):
+            taken.append(prev_open_total)
+            return apply(prev, open_total, prev_open_total, open_lower)
+
+        monkeypatch.setattr(ungroup, "apply_open_bucket_exposure", record)
+        weekly = {bucket: 1e6 for bucket in STMF_BUCKETS}
+        assembler._ungroup_exposure_year("AAA", 2002, {"series": {
+            gender: weekly_stmf("AAA", gender, 2002, weekly_exposure=weekly)
+            for gender in GENDERS}})
+        for g, gender in enumerate(GENDERS):
+            first_seen = first_seen_open_total(assembler.observed, "AAA", gender,
+                                               2001, 85, 90)
+            exact = math.fsum(exposure[gender, 2001, age] for age in range(85, 111))
+            assert abs(taken[g] / first_seen - 1.0) <= 1e-14
+            assert abs(taken[g] / exact - 1.0) <= 1e-14
 
     def test_virtual_cell_count(self):
         surface = flat_surface()

@@ -1204,7 +1204,44 @@ class TestShockDirection:
 # Command-line interface
 # ---------------------------------------------------------------------------
 
+@pytest.fixture(scope="module")
+def weekly_bundle(tmp_path_factory):
+    """AAA 2019 comes as STMF plus EUROW, BBB 2019 as STMF only."""
+    root = tmp_path_factory.mktemp("weekly_cli")
+    make_synthetic_fixture(FixtureParams(
+        years=YearRange(2008, 2019), n_paths=20, cohort_ages=(),
+        weekly=(WeeklyDegradation("AAA", 2019, ("STMF", "EUROW")),
+                WeeklyDegradation("BBB", 2019, ("STMF",)))), root)
+    return root
+
+
 class TestCli:
+    @pytest.mark.parametrize("name, bucket, message", [
+        ("BBB_2019_stmf.csv", "85+",
+         "BBB/M 2019 exposures: need one open bucket (85+), found none"),
+        ("AAA_2019_eurow.csv", "90+",
+         "AAA/M 2019 deaths: need one open bucket (90+), found none"),
+        ("BBB_2019_stmf.csv", "15-64",
+         "BBB/M 2019 exposures: closed buckets must tile ages 0..84"),
+    ], ids=["stmf-without-85+", "eurow-without-90+", "stmf-without-15-64"])
+    def test_run_names_a_missing_bucket_on_one_line(self, weekly_bundle, tmp_path,
+                                                    name, bucket, message):
+        root = tmp_path / "bundle"
+        shutil.copytree(weekly_bundle, root)
+        weekly = root / "weekly" / name
+        rows = weekly.read_text().splitlines(keepends=True)
+        weekly.write_text("".join(row for row in rows if row.split(",")[4] != bucket))
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from mortkit.cli import main; sys.exit(main(sys.argv[2:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src"),
+             "run", "--config", str(root / "config.yaml")],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert [line for line in done.stderr.splitlines()
+                if line.startswith("error:")] == [f"error: {message}"]
+        assert "Traceback" not in done.stderr
+
     def test_run_exits_zero_on_full_success(self, small_bundle, capsys):
         root, _ = small_bundle
         cfg = rewrite_config(root, "cli_ok.yaml",

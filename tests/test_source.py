@@ -1,8 +1,12 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every module-level function and class is named somewhere else, only the
-listed ones are named by tests alone, and every method and dataclass
-field of such a class is read as an attribute somewhere."""
+listed ones are named by tests alone, every name the bench tracer wraps
+is used by the package itself, and every method and dataclass field of
+such a class is read as an attribute somewhere."""
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,6 +147,29 @@ def test_test_only_definitions_are_listed():
                           for p in sorted((ROOT / "tests").rglob("*.py"))))
     sources = [p.read_text() for p in MODULES]
     assert mislisted_test_only(sources, program, tests, TEST_ONLY) == []
+
+
+def test_every_traced_name_has_a_program_caller():
+    # The tracer wraps package names given as strings, which count as uses
+    # above; a name the package stopped calling would live on for the
+    # tracer alone.  Each wrapped name must be used by some module of the
+    # package outside its own definition.
+    code = ("import json, sys; sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+            "import tracer\n"
+            "wrapped, wrap = [], tracer.Tracer.wrap\n"
+            "def record(self, layer, fn, count=None):\n"
+            "    wrapped.append(fn.__qualname__)\n"
+            "    return wrap(self, layer, fn, count)\n"
+            "tracer.Tracer.wrap = record\n"
+            "tracer.install(tracer.Tracer())\n"
+            "print(json.dumps(wrapped))\n")
+    done = subprocess.run([sys.executable, "-c", code, str(BENCH), str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    wrapped = json.loads(done.stdout)
+    program = set().union(*(names_used(p.read_text()) for p in MODULES))
+    assert wrapped
+    assert [name for name in wrapped if name.rpartition(".")[2] not in program] == []
 
 
 def test_checker_sees_test_only_definitions():

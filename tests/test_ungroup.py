@@ -11,7 +11,7 @@ from mortkit.errors import ValidationError
 from mortkit.lilee import LiLeeParams
 from mortkit.project import kannisto_close
 from mortkit.ungroup import (AuxiliaryModel, apply_open_bucket_deaths,
-                             apply_open_bucket_exposure,
+                             apply_open_bucket_exposure, needs_reference_tail,
                              scale_curve_to_buckets, shift_exposure_curve,
                              ungroup_deaths, ungroup_exposures)
 
@@ -97,10 +97,10 @@ class TestUngroupExposures:
         prev = declining_curve()
         totals = {b: shift_exposure_curve(prev)[b.lower:b.upper + 1].sum()
                   for b in STMF_BUCKETS[:4]}
-        prev_open_total = prev[85:].sum() + 400.0   # includes ages > 90
-        totals[STMF_BUCKETS[-1]] = prev_open_total + 26.0
+        above_top = np.array([250.0, 100.0, 50.0])   # observed ages 91..93
+        totals[STMF_BUCKETS[-1]] = prev[85:].sum() + 400.0 + 26.0
         result = ungroup_exposures(prev, self._annual(totals), AGES,
-                                   prev_open_total=prev_open_total)
+                                   prev_above_top=above_top)
         assert result.open_shift == pytest.approx(1.0)
         # retained open ages: previous year's unshifted values + the shift
         np.testing.assert_allclose(result.values[85:], prev[85:] + 1.0,
@@ -175,12 +175,20 @@ class TestUngroupDeaths:
             got = result.values[bucket.lower:bucket.upper + 1].sum()
             assert got == pytest.approx(annual.deaths[bucket], rel=1e-12)
 
+    def test_open_bucket_rule_follows_its_lower_age(self):
+        # 90+ starts at the model top age 90, 85+ below it.
+        def annual(buckets):
+            return BucketedAnnualSeries("AAA", "M", 2020, deaths={b: 1.0 for b in buckets})
+        assert needs_reference_tail(annual(EUROW_BUCKETS), AGES)
+        assert not needs_reference_tail(annual(STMF_BUCKETS), AGES)
+
     def test_90_plus_needs_reference_tail(self):
         aux = StubAux(gompertz_force())
         profile = gompertz_force() * self._exposures()
         annual = self._annual_from_profile(profile, EUROW_BUCKETS, [1.0] * 19)
         with pytest.raises(ValidationError, match="reference"):
-            ungroup_deaths(aux, "M", 2020, self._exposures(), annual, AGES)
+            ungroup_deaths(aux, "M", 2020, self._exposures(), annual, AGES,
+                           allocation_rate=0.20)
 
     def test_model_tail_rule_for_85_plus(self):
         force = gompertz_force()
@@ -189,7 +197,8 @@ class TestUngroupDeaths:
         profile = force * exposures
         annual = self._annual_from_profile(profile, STMF_BUCKETS,
                                            [1.1, 1.0, 0.95, 1.05, 1.3])
-        result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES)
+        result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES,
+                                allocation_rate=0.20)
         assert result.open_rule == "model-tail"
         open_total = annual.deaths[AgeBucket(85, None)]
         # retained ages plus the estimated >90 tail exhaust the bucket
@@ -216,7 +225,8 @@ class TestUngroupDeaths:
         aux = StubAux(force)
         profile = force * exposures
         annual = self._annual_from_profile(profile, STMF_BUCKETS, [1.0] * 5)
-        result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES)
+        result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES,
+                                allocation_rate=0.20)
         open_total = annual.deaths[AgeBucket(85, None)]
         assert result.tail_estimate == pytest.approx(open_total * share,
                                                      rel=1e-10)
@@ -230,7 +240,8 @@ class TestUngroupDeaths:
                                            [2.0] * 18 + [1.0])
         annual.deaths[AgeBucket(90, None)] = 500.0
         result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES,
-                                reference_tail=np.array([400.0]))
+                                reference_tail=np.array([400.0]),
+                                allocation_rate=0.20)
         # within a closed bucket, relative age structure follows the model
         lo, hi = 40, 44
         np.testing.assert_allclose(
