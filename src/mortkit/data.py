@@ -812,15 +812,11 @@ def annualize_weekly_deaths(series: BucketedWeeklySeries) -> BucketedAnnualSerie
                                 deaths=totals)
 
 
-def annualize_weekly_exposure(series: BucketedWeeklySeries) -> BucketedAnnualSeries:
-    """Annual exposure = 52 * the constant weekly exposure, also in 53-week years.
-
-    The weekly values must be constant to relative 1e-6; STMF back-derives
-    them from a constant annual figure, so any wobble signals broken input.
-    Exposures derived as deaths / rate are known only in weeks with a
-    positive rate: a week with no deaths at rate 0 takes the value of the
-    first such week, and a bucket without one is refused as incomplete.
-    """
+def _complete_exposures(series: BucketedWeeklySeries) -> dict:
+    """The weekly exposures, refused if a week is missing.  Exposures
+    derived as deaths / rate are known only in weeks with a positive rate:
+    a week with no deaths at rate 0 takes the value of the first such
+    week, and a bucket without one is refused as incomplete."""
     if series.exposures is None:
         raise ValidationError(
             f"{series.country}/{series.gender} {series.year}: series has no exposures"
@@ -833,6 +829,18 @@ def annualize_weekly_exposure(series: BucketedWeeklySeries) -> BucketedAnnualSer
             quiet = np.isnan(arr) & (rates == 0) & (deaths == 0)
             exposures[bucket] = np.where(quiet, rated[0] if rated.size else np.nan, arr)
     _require_complete(series, exposures, "exposure")
+    return exposures
+
+
+def annualize_weekly_exposure(series: BucketedWeeklySeries) -> BucketedAnnualSeries:
+    """Annual exposure = 52 * the constant weekly exposure, also in 53-week years.
+
+    The weekly values must be constant to relative 1e-6; STMF back-derives
+    them from a constant annual figure, so any wobble signals broken input.
+    Weeks of derived exposures with no deaths at rate 0 are filled first
+    (`_complete_exposures`).
+    """
+    exposures = _complete_exposures(series)
     totals = {}
     for bucket, arr in sorted(exposures.items()):
         ref = float(arr[0])
@@ -850,8 +858,10 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
     """Cell-wise sum of Northern Ireland, England & Wales and Scotland.
 
     All constituents must share year, gender, week count and bucket
-    structure, with no missing weeks.  Death rates are recomputed from the
-    summed counts when exposures are available everywhere.
+    structure, with no missing weeks; a week of derived exposures with no
+    deaths at rate 0 is filled as `annualize_weekly_exposure` fills it.
+    Death rates are recomputed from the summed counts when exposures are
+    available everywhere.
     """
     series = list(constituents)
     if len(series) < 2:
@@ -867,17 +877,15 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
     for s in series:
         _require_complete(s, s.deaths, "deaths")
     have_exposures = all(s.exposures is not None for s in series)
-    if have_exposures:
-        for s in series:
-            _require_complete(s, s.exposures, "exposure")
     deaths = {
         b: np.sum([s.deaths[b] for s in series], axis=0) for b in first.deaths
     }
     exposures = None
     rates = None
     if have_exposures:
+        complete = [_complete_exposures(s) for s in series]
         exposures = {
-            b: np.sum([s.exposures[b] for s in series], axis=0) for b in first.deaths
+            b: np.sum([e[b] for e in complete], axis=0) for b in first.deaths
         }
         rates = {b: deaths[b] / exposures[b] for b in deaths}
     return BucketedWeeklySeries(

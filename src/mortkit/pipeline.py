@@ -179,13 +179,18 @@ class _Assembler:
             return self._aux_cache[country]
         pool = tuple(self.config.aux_pool)
         members = pool if country in pool else pool + (country,)
-        end = min(self.last_fully_observed(c) for c in members)
-        start = aux_start_for(self.config, country)
-        window = YearRange(max(start, self.years.first), end)
-        if len(window) < 8:
+        start = max(aux_start_for(self.config, country), self.years.first)
+        # The window ends before the first year a member has from weekly
+        # data, which is ungrouped with this model, not observed.
+        weekly = [year for c, year in self.weekly if c in members and year >= start]
+        end = min([self.last_fully_observed(c) for c in members]
+                  + [year - 1 for year in weekly])
+        if end - start < 7:
             raise ValidationError(
-                f"auxiliary window {window} too short; time dynamics need >= 8 years"
+                f"auxiliary window [{start}, {end}] too short; time dynamics "
+                "need >= 8 years"
             )
+        window = YearRange(start, end)
         aux = fit_auxiliary_projection_model(self._dataset(members, pool, window),
                                              country)
         self._aux_cache[country] = aux
@@ -349,13 +354,17 @@ def _life_table_rows(config, params, paths, gender, layers):
     rows = len(paths.K[gender])
     # Ages-major like the closed forces, so the kernel reads it in place.
     diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
+    # One closure buffer for every year: the forces fill its model ages
+    # and the closure the ages above them.
+    mu_cl = np.empty((project.MAX_AGE + 1 - a0, rows)).T
+    mu = mu_cl[:, :len(config.ages)]
     labels = [("K", None), ("kappa", None)] + [("q", age) for age in report_ages]
     labels += [("e_per", age) for age in report_ages]
     levels = np.empty((len(labels), len(paths.years), len(probes) + 1))
     for j, year in enumerate(paths.years):
         with _clock(layers, "life_tables"):
-            mu = project.force_paths(params[gender], paths, gender, int(year))
-            mu_cl = project.kannisto_close(mu, a0, forces=True)
+            project.force_paths(params[gender], paths, gender, int(year), out=mu)
+            project.kannisto_close(mu, a0, forces=True, out=mu_cl)
             table = np.empty((len(labels), rows))   # one row per label
             table[0], table[1] = paths.K[gender][:, j], paths.kappa[gender][:, j]
             table[2:2 + len(report_ages)] = -np.expm1(-mu.T[report_at])
@@ -583,7 +592,9 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     workers = jobs if jobs else len(config.method_grid)
     grid = config.method_grid if shared_error is None else ()
     t0 = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    # Every grid value's paths read one draw of the standard normals.
+    with (project.shared_normals(),
+          ThreadPoolExecutor(max_workers=max(1, workers)) as pool):
         units = {value: [pool.submit(_timed, run_scenario, config, assembled.dataset,
                                      value, shared_calibration)]
                  for value in grid}

@@ -14,7 +14,9 @@ backward pass over the forces) and empirical quantiles.
 """
 from __future__ import annotations
 
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,7 +94,10 @@ class SimulationPaths:
 
 
 def _innovation_factor(C) -> np.ndarray:
-    """Symmetric PSD factor L with L L' = C; tolerates the exactly
+    """A factor L = V sqrt(diag(lambda)) with L L' = C, from the
+    eigendecomposition C = V diag(lambda) V'.  It is not symmetric: eigh
+    fixes each eigenvector's sign arbitrarily, so a small change in C can
+    flip columns of L (ROADMAP item 6).  Tolerates the exactly
     semidefinite covariances produced by degenerate test inputs."""
     C = np.asarray(C, dtype=float)
     if C.shape != (4, 4) or not np.allclose(C, C.T, atol=1e-10):
@@ -123,27 +128,73 @@ def _recur(spec: ScenarioSpec, fit: TimeSeriesFit, eps: np.ndarray) -> Simulatio
     return SimulationPaths(years=years, K=K, kappa=kap)
 
 
+def _draw_normals(seed: int, n_paths: int, H: int) -> np.ndarray:
+    """Standard normals (n_paths, H, 4), path i's from a Philox stream
+    keyed by (seed, i).  One generator serves every path: before path i it
+    is given the state a fresh `Philox(key=[seed, i])` starts in, so no
+    generator is constructed per path."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(bits)
+    fresh = bits.state
+    z = np.empty((n_paths, H, 4))
+    for i in range(n_paths):
+        fresh["state"]["key"][1] = i
+        bits.state = fresh
+        rng.standard_normal(out=z[i])
+    return z
+
+
+_normals_lock = threading.Lock()
+#: The open `shared_normals` blocks and, while there are any, the latest
+#: draw ("z") and its (seed, n_paths, H) ("key").
+_normals = {"scopes": 0}
+
+
+@contextmanager
+def shared_normals():
+    """Within the block, every `simulate_period_effects` call with the same
+    seed, path count and horizon reads one read-only draw of the standard
+    normals; only the fit's factor L differs.  The draw is taken under a
+    lock, so threads wait for it rather than repeat it, and it is freed
+    when the last open block closes."""
+    with _normals_lock:
+        _normals["scopes"] += 1
+    try:
+        yield
+    finally:
+        with _normals_lock:
+            _normals["scopes"] -= 1
+            if not _normals["scopes"]:
+                _normals.pop("key", None)
+                _normals.pop("z", None)
+
+
+def _standard_normals(seed: int, n_paths: int, H: int) -> np.ndarray:
+    """`_draw_normals`, drawn once per key inside `shared_normals`."""
+    key = (seed, n_paths, H)
+    with _normals_lock:
+        if not _normals["scopes"]:
+            return _draw_normals(*key)
+        if _normals.get("key") != key:
+            _normals.pop("z", None)   # free the previous draw first
+            z = _draw_normals(*key)
+            z.flags.writeable = False
+            _normals.update(key=key, z=z)
+        return _normals["z"]
+
+
 def simulate_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
     """Simulate n paths of (K, kappa) for both genders.
 
     One 4-dim draw per (path, year) from a Philox stream keyed by
     (seed, path index): reruns with the same seed are bit-identical and
     path i's stream never depends on how many paths run or in what order.
-    One generator serves every path: before path i it is given the state
-    a fresh `Philox(key=[seed, i])` starts in, so no generator is
-    constructed per path.
+    The draws are standard normals times the factor of the fit's C, so
+    inside `shared_normals` fits with the same spec share them.
     """
     L = _innovation_factor(fit.C)
     H = spec.horizon - spec.jump_off_year
-    bits = np.random.Philox(key=np.array([spec.seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(bits)
-    fresh = bits.state
-    z = np.empty((spec.n_paths, H, 4))
-    for i in range(spec.n_paths):
-        fresh["state"]["key"][1] = i
-        bits.state = fresh
-        rng.standard_normal(out=z[i])
-    return _recur(spec, fit, z @ L.T)
+    return _recur(spec, fit, _standard_normals(spec.seed, spec.n_paths, H) @ L.T)
 
 
 def central_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
@@ -171,17 +222,19 @@ def path_batch(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
 # ---------------------------------------------------------------------------
 
 def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
-                year: int) -> np.ndarray:
+                year: int, out: np.ndarray | None = None) -> np.ndarray:
     """mu over the model ages for one year; shape (rows, n_ages).
 
     The result is the transposed view of an ages-major array, the layout
-    the closure and the expectancy kernel work in."""
+    the closure and the expectancy kernel work in; with `out` it is
+    written there, typically the model ages of a closure buffer."""
     j = paths.year_index(year)
     K = paths.K[gender][:, j]
     # One contraction sums (B K + (A + alpha)) + beta kappa in that order, bit-equal
     # to broadcast sums on builds without fused multiply-add (not for one row).
     coef = np.stack([params.B, params.A + params.alpha, params.beta], axis=1)
-    mu = np.einsum("xk,kr->xr", coef, [K, np.ones_like(K), paths.kappa[gender][:, j]])
+    mu = np.einsum("xk,kr->xr", coef, [K, np.ones_like(K), paths.kappa[gender][:, j]],
+                   out=None if out is None else out.T)
     return np.exp(mu, out=mu).T
 
 
@@ -189,8 +242,20 @@ def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
 # Kannisto closure
 # ---------------------------------------------------------------------------
 
+def _pairwise_rows(rows) -> np.ndarray:
+    """The sum of 8 to 15 rows, added in the order numpy's pairwise sum
+    adds as many contiguous values, so a sum over an ages-major axis
+    equals the same sum over a trailing age axis bit for bit."""
+    (a, b, c, d, e, f, g, h), rest = rows[:8], rows[8:]
+    total = ((a + b) + (c + d)) + ((e + f) + (g + h))
+    for row in rest:
+        total += row
+    return total
+
+
 def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
-                   forces: bool = False) -> np.ndarray:
+                   forces: bool = False, out: np.ndarray | None = None
+                   ) -> np.ndarray:
     """Extend a mortality curve over ages `ages_lo`..90 up to age 120.
 
     With `forces=True` the curve and the result are forces of mortality,
@@ -201,9 +266,10 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
     logit(mu_x), then evaluated on 91..120.  Ages up to 90 pass through
     unchanged.  A non-increasing fit (phi <= 0) warns but is applied;
     forces at or above 1 are clamped just below 1 before the logit, with a
-    warning.  Input may carry leading path/year axes; the result is laid
+    warning.  Input may carry leading path/year axes.  The result is laid
     out ages-major (the age axis outermost in memory), so that the
-    expectancy kernel reads it without a copy.
+    expectancy kernel reads it without a copy; with `out` it is written
+    there, and a curve that already is `out`'s leading ages is not copied.
     """
     curve = np.asarray(curve, dtype=float)
     n_in = curve.shape[-1]
@@ -212,14 +278,18 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
         raise ValidationError(
             f"closure needs ages up to {KANNISTO_FIT_HI}, input ends at {top_in}"
         )
+    shape = curve.shape[:-1] + (MAX_AGE + 1 - ages_lo,)
+    if out is not None and out.shape != shape:
+        raise ValidationError(f"out has shape {out.shape}, closure needs {shape}")
     lo = KANNISTO_FIT_LO - ages_lo
     hi = KANNISTO_FIT_HI - ages_lo
     # min and max propagate NaN, which compares false, so NaN fails the
     # checks too; the initial values let an empty batch through.
     low, high = curve.min(initial=np.inf), curve.max(initial=-np.inf)
-    # The fit ages are copied to C order so that the sums below reduce
-    # over contiguous rows whatever the input's layout.
-    fit_ages = np.ascontiguousarray(curve[..., lo:hi + 1])
+    # The age axis moved to the front (transpose is cheaper than moveaxis).
+    ages_first = curve.transpose(-1, *range(curve.ndim - 1))
+    # The fit ages as contiguous age rows: a view of an ages-major curve.
+    fit_ages = np.ascontiguousarray(ages_first[lo:hi + 1])
     if forces:
         if not (low > 0 and high < np.inf):
             raise ValidationError("forces must be positive and finite")
@@ -233,18 +303,24 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
                       RuntimeWarning, stacklevel=2)
         mu_fit = np.minimum(mu_fit, FORCE_CLAMP)
     x = np.arange(KANNISTO_FIT_LO, KANNISTO_FIT_HI + 1, dtype=float)
-    y = np.log(mu_fit) - np.log1p(-mu_fit)   # logit
+    y = np.log(mu_fit) - np.log1p(-mu_fit)   # logit, one row per fit age
     xbar = x.mean()
-    slope = ((x - xbar) * y).sum(axis=-1) / np.sum((x - xbar) ** 2)
-    intercept = y.mean(axis=-1) - slope * xbar
+    weighted = y * (x - xbar).reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = _pairwise_rows(weighted) / np.sum((x - xbar) ** 2)
+    intercept = _pairwise_rows(y) / len(x) - slope * xbar
     # An exactly flat tail regresses to a slope of +-1e-19 float noise, so
     # the degeneracy test needs a hair of slack above zero.
     if np.any(slope <= 1e-12):
         warnings.warn("fitted logistic is non-increasing in age (phi <= 0)",
                       RuntimeWarning, stacklevel=2)
     # The logistic fills the tail in place, one contiguous age row at a time.
-    closed = np.empty((MAX_AGE + 1 - ages_lo,) + curve.shape[:-1])
-    closed[:n_in] = np.moveaxis(curve, -1, 0)
+    if out is None:
+        closed = np.empty(shape[-1:] + shape[:-1])
+        out = closed.transpose(*range(1, closed.ndim), 0)
+    else:
+        closed = out.transpose(-1, *range(out.ndim - 1))
+    # numpy skips assigning a view onto itself, so `out`'s head is not copied.
+    closed[:n_in] = ages_first
     tail = closed[n_in:]
     np.multiply.outer(np.arange(top_in + 1, MAX_AGE + 1, dtype=float), slope,
                       out=tail)
@@ -257,42 +333,37 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
         np.negative(tail, out=tail)
         np.expm1(tail, out=tail)
         np.negative(tail, out=tail)
-    return np.moveaxis(closed, 0, -1)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Life expectancy
 # ---------------------------------------------------------------------------
 
-def _year_fraction(mu: np.ndarray, negated: np.ndarray, least: float) -> np.ndarray:
-    """(1 - e^-mu)/mu with the mu -> 0 limit of 1, as expm1(-mu)/(-mu), which
-    IEEE sign symmetry makes equal bit for bit; `negated` holds -mu, and a
-    known positive least force `least` skips the scan for zeros.
-    Steps run in place: every temporary of this size costs a fresh allocation."""
-    fraction = np.expm1(negated)
-    with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
-        np.divide(fraction, negated, out=fraction)
-    if least == 0:
-        fraction[mu == 0] = 1.0
-    return fraction
-
-
 def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
     """Expected years lived from every age of a force sequence up to its
-    end, by the backward recursion e_x = f_x + e^(-mu_x) e_(x+1) with f the
-    year fraction.  Ages run along axis 0 (the recursion steps over
-    contiguous rows); the result has the same layout.  An infinite force
-    ends the sequence at that age."""
+    end, by the backward recursion e_x = f_x + s_x e_(x+1), with the year
+    fraction f = (1 - e^-mu)/mu (1 at mu = 0) and the survival factor
+    s = 1 + expm1(-mu), both from one expm1 pass.  Ages run along axis 0
+    (the recursion steps over contiguous rows); the result has the same
+    layout.  An infinite force ends the sequence at that age."""
     # min propagates NaN, which compares false, so NaN fails the check
     # too; the initial value lets an empty batch through.
     least = mu.min(initial=np.inf)
     if not least >= 0:
         raise ValidationError("forces must be nonnegative and not NaN")
-    # C order makes the rows below views.  Each age's step runs under the
-    # GIL, so it is two ufunc calls on prepared rows with positional outputs.
-    survival = np.negative(mu, order="C")
-    e = _year_fraction(mu, survival, least)
-    np.exp(survival, out=survival)
+    # C order makes the rows below views.  Steps run in place: every
+    # temporary of this size costs a fresh allocation.
+    negated = np.negative(mu, order="C")
+    survival = np.expm1(negated)
+    # expm1(-mu)/(-mu) equals -expm1(-mu)/mu bit for bit (IEEE sign symmetry).
+    with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
+        e = np.divide(survival, negated, out=negated)
+    if least == 0:
+        e[mu == 0] = 1.0
+    survival += 1.0
+    # Each age's step runs under the GIL, so it is two ufunc calls on
+    # prepared rows with positional outputs.
     rows = list(e.reshape(len(e), -1))
     factors = list(survival.reshape(len(e), -1))
     scratch = np.empty_like(rows[0])

@@ -1,10 +1,12 @@
 """Earlier kernels, kept as oracles for the ones in the package: a
-per-age cumulative-sum expectancy, a masked year fraction and the
-backward recursion that negated the forces twice, a Kannisto
-closure that runs in death-probability space, a simulation that
-constructs one generator per path, forces from two broadcast outer
-products, the closure's tail evaluated on the path-major view and
-quantiles from `np.quantile` (`mortkit.project`), the Li-Lee
+per-age cumulative-sum expectancy, a masked year fraction, the
+backward recursion that negated the forces twice and the one whose
+survival factor came from its own exp pass, a Kannisto closure that
+runs in death-probability space, a simulation that constructs one
+generator per path, forces from two broadcast outer products, the
+closure's tail evaluated on the path-major view, the closure that
+copied its input into a fresh array and quantiles from `np.quantile`
+(`mortkit.project`), the Li-Lee
 calibration and its adjusted Lee-Miller variant each as its own pair of
 fits (`mortkit.lilee`), the
 auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
@@ -56,6 +58,24 @@ def negate_twice_expectancy_kernel(mu):
     factor from its own negation of mu."""
     e = masked_year_fraction(mu)
     survival = np.exp(-np.asarray(mu, dtype=float))
+    for x in range(len(e) - 2, -1, -1):
+        e[x] += survival[x] * e[x + 1]
+    return e
+
+
+def exp_survival_expectancy_kernel(mu):
+    """The backward recursion over ages-major forces with the year
+    fraction expm1(-mu)/(-mu) (1 at mu = 0) and the survival factor from
+    a separate exp(-mu) pass, not from the expm1 pass."""
+    least = mu.min(initial=np.inf)
+    if not least >= 0:
+        raise ValidationError("forces must be nonnegative and not NaN")
+    survival = np.negative(mu, order="C")
+    e = np.expm1(survival)
+    with np.errstate(invalid="ignore"):
+        np.divide(e, survival, out=e)
+    e[mu == 0] = 1.0
+    np.exp(survival, out=survival)
     for x in range(len(e) - 2, -1, -1):
         e[x] += survival[x] * e[x + 1]
     return e
@@ -143,6 +163,28 @@ def path_major_kannisto_close(mu, ages_lo=0):
     tail += 1.0
     np.divide(1.0, tail, out=tail)
     return closed
+
+
+def copying_kannisto_close(mu, ages_lo=0):
+    """Forces over ages `ages_lo`..90 closed to age 120 in a fresh
+    ages-major array: the input ages copied in, the logit fit on a C-order
+    (paths, 11) copy of the fit ages, the tail on contiguous age rows."""
+    mu = np.asarray(mu, dtype=float)
+    n_in = mu.shape[-1]
+    lo = KANNISTO_FIT_LO - ages_lo
+    hi = KANNISTO_FIT_HI - ages_lo
+    slope, intercept = _logit_fit(np.ascontiguousarray(mu[..., lo:hi + 1]))
+    closed = np.empty((MAX_AGE + 1 - ages_lo,) + mu.shape[:-1])
+    closed[:n_in] = np.moveaxis(mu, -1, 0)
+    tail = closed[n_in:]
+    np.multiply.outer(np.arange(ages_lo + n_in, MAX_AGE + 1, dtype=float), slope,
+                      out=tail)
+    tail += intercept
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    tail += 1.0
+    np.divide(1.0, tail, out=tail)
+    return np.moveaxis(closed, 0, -1)
 
 
 def scalar_central_force(aux, gender, year):

@@ -293,6 +293,36 @@ class TestUkAggregation:
             np.testing.assert_allclose(uk.exposures[bucket], 300.0)
             np.testing.assert_allclose(uk.death_rates[bucket], 7.0 / 300.0)
 
+    @staticmethod
+    def _derived(tmp_path, country, edits):
+        path = tmp_path / f"{country}.csv"
+        edited_stmf(path, edits, country=country, with_exposures=False)
+        return load_weekly_csv(path, "STMF")
+
+    def test_derived_constituent_with_a_zero_death_week(self, tmp_path):
+        # Week 7 of 0-14 has no deaths at rate 0, so its exposure is unknown
+        # in the file; the constituent's other weeks give it.
+        quiet = self._derived(tmp_path, "GBRTENW", {("0-14", 7): ("0", "0")})
+        other = self._derived(tmp_path, "GBR_SCO", {})
+        uk = aggregate_uk([quiet, other])
+        np.testing.assert_allclose(uk.exposures[AgeBucket(0, 14)], 10000.0,
+                                   rtol=1e-12)
+        assert uk.deaths[AgeBucket(0, 14)][6] == 10.0
+        annual = annualize_weekly_exposure(uk)
+        for bucket in STMF_BUCKETS:
+            assert annual.exposures[bucket] == pytest.approx(52 * 10000.0, rel=1e-12)
+
+    @pytest.mark.parametrize("edits", [
+        {("0-14", 7): None}, {("0-14", 7): ("10", "0")},
+        {("0-14", week): ("0", "0") for week in range(1, 53)},
+    ], ids=["missing-row", "deaths-at-rate-0", "no-positive-rate"])
+    def test_derived_constituent_holes_still_refused(self, tmp_path, edits):
+        holed = self._derived(tmp_path, "GBRTENW", edits)
+        other = self._derived(tmp_path, "GBR_SCO", {})
+        with pytest.raises(ValidationError, match=r"^GBRTENW/M 2020: \w+ missing "
+                                                  r"for bucket 0-14, week\(s\) "):
+            aggregate_uk([holed, other])
+
     def test_needs_two_constituents(self):
         with pytest.raises(ValidationError, match="at least two"):
             aggregate_uk([weekly_stmf()])

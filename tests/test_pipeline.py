@@ -454,6 +454,35 @@ class TestAssembly:
             warnings.simplefilter("ignore", RuntimeWarning)
             assembler.ungroup_all()
 
+    @staticmethod
+    def _weekly_year_assembler(tmp_path, year):
+        """AAA and BBB over 2004-2019, with AAA's `year` as STMF only."""
+        make_synthetic_fixture(FixtureParams(
+            years=YearRange(2004, 2019),
+            weekly=(WeeklyDegradation("AAA", year, ("STMF",)),)), tmp_path)
+        assembler = pipeline._Assembler(load_run_config(tmp_path / "config.yaml"))
+        assembler.load_sources()
+        return assembler
+
+    def test_auxiliary_window_ends_before_a_weekly_year(self, tmp_path):
+        # AAA 2016 is ungrouped with the auxiliary model, so the model is
+        # fitted on 2004-2015 though 2017-2019 are observed again.
+        assembler = self._weekly_year_assembler(tmp_path, 2016)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assembler.ungroup_all()
+        assert assembler._aux_cache["AAA"].years == YearRange(2004, 2015)
+        assert assembler.build().virtual_cells["AAA"] == {
+            "deaths": 91 * 2, "exposures": 91 * 2}
+
+    def test_auxiliary_window_before_a_weekly_year_needs_eight_years(self, tmp_path):
+        assembler = self._weekly_year_assembler(tmp_path, 2011)
+        with warnings.catch_warnings(), pytest.raises(
+                ValidationError, match=r"^auxiliary window \[2004, 2010\] too short; "
+                                       r"time dynamics need >= 8 years$"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assembler.ungroup_all()
+
 
 # ---------------------------------------------------------------------------
 # Weighted scenarios end to end
@@ -1047,6 +1076,22 @@ class TestWorkUnits:
             assert sorted(p.name for p in config.output_dir.iterdir()) == names
             assert_same_files(first.output_dir, config.output_dir,
                               [n for n in names if n != "timings.json"])
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_normal_draw_per_run(self, grid3, grid3_runs, tmp_path, jobs):
+        # Every grid value's fit unit simulates its paths, but the standard
+        # normals are drawn once, by one Philox generator.
+        config = load_run_config(grid3).with_overrides(output_dir=tmp_path / "out")
+        for run in range(2):
+            with mock.patch.object(np.random, "Philox",
+                                   wraps=np.random.Philox) as philox:
+                report = quiet_run(config, jobs)
+            assert report.all_ok and len(report.scenarios) == 3
+            assert philox.call_count == 1, run
+        assert "z" not in project._normals
+        clean_config, _ = grid3_runs[2]
+        assert_same_files(clean_config.output_dir, config.output_dir,
+                          [f"fanchart_{s.label}.csv" for s in report.scenarios])
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_failed_female_life_tables_fail_only_their_scenario(

@@ -1,12 +1,16 @@
 """Stochastic projection, Kannisto closure and life-expectancy summaries."""
 import math
+import sys
+import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import (cumsum_expectancy, masked_year_fraction,
+from oracles import (copying_kannisto_close, cumsum_expectancy,
+                     exp_survival_expectancy_kernel, masked_year_fraction,
                      negate_twice_expectancy_kernel, np_quantile_summary,
                      outer_product_force_paths, path_major_kannisto_close,
                      per_path_period_effects, q_space_kannisto_close,
@@ -195,6 +199,49 @@ class TestSimulation:
         paths = simulate_period_effects(make_fit(), make_spec())
         with pytest.raises(ValueError):
             paths.K["M"][0, 0] = 99.0
+
+    def test_shared_normals_are_drawn_once_by_racing_threads(self):
+        # More threads than cores and a short switch interval: a lost
+        # check-then-draw would construct a second generator.
+        spec = make_spec(seed=11, n_paths=64)
+        fits = [make_fit(C=COV * (1 + k / 10)) for k in range(8)]
+        want = [per_path_period_effects(fit, spec) for fit in fits]
+        got = [None] * len(fits)
+
+        def simulate(k):
+            got[k] = simulate_period_effects(fits[k], spec)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with project.shared_normals(), mock.patch.object(
+                    np.random, "Philox", wraps=np.random.Philox) as philox:
+                threads = [threading.Thread(target=simulate, args=(k,))
+                           for k in range(len(fits))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert philox.call_count == 1
+                shared = project._normals["z"]
+                assert not shared.flags.writeable
+        finally:
+            sys.setswitchinterval(interval)
+        assert "z" not in project._normals
+        for paths, oracle in zip(got, want):
+            for g in ("M", "F"):
+                assert np.array_equal(paths.K[g], oracle.K[g])
+                assert np.array_equal(paths.kappa[g], oracle.kappa[g])
+
+    def test_a_new_spec_replaces_the_shared_draw(self):
+        fit = make_fit()
+        with project.shared_normals():
+            first = simulate_period_effects(fit, make_spec(seed=3, n_paths=4))
+            wider = simulate_period_effects(fit, make_spec(seed=3, n_paths=6))
+            assert project._normals["key"] == (3, 6, 10)
+        for g in ("M", "F"):
+            assert np.array_equal(wider.K[g][:4], first.K[g])
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     @pytest.mark.parametrize("n_paths", [1, 3, 257])
@@ -451,11 +498,12 @@ class TestLifeExpectancy:
         assert cohort_life_expectancy(surface, 65).shape == (0,)
 
     def test_year_fraction_matches_the_masked_division(self):
+        # A one-age sequence is its year fraction: no step follows it.
         mu = np.array([[0.0, 1e-300, 1e-3, 0.5],
                        [3.0, 700.0, np.inf, -0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = project._year_fraction(mu, np.negative(mu), 0.0)
+            got = project._expectancy_kernel(mu.reshape(1, 2, 4))[0]
         np.testing.assert_array_equal(got, masked_year_fraction(mu))
         assert got[0, 0] == got[1, 3] == 1.0 and got[1, 2] == 0.0
 
@@ -472,10 +520,35 @@ class TestLifeExpectancy:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = project._expectancy_kernel(forces)
-                fraction = project._year_fraction(forces, np.negative(forces), 0.0)
-            np.testing.assert_array_equal(got, negate_twice_expectancy_kernel(forces))
-            np.testing.assert_array_equal(fraction, masked_year_fraction(forces))
+            # The survival factor 1 + expm1(-mu) may differ from exp(-mu)
+            # in the last bit.
+            assert relative_error(got, negate_twice_expectancy_kernel(forces)) < 1e-12
         assert got[0, 0] == 121.0 and got[40, 3] == 0.0
+
+    def test_kernel_matches_the_exp_survival_oracle(self, rng):
+        mu = np.exp(rng.uniform(-12, 3, size=(121, 40)))
+        mu[:, 0] = 0.0
+        mu[::2, 1] = 0.0
+        mu[7::9, 2] = 1e6
+        mu[:, 3] = 1e6
+        mu[60, 4] = np.inf
+        mu[:, 5] = np.inf
+        mu[::5, 6] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = project._expectancy_kernel(mu)
+        want = exp_survival_expectancy_kernel(mu)
+        assert np.all(np.isfinite(got))
+        assert relative_error(got, want) < 1e-12
+        assert got[0, 0] == 121.0 and got[0, 3] == want[0, 3] == 1e-6
+        assert np.all(got[:, 5] == 0.0) and got[60, 4] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, -1e-300, -np.inf])
+    def test_kernel_refuses_nan_and_negative_forces(self, bad):
+        mu = np.full((56, 3), 0.01)
+        mu[20, 1] = bad
+        with pytest.raises(ValidationError, match="nonnegative and not NaN"):
+            project._expectancy_kernel(mu)
 
     def test_rejects_truncated_curve(self):
         with pytest.raises(ValidationError, match="56 values"):
@@ -565,6 +638,37 @@ class TestAgesMajorLayout:
         mu = force_paths(tiny_params([-4.0, -3.0]), paths, "F", 2022)
         assert mu.shape == (6, 2)
         assert np.shares_memory(project._ages_major(mu), mu)
+
+    def test_forces_written_into_a_closure_buffer(self, rng):
+        paths = simulate_period_effects(make_fit(), make_spec(n_paths=6))
+        params = tiny_params([-4.0, -3.0])
+        buffer = np.full((5, 6), np.nan).T
+        got = force_paths(params, paths, "F", 2022, out=buffer[:, :2])
+        assert np.shares_memory(got, buffer)
+        np.testing.assert_array_equal(buffer[:, :2],
+                                      force_paths(params, paths, "F", 2022))
+        assert np.isnan(buffer[:, 2:]).all()
+
+    @pytest.mark.parametrize("ages_lo", [0, 60, 80])
+    def test_closure_in_place_equals_the_allocating_closure(self, rng, ages_lo):
+        n_in = 91 - ages_lo
+        mu = logistic_mu(np.arange(ages_lo, 91)) * rng.uniform(0.8, 1.2, (7, n_in))
+        buffer = np.empty((MAX_AGE + 1 - ages_lo, 7)).T
+        buffer[:, :n_in] = mu
+        got = kannisto_close(buffer[:, :n_in], ages_lo, forces=True, out=buffer)
+        assert np.shares_memory(got, buffer)
+        want = kannisto_close(mu, ages_lo, forces=True)
+        np.testing.assert_array_equal(buffer, want)
+        np.testing.assert_array_equal(want, copying_kannisto_close(mu, ages_lo))
+        # Into another buffer, the input ages are copied in.
+        other = np.empty((7, MAX_AGE + 1 - ages_lo))
+        kannisto_close(mu, ages_lo, forces=True, out=other)
+        np.testing.assert_array_equal(other, want)
+
+    def test_closure_refuses_a_buffer_of_the_wrong_shape(self):
+        mu = logistic_mu(np.arange(0, 91)) * np.ones((3, 1))
+        with pytest.raises(ValidationError, match=r"out has shape \(3, 120\)"):
+            kannisto_close(mu, forces=True, out=np.empty((3, MAX_AGE)))
 
     def test_kernel_reads_closed_forces_without_a_copy(self, rng):
         mu = logistic_mu(np.arange(0, 91)) * rng.uniform(0.8, 1.2, size=(7, 1))
