@@ -195,7 +195,8 @@ class BucketedWeeklySeries:
     Per-bucket arrays are indexed by week-1 and may contain NaN holes for
     weeks absent from the source file; annualization refuses such holes.
     `exposure_origin` records whether exposures came from an explicit
-    column ("column") or were derived as deaths/death_rate ("derived").
+    column ("column"), were derived as deaths/death_rate ("derived") or,
+    in a UK aggregate, came from constituents that differ ("mixed").
     """
 
     country: str
@@ -359,18 +360,21 @@ class SurfaceFragment:
 
     def restrict(self, countries=None, genders=None, years=None, quantities=None,
                  min_age=0) -> "SurfaceFragment":
-        """Records at ages >= min_age whose country, gender, year and
-        quantity are among those given; used to apply a config's
-        per-(country, year, quantity) source declarations."""
+        """Records at ages >= min_age whose country, gender and quantity are
+        among those given and whose year is in the `range` of consecutive
+        years `years`; used to apply a config's per-(country, years,
+        quantity) source declarations.  Each code column indexes a boolean
+        table with one entry per name."""
         keep = self.age >= min_age
         for column, names, wanted in ((self.country, self.countries, countries),
                                       (self.gender, GENDERS, genders),
-                                      (self.quantity, QUANTITIES, quantities),
-                                      (self.year, None, years)):
+                                      (self.quantity, QUANTITIES, quantities)):
             if wanted is not None:
-                codes = [i for i, name in enumerate(names) if name in wanted] \
-                    if names is not None else list(wanted)
-                keep &= np.isin(column, codes)
+                keep &= np.array([name in wanted for name in names], dtype=bool)[column]
+        if years is not None:
+            keep &= (self.year >= years.start) & (self.year < years.stop)
+        if keep.all():
+            keep = slice(None)  # views of every record, not copies
         return SurfaceFragment(self.countries, **{
             name: getattr(self, name)[keep] for name in self.COLUMNS})
 
@@ -386,32 +390,59 @@ class SurfaceFragment:
         self.countries = tuple(names)
 
     def check_unique(self):
-        """Refuse a (cell, quantity) given twice, naming its first repeat."""
+        """Refuse a (cell, quantity) given twice, naming its first repeat.
+
+        One plain sort of the packed keys finds whether any repeats; only
+        then does a stable argsort name the earliest record that repeats
+        an earlier one."""
         if not self.value.size:
             return
-        key = self.country * len(GENDERS) + self.gender
-        for column in (self.age, self.year):
-            values, index = np.unique(column, return_inverse=True)
-            key = key * len(values) + index
-        key = key * len(QUANTITIES) + self.quantity
+        key = _packed_key((self.country, self.gender, self.age, self.year,
+                           self.quantity))
+        ordered = np.sort(key)
+        if not np.any(ordered[1:] == ordered[:-1]):
+            return
         order = np.argsort(key, kind="stable")
         repeat = key[order[1:]] == key[order[:-1]]
-        if repeat.any():
-            i = order[1:][repeat].min()
-            raise ValidationError(
-                f"duplicate {QUANTITIES[self.quantity[i]]} for "
-                f"{self.countries[self.country[i]]}/{GENDERS[self.gender[i]]} "
-                f"age {self.age[i]} year {self.year[i]}"
-            )
+        i = order[1:][repeat].min()
+        raise ValidationError(
+            f"duplicate {QUANTITIES[self.quantity[i]]} for "
+            f"{self.countries[self.country[i]]}/{GENDERS[self.gender[i]]} "
+            f"age {self.age[i]} year {self.year[i]}"
+        )
 
     def deaths_tail(self, country, gender, year, min_age) -> np.ndarray:
         """Death counts at ages >= min_age for one year, age-ascending."""
-        tail = self.restrict({country}, {gender}, {year}, {"deaths"}, min_age)
+        tail = self.restrict({country}, {gender}, range(year, year + 1), {"deaths"},
+                             min_age)
         if not tail.value.size:
             raise ValidationError(
                 f"no deaths at ages >= {min_age} for {country}/{gender} in {year}"
             )
         return tail.value[np.argsort(tail.age, kind="stable")]
+
+
+def _packed_key(columns) -> np.ndarray:
+    """One int64 per record, equal for two records exactly when each of the
+    integer `columns` is: every column is offset by its minimum and packed
+    by its range.  Where packing a column would pass 2**63, the key so far
+    and, if still needed, the column are first replaced by their dense
+    ranks, so a wide range of years never makes two records collide."""
+    key, size = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for column in columns:
+        lo = int(column.min())
+        span = int(column.max()) - lo + 1
+        if size * span > 2**63:
+            key = np.unique(key, return_inverse=True)[1]
+            size = int(key.max()) + 1
+            if size * span > 2**63:
+                column, lo = np.unique(column, return_inverse=True)[1], 0
+                span = int(column.max()) + 1
+        key *= span
+        key += column
+        key -= lo  # int64 arithmetic: any wrap of the sum is undone here
+        size *= span
+    return key
 
 
 @dataclass(frozen=True)
@@ -539,22 +570,17 @@ def _parse_rows_at_once(body: str, has_prov: bool, source_shape: str):
                                usecols=range(len(names)))
     except (ValueError, Warning):
         return None
-    country = table["country"]
     age, deaths, exposure = table["age"], table["deaths"], table["exposure"]
     provenance = table["provenance"] if has_prov else np.full(len(table), source_shape)
-    checks = (
-        np.char.str_len(country) < 8,
-        np.char.strip(country) == country,
-        np.isin(table["gender"], GENDERS),
-        (age >= 0) & (age <= MAX_FILE_AGE),
-        np.isfinite(deaths) & (deaths >= 0),
-        np.isfinite(exposure) & (exposure > 0),
-        np.isin(provenance, PROVENANCE_CODES),
-    )
-    if not all(np.all(ok) for ok in checks):
+    if not (np.all((age >= 0) & (age <= MAX_FILE_AGE))
+            and np.all(np.isfinite(deaths) & (deaths >= 0))
+            and np.all(np.isfinite(exposure) & (exposure > 0))):
         return None
-    fragment = _fragment_of_rows(country, table["year"], table["gender"], age,
+    fragment = _fragment_of_rows(table["country"], table["year"], table["gender"], age,
                                  deaths, exposure, provenance)
+    if (any(len(name) >= 8 or name.strip() != name for name in fragment.countries)
+            or np.any(fragment.gender < 0) or np.any(fragment.provenance < 0)):
+        return None
     try:
         fragment.check_unique()
     except ValidationError:
@@ -606,8 +632,9 @@ def _parse_rows_one_by_one(path, rows, has_prov, source_shape) -> SurfaceFragmen
 
 def _fragment_of_rows(country, year, gender, age, deaths, exposure, provenance):
     """One file's rows as records: each row's deaths, then its exposure
-    unless that is NaN (empty)."""
-    countries, country = np.unique(country, return_inverse=True)
+    unless that is NaN (empty).  Gender and provenance are coded against
+    GENDERS and PROVENANCE_CODES, with -1 for a name outside them."""
+    countries, country = _first_seen_codes(country)
     values = np.column_stack([deaths, exposure]).ravel()
     keep = ~np.isnan(values)
 
@@ -615,7 +642,7 @@ def _fragment_of_rows(country, year, gender, age, deaths, exposure, provenance):
         return np.repeat(column, 2)[keep]
 
     return SurfaceFragment(
-        countries.tolist(), country=per_record(country),
+        countries, country=per_record(country),
         gender=per_record(_codes(gender, GENDERS)), age=per_record(age),
         year=per_record(year), quantity=np.tile([0, 1], len(deaths))[keep],
         value=values[keep], provenance=per_record(_codes(provenance, PROVENANCE_CODES)),
@@ -623,8 +650,24 @@ def _fragment_of_rows(country, year, gender, age, deaths, exposure, provenance):
 
 
 def _codes(names: np.ndarray, table) -> np.ndarray:
-    """Index into `table` of each of `names`, all of which it holds."""
-    return np.argmax(names[:, None] == np.array(table)[None, :], axis=1).astype(np.int8)
+    """Index into `table` of each of `names`, or -1 for a name it lacks."""
+    codes = np.full(len(names), -1, dtype=np.int8)
+    for i, name in enumerate(table):
+        codes[names == name] = i
+    return codes
+
+
+def _first_seen_codes(names: np.ndarray):
+    """The distinct `names` in first-seen order and the index of each into
+    them, found from the runs of equal neighbours: one comparison of
+    neighbours, then work per run rather than per row."""
+    starts = np.ones(len(names), dtype=bool)
+    starts[1:] = names[1:] != names[:-1]
+    starts = np.flatnonzero(starts)
+    index = {}
+    codes = [index.setdefault(name, len(index)) for name in names[starts].tolist()]
+    return tuple(index), np.repeat(np.array(codes, dtype=np.int64),
+                                   np.diff(starts, append=len(names)))
 
 
 def write_individual_age_csv(path, records):
@@ -665,9 +708,11 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     wanted = gender if split else (gender,)
 
     # Per series slot (the gender when splitting, else None): its key and
-    # its {(bucket, week): (deaths, rate, exposure)} records.
+    # its {(bucket, week): (deaths, rate, exposure)} records.  Each distinct
+    # bucket label text is parsed and checked once.
     keys = {}
     records = {}
+    buckets = {}
     for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
         if not "".join(row).strip():
             continue
@@ -683,14 +728,17 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
             continue
         if gender is not None and row_gender not in wanted:
             continue
-        try:
-            bucket = AgeBucket.parse(row[4])
-        except (ValidationError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from exc
-        if bucket not in allowed:
-            raise ParseError(
-                f"{path}:{lineno}: bucket {bucket.label} not valid for {source_shape}"
-            )
+        bucket = buckets.get(row[4])
+        if bucket is None:
+            try:
+                bucket = AgeBucket.parse(row[4])
+            except (ValidationError, ValueError) as exc:
+                raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if bucket not in allowed:
+                raise ParseError(
+                    f"{path}:{lineno}: bucket {bucket.label} not valid for {source_shape}"
+                )
+            buckets[row[4]] = bucket
         if week < 1:
             raise ParseError(f"{path}:{lineno}: week {week} < 1")
         deaths = _parse_float(row[5], "deaths", path, lineno)
@@ -861,7 +909,8 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
     structure, with no missing weeks; a week of derived exposures with no
     deaths at rate 0 is filled as `annualize_weekly_exposure` fills it.
     Death rates are recomputed from the summed counts when exposures are
-    available everywhere.
+    available everywhere; the exposures' origin is the constituents' when
+    they all share it, else "mixed".
     """
     series = list(constituents)
     if len(series) < 2:
@@ -880,19 +929,19 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
     deaths = {
         b: np.sum([s.deaths[b] for s in series], axis=0) for b in first.deaths
     }
-    exposures = None
-    rates = None
+    exposures = rates = origin = None
     if have_exposures:
         complete = [_complete_exposures(s) for s in series]
         exposures = {
             b: np.sum([e[b] for e in complete], axis=0) for b in first.deaths
         }
         rates = {b: deaths[b] / exposures[b] for b in deaths}
+        origins = {s.exposure_origin for s in series}
+        origin = origins.pop() if len(origins) == 1 else "mixed"
     return BucketedWeeklySeries(
         country=UK_CODE, gender=first.gender, year=first.year,
         week_count=first.week_count, deaths=deaths, exposures=exposures,
-        death_rates=rates,
-        exposure_origin=series[0].exposure_origin if have_exposures else None,
+        death_rates=rates, exposure_origin=origin,
     )
 
 

@@ -102,7 +102,7 @@ class _Assembler:
         declared = []
         for decl in self.config.individual_sources:
             frag = load_individual_age_csv(decl.path, decl.shape)
-            years = set(range(decl.years.first, decl.years.last + 1))
+            years = range(decl.years.first, decl.years.last + 1)
             declared.append(frag.restrict(countries={decl.country}, years=years,
                                           quantities=decl.quantities))
         self.observed.update(*declared)
@@ -120,18 +120,24 @@ class _Assembler:
         self._cross_check()
 
     def _fill_observed(self):
-        """Scatter the observed records inside the model window into the grids."""
+        """Scatter the observed records inside the model window into the
+        grids, by one flat index per record."""
         obs = self.observed
         countries = self.config.countries
-        c = np.array([countries.index(name) if name in countries else -1
-                      for name in obs.countries], dtype=np.int64)[obs.country]
-        i = obs.age - self.ages.min_age
-        j = obs.year - self.years.first
-        ok = (c >= 0) & (i >= 0) & (i < len(self.ages)) & (j >= 0) & (j < len(self.years))
-        at = np.ravel_multi_index((c[ok], obs.gender[ok], obs.quantity[ok], i[ok], j[ok]),
-                                  self._values.shape)
-        np.put(self._values, at, obs.value[ok])
-        np.put(self._provenance, at, obs.provenance[ok])
+        at = np.array([countries.index(name) if name in countries else -1
+                       for name in obs.countries], dtype=np.int64)[obs.country]
+        ok = ((at >= 0) & (obs.age >= self.ages.min_age) & (obs.age <= self.ages.max_age)
+              & (obs.year >= self.years.first) & (obs.year <= self.years.last))
+        for column, first, size in ((obs.gender, 0, len(GENDERS)),
+                                    (obs.quantity, 0, len(QUANTITIES)),
+                                    (obs.age, self.ages.min_age, len(self.ages)),
+                                    (obs.year, self.years.first, len(self.years))):
+            at *= size
+            at += column
+            at -= first
+        at = at[ok]
+        self._values.reshape(-1)[at] = obs.value[ok]
+        self._provenance.reshape(-1)[at] = obs.provenance[ok]
 
     def _cross_check(self):
         for (country, year), slot in sorted(self.weekly.items()):
@@ -227,7 +233,7 @@ class _Assembler:
                     f"{country}/{gender}: exposures for {year - 1} incomplete; "
                     "ungroup in chronological order"
                 )
-            above_top = self.observed.restrict({country}, {gender}, {year - 1},
+            above_top = self.observed.restrict({country}, {gender}, range(year - 1, year),
                                                {"exposures"}, self.ages.max_age + 1)
             result = ungroup_exposures(exposures[:, j - 1], annual, self.ages,
                                        prev_above_top=above_top.value)

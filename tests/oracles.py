@@ -13,14 +13,16 @@ auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
 the dynamics design built one observation row per year, and the
 dynamics fit on stacked per-year 4 x 6 design matrices with its einsum
 GLS step that also waited for the log-likelihood to settle
-(`mortkit.dynamics`), and last year's open-bucket exposure total summed
-from the observed records (`mortkit.pipeline`)."""
+(`mortkit.dynamics`), last year's open-bucket exposure total summed
+from the observed records (`mortkit.pipeline`), and the fragment's
+repeat check by `np.unique` ranks and a stable argsort and its record
+selection by `np.isin` (`mortkit.data`)."""
 import warnings
 
 import numpy as np
 
 from mortkit import dynamics
-from mortkit.data import QUANTITIES
+from mortkit.data import GENDERS, QUANTITIES, SurfaceFragment
 from mortkit.errors import ConvergenceError, ValidationError
 from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
                            LiLeeParams, lee_miller_anchors, poisson_loglik)
@@ -426,10 +428,50 @@ def first_seen_open_total(observed, country, gender, prev_year, open_lower, max_
     past the model top age `max_age`), summed in the order each cell first
     appears among the records of the fragment `observed`; None, for the
     previous curve's sum, when the tail does not reach the top age."""
-    tail = observed.restrict({country}, {gender}, {prev_year}, min_age=open_lower)
+    tail = observed.restrict({country}, {gender}, range(prev_year, prev_year + 1),
+                             min_age=open_lower)
     ages, first = np.unique(tail.age, return_index=True)
     exposure = tail.quantity == QUANTITIES.index("exposures")
     cells = tail.value[exposure][
         np.argsort(first[np.searchsorted(ages, tail.age[exposure])])]
     span = max_age - open_lower + 1
     return float(np.sum(cells)) if len(cells) >= span else None
+
+
+def unique_rank_check_unique(fragment):
+    """Refuse a (cell, quantity) given twice, naming its first repeat: the
+    key ranks age and year by `np.unique`, and a stable argsort always
+    runs."""
+    if not fragment.value.size:
+        return
+    key = fragment.country * len(GENDERS) + fragment.gender
+    for column in (fragment.age, fragment.year):
+        values, index = np.unique(column, return_inverse=True)
+        key = key * len(values) + index
+    key = key * len(QUANTITIES) + fragment.quantity
+    order = np.argsort(key, kind="stable")
+    repeat = key[order[1:]] == key[order[:-1]]
+    if repeat.any():
+        i = order[1:][repeat].min()
+        raise ValidationError(
+            f"duplicate {QUANTITIES[fragment.quantity[i]]} for "
+            f"{fragment.countries[fragment.country[i]]}/{GENDERS[fragment.gender[i]]} "
+            f"age {fragment.age[i]} year {fragment.year[i]}"
+        )
+
+
+def isin_restrict(fragment, countries=None, genders=None, years=None,
+                  quantities=None, min_age=0):
+    """Records at ages >= min_age whose country, gender, year and quantity
+    are among those given (`years` a set), by one `np.isin` per column."""
+    keep = fragment.age >= min_age
+    for column, names, wanted in ((fragment.country, fragment.countries, countries),
+                                  (fragment.gender, GENDERS, genders),
+                                  (fragment.quantity, QUANTITIES, quantities),
+                                  (fragment.year, None, years)):
+        if wanted is not None:
+            codes = [i for i, name in enumerate(names) if name in wanted] \
+                if names is not None else list(wanted)
+            keep &= np.isin(column, codes)
+    return SurfaceFragment(fragment.countries, **{
+        name: getattr(fragment, name)[keep] for name in fragment.COLUMNS})

@@ -8,11 +8,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from conftest import flat_surface, weekly_eurow, weekly_stmf
-from oracles import first_seen_open_total
+from oracles import first_seen_open_total, isin_restrict, unique_rank_check_unique
 
 from mortkit import data, ungroup
-from mortkit.config import build_run_config
+from mortkit.config import build_run_config, load_run_config
 from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS, GENDERS,
                           MortalitySurface, MultiPopulationDataset,
                           PROVENANCE_CODES, QUANTITIES, RATE_IDENTITY_RTOL,
@@ -23,6 +25,7 @@ from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS, GENDERS,
                           load_individual_age_csv, load_weekly_csv,
                           write_individual_age_csv, write_weekly_csv)
 from mortkit.errors import ParseError, ValidationError
+from mortkit.fixture import FixtureParams, WeeklyDegradation, make_synthetic_fixture
 from mortkit.pipeline import _Assembler, assemble_dataset
 
 
@@ -269,6 +272,16 @@ class TestWeeklyCsv:
         with pytest.raises(ParseError, match="duplicate row"):
             load_weekly_csv(path, "STMF")
 
+    def test_padded_label_is_the_same_bucket(self, tmp_path):
+        # Labels are remembered by their raw text, repeats by their bucket.
+        path = tmp_path / "dup.csv"
+        write_weekly_csv(path, [weekly_stmf()], "STMF")
+        with path.open("a") as handle:
+            handle.write("BEL,2020,1,M, 0-14,10,0.002,5000\n")
+        with pytest.raises(ParseError) as caught:
+            load_weekly_csv(path, "STMF")
+        assert str(caught.value) == f"{path}:262: duplicate row for bucket 0-14, week 1"
+
     def test_foreign_bucket_refused(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_weekly_csv(path, [weekly_stmf()], "STMF")
@@ -322,6 +335,19 @@ class TestUkAggregation:
         with pytest.raises(ValidationError, match=r"^GBRTENW/M 2020: \w+ missing "
                                                   r"for bucket 0-14, week\(s\) "):
             aggregate_uk([holed, other])
+
+    @pytest.mark.parametrize("origins, expected", [
+        (("column", "column"), "column"), (("derived", "derived"), "derived"),
+        (("column", "derived"), "mixed"), (("derived", "column"), "mixed"),
+    ], ids=["column", "derived", "column-derived", "derived-column"])
+    def test_exposure_origin_of_the_aggregate(self, tmp_path, origins, expected):
+        series = []
+        for country, origin in zip(("GBRTENW", "GBR_SCO"), origins):
+            path = tmp_path / f"{country}.csv"
+            edited_stmf(path, {}, country=country, with_exposures=origin == "column")
+            series.append(load_weekly_csv(path, "STMF"))
+        assert [s.exposure_origin for s in series] == list(origins)
+        assert aggregate_uk(series).exposure_origin == expected
 
     def test_needs_two_constituents(self):
         with pytest.raises(ValidationError, match="at least two"):
@@ -442,6 +468,14 @@ EDGE_FILES = {
     "decimal year": (HEADER + "\nAAA,2001.0,M,0,1,5,HMD\n", "HMD", False),
     "exponent year": (HEADER + "\nAAA,2e3,M,0,1,5,HMD\n", "HMD", False),
     "nan year": (HEADER + "\nAAA,nan,M,0,1,5,HMD\n", "HMD", False),
+    "repeat in second country": (HEADER + "\nAAA,2001,M,0,1,5,HMD\nBBB,2001,M,0,1,5,HMD\n"
+                                 "BBB,2001,M,1,1,5,HMD\nBBB,2001,M,0,2,5,HMD\n",
+                                 "HMD", False),
+    "extreme years": (HEADER + f"\nAAA,{-2**62},M,0,1,5,HMD\nAAA,{2**62},M,0,1,5,HMD\n"
+                      f"AAA,{2**62},F,0,1,5,HMD\n", "HMD", True),
+    "130 countries": (HEADER + "".join(f"\nC{i:03d},2001,{'MF'[i % 2]},0,1,5,HMD"
+                                       for i in range(130)) + "\nC129,2001,M,0,1,5,HMD\n",
+                      "HMD", True),
 }
 
 
@@ -536,6 +570,100 @@ class TestIndividualCsv:
                         "BEL,2005,M,40,2,10\n")
         with pytest.raises(ParseError, match="duplicate deaths"):
             load_individual_age_csv(path, "HMD")
+
+
+#: Year sets of the random fragments: a short run of years, and years
+#: whose range passes 2**40 or 2**63, where packing by range would overflow.
+FRAGMENT_YEARS = ((2000, 2001, 2002), (-2**40, 0, 2**40 + 1), (-2**62, 1, 2**62))
+
+
+@st.composite
+def fragments(draw):
+    """A fragment of up to 40 records over 1, 2 or 130 countries (codes past
+    int8), ages 0, 1 and 110 and one of FRAGMENT_YEARS, often with a record
+    given twice."""
+    names = tuple(f"C{i:03d}" for i in range(draw(st.sampled_from([1, 2, 130]))))
+    years = draw(st.sampled_from(FRAGMENT_YEARS))
+    records = draw(st.lists(st.tuples(
+        st.integers(0, len(names) - 1), st.integers(0, 1), st.sampled_from([0, 1, 110]),
+        st.sampled_from(years), st.integers(0, 1), st.floats(0, 10),
+        st.integers(0, len(PROVENANCE_CODES) - 1)), max_size=40))
+    if records and draw(st.booleans()):
+        copied = records[draw(st.integers(0, len(records) - 1))]
+        records.insert(draw(st.integers(0, len(records))), copied)
+    columns = zip(*records) if records else [()] * 7
+    return SurfaceFragment(names, **dict(zip(SurfaceFragment.COLUMNS, columns)))
+
+
+def repeat_outcome(check, fragment):
+    try:
+        check(fragment)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestFragmentOracles:
+    @settings(deadline=None, max_examples=300)
+    @given(fragments())
+    def test_check_unique_names_the_oracles_first_repeat(self, fragment):
+        assert (repeat_outcome(SurfaceFragment.check_unique, fragment)
+                == repeat_outcome(unique_rank_check_unique, fragment))
+
+    @settings(deadline=None, max_examples=300)
+    @given(fragments(), st.data())
+    def test_restrict_keeps_the_oracles_records(self, fragment, choose):
+        def subset(names):
+            return choose.draw(st.none() | st.sets(st.sampled_from(names)))
+
+        countries, genders, quantities = (subset(fragment.countries), subset(GENDERS),
+                                          subset(QUANTITIES))
+        years = choose.draw(st.none() | st.tuples(
+            *[st.sampled_from(FRAGMENT_YEARS[-1] + FRAGMENT_YEARS[0])] * 2).map(sorted))
+        min_age = choose.draw(st.sampled_from([0, 1, 110, 111]))
+        got = fragment.restrict(countries, genders, years and range(years[0], years[1] + 1),
+                                quantities, min_age)
+        want = isin_restrict(fragment, countries, genders,
+                             years and set(y for y in fragment.year.tolist()
+                                           if years[0] <= y <= years[1]),
+                             quantities, min_age)
+        assert got.countries == fragment.countries
+        assert fragment_records(got) == fragment_records(want)
+
+    def test_wide_years_are_no_repeat(self):
+        fragment = SurfaceFragment(("AAA",), country=[0, 0, 0], gender=[0, 0, 0],
+                                   age=[0, 0, 0], year=[-2**63, 0, 2**63 - 1],
+                                   quantity=[0, 0, 0], value=[1, 2, 3],
+                                   provenance=[0, 0, 0])
+        fragment.check_unique()
+
+
+class TestFastPathGuard:
+    """Bundles shaped like the `ingest` and `nowcast` bench worlds are read
+    without the row loop: a check that sends every generated file to the
+    row loop fails here rather than only in the benchmark."""
+
+    @pytest.mark.parametrize("weekly", [
+        (WeeklyDegradation("AAA", 2015, ("STMF", "EUROW")),),
+        (WeeklyDegradation("AAA", 2014, ("STMF", "EUROW"), 53),
+         WeeklyDegradation("AAA", 2015, ("STMF", "EUROW")),
+         WeeklyDegradation("BBB", 2014, ("STMF",), 53),
+         WeeklyDegradation("BBB", 2015, ("STMF",))),
+    ], ids=["ingest", "nowcast"])
+    def test_generated_files_take_the_one_call_parse(self, tmp_path, monkeypatch,
+                                                     weekly):
+        make_synthetic_fixture(FixtureParams(
+            countries=("AAA", "BBB", "CCC", "DDD"), years=YearRange(2002, 2015),
+            n_paths=10, weekly=weekly), tmp_path)
+
+        def refuse(path, *args):
+            raise AssertionError(f"{path} was read by the row loop")
+
+        monkeypatch.setattr(data, "_parse_rows_one_by_one", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assembled = assemble_dataset(load_run_config(tmp_path / "config.yaml"))
+        assert len(assembled.dataset.surfaces) == 8
 
 
 def tiny_config(root, sources, max_age=1):
