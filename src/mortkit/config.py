@@ -13,11 +13,11 @@ from pathlib import Path
 
 import yaml
 
-from .data import AgeRange, YearRange, INDIVIDUAL_SHAPES, QUANTITIES, WEEKLY_SHAPES
+from .data import (AgeRange, YearRange, INDIVIDUAL_SHAPES, MAX_AGE, QUANTITIES,
+                   WEEKLY_SHAPES)
 from .errors import ConfigError
 from .lilee import ADJUSTED_LEE_MILLER
-from .project import MAX_AGE
-from .ungroup import DEATH_ALLOCATION_RATE
+from .ungroup import DEATH_ALLOCATION_RATE, UNGROUPING_AGES
 
 WEIGHTED_LIKELIHOOD = "WEIGHTED_LIKELIHOOD"
 METHOD_KINDS = (WEIGHTED_LIKELIHOOD, ADJUSTED_LEE_MILLER)
@@ -185,8 +185,9 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
     for i, node in enumerate(all_nodes):
         decl = _parse_source(node, base, i)
         (weekly if decl.weekly else individual).append(decl)
-    if weekly and not (ages.min_age == 0 and ages.max_age == 90):
-        raise ConfigError("ungrouping protocols require the 0..90 age range")
+    if weekly and ages != UNGROUPING_AGES:
+        raise ConfigError(f"ungrouping protocols require the {UNGROUPING_AGES.min_age}"
+                          f"..{UNGROUPING_AGES.max_age} age range")
 
     ung = doc.get("ungrouping", {}) or {}
     raw_start = ung.get("aux_start_year", years.first)

@@ -32,8 +32,11 @@ VIRTUAL = PROVENANCE_CODES.index("VIRTUAL")
 #: SurfaceFragment record holds the index of one.
 QUANTITIES = ("deaths", "exposures")
 
-#: Highest age an individual-age file may carry.
+#: Highest age an individual-age file may carry; open buckets end here.
 MAX_FILE_AGE = 110
+
+#: Oldest age of any age range and after closure; life tables end here.
+MAX_AGE = 120
 
 #: Largest central death rate d/E accepted as plausible data.
 RATE_SANITY_BOUND = 5.0
@@ -71,13 +74,13 @@ UK_CODE = "UNK"
 
 @dataclass(frozen=True, order=True)
 class AgeRange:
-    """Inclusive integer age interval, bounded by 0 and 120."""
+    """Inclusive integer age interval, bounded by 0 and `MAX_AGE`."""
 
     min_age: int
     max_age: int
 
     def __post_init__(self):
-        if not (0 <= self.min_age <= self.max_age <= 120):
+        if not (0 <= self.min_age <= self.max_age <= MAX_AGE):
             raise ValidationError(
                 f"invalid age range [{self.min_age}, {self.max_age}]"
             )

@@ -18,11 +18,10 @@ import numpy as np
 import yaml
 
 from .config import WEIGHTED_LIKELIHOOD
-from .data import (AgeRange, BucketedWeeklySeries, EUROW_BUCKETS, GENDERS,
+from .data import (AgeRange, BucketedWeeklySeries, EUROW_BUCKETS, GENDERS, MAX_AGE,
                    REGULAR_WEEKS, STMF_BUCKETS, YearRange,
                    write_individual_age_csv, write_weekly_csv)
 from .errors import ConfigError
-from .project import MAX_AGE
 
 #: Seasonal modulation amplitude for weekly death counts.
 SEASONAL_AMPLITUDE = 0.18

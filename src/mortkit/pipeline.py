@@ -497,11 +497,11 @@ class RunReport:
 
 
 def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
-                 layers: dict):
+                 normals: np.ndarray, layers: dict):
     """The fit unit of one grid value: calibrate (or reuse the shared Li-Lee
-    calibration), fit the dynamics and simulate the path batch both
-    genders' life-table units read.  Returns (params, calibration, fit,
-    paths) and adds the wall time of each layer it ran to `layers`."""
+    calibration), fit the dynamics and simulate from the run's `normals` the
+    path batch both genders' life-table units read.  Returns (params,
+    calibration, fit, paths) and adds each layer's wall time to `layers`."""
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         params, calibration = shared_calibration
         weight_last = value
@@ -516,7 +516,7 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
         paths = project.path_batch(fit, project.ScenarioSpec(
             jump_off_year=config.years.last, horizon=config.horizon,
             n_paths=config.n_paths, seed=config.seed,
-            jump_off=params["M"].jump_off + params["F"].jump_off,
+            jump_off=params["M"].jump_off + params["F"].jump_off, normals=normals,
         ))
     return params, calibration, fit, paths
 
@@ -595,14 +595,19 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
                 error = f"{type(exc).__name__}: {exc}"
         return ScenarioResult(_scenario_label(config, value), value, "failed", error)
 
+    # Every grid value's paths read this one read-only draw.
+    t0 = time.perf_counter()
+    normals = project.draw_normals(config.seed, config.n_paths,
+                                   config.horizon - config.years.last)
+    normals.flags.writeable = False
+    timings["normals"] = time.perf_counter() - t0
+
     workers = jobs if jobs else len(config.method_grid)
     grid = config.method_grid if shared_error is None else ()
     t0 = time.perf_counter()
-    # Every grid value's paths read one draw of the standard normals.
-    with (project.shared_normals(),
-          ThreadPoolExecutor(max_workers=max(1, workers)) as pool):
+    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         units = {value: [pool.submit(_timed, run_scenario, config, assembled.dataset,
-                                     value, shared_calibration)]
+                                     value, shared_calibration, normals)]
                  for value in grid}
         for scenario in units.values():
             if scenario[0].exception() is None:

@@ -14,23 +14,15 @@ backward pass over the forces) and empirical quantiles.
 """
 from __future__ import annotations
 
-import threading
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import GENDERS
+from .data import GENDERS, MAX_AGE
 from .dynamics import TimeSeriesFit
 from .errors import ValidationError
 from .lilee import LiLeeParams
-
-#: Oldest age after closure; also the life-expectancy truncation age.
-MAX_AGE = 120
-
-#: Open-ended buckets conceptually end here (used by ungrouping tails).
-OPEN_BUCKET_TOP = 110
 
 #: Ages whose logit-forces the Kannisto regression is fitted on.
 KANNISTO_FIT_LO = 80
@@ -48,7 +40,8 @@ class ScenarioSpec:
     """What to simulate: horizon, path count, seed and jump-off state.
 
     `jump_off` is (K^M, kappa^M, K^F, kappa^F) in `jump_off_year`, the
-    final calibration year.
+    final calibration year.  `normals`, if given, are read in place of
+    `draw_normals(seed, n_paths, H)`: specs sharing one array share noise.
     """
 
     jump_off_year: int
@@ -56,6 +49,7 @@ class ScenarioSpec:
     n_paths: int
     seed: int
     jump_off: tuple
+    normals: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.horizon <= self.jump_off_year:
@@ -66,6 +60,10 @@ class ScenarioSpec:
             raise ValidationError("need at least one path")
         if len(self.jump_off) != 4:
             raise ValidationError("jump_off must be (K_M, kappa_M, K_F, kappa_F)")
+        shape = (self.n_paths, self.horizon - self.jump_off_year, 4)
+        if self.normals is not None and np.shape(self.normals) != shape:
+            raise ValidationError(f"normals have shape {np.shape(self.normals)}, "
+                                  f"the spec needs {shape}")
 
     @property
     def years(self) -> np.ndarray:
@@ -128,7 +126,7 @@ def _recur(spec: ScenarioSpec, fit: TimeSeriesFit, eps: np.ndarray) -> Simulatio
     return SimulationPaths(years=years, K=K, kappa=kap)
 
 
-def _draw_normals(seed: int, n_paths: int, H: int) -> np.ndarray:
+def draw_normals(seed: int, n_paths: int, H: int) -> np.ndarray:
     """Standard normals (n_paths, H, 4), path i's from a Philox stream
     keyed by (seed, i).  One generator serves every path: before path i it
     is given the state a fresh `Philox(key=[seed, i])` starts in, so no
@@ -144,57 +142,19 @@ def _draw_normals(seed: int, n_paths: int, H: int) -> np.ndarray:
     return z
 
 
-_normals_lock = threading.Lock()
-#: The open `shared_normals` blocks and, while there are any, the latest
-#: draw ("z") and its (seed, n_paths, H) ("key").
-_normals = {"scopes": 0}
-
-
-@contextmanager
-def shared_normals():
-    """Within the block, every `simulate_period_effects` call with the same
-    seed, path count and horizon reads one read-only draw of the standard
-    normals; only the fit's factor L differs.  The draw is taken under a
-    lock, so threads wait for it rather than repeat it, and it is freed
-    when the last open block closes."""
-    with _normals_lock:
-        _normals["scopes"] += 1
-    try:
-        yield
-    finally:
-        with _normals_lock:
-            _normals["scopes"] -= 1
-            if not _normals["scopes"]:
-                _normals.pop("key", None)
-                _normals.pop("z", None)
-
-
-def _standard_normals(seed: int, n_paths: int, H: int) -> np.ndarray:
-    """`_draw_normals`, drawn once per key inside `shared_normals`."""
-    key = (seed, n_paths, H)
-    with _normals_lock:
-        if not _normals["scopes"]:
-            return _draw_normals(*key)
-        if _normals.get("key") != key:
-            _normals.pop("z", None)   # free the previous draw first
-            z = _draw_normals(*key)
-            z.flags.writeable = False
-            _normals.update(key=key, z=z)
-        return _normals["z"]
-
-
 def simulate_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
     """Simulate n paths of (K, kappa) for both genders.
 
     One 4-dim draw per (path, year) from a Philox stream keyed by
     (seed, path index): reruns with the same seed are bit-identical and
     path i's stream never depends on how many paths run or in what order.
-    The draws are standard normals times the factor of the fit's C, so
-    inside `shared_normals` fits with the same spec share them.
+    The draws are standard normals times the factor of the fit's C; the
+    normals are `spec.normals` when given, else drawn for this call.
     """
     L = _innovation_factor(fit.C)
     H = spec.horizon - spec.jump_off_year
-    return _recur(spec, fit, _standard_normals(spec.seed, spec.n_paths, H) @ L.T)
+    z = draw_normals(spec.seed, spec.n_paths, H) if spec.normals is None else spec.normals
+    return _recur(spec, fit, z @ L.T)
 
 
 def central_period_effects(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:

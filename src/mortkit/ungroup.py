@@ -18,15 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (AgeBucket, AgeRange, BucketedAnnualSeries, GENDERS,
+from .data import (AgeBucket, AgeRange, BucketedAnnualSeries, GENDERS, MAX_FILE_AGE,
                    MultiPopulationDataset, YearRange)
 from .dynamics import InstabilityWarning, TimeSeriesFit, fit_period_effects
 from .errors import ValidationError
 from .lilee import calibrate_dataset
-from .project import OPEN_BUCKET_TOP, ScenarioSpec, central_period_effects, kannisto_close
+from .project import ScenarioSpec, central_period_effects, kannisto_close
+
+#: The model ages the protocols (the 90+ rule, the Kannisto tail) assume.
+UNGROUPING_AGES = AgeRange(0, 90)
 
 #: Default gender-specific share of open-bucket excess allocated to age 90.
 DEATH_ALLOCATION_RATE = {"M": 0.20, "F": 0.145}
+
+
+@dataclass(frozen=True)
+class Ungrouped:
+    """One year's virtual individual-age values over the model ages."""
+
+    values: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +97,7 @@ def scale_curve_to_buckets(curve: np.ndarray, bucket_totals: dict,
 
 def apply_open_bucket_exposure(prev_values: np.ndarray, open_total: float,
                                prev_open_total: float,
-                               open_lower: int) -> tuple[np.ndarray, float]:
+                               open_lower: int) -> np.ndarray:
     """Uniform-shift rule for the open exposure bucket.
 
     The bucket's year-on-year change is spread evenly over all its ages up
@@ -95,7 +105,7 @@ def apply_open_bucket_exposure(prev_values: np.ndarray, open_total: float,
     Nonpositive results are refused.
     """
     prev = np.asarray(prev_values, dtype=float)
-    width = OPEN_BUCKET_TOP - open_lower + 1
+    width = MAX_FILE_AGE - open_lower + 1
     shift = (open_total - prev_open_total) / width
     adjusted = prev + shift
     if np.any(adjusted <= 0):
@@ -104,16 +114,7 @@ def apply_open_bucket_exposure(prev_values: np.ndarray, open_total: float,
             f"open-bucket exposure at age {age} becomes nonpositive "
             f"(shift {shift:g})"
         )
-    return adjusted, shift
-
-
-@dataclass(frozen=True)
-class UngroupedExposures:
-    """Virtual individual-age exposures plus protocol diagnostics."""
-
-    ages: AgeRange
-    values: np.ndarray
-    open_shift: float
+    return adjusted
 
 
 def _buckets(series: BucketedAnnualSeries, name: str, ages: AgeRange
@@ -141,7 +142,7 @@ def _buckets(series: BucketedAnnualSeries, name: str, ages: AgeRange
 
 
 def ungroup_exposures(prev_curve: np.ndarray, buckets: BucketedAnnualSeries,
-                      ages: AgeRange, *, prev_above_top=()) -> UngroupedExposures:
+                      ages: AgeRange, *, prev_above_top=()) -> Ungrouped:
     """Turn one year's bucketed exposures into individual ages 0..top.
 
     `prev_curve` is the previous year's individual-age exposures over the
@@ -160,12 +161,11 @@ def ungroup_exposures(prev_curve: np.ndarray, buckets: BucketedAnnualSeries,
 
     open_lo = open_bucket.lower - ages.min_age
     prev_open_total = float(prev[open_lo:].sum()) + float(np.sum(prev_above_top))
-    adjusted, shift = apply_open_bucket_exposure(
+    scaled[open_lo:] = apply_open_bucket_exposure(
         prev[open_lo:], buckets.exposures[open_bucket], prev_open_total,
         open_bucket.lower,
     )
-    scaled[open_lo:] = adjusted
-    return UngroupedExposures(ages=ages, values=scaled, open_shift=float(shift))
+    return Ungrouped(scaled)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +182,14 @@ class AuxiliaryModel:
     years: YearRange
 
     def central_force(self, gender: str, year: int) -> np.ndarray:
-        """Fitted force for calibration years, after them the force of the
-        scenarios' central path jumping off at the last calibration year."""
-        p = self.params[gender]
+        """The force of the scenarios' central path, jumping off at the
+        window's last year, in a year after the window."""
         if year <= self.years.last:
-            j = self.years.index(year)
-            return np.exp(p.log_mu()[:, j])
+            raise ValidationError(
+                f"{self.country}/{year}: weekly deaths must follow the auxiliary "
+                f"window [{self.years.first}, {self.years.last}] "
+                "(ungrouping.aux_start_year)")
+        p = self.params[gender]
         central = central_period_effects(self.ts_fit, ScenarioSpec(
             jump_off_year=self.years.last, horizon=year, n_paths=1, seed=0,
             jump_off=self.params["M"].jump_off + self.params["F"].jump_off))
@@ -219,17 +221,6 @@ def fit_auxiliary_projection_model(dataset: MultiPopulationDataset,
                           years=dataset.years)
 
 
-def expected_deaths(force: np.ndarray, exposures: np.ndarray) -> np.ndarray:
-    """Cell-wise expected deaths mu * E on virtual exposures."""
-    force = np.asarray(force, dtype=float)
-    exposures = np.asarray(exposures, dtype=float)
-    if force.shape != exposures.shape:
-        raise ValidationError("force and exposures must align")
-    if np.any(force < 0) or np.any(exposures <= 0):
-        raise ValidationError("force must be >= 0 and exposures > 0")
-    return force * exposures
-
-
 def apply_open_bucket_deaths(reference_tail: np.ndarray, open_total: float,
                              allocation_rate: float) -> float:
     """Deaths at age 90 when the open bucket is 90+.
@@ -254,16 +245,6 @@ def apply_open_bucket_deaths(reference_tail: np.ndarray, open_total: float,
     return value
 
 
-@dataclass(frozen=True)
-class UngroupedDeaths:
-    """Virtual individual-age deaths plus protocol diagnostics."""
-
-    ages: AgeRange
-    values: np.ndarray
-    open_rule: str            # "reference-tail" or "model-tail"
-    tail_estimate: float      # estimated deaths beyond the model top age
-
-
 def _model_tail_share(force: np.ndarray, exposures: np.ndarray,
                       open_lower: int, ages: AgeRange) -> float:
     """Share of the open bucket expected beyond the model top age.
@@ -274,7 +255,7 @@ def _model_tail_share(force: np.ndarray, exposures: np.ndarray,
     """
     mu_closed = kannisto_close(force, ages.min_age, forces=True)
     top = ages.max_age
-    tail_mu = mu_closed[top - ages.min_age + 1: OPEN_BUCKET_TOP - ages.min_age + 1]
+    tail_mu = mu_closed[top - ages.min_age + 1: MAX_FILE_AGE - ages.min_age + 1]
     e = float(exposures[top - ages.min_age])
     mu_prev = float(mu_closed[top - ages.min_age])
     tail_expected = 0.0
@@ -298,22 +279,23 @@ def needs_reference_tail(buckets: BucketedAnnualSeries, ages: AgeRange) -> bool:
 def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
                    exposures: np.ndarray, buckets: BucketedAnnualSeries,
                    ages: AgeRange, *, reference_tail: np.ndarray | None = None,
-                   allocation_rate: float) -> UngroupedDeaths:
+                   allocation_rate: float) -> Ungrouped:
     """Turn one year's bucketed deaths into individual ages.
 
     `exposures` are the (virtual) individual-age exposures of the target
-    year.  When `needs_reference_tail`, the open bucket needs
+    year; the expected deaths mu * E on them give the profile within each
+    bucket.  When `needs_reference_tail`, the open bucket needs
     `reference_tail` (reference-year deaths at ages >= 90), of whose
     excess `allocation_rate` goes to the top age; otherwise it uses the
     model-tail estimate.
     """
     exposures = np.asarray(exposures, dtype=float)
-    if exposures.shape != (len(ages),):
-        raise ValidationError("exposures must cover the model ages")
+    if exposures.shape != (len(ages),) or not np.all(exposures > 0):
+        raise ValidationError("exposures must cover the model ages and be > 0")
     closed, open_bucket = _buckets(buckets, "deaths", ages)
 
     force = aux.central_force(gender, year)
-    profile = expected_deaths(force, exposures)
+    profile = force * exposures
     out, _ = scale_curve_to_buckets(profile, closed, ages.min_age)
 
     open_lo_idx = open_bucket.lower - ages.min_age
@@ -324,14 +306,11 @@ def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
             raise ValidationError("90+ bucket needs reference-year tail deaths")
         out[open_lo_idx] = apply_open_bucket_deaths(reference_tail, open_total,
                                                     allocation_rate)
-        tail_estimate = float(np.asarray(reference_tail)[1:].sum())
-        rule = "reference-tail"
     else:
         # 85+ style: estimate the share beyond the top age from the model
         # curve, remove it, scale the retained ages against the remainder.
         share = _model_tail_share(force, exposures, open_bucket.lower, ages)
-        tail_estimate = open_total * share
-        remainder = open_total - tail_estimate
+        remainder = open_total - open_total * share
         mass = float(profile[open_lo_idx:].sum())
         if mass <= 0 and remainder > 0:
             raise ValidationError(
@@ -339,8 +318,6 @@ def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
             )
         b = remainder / mass if mass > 0 else 1.0
         out[open_lo_idx:] = profile[open_lo_idx:] * b
-        rule = "model-tail"
     if np.any(out < 0):
         raise ValidationError("ungrouped deaths became negative")
-    return UngroupedDeaths(ages=ages, values=out, open_rule=rule,
-                           tail_estimate=float(tail_estimate))
+    return Ungrouped(out)

@@ -483,6 +483,21 @@ class TestAssembly:
             warnings.simplefilter("ignore", RuntimeWarning)
             assembler.ungroup_all()
 
+    def test_weekly_death_year_before_the_auxiliary_window_is_named(self, tmp_path):
+        # The window starts at aux_start_year 2005, after BBB's STMF-only 2003.
+        make_synthetic_fixture(FixtureParams(
+            n_paths=20, cohort_ages=(),
+            weekly=(WeeklyDegradation("BBB", 2003, ("STMF",)),)), tmp_path)
+        config = load_run_config(rewrite_config(
+            tmp_path, "late.yaml",
+            ungrouping={"aux_pool": ["AAA", "BBB"], "aux_start_year": 2005}))
+        with warnings.catch_warnings(), pytest.raises(
+                ValidationError, match=r"^BBB/2003: weekly deaths must follow the "
+                                       r"auxiliary window \[2005, 2019\] "
+                                       r"\(ungrouping\.aux_start_year\)$"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assemble_dataset(config)
+
 
 # ---------------------------------------------------------------------------
 # Weighted scenarios end to end
@@ -566,7 +581,7 @@ class TestWeightedScenarios:
         config, report = wrun
         with (config.output_dir / "timings.json").open() as handle:
             timings = json.load(handle)
-        assert {"assemble", "calibrate", "scenarios"} <= set(timings)
+        assert {"assemble", "calibrate", "normals", "scenarios"} <= set(timings)
         assert set(timings["scenario_seconds"]) == \
             {s.label for s in report.scenarios}
 
@@ -1088,7 +1103,6 @@ class TestWorkUnits:
                 report = quiet_run(config, jobs)
             assert report.all_ok and len(report.scenarios) == 3
             assert philox.call_count == 1, run
-        assert "z" not in project._normals
         clean_config, _ = grid3_runs[2]
         assert_same_files(clean_config.output_dir, config.output_dir,
                           [f"fanchart_{s.label}.csv" for s in report.scenarios])
@@ -1099,8 +1113,9 @@ class TestWorkUnits:
         real_fit, real_tables = pipeline.run_scenario, pipeline._life_table_rows
         doomed = []
 
-        def fit(config, dataset, value, shared_calibration, layers):
-            result = real_fit(config, dataset, value, shared_calibration, layers)
+        def fit(config, dataset, value, shared_calibration, normals, layers):
+            result = real_fit(config, dataset, value, shared_calibration, normals,
+                              layers)
             if value == 0.5:
                 doomed.append(result[3])
             return result

@@ -1,7 +1,5 @@
 """Stochastic projection, Kannisto closure and life-expectancy summaries."""
 import math
-import sys
-import threading
 import warnings
 from unittest import mock
 
@@ -49,9 +47,9 @@ def make_fit(psi=PSI, C=COV):
                          weights=np.ones(10), loglik=0.0, iterations=1)
 
 
-def make_spec(horizon=2030, n_paths=4, seed=911, jump_off=JUMP_OFF):
+def make_spec(horizon=2030, n_paths=4, seed=911, jump_off=JUMP_OFF, normals=None):
     return ScenarioSpec(jump_off_year=2020, horizon=horizon, n_paths=n_paths,
-                        seed=seed, jump_off=jump_off)
+                        seed=seed, jump_off=jump_off, normals=normals)
 
 
 def ar_mean(c, phi, kappa0, h):
@@ -80,6 +78,16 @@ class TestScenarioSpec:
     def test_jump_off_arity(self):
         with pytest.raises(ValidationError, match="jump_off"):
             make_spec(jump_off=(1.0, 2.0))
+
+    @pytest.mark.parametrize("shape", [(4, 9, 4), (5, 10, 4), (4, 10, 2), (40,)])
+    def test_normals_must_match_paths_and_horizon(self, shape):
+        with pytest.raises(ValidationError, match=r"spec needs \(4, 10, 4\)"):
+            make_spec(normals=np.zeros(shape))
+
+    def test_normals_stay_out_of_equality_and_repr(self):
+        spec = make_spec(normals=np.zeros((4, 10, 4)))
+        assert spec == make_spec()
+        assert "normals" not in repr(spec)
 
     def test_years_cover_jump_off_through_horizon(self):
         spec = make_spec(horizon=2023)
@@ -200,48 +208,31 @@ class TestSimulation:
         with pytest.raises(ValueError):
             paths.K["M"][0, 0] = 99.0
 
-    def test_shared_normals_are_drawn_once_by_racing_threads(self):
-        # More threads than cores and a short switch interval: a lost
-        # check-then-draw would construct a second generator.
+    def test_fits_sharing_one_draw_match_their_own_generators(self):
+        # Every grid value of a run reads one read-only draw; only the
+        # fit's factor of C differs.
         spec = make_spec(seed=11, n_paths=64)
-        fits = [make_fit(C=COV * (1 + k / 10)) for k in range(8)]
-        want = [per_path_period_effects(fit, spec) for fit in fits]
-        got = [None] * len(fits)
-
-        def simulate(k):
-            got[k] = simulate_period_effects(fits[k], spec)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with project.shared_normals(), mock.patch.object(
-                    np.random, "Philox", wraps=np.random.Philox) as philox:
-                threads = [threading.Thread(target=simulate, args=(k,))
-                           for k in range(len(fits))]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=60)
-                assert not any(thread.is_alive() for thread in threads)
-                assert philox.call_count == 1
-                shared = project._normals["z"]
-                assert not shared.flags.writeable
-        finally:
-            sys.setswitchinterval(interval)
-        assert "z" not in project._normals
-        for paths, oracle in zip(got, want):
+        normals = project.draw_normals(11, 64, 10)
+        normals.flags.writeable = False
+        shared = make_spec(seed=11, n_paths=64, normals=normals)
+        for k in range(8):
+            fit = make_fit(C=COV * (1 + k / 10))
+            got = simulate_period_effects(fit, shared)
+            want = per_path_period_effects(fit, spec)
             for g in ("M", "F"):
-                assert np.array_equal(paths.K[g], oracle.K[g])
-                assert np.array_equal(paths.kappa[g], oracle.kappa[g])
+                assert np.array_equal(got.K[g], want.K[g])
+                assert np.array_equal(got.kappa[g], want.kappa[g])
 
-    def test_a_new_spec_replaces_the_shared_draw(self):
+    def test_given_normals_are_read_not_redrawn(self):
         fit = make_fit()
-        with project.shared_normals():
-            first = simulate_period_effects(fit, make_spec(seed=3, n_paths=4))
-            wider = simulate_period_effects(fit, make_spec(seed=3, n_paths=6))
-            assert project._normals["key"] == (3, 6, 10)
+        drawn = simulate_period_effects(fit, make_spec(seed=3, n_paths=6))
+        spec = make_spec(seed=3, n_paths=6, normals=project.draw_normals(3, 6, 10))
+        with mock.patch.object(np.random, "Philox", wraps=np.random.Philox) as philox:
+            read = simulate_period_effects(fit, spec)
+        assert philox.call_count == 0
         for g in ("M", "F"):
-            assert np.array_equal(wider.K[g][:4], first.K[g])
+            assert np.array_equal(read.K[g], drawn.K[g])
+            assert np.array_equal(read.kappa[g], drawn.kappa[g])
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     @pytest.mark.parametrize("n_paths", [1, 3, 257])

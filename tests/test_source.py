@@ -1,10 +1,12 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every module-level function and class is named somewhere else, only the
 listed ones are named by tests alone, every name the bench tracer wraps
-is used by the package itself, and every method and dataclass field of
-such a class is read as an attribute somewhere."""
+is used by the package itself, every method and dataclass field of such
+a class is read as an attribute somewhere, and no module keeps state in
+a module-level name."""
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -259,3 +261,46 @@ def test_checker_sees_a_dead_field():
     caller = "fit = Fit(psi=[], unread={}, named=1)\nprint(fit.psi, 'named')\n"
     used = attributes_used(module) | attributes_used(caller)
     assert dead_fields(module, used) == ["Fit.unread", "Row.year"]
+
+
+#: A constant's name: capitals, digits and underscores, maybe private.
+CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+#: Module dunders that are not state.
+MODULE_DUNDERS = {"__all__", "__version__"}
+
+#: Nodes whose names live in a scope of their own.
+SCOPES = DEFINITIONS + (ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp,
+                        ast.GeneratorExp)
+
+
+def module_state(source: str) -> list:
+    """Names a module binds at module level, other than by import, def or
+    class, that are neither constants named in capitals nor exempt dunders."""
+    bound = set()
+    todo = [node for node in ast.parse(source).body if not isinstance(node, SCOPES)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if not isinstance(child, SCOPES))
+    return sorted(name for name in bound
+                  if not CONSTANT_NAME.fullmatch(name) and name not in MODULE_DUNDERS)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_state(path):
+    assert module_state(path.read_text()) == []
+
+
+def test_checker_sees_module_state():
+    module = ("import os\nfrom a import b as lower\n__all__ = ['f']\n"
+              "__version__ = '1'\nMAX_AGE = 120\n_CACHE: dict = {}\nV2_TOP = 1\n"
+              "state = {}\n_lock = None\ncounter += 1\nfor i in range(3):\n    pass\n"
+              "with open(os.devnull) as handle:\n    pass\n"
+              "if True:\n    flag = 1\n"
+              "AGES = [age for age in range(3)]\nKEY = lambda seed: seed\n"
+              "def f(arg):\n    local = arg\n\n"
+              "class C:\n    attr = 1\n")
+    assert module_state(module) == ["_lock", "counter", "flag", "handle", "i", "state"]

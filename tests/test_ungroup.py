@@ -65,8 +65,7 @@ class TestExposureSteps:
     def test_open_bucket_uniform_shift(self):
         # 85+ covers ages 85..110: 26 slots; a +26 change shifts each by +1
         prev = np.array([60.0, 55.0, 50.0, 45.0, 40.0, 35.0])
-        adjusted, shift = apply_open_bucket_exposure(prev, 526.0, 500.0, 85)
-        assert shift == pytest.approx(1.0)
+        adjusted = apply_open_bucket_exposure(prev, 526.0, 500.0, 85)
         np.testing.assert_allclose(adjusted, prev + 1.0)
 
     def test_open_bucket_refuses_nonpositive(self):
@@ -101,7 +100,6 @@ class TestUngroupExposures:
         totals[STMF_BUCKETS[-1]] = prev[85:].sum() + 400.0 + 26.0
         result = ungroup_exposures(prev, self._annual(totals), AGES,
                                    prev_above_top=above_top)
-        assert result.open_shift == pytest.approx(1.0)
         # retained open ages: previous year's unshifted values + the shift
         np.testing.assert_allclose(result.values[85:], prev[85:] + 1.0,
                                    rtol=1e-12)
@@ -112,7 +110,8 @@ class TestUngroupExposures:
                   for b in STMF_BUCKETS[:4]}
         totals[STMF_BUCKETS[-1]] = prev[85:].sum() + 52.0
         result = ungroup_exposures(prev, self._annual(totals), AGES)
-        assert result.open_shift == pytest.approx(2.0)
+        np.testing.assert_allclose(result.values[85:], prev[85:] + 2.0,
+                                   rtol=1e-12)
 
     def test_partition_must_tile(self):
         totals = {AgeBucket(0, 50): 100.0, AgeBucket(85, None): 10.0}
@@ -167,7 +166,7 @@ class TestUngroupDeaths:
         result = ungroup_deaths(aux, "M", 2020, self._exposures(), annual,
                                 AGES, reference_tail=np.array([300.0, 120.0]),
                                 allocation_rate=0.20)
-        assert result.open_rule == "reference-tail"
+        assert needs_reference_tail(annual, AGES)
         assert result.values[90] == pytest.approx(
             300.0 + 0.20 * (500.0 - 420.0))
         # closed buckets conserved exactly
@@ -190,6 +189,15 @@ class TestUngroupDeaths:
             ungroup_deaths(aux, "M", 2020, self._exposures(), annual, AGES,
                            allocation_rate=0.20)
 
+    def test_refuses_nonpositive_exposures(self):
+        exposures = self._exposures()
+        exposures[40] = 0.0
+        profile = gompertz_force() * self._exposures()
+        annual = self._annual_from_profile(profile, STMF_BUCKETS, [1.0] * 5)
+        with pytest.raises(ValidationError, match="be > 0"):
+            ungroup_deaths(StubAux(gompertz_force()), "M", 2020, exposures, annual,
+                           AGES, allocation_rate=0.20)
+
     def test_model_tail_rule_for_85_plus(self):
         force = gompertz_force()
         aux = StubAux(force)
@@ -199,12 +207,12 @@ class TestUngroupDeaths:
                                            [1.1, 1.0, 0.95, 1.05, 1.3])
         result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES,
                                 allocation_rate=0.20)
-        assert result.open_rule == "model-tail"
+        assert not needs_reference_tail(annual, AGES)
         open_total = annual.deaths[AgeBucket(85, None)]
-        # retained ages plus the estimated >90 tail exhaust the bucket
-        assert result.values[85:].sum() + result.tail_estimate \
-            == pytest.approx(open_total, rel=1e-12)
-        assert 0.0 < result.tail_estimate < open_total
+        # the retained ages leave a positive share of the bucket for the
+        # estimated >90 tail
+        tail = open_total - result.values[85:].sum()
+        assert 0.0 < tail < open_total
 
     def test_model_tail_share_matches_stepwise_oracle(self):
         # Independent transliteration of the protocol: extend the force to
@@ -228,8 +236,8 @@ class TestUngroupDeaths:
         result = ungroup_deaths(aux, "M", 2020, exposures, annual, AGES,
                                 allocation_rate=0.20)
         open_total = annual.deaths[AgeBucket(85, None)]
-        assert result.tail_estimate == pytest.approx(open_total * share,
-                                                     rel=1e-10)
+        assert result.values[85:].sum() == pytest.approx(open_total * (1 - share),
+                                                         rel=1e-10)
 
     def test_scaled_profile_keeps_model_shape_within_buckets(self):
         force = gompertz_force()
