@@ -3,8 +3,8 @@
 A run config is one YAML file declaring the country of interest, the
 common pool, the calibration window, an explicit per-(country, year,
 quantity) source matrix, the method grid, the simulation spec and the
-output directory.  Every (country, year, quantity) cell must be covered
-by exactly one source; overlap and gaps are refused up front.
+output directory.  Sources are declared for run countries only, one per
+(country, year, quantity); overlap and window gaps are refused up front.
 """
 from __future__ import annotations
 
@@ -133,22 +133,26 @@ def _parse_source(node, base: Path, index: int) -> SourceDecl:
 
 
 def _check_coverage(config: RunConfig):
-    """Every (country, year, quantity) covered by exactly one declaration."""
+    """Every declaration names a run country, and one declaration supplies
+    each (country, year, quantity) of the model window and of every
+    declared year.  An overlap starts in the first year of one of its
+    declarations, so only those years are checked after the window's."""
     decls = config.individual_sources + config.weekly_sources
-    for country in config.countries:
-        for year in config.years.values():
-            for quantity in QUANTITIES:
-                hits = [
-                    d for d in decls
-                    if d.country == country and quantity in d.quantities
-                    and d.years.first <= year <= d.years.last
-                ]
-                if len(hits) != 1:
-                    what = "no source" if not hits else f"{len(hits)} overlapping sources"
-                    raise ConfigError(
-                        f"{what} for ({country}, {int(year)}, {quantity}); "
-                        "declare exactly one"
-                    )
+    for decl in decls:
+        if decl.country not in config.countries:
+            raise ConfigError(f"{decl.path}: declared country {decl.country} is not "
+                              f"in the run ({', '.join(config.countries)})")
+    cells = [(country, year, quantity) for country in config.countries
+             for year in range(config.years.first, config.years.last + 1)
+             for quantity in QUANTITIES]
+    cells += sorted({(d.country, d.years.first, q) for d in decls for q in d.quantities})
+    for country, year, quantity in cells:
+        hits = [d for d in decls if d.country == country and quantity in d.quantities
+                and d.years.first <= year <= d.years.last]
+        if len(hits) != 1:
+            what = "no source" if not hits else f"{len(hits)} overlapping sources"
+            raise ConfigError(
+                f"{what} for ({country}, {year}, {quantity}); declare exactly one")
 
 
 def load_run_config(path) -> RunConfig:

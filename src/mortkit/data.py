@@ -329,10 +329,6 @@ class MortalitySurface:
                 raise ValidationError(
                     f"{name} must hold int8 codes 0..{len(PROVENANCE_CODES) - 1}")
 
-    @property
-    def death_rates(self) -> np.ndarray:
-        return self.deaths / self.exposures
-
     def virtual_cell_count(self) -> dict[str, int]:
         return {
             "deaths": int(np.sum(self.deaths_provenance == VIRTUAL)),

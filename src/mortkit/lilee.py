@@ -67,14 +67,12 @@ class LiLeeParams:
         if self.model_kind == ADJUSTED_LEE_MILLER and self.blend_weight is None:
             raise ValidationError("adjusted variant needs a blend weight")
 
-    def log_mu_common(self) -> np.ndarray:
-        """log mu^T over the calibration grid."""
-        return self.A[:, None] + self.B[:, None] * self.K[None, :]
-
     def log_mu(self) -> np.ndarray:
-        """log mu^c = log mu^T + deviation over the calibration grid."""
+        """log mu^c = log mu^T + deviation over the calibration grid, with
+        log mu^T = A + B K."""
+        common = self.A[:, None] + self.B[:, None] * self.K[None, :]
         dev = self.alpha[:, None] + self.beta[:, None] * self.kappa[None, :]
-        return self.log_mu_common() + dev
+        return common + dev
 
     @property
     def jump_off(self) -> tuple[float, float]:

@@ -99,14 +99,18 @@ class _Assembler:
     # -- ingestion ---------------------------------------------------------
 
     def load_sources(self):
-        declared = []
+        """Read every declared file.  Each individual-age declaration goes
+        straight into the grids, and `observed` keeps only its records from
+        the model top age up, the only ones ungrouping reads.  The loader
+        refuses repeats within a file, the config's coverage check across."""
+        above_top = []
         for decl in self.config.individual_sources:
-            frag = load_individual_age_csv(decl.path, decl.shape)
             years = range(decl.years.first, decl.years.last + 1)
-            declared.append(frag.restrict(countries={decl.country}, years=years,
-                                          quantities=decl.quantities))
-        self.observed.update(*declared)
-        self.observed.check_unique()
+            fragment = load_individual_age_csv(decl.path, decl.shape).restrict(
+                countries={decl.country}, years=years, quantities=decl.quantities)
+            self._fill_observed(fragment, decl.country)
+            above_top.append(fragment.restrict(min_age=self.ages.max_age))
+        self.observed.update(*above_top)
         for decl in self.config.weekly_sources:
             series = _load_weekly_decl(decl)
             slot = self.weekly.setdefault((decl.country, decl.years.first), {})
@@ -116,28 +120,25 @@ class _Assembler:
                     f"{decl.country}/{decl.years.first}"
                 )
             slot[decl.shape] = {"decl": decl, "series": series}
-        self._fill_observed()
         self._cross_check()
 
-    def _fill_observed(self):
-        """Scatter the observed records inside the model window into the
+    def _fill_observed(self, fragment, country):
+        """Scatter the records of one declaration's `fragment`, all of the
+        run country `country`, that lie inside the model window into the
         grids, by one flat index per record."""
-        obs = self.observed
-        countries = self.config.countries
-        at = np.array([countries.index(name) if name in countries else -1
-                       for name in obs.countries], dtype=np.int64)[obs.country]
-        ok = ((at >= 0) & (obs.age >= self.ages.min_age) & (obs.age <= self.ages.max_age)
-              & (obs.year >= self.years.first) & (obs.year <= self.years.last))
-        for column, first, size in ((obs.gender, 0, len(GENDERS)),
-                                    (obs.quantity, 0, len(QUANTITIES)),
-                                    (obs.age, self.ages.min_age, len(self.ages)),
-                                    (obs.year, self.years.first, len(self.years))):
+        ok = ((fragment.age >= self.ages.min_age) & (fragment.age <= self.ages.max_age)
+              & (fragment.year >= self.years.first) & (fragment.year <= self.years.last))
+        at = np.full(len(ok), self.config.countries.index(country), dtype=np.int64)
+        for column, first, size in ((fragment.gender, 0, len(GENDERS)),
+                                    (fragment.quantity, 0, len(QUANTITIES)),
+                                    (fragment.age, self.ages.min_age, len(self.ages)),
+                                    (fragment.year, self.years.first, len(self.years))):
             at *= size
             at += column
             at -= first
         at = at[ok]
-        self._values.reshape(-1)[at] = obs.value[ok]
-        self._provenance.reshape(-1)[at] = obs.provenance[ok]
+        self._values.reshape(-1)[at] = fragment.value[ok]
+        self._provenance.reshape(-1)[at] = fragment.provenance[ok]
 
     def _cross_check(self):
         for (country, year), slot in sorted(self.weekly.items()):

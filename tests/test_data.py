@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-
+import yaml
 from hypothesis import given, settings, strategies as st
 
 from conftest import flat_surface, weekly_eurow, weekly_stmf
@@ -24,7 +24,7 @@ from mortkit.data import (AgeBucket, AgeRange, EUROW_BUCKETS, GENDERS,
                           check_eurostat_stmf_consistency,
                           load_individual_age_csv, load_weekly_csv,
                           write_individual_age_csv, write_weekly_csv)
-from mortkit.errors import ParseError, ValidationError
+from mortkit.errors import ConfigError, ParseError, ValidationError
 from mortkit.fixture import FixtureParams, WeeklyDegradation, make_synthetic_fixture
 from mortkit.pipeline import _Assembler, assemble_dataset
 
@@ -702,20 +702,16 @@ class TestSurfaces:
             assemble_dataset(config)
 
     def test_overlapping_declarations_refused(self, tmp_path):
-        # Coverage is checked on the model years only, so two declarations
-        # may overlap before them; the merged records still refuse it.
-        records = [("AAA", year, g, age, 1.0, 100.0, "HMD") for g in GENDERS
-                   for year in range(1998, 2003) for age in (0, 1)]
-        write_individual_age_csv(tmp_path / "AAA.csv", records)
-        write_individual_age_csv(tmp_path / "AAA_old.csv",
-                                 [r for r in records if r[1] < 2000])
-        config = tiny_config(tmp_path, [
-            {"path": "AAA.csv", "years": (1998, 2002)},
-            {"path": "AAA_old.csv", "years": (1998, 1999), "quantities": ["exposures"]},
-        ])
-        with pytest.raises(ValidationError,
-                           match="^duplicate exposures for AAA/M age 0 year 1998$"):
-            assemble_dataset(config)
+        # The two declarations overlap only before the model years; the
+        # coverage check refuses that when the config is built, before
+        # any file is read.
+        with pytest.raises(ConfigError, match=r"^2 overlapping sources for "
+                                              r"\(AAA, 1998, exposures\); "):
+            tiny_config(tmp_path, [
+                {"path": "AAA.csv", "years": (1998, 2002)},
+                {"path": "AAA_old.csv", "years": (1998, 1999),
+                 "quantities": ["exposures"]},
+            ])
 
     def test_open_total_matches_first_seen_order_and_fsum(self, tmp_path, monkeypatch):
         # Deaths and exposures come from two files whose rows are shuffled
@@ -755,12 +751,70 @@ class TestSurfaces:
         assembler._ungroup_exposure_year("AAA", 2002, {"series": {
             gender: weekly_stmf("AAA", gender, 2002, weekly_exposure=weekly)
             for gender in GENDERS}})
+        # The records in declaration order, as the files hold them.
+        records = SurfaceFragment()
+        records.update(*(load_individual_age_csv(tmp_path / name, "HMD")
+                         for name in ("D.csv", "E.csv")))
         for g, gender in enumerate(GENDERS):
-            first_seen = first_seen_open_total(assembler.observed, "AAA", gender,
-                                               2001, 85, 90)
+            first_seen = first_seen_open_total(records, "AAA", gender, 2001, 85, 90)
             exact = math.fsum(exposure[gender, 2001, age] for age in range(85, 111))
             assert abs(taken[g] / first_seen - 1.0) <= 1e-14
             assert abs(taken[g] / exact - 1.0) <= 1e-14
+
+    def test_observed_keeps_only_records_from_the_top_age_up(self, tmp_path):
+        # The grids take the declared records inside the model window; the
+        # records kept besides are those at ages >= 90 of every declared
+        # year, which is all ungrouping reads.
+        records = [("AAA", year, g, age, 1.0 + age, 1000.0 + year + age, "HMD")
+                   for g in GENDERS for year in range(1998, 2003)
+                   for age in range(0, 111)]
+        write_individual_age_csv(tmp_path / "AAA.csv", records)
+        config = tiny_config(tmp_path, [{"path": "AAA.csv", "years": (1998, 2002)}],
+                             max_age=90)
+        assembler = _Assembler(config)
+        assembler.load_sources()
+        kept = fragment_records(assembler.observed)
+        assert kept == [(c, g, a, y, q, v, p) for c, g, a, y, q, v, p
+                        in fragment_records(load_individual_age_csv(
+                            tmp_path / "AAA.csv", "HMD")) if a >= 90]
+        assert len(kept) == 2 * 5 * 21 * 2
+        deaths, exposures = assembler._values[0, 0]
+        np.testing.assert_array_equal(deaths, np.repeat(np.arange(1.0, 92.0)[:, None],
+                                                        3, axis=1))
+        np.testing.assert_array_equal(
+            exposures, 1000.0 + np.arange(91)[:, None] + np.arange(2000, 2003))
+
+    def test_reference_year_before_the_window_supplies_the_90_plus_tail(
+            self, tmp_path, monkeypatch):
+        # AAA 2019 comes as STMF plus EUROW, so its 90+ deaths follow the
+        # reference-tail rule.  The declarations start in 2008 and the model
+        # window in 2010, and the reference year 2009 is read from the
+        # declared records.
+        make_synthetic_fixture(FixtureParams(
+            years=YearRange(2008, 2019),
+            weekly=(WeeklyDegradation("AAA", 2019, ("STMF", "EUROW")),)), tmp_path)
+        doc = yaml.safe_load((tmp_path / "config.yaml").read_text())
+        doc["years"] = {"first": 2010, "last": 2019}
+        doc["ungrouping"]["reference_year"] = {"AAA": 2009}
+        config = build_run_config(doc, tmp_path)
+        taken = {}
+        ungroup_deaths = ungroup.ungroup_deaths
+
+        def record(aux, gender, year, *args, reference_tail=None, **options):
+            taken[gender, year] = reference_tail
+            return ungroup_deaths(aux, gender, year, *args,
+                                  reference_tail=reference_tail, **options)
+
+        monkeypatch.setattr("mortkit.pipeline.ungroup_deaths", record)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assemble_dataset(config)
+        files = fragment_records(load_individual_age_csv(tmp_path / "data" / "AAA.csv",
+                                                         "HMD"))
+        for gender in GENDERS:
+            expected = [v for c, g, a, y, q, v, p in files
+                        if (g, y, q) == (gender, 2009, "deaths") and a >= 90]
+            assert expected and taken[gender, 2019].tolist() == expected
 
     def test_virtual_cell_count(self):
         surface = flat_surface()
@@ -785,10 +839,6 @@ class TestSurfaces:
         with pytest.raises(ValidationError, match=f"{field} must hold int8 codes 0..5"):
             replace(surface, **{field: codes})
         replace(surface, **{field: np.full((5, 3), VIRTUAL, dtype=np.int8)})
-
-    def test_death_rates(self):
-        surface = flat_surface(rate=0.02)
-        np.testing.assert_allclose(surface.death_rates, 0.02, rtol=1e-15)
 
     def test_fragment_duplicate_field_refused(self):
         def one_record(quantity, value):

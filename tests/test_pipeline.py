@@ -173,6 +173,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="2 overlapping sources"):
             load_doc(tmp_path, doc)
 
+    def test_overlap_outside_the_window_refused(self, tmp_path):
+        doc = base_doc()
+        doc["sources"]["individual"][0]["years"]["first"] = 2005
+        doc["sources"]["individual"].append({
+            "path": "data/AAA_old.csv", "shape": "HMD", "country": "AAA",
+            "years": {"first": 2000, "last": 2007}, "quantities": ["deaths"]})
+        with pytest.raises(ConfigError, match=r"^2 overlapping sources for "
+                                              r"\(AAA, 2005, deaths\); "):
+            load_doc(tmp_path, doc)
+
     def test_empty_grid_refused(self, tmp_path):
         doc = base_doc()
         doc["method"]["grid"] = []
@@ -870,8 +880,9 @@ def check_calibration_diagnostics(config, dataset, scenario, blend=None):
             params, fits = lilee.calibrate(*args)
         else:
             params, fits = lilee.fit_adjusted_lee_miller(*args, blend)
+        common = params.A[:, None] + params.B[:, None] * params.K[None, :]
         for layer, d, E, log_mu in (
-            ("common", d_T, E_T, params.log_mu_common()),
+            ("common", d_T, E_T, common),
             ("country", surf.deaths, surf.exposures, params.log_mu()),
         ):
             entry, fit = blob[gender][layer], fits[layer]
@@ -1275,6 +1286,21 @@ def weekly_bundle(tmp_path_factory):
     return root
 
 
+def assert_run_fails_on_one_line(config_path, message):
+    """`mortkit run` in a fresh interpreter exits 1 with `message` as its
+    one `error:` line and no traceback."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from mortkit.cli import main; sys.exit(main(sys.argv[2:]))")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src"),
+         "run", "--config", str(config_path)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1, done.stderr
+    assert [line for line in done.stderr.splitlines()
+            if line.startswith("error:")] == [f"error: {message}"]
+    assert "Traceback" not in done.stderr
+
+
 class TestCli:
     @pytest.mark.parametrize("name, bucket, message", [
         ("BBB_2019_stmf.csv", "85+",
@@ -1291,16 +1317,28 @@ class TestCli:
         weekly = root / "weekly" / name
         rows = weekly.read_text().splitlines(keepends=True)
         weekly.write_text("".join(row for row in rows if row.split(",")[4] != bucket))
-        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-                "from mortkit.cli import main; sys.exit(main(sys.argv[2:]))")
-        done = subprocess.run(
-            [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src"),
-             "run", "--config", str(root / "config.yaml")],
-            capture_output=True, text=True, timeout=120)
-        assert done.returncode == 1, done.stderr
-        assert [line for line in done.stderr.splitlines()
-                if line.startswith("error:")] == [f"error: {message}"]
-        assert "Traceback" not in done.stderr
+        assert_run_fails_on_one_line(root / "config.yaml", message)
+
+    @pytest.mark.parametrize("kind, name, declaration", [
+        ("weekly", "weekly/BBB_2019_stmf.csv", {"shape": "STMF", "year": 2019}),
+        ("individual", "data/BBB.csv", {"shape": "HMD",
+                                        "years": {"first": 2008, "last": 2018}}),
+    ], ids=["weekly", "individual"])
+    def test_run_refuses_a_declaration_outside_the_run_on_one_line(
+            self, weekly_bundle, tmp_path, kind, name, declaration):
+        # A copy of one of BBB's files relabelled ZZZ, declared for ZZZ.
+        root = tmp_path / "bundle"
+        shutil.copytree(weekly_bundle, root)
+        source = root / name
+        target = source.with_name("ZZZ" + source.name[3:])
+        target.write_text(source.read_text().replace("BBB,", "ZZZ,"))
+        doc = yaml.safe_load((root / "config.yaml").read_text())
+        doc["sources"][kind].append({"path": str(target.relative_to(root)),
+                                     "country": "ZZZ", **declaration})
+        (root / "config.yaml").write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert_run_fails_on_one_line(
+            root / "config.yaml",
+            f"{target}: declared country ZZZ is not in the run (AAA, BBB)")
 
     def test_run_exits_zero_on_full_success(self, small_bundle, capsys):
         root, _ = small_bundle

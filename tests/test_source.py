@@ -1,9 +1,9 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every module-level function and class is named somewhere else, only the
 listed ones are named by tests alone, every name the bench tracer wraps
-is used by the package itself, every method and dataclass field of such
-a class is read as an attribute somewhere, and no module keeps state in
-a module-level name."""
+is used by the package itself, every method and dataclass field of a
+module-level class is read as an attribute somewhere, only the listed
+ones by tests alone, and no module keeps state in a module-level name."""
 import ast
 import json
 import re
@@ -196,14 +196,34 @@ def attributes_used(source: str) -> set:
             or isinstance(sub, ast.Constant) and isinstance(sub.value, str)}
 
 
+def _classes(source: str) -> list:
+    return [node for node in ast.parse(source).body if isinstance(node, ast.ClassDef)]
+
+
+def _methods(node: ast.ClassDef) -> list:
+    """Names of the non-dunder methods and properties of a class."""
+    return [item.name for item in node.body if isinstance(item, FUNCTIONS)
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def _decorator_name(node) -> str:
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
+def _fields(node: ast.ClassDef) -> list:
+    """Names of the annotated fields of a dataclass; none for another class."""
+    if not any(_decorator_name(d) == "dataclass" for d in node.decorator_list):
+        return []
+    return [item.target.id for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+
+
 def dead_methods(source: str, used: set) -> list:
     """Non-dunder methods and properties of the module-level classes of
     `source`, as "Class.method", whose name is missing from `used`."""
-    return sorted(f"{node.name}.{item.name}" for node in ast.parse(source).body
-                  if isinstance(node, ast.ClassDef) for item in node.body
-                  if isinstance(item, FUNCTIONS)
-                  and not (item.name.startswith("__") and item.name.endswith("__"))
-                  and item.name not in used)
+    return sorted(f"{node.name}.{name}" for node in _classes(source)
+                  for name in _methods(node) if name not in used)
 
 
 @pytest.fixture(scope="module")
@@ -229,22 +249,11 @@ def test_checker_sees_a_dead_method():
     assert dead_methods(module, used) == ["Series.unread", "Series.unused"]
 
 
-def _decorator_name(node) -> str:
-    node = node.func if isinstance(node, ast.Call) else node
-    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
-
-
 def dead_fields(source: str, used: set) -> list:
     """Annotated fields of the module-level dataclasses of `source`, as
     "Class.field", whose name is missing from `used`."""
-    return sorted(f"{node.name}.{item.target.id}" for node in ast.parse(source).body
-                  if isinstance(node, ast.ClassDef)
-                  and any(_decorator_name(d) == "dataclass"
-                          for d in node.decorator_list)
-                  for item in node.body
-                  if isinstance(item, ast.AnnAssign)
-                  and isinstance(item.target, ast.Name)
-                  and item.target.id not in used)
+    return sorted(f"{node.name}.{name}" for node in _classes(source)
+                  for name in _fields(node) if name not in used)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -261,6 +270,65 @@ def test_checker_sees_a_dead_field():
     caller = "fit = Fit(psi=[], unread={}, named=1)\nprint(fit.psi, 'named')\n"
     used = attributes_used(module) | attributes_used(caller)
     assert dead_fields(module, used) == ["Fit.unread", "Row.year"]
+
+
+#: Methods, properties and dataclass fields that only tests read, each
+#: with why it stays.
+TEST_ONLY_MEMBERS = {
+    "LiLeeParams.log_mu": "acceptance criterion 5 checks the fitted final-year rates",
+    "TrendFit.loglik_trace": "the monotone-trace tests check every sweep's likelihood",
+    "TimeSeriesFit.weights": "the GLS fixed-point and score tests evaluate the "
+                             "likelihood at the weights the fit used",
+}
+
+
+def mislisted_test_only_members(sources: list, program: set, tests: set,
+                                listed) -> list:
+    """Names on which `listed` and the test-only members disagree: a
+    method, property or dataclass field of a module-level class of
+    `sources`, as "Class.member", whose name `tests` read as an attribute
+    and `program` does not, left off `listed`, or a listed name that is no
+    such member.  Members are matched by name alone, so a program read of
+    a same-named attribute of any other object hides a member: a
+    `MortalitySurface.death_rates` property that no program code called
+    went unseen, since the program reads the weekly series' `death_rates`."""
+    test_only = {f"{node.name}.{name}" for source in sources
+                 for node in _classes(source)
+                 for name in _methods(node) + _fields(node)
+                 if name in tests and name not in program}
+    return sorted(test_only ^ set(listed))
+
+
+def test_test_only_members_are_listed():
+    program = set().union(*(attributes_used(p.read_text()) for p in PROGRAM))
+    tests = set().union(*(attributes_used(p.read_text())
+                          for p in sorted((ROOT / "tests").rglob("*.py"))))
+    sources = [p.read_text() for p in MODULES]
+    assert mislisted_test_only_members(sources, program, tests,
+                                       TEST_ONLY_MEMBERS) == []
+
+
+def test_checker_sees_test_only_members():
+    module = ("from dataclasses import dataclass\n\n"
+              "@dataclass\nclass Fit:\n    used: int\n    trace: tuple\n\n"
+              "    def run(self):\n        return self.used\n\n"
+              "    def oracle(self):\n        pass\n\n"
+              "    @property\n    def rates(self):\n        return 1\n\n"
+              "class Series:\n    rates: dict\n\n"
+              "def call(fit, series):\n    return fit.run(), series.rates\n")
+    program = attributes_used(module)
+    tests = attributes_used("fit.trace, fit.oracle(), fit.rates, fit.run()\n")
+    assert mislisted_test_only_members([module], program, tests,
+                                       ["Fit.oracle", "Fit.trace"]) == []
+    assert mislisted_test_only_members([module], program, tests,
+                                       ["Fit.oracle"]) == ["Fit.trace"]
+    assert mislisted_test_only_members([module], program, tests,
+                                       ["Fit.oracle", "Fit.run", "Fit.trace"]) \
+        == ["Fit.run"]
+    # Matching by name: the program's read of `series.rates` hides the
+    # property `Fit.rates`, which only the tests call.
+    assert mislisted_test_only_members([module], program, tests, []) \
+        == ["Fit.oracle", "Fit.trace"]
 
 
 #: A constant's name: capitals, digits and underscores, maybe private.
