@@ -4,7 +4,8 @@ A run config is one YAML file declaring the country of interest, the
 common pool, the calibration window, an explicit per-(country, year,
 quantity) source matrix, the method grid, the simulation spec and the
 output directory.  Sources are declared for run countries only, one per
-(country, year, quantity); overlap and window gaps are refused up front.
+(country, year, quantity) and one weekly declaration per (country, year, shape);
+overlap, window gaps and a repeated weekly shape are refused up front.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from .data import (AgeRange, YearRange, INDIVIDUAL_SHAPES, MAX_AGE, QUANTITIES,
-                   WEEKLY_SHAPES)
+                   UK_CODE, WEEKLY_SHAPES)
 from .errors import ConfigError
 from .lilee import ADJUSTED_LEE_MILLER
 from .ungroup import DEATH_ALLOCATION_RATE, UNGROUPING_AGES
@@ -28,7 +29,8 @@ class SourceDecl:
     """One source file and the (country, years, quantities) it supplies.
 
     `paths` usually holds one file; several files mark UK-style
-    constituents that are aggregated cell-wise before use (weekly only).
+    constituents that are aggregated cell-wise into country UNK before use
+    (weekly only).
     """
 
     paths: tuple
@@ -114,6 +116,9 @@ def _parse_source(node, base: Path, index: int) -> SourceDecl:
     if len(paths) > 1 and shape not in WEEKLY_SHAPES:
         raise ConfigError(f"{where}: constituent lists are weekly-only")
     country = str(_need(node, "country", where))
+    if len(paths) > 1 and country != UK_CODE:
+        raise ConfigError(f"{where}: constituent aggregation produces country "
+                          f"{UK_CODE}, declaration says {country}")
     if "year" in node:
         year = _need(node, "year", where, int)
         years = YearRange(year, year)
@@ -133,9 +138,10 @@ def _parse_source(node, base: Path, index: int) -> SourceDecl:
 
 
 def _check_coverage(config: RunConfig):
-    """Every declaration names a run country, and one declaration supplies
+    """Every declaration names a run country, one declaration supplies
     each (country, year, quantity) of the model window and of every
-    declared year.  An overlap starts in the first year of one of its
+    declared year, and no two weekly declarations share a (country, year,
+    shape).  An overlap starts in the first year of one of its
     declarations, so only those years are checked after the window's."""
     decls = config.individual_sources + config.weekly_sources
     for decl in decls:
@@ -153,6 +159,10 @@ def _check_coverage(config: RunConfig):
             what = "no source" if not hits else f"{len(hits)} overlapping sources"
             raise ConfigError(
                 f"{what} for ({country}, {year}, {quantity}); declare exactly one")
+    weekly = [(d.country, d.years.first, d.shape) for d in config.weekly_sources]
+    for country, year, shape in weekly:
+        if weekly.count((country, year, shape)) > 1:
+            raise ConfigError(f"duplicate weekly {shape} declaration for {country}/{year}")
 
 
 def load_run_config(path) -> RunConfig:

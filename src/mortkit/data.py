@@ -342,8 +342,7 @@ class SurfaceFragment:
     Parallel record arrays in insertion order: `country` (index into
     `countries`), `gender` (into GENDERS), `age`, `year`, `quantity` (into
     QUANTITIES), `value` and `provenance` (into PROVENANCE_CODES).
-    Deaths and exposures of one cell may come from different files;
-    `check_unique` refuses a (cell, quantity) given twice.
+    Deaths and exposures of one cell may come from different files.
     """
 
     COLUMNS = {"country": np.int64, "gender": np.int8, "age": np.int64,
@@ -388,28 +387,6 @@ class SurfaceFragment:
                 country if name == "country" else [getattr(p, name) for p in parts]))
         self.countries = tuple(names)
 
-    def check_unique(self):
-        """Refuse a (cell, quantity) given twice, naming its first repeat.
-
-        One plain sort of the packed keys finds whether any repeats; only
-        then does a stable argsort name the earliest record that repeats
-        an earlier one."""
-        if not self.value.size:
-            return
-        key = _packed_key((self.country, self.gender, self.age, self.year,
-                           self.quantity))
-        ordered = np.sort(key)
-        if not np.any(ordered[1:] == ordered[:-1]):
-            return
-        order = np.argsort(key, kind="stable")
-        repeat = key[order[1:]] == key[order[:-1]]
-        i = order[1:][repeat].min()
-        raise ValidationError(
-            f"duplicate {QUANTITIES[self.quantity[i]]} for "
-            f"{self.countries[self.country[i]]}/{GENDERS[self.gender[i]]} "
-            f"age {self.age[i]} year {self.year[i]}"
-        )
-
     def deaths_tail(self, country, gender, year, min_age) -> np.ndarray:
         """Death counts at ages >= min_age for one year, age-ascending."""
         tail = self.restrict({country}, {gender}, range(year, year + 1), {"deaths"},
@@ -419,29 +396,6 @@ class SurfaceFragment:
                 f"no deaths at ages >= {min_age} for {country}/{gender} in {year}"
             )
         return tail.value[np.argsort(tail.age, kind="stable")]
-
-
-def _packed_key(columns) -> np.ndarray:
-    """One int64 per record, equal for two records exactly when each of the
-    integer `columns` is: every column is offset by its minimum and packed
-    by its range.  Where packing a column would pass 2**63, the key so far
-    and, if still needed, the column are first replaced by their dense
-    ranks, so a wide range of years never makes two records collide."""
-    key, size = np.zeros(len(columns[0]), dtype=np.int64), 1
-    for column in columns:
-        lo = int(column.min())
-        span = int(column.max()) - lo + 1
-        if size * span > 2**63:
-            key = np.unique(key, return_inverse=True)[1]
-            size = int(key.max()) + 1
-            if size * span > 2**63:
-                column, lo = np.unique(column, return_inverse=True)[1], 0
-                span = int(column.max()) + 1
-        key *= span
-        key += column
-        key -= lo  # int64 arithmetic: any wrap of the sum is undone here
-        size *= span
-    return key
 
 
 @dataclass(frozen=True)
@@ -578,13 +532,31 @@ def _parse_rows_at_once(body: str, has_prov: bool, source_shape: str):
     fragment = _fragment_of_rows(table["country"], table["year"], table["gender"], age,
                                  deaths, exposure, provenance)
     if (any(len(name) >= 8 or name.strip() != name for name in fragment.countries)
-            or np.any(fragment.gender < 0) or np.any(fragment.provenance < 0)):
-        return None
-    try:
-        fragment.check_unique()
-    except ValidationError:
+            or np.any(fragment.gender < 0) or np.any(fragment.provenance < 0)
+            or _repeats(fragment)):
         return None
     return fragment
+
+
+def _repeats(fragment) -> bool:
+    """Whether `fragment` gives a (cell, quantity) twice, found by one plain
+    sort of one int64 key per record: each column offset by its minimum
+    and packed by its range.  Keys that would not fit in int64 (a very
+    wide range of years) answer True, which sends the file to the row
+    loop."""
+    key, size = np.zeros(len(fragment.value), dtype=np.int64), 1
+    for column in (fragment.country, fragment.gender, fragment.age, fragment.year,
+                   fragment.quantity):
+        lo = int(column.min())
+        span = int(column.max()) - lo + 1
+        size *= span
+        if size >= 2**63:
+            return True
+        key *= span
+        key += column
+        key -= lo  # int64 arithmetic: any wrap of the sum is undone here
+    ordered = np.sort(key)
+    return bool(np.any(ordered[1:] == ordered[:-1]))
 
 
 def _parse_rows_one_by_one(path, rows, has_prov, source_shape) -> SurfaceFragment:

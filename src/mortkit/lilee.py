@@ -26,7 +26,6 @@ SWEEP_TOL = 1e-10
 #: Hard cap on calibration sweeps before giving up.
 MAX_SWEEPS = 10_000
 
-LI_LEE = "LI_LEE"
 ADJUSTED_LEE_MILLER = "ADJUSTED_LEE_MILLER"
 
 
@@ -39,9 +38,8 @@ class LiLeeParams:
     """Calibrated age and period effects for one (country, gender).
 
     A/B/K describe the common trend, alpha/beta/kappa the country
-    deviation.  For the adjusted variant A and alpha hold the blended
-    log-rate anchors, K and kappa vanish in the final calibration year,
-    and `blend_weight` records the final-year weight.
+    deviation.  For the adjusted variant, A and alpha hold the blended
+    log-rate anchors, and K and kappa vanish in the final calibration year.
     """
 
     ages: AgeRange
@@ -52,8 +50,6 @@ class LiLeeParams:
     alpha: np.ndarray
     beta: np.ndarray
     kappa: np.ndarray
-    model_kind: str = LI_LEE
-    blend_weight: float | None = None
 
     def __post_init__(self):
         nx, nt = len(self.ages), len(self.years)
@@ -62,10 +58,6 @@ class LiLeeParams:
             arr = getattr(self, name)
             if arr.shape != (size,):
                 raise ValidationError(f"{name} has shape {arr.shape}, expected ({size},)")
-        if self.model_kind not in (LI_LEE, ADJUSTED_LEE_MILLER):
-            raise ValidationError(f"unknown model kind {self.model_kind!r}")
-        if self.model_kind == ADJUSTED_LEE_MILLER and self.blend_weight is None:
-            raise ValidationError("adjusted variant needs a blend weight")
 
     def log_mu(self) -> np.ndarray:
         """log mu^c = log mu^T + deviation over the calibration grid, with
@@ -84,7 +76,6 @@ class LiLeeParams:
 class LeeMillerAnchors:
     """Blended final-year log-rate anchors for the adjusted variant."""
 
-    blend_weight: float
     common: np.ndarray    # blended log m^T at the last two years
     country: np.ndarray   # blended log of the country/trend rate ratio
 
@@ -245,11 +236,9 @@ def calibrate(d_common, E_common, d_country, E_country, ages: AgeRange,
                       ages, years, fixed[0])
     log_mu_T = step1.profile[:, None] + step1.B[:, None] * step1.K[None, :]
     step2 = fit_layer(d_country, E_country, log_mu_T, ages, years, fixed[1])
-    kind = {} if anchors is None else {"model_kind": ADJUSTED_LEE_MILLER,
-                                       "blend_weight": anchors.blend_weight}
     params = LiLeeParams(
         ages=ages, years=years, A=step1.profile, B=step1.B, K=step1.K,
-        alpha=step2.profile, beta=step2.B, kappa=step2.K, **kind,
+        alpha=step2.profile, beta=step2.B, kappa=step2.K,
     )
     return params, {"common": step1, "country": step2}
 
@@ -311,7 +300,7 @@ def lee_miller_anchors(d_common, E_common, d_country, E_country,
     w = blend_weight
     common = w * np.log(m_T[:, -1]) + (1 - w) * np.log(m_T[:, -2])
     country = w * np.log(m_ratio[:, -1]) + (1 - w) * np.log(m_ratio[:, -2])
-    return LeeMillerAnchors(blend_weight=w, common=common, country=country)
+    return LeeMillerAnchors(common=common, country=country)
 
 
 def fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,

@@ -29,7 +29,7 @@ import numpy as np
 from . import dynamics, lilee, project
 from .config import RunConfig, WEIGHTED_LIKELIHOOD, aux_start_for
 from .data import (GENDERS, QUANTITIES, VIRTUAL, MortalitySurface,
-                   MultiPopulationDataset, SurfaceFragment, UK_CODE, YearRange,
+                   MultiPopulationDataset, SurfaceFragment, YearRange,
                    aggregate_uk, annualize_weekly_deaths, annualize_weekly_exposure,
                    check_eurostat_stmf_consistency, load_individual_age_csv,
                    load_weekly_csv)
@@ -54,27 +54,19 @@ class AssembledData:
 
 
 def _load_weekly_decl(decl):
-    """One series per gender for a weekly declaration, aggregating constituents."""
+    """One series per gender for a weekly declaration.  Several paths are
+    constituents, which the config has declared for country UNK; they are
+    aggregated cell-wise."""
     loaded = [load_weekly_csv(p, decl.shape, year=decl.years.first, gender=GENDERS)
               for p in decl.paths]
-    out = {}
-    for gender in GENDERS:
-        series = [by_gender[gender] for by_gender in loaded]
-        if len(series) > 1:
-            if decl.country != UK_CODE:
-                raise ConfigError(
-                    f"constituent aggregation produces country {UK_CODE}, "
-                    f"declaration says {decl.country}"
-                )
-            out[gender] = aggregate_uk(series)
-        else:
-            if series[0].country != decl.country:
-                raise ConfigError(
-                    f"{decl.path}: file country {series[0].country} does not "
-                    f"match declared {decl.country}"
-                )
-            out[gender] = series[0]
-    return out
+    if len(loaded) > 1:
+        return {gender: aggregate_uk([by_gender[gender] for by_gender in loaded])
+                for gender in GENDERS}
+    for series in loaded[0].values():
+        if series.country != decl.country:
+            raise ConfigError(f"{decl.path}: file country {series.country} does not "
+                              f"match declared {decl.country}")
+    return loaded[0]
 
 
 class _Assembler:
@@ -101,8 +93,10 @@ class _Assembler:
     def load_sources(self):
         """Read every declared file.  Each individual-age declaration goes
         straight into the grids, and `observed` keeps only its records from
-        the model top age up, the only ones ungrouping reads.  The loader
-        refuses repeats within a file, the config's coverage check across."""
+        the model top age up, the only ones ungrouping reads.  `weekly`
+        maps each weekly declaration, in (country, year) order, to its
+        series by gender.  The loader refuses repeats within a file; the
+        config has refused every overlap across declarations."""
         above_top = []
         for decl in self.config.individual_sources:
             years = range(decl.years.first, decl.years.last + 1)
@@ -111,15 +105,9 @@ class _Assembler:
             self._fill_observed(fragment, decl.country)
             above_top.append(fragment.restrict(min_age=self.ages.max_age))
         self.observed.update(*above_top)
-        for decl in self.config.weekly_sources:
-            series = _load_weekly_decl(decl)
-            slot = self.weekly.setdefault((decl.country, decl.years.first), {})
-            if decl.shape in slot:
-                raise ConfigError(
-                    f"duplicate weekly {decl.shape} declaration for "
-                    f"{decl.country}/{decl.years.first}"
-                )
-            slot[decl.shape] = {"decl": decl, "series": series}
+        for decl in sorted(self.config.weekly_sources,
+                           key=lambda d: (d.country, d.years.first)):
+            self.weekly[decl] = _load_weekly_decl(decl)
         self._cross_check()
 
     def _fill_observed(self, fragment, country):
@@ -141,13 +129,17 @@ class _Assembler:
         self._provenance.reshape(-1)[at] = fragment.provenance[ok]
 
     def _cross_check(self):
-        for (country, year), slot in sorted(self.weekly.items()):
-            if "STMF" not in slot or "EUROW" not in slot:
+        """Compare the weekly deaths of each EUROW declaration with the
+        STMF declaration of its (country, year), if there is one."""
+        stmf = {(decl.country, decl.years.first): series
+                for decl, series in self.weekly.items() if decl.shape == "STMF"}
+        for decl, euro in self.weekly.items():
+            country, year = decl.country, decl.years.first
+            if decl.shape != "EUROW" or (country, year) not in stmf:
                 continue
             for gender in GENDERS:
-                report = check_eurostat_stmf_consistency(
-                    slot["EUROW"]["series"][gender], slot["STMF"]["series"][gender]
-                )
+                report = check_eurostat_stmf_consistency(euro[gender],
+                                                         stmf[country, year][gender])
                 self.consistency.append({
                     "country": country, "year": year, "gender": gender,
                     "comparable": report.comparable,
@@ -164,20 +156,17 @@ class _Assembler:
 
     # -- observed-year bookkeeping ------------------------------------------
 
-    def _observed_years(self, country, quantities) -> set:
-        """Years whose full model-age columns of `quantities` are observed
-        for both genders."""
+    def last_observed(self, country, quantities) -> int:
+        """The last year whose full model-age columns of `quantities` are
+        observed for both genders."""
         c = self.config.countries.index(country)
         q = [QUANTITIES.index(name) for name in quantities]
         unobserved = np.isnan(self._values[c][:, q]) \
             | (self._provenance[c][:, q] == VIRTUAL)
-        return set(self.years.values()[~unobserved.any(axis=(0, 1, 2))].tolist())
-
-    def last_fully_observed(self, country) -> int:
-        years = self._observed_years(country, QUANTITIES)
-        if not years:
+        years = self.years.values()[~unobserved.any(axis=(0, 1, 2))]
+        if not years.size:
             raise ValidationError(f"{country}: no fully observed years")
-        return max(years)
+        return int(years[-1])
 
     # -- ungrouping ----------------------------------------------------------
 
@@ -189,9 +178,9 @@ class _Assembler:
         start = max(aux_start_for(self.config, country), self.years.first)
         # The window ends before the first year a member has from weekly
         # data, which is ungrouped with this model, not observed.
-        weekly = [year for c, year in self.weekly if c in members and year >= start]
-        end = min([self.last_fully_observed(c) for c in members]
-                  + [year - 1 for year in weekly])
+        end = min([self.last_observed(c, QUANTITIES) for c in members]
+                  + [decl.years.first - 1 for decl in self.weekly
+                     if decl.country in members and decl.years.first >= start])
         if end - start < 7:
             raise ValidationError(
                 f"auxiliary window [{start}, {end}] too short; time dynamics "
@@ -204,19 +193,16 @@ class _Assembler:
         return aux
 
     def ungroup_all(self):
-        # Exposures first (they chain on each other), then deaths (they
-        # need the target year's virtual exposures plus the aux model).
-        for (country, year), slot in sorted(self.weekly.items()):
-            entry = slot.get("STMF")
-            if entry and "exposures" in entry["decl"].quantities:
-                self._ungroup_exposure_year(country, year, entry)
-        for (country, year), slot in sorted(self.weekly.items()):
-            for shape in ("EUROW", "STMF"):
-                entry = slot.get(shape)
-                if entry and "deaths" in entry["decl"].quantities:
-                    self._ungroup_death_year(country, year, entry)
+        """Ungroup each weekly declaration's quantities into its year:
+        exposures first, as they chain on each other, then deaths, which
+        need the year's virtual exposures and the auxiliary model."""
+        for quantity, ungroup_year in (("exposures", self._ungroup_exposure_year),
+                                       ("deaths", self._ungroup_death_year)):
+            for decl, series in self.weekly.items():
+                if quantity in decl.quantities:
+                    ungroup_year(decl.country, decl.years.first, series)
 
-    def _ungroup_exposure_year(self, country, year, entry):
+    def _ungroup_exposure_year(self, country, year, series):
         j = self.years.index(year)
         if j == 0:
             raise ValidationError(
@@ -224,9 +210,8 @@ class _Assembler:
             )
         c = self.config.countries.index(country)
         for g, gender in enumerate(GENDERS):
-            series = entry["series"][gender]
-            self.exposure_origins[f"{country}/{year}/{gender}"] = series.exposure_origin
-            annual = annualize_weekly_exposure(series)
+            self.exposure_origins[f"{country}/{year}/{gender}"] = series[gender].exposure_origin
+            annual = annualize_weekly_exposure(series[gender])
             _, exposures = self._values[c, g]
             _, provenance = self._provenance[c, g]
             if np.any(np.isnan(exposures[:, j - 1])):
@@ -241,16 +226,14 @@ class _Assembler:
             exposures[:, j] = result.values
             provenance[:, j] = VIRTUAL
 
-    def _ungroup_death_year(self, country, year, entry):
+    def _ungroup_death_year(self, country, year, series):
         j = self.years.index(year)
         aux = self._aux_model(country)
         ref_year = self.config.reference_year.get(
-            country, max(self._observed_years(country, ("deaths",)))
-        )
+            country, self.last_observed(country, ("deaths",)))
         c = self.config.countries.index(country)
         for g, gender in enumerate(GENDERS):
-            series = entry["series"][gender]
-            annual = annualize_weekly_deaths(series)
+            annual = annualize_weekly_deaths(series[gender])
             deaths, exposures = self._values[c, g]
             provenance, _ = self._provenance[c, g]
             if np.any(np.isnan(exposures[:, j])):

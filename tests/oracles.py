@@ -24,8 +24,8 @@ import numpy as np
 from mortkit import dynamics
 from mortkit.data import GENDERS, QUANTITIES, SurfaceFragment
 from mortkit.errors import ConvergenceError, ValidationError
-from mortkit.lilee import (ADJUSTED_LEE_MILLER, MAX_SWEEPS, SWEEP_TOL,
-                           LiLeeParams, lee_miller_anchors, poisson_loglik)
+from mortkit.lilee import (MAX_SWEEPS, SWEEP_TOL, LiLeeParams, lee_miller_anchors,
+                           poisson_loglik)
 from mortkit.project import (FORCE_CLAMP, KANNISTO_FIT_HI, KANNISTO_FIT_LO,
                              MAX_AGE, _innovation_factor, _recur)
 
@@ -324,7 +324,6 @@ def two_fit_adjusted_lee_miller(d_common, E_common, d_country, E_country,
     params = LiLeeParams(
         ages=ages, years=years, A=anchors.common, B=B, K=K,
         alpha=anchors.country, beta=beta, kappa=kappa,
-        model_kind=ADJUSTED_LEE_MILLER, blend_weight=blend_weight,
     )
     return params, {"common": (ll1, sweeps1), "country": (ll2, sweeps2)}
 

@@ -9,10 +9,10 @@ import numpy as np
 from mortkit.data import AgeRange, YearRange
 from mortkit.dynamics import PSI_NAMES
 from mortkit.errors import ParseError
-from mortkit.lilee import _PARAM_FIELDS, LI_LEE, LiLeeParams
+from mortkit.lilee import _PARAM_FIELDS, LiLeeParams
 
 
-def import_params_csv(path, *, model_kind=LI_LEE, blend_weight=None) -> dict:
+def import_params_csv(path) -> dict:
     """Inverse of `mortkit.lilee.export_params_csv`."""
     path = Path(path)
     with path.open(newline="") as handle:
@@ -43,7 +43,6 @@ def import_params_csv(path, *, model_kind=LI_LEE, blend_weight=None) -> dict:
         out[gender] = LiLeeParams(
             ages=ages, years=years, A=arrays["A"], B=arrays["B"], K=arrays["K"],
             alpha=arrays["alpha"], beta=arrays["beta"], kappa=arrays["kappa"],
-            model_kind=model_kind, blend_weight=blend_weight,
         )
     return out
 

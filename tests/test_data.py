@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import flat_surface, weekly_eurow, weekly_stmf
 from oracles import first_seen_open_total, isin_restrict, unique_rank_check_unique
@@ -472,7 +472,7 @@ EDGE_FILES = {
                                  "BBB,2001,M,1,1,5,HMD\nBBB,2001,M,0,2,5,HMD\n",
                                  "HMD", False),
     "extreme years": (HEADER + f"\nAAA,{-2**62},M,0,1,5,HMD\nAAA,{2**62},M,0,1,5,HMD\n"
-                      f"AAA,{2**62},F,0,1,5,HMD\n", "HMD", True),
+                      f"AAA,{2**62},F,0,1,5,HMD\n", "HMD", False),
     "130 countries": (HEADER + "".join(f"\nC{i:03d},2001,{'MF'[i % 2]},0,1,5,HMD"
                                        for i in range(130)) + "\nC129,2001,M,0,1,5,HMD\n",
                       "HMD", True),
@@ -595,20 +595,22 @@ def fragments(draw):
     return SurfaceFragment(names, **dict(zip(SurfaceFragment.COLUMNS, columns)))
 
 
-def repeat_outcome(check, fragment):
-    try:
-        check(fragment)
-    except ValidationError as exc:
-        return str(exc)
-    return None
-
-
 class TestFragmentOracles:
     @settings(deadline=None, max_examples=300)
     @given(fragments())
-    def test_check_unique_names_the_oracles_first_repeat(self, fragment):
-        assert (repeat_outcome(SurfaceFragment.check_unique, fragment)
-                == repeat_outcome(unique_rank_check_unique, fragment))
+    def test_repeats_exactly_when_the_oracle_refuses(self, fragment):
+        # Where the packed key would not fit in int64 the answer is True,
+        # so that the row loop decides.
+        assume(fragment.value.size)
+        columns = (fragment.country, fragment.gender, fragment.age, fragment.year,
+                   fragment.quantity)
+        fits = math.prod(int(c.max()) - int(c.min()) + 1 for c in columns) < 2**63
+        try:
+            unique_rank_check_unique(fragment)
+            refused = False
+        except ValidationError:
+            refused = True
+        assert data._repeats(fragment) == (refused or not fits)
 
     @settings(deadline=None, max_examples=300)
     @given(fragments(), st.data())
@@ -630,12 +632,22 @@ class TestFragmentOracles:
         assert got.countries == fragment.countries
         assert fragment_records(got) == fragment_records(want)
 
-    def test_wide_years_are_no_repeat(self):
-        fragment = SurfaceFragment(("AAA",), country=[0, 0, 0], gender=[0, 0, 0],
-                                   age=[0, 0, 0], year=[-2**63, 0, 2**63 - 1],
-                                   quantity=[0, 0, 0], value=[1, 2, 3],
-                                   provenance=[0, 0, 0])
-        fragment.check_unique()
+    def test_wide_years_are_no_repeat(self, tmp_path, monkeypatch):
+        # Years spanning all of int64 cannot be packed, so the row loop
+        # reads the file, and finds no repeat.
+        years = (-2**63, 0, 2**63 - 1)
+        path = tmp_path / "wide.csv"
+        path.write_text(HEADER + "".join(f"\nAAA,{year},M,0,{k},5,HMD"
+                                         for k, year in enumerate(years)) + "\n")
+        taken = []
+        parse = data._parse_rows_at_once
+        monkeypatch.setattr(data, "_parse_rows_at_once",
+                            lambda *args: taken.append(parse(*args)) or taken[-1])
+        records = fragment_records(load_individual_age_csv(path, "HMD"))
+        assert taken == [None]
+        assert records == [record for k, year in enumerate(years) for record in (
+            ("AAA", "M", 0, year, "deaths", float(k), "HMD"),
+            ("AAA", "M", 0, year, "exposures", 5.0, "HMD"))]
 
 
 class TestFastPathGuard:
@@ -748,9 +760,9 @@ class TestSurfaces:
 
         monkeypatch.setattr(ungroup, "apply_open_bucket_exposure", record)
         weekly = {bucket: 1e6 for bucket in STMF_BUCKETS}
-        assembler._ungroup_exposure_year("AAA", 2002, {"series": {
+        assembler._ungroup_exposure_year("AAA", 2002, {
             gender: weekly_stmf("AAA", gender, 2002, weekly_exposure=weekly)
-            for gender in GENDERS}})
+            for gender in GENDERS})
         # The records in declaration order, as the files hold them.
         records = SurfaceFragment()
         records.update(*(load_individual_age_csv(tmp_path / name, "HMD")
@@ -839,20 +851,6 @@ class TestSurfaces:
         with pytest.raises(ValidationError, match=f"{field} must hold int8 codes 0..5"):
             replace(surface, **{field: codes})
         replace(surface, **{field: np.full((5, 3), VIRTUAL, dtype=np.int8)})
-
-    def test_fragment_duplicate_field_refused(self):
-        def one_record(quantity, value):
-            return SurfaceFragment(("AAA",), country=[0], gender=[0], age=[0],
-                                   year=[2000], quantity=[quantity], value=[value],
-                                   provenance=[0])
-
-        frag = SurfaceFragment()
-        frag.update(one_record(0, 1.0), one_record(1, 100.0))
-        frag.check_unique()
-        frag.update(one_record(0, 2.0))
-        with pytest.raises(ValidationError,
-                           match="duplicate deaths for AAA/M age 0 year 2000"):
-            frag.check_unique()
 
     def test_dataset_aggregate_sums_pool(self):
         surfaces = {}

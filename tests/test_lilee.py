@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 from mortkit import lilee
 from mortkit.data import AgeRange, YearRange
 from mortkit.errors import ConvergenceError, ValidationError
-from mortkit.lilee import (ADJUSTED_LEE_MILLER, LiLeeParams, calibrate,
+from mortkit.lilee import (LiLeeParams, calibrate,
                            export_params_csv,
                            fit_adjusted_lee_miller, fit_common_trend,
                            fit_layer, lee_miller_anchors, loglik_gradient,
@@ -56,8 +56,6 @@ def assert_same_calibration(got, want):
     for name in ("A", "B", "K", "alpha", "beta", "kappa"):
         assert np.array_equal(getattr(params, name),
                               getattr(want_params, name)), name
-    assert (params.model_kind, params.blend_weight) == (
-        want_params.model_kind, want_params.blend_weight)
     assert {layer: (fit.loglik, fit.sweeps)
             for layer, fit in fits.items()} == want_fits
 
@@ -295,8 +293,6 @@ class TestAdjustedLeeMiller:
         assert params.kappa[-1] == 0.0
         assert params.jump_off == (0.0, 0.0)
         assert abs(np.sum(params.B ** 2) - 1.0) < 1e-10
-        assert params.model_kind == ADJUSTED_LEE_MILLER
-        assert params.blend_weight == 0.7
 
     def test_w1_reproduces_final_year_rates(self, rng):
         ages, years, d_T, E_T, d_c, E_c = self._inputs(rng)

@@ -2,6 +2,7 @@
 import copy
 import hashlib
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -1339,6 +1340,41 @@ class TestCli:
         assert_run_fails_on_one_line(
             root / "config.yaml",
             f"{target}: declared country ZZZ is not in the run (AAA, BBB)")
+
+    @pytest.mark.parametrize("conflict, message", [
+        ("split", "duplicate weekly STMF declaration for BBB/2019"),
+        ("constituents", "sources[4]: constituent aggregation produces country UNK, "
+                         "declaration says BBB"),
+    ], ids=["split-stmf", "constituents-for-BBB"])
+    def test_declaration_conflict_refused_before_any_file_is_read(
+            self, weekly_bundle, tmp_path, conflict, message):
+        # BBB 2019's STMF declaration split into a deaths-only and an
+        # exposures-only one, or given as three constituents; the config
+        # is copied without the data files it declares.
+        doc = yaml.safe_load((weekly_bundle / "config.yaml").read_text())
+        bbb = doc["sources"]["weekly"][2]
+        if conflict == "split":
+            doc["sources"]["weekly"][2:] = [{**bbb, "quantities": ["deaths"]},
+                                            {**bbb, "quantities": ["exposures"]}]
+        else:
+            path = bbb.pop("path")
+            bbb["paths"] = [path.replace(".csv", f"_{part}.csv")
+                            for part in ("ENW", "SCO", "NIR")]
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc, sort_keys=False))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_run_config(config)
+        assert_run_fails_on_one_line(config, message)
+
+    def test_run_names_a_weekly_file_of_another_country_on_one_line(
+            self, weekly_bundle, tmp_path):
+        root = tmp_path / "bundle"
+        shutil.copytree(weekly_bundle, root)
+        weekly = root / "weekly" / "BBB_2019_stmf.csv"
+        weekly.write_text(weekly.read_text().replace("BBB,", "ZZZ,"))
+        assert_run_fails_on_one_line(
+            root / "config.yaml",
+            f"{weekly}: file country ZZZ does not match declared BBB")
 
     def test_run_exits_zero_on_full_success(self, small_bundle, capsys):
         root, _ = small_bundle

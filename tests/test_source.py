@@ -277,8 +277,8 @@ def test_checker_sees_a_dead_field():
 TEST_ONLY_MEMBERS = {
     "LiLeeParams.log_mu": "acceptance criterion 5 checks the fitted final-year rates",
     "TrendFit.loglik_trace": "the monotone-trace tests check every sweep's likelihood",
-    "TimeSeriesFit.weights": "the GLS fixed-point and score tests evaluate the "
-                             "likelihood at the weights the fit used",
+    "TimeSeriesFit.weights": "acceptance criterion 6 builds a TimeSeriesFit with "
+                             "weights, and the criteria are never edited",
 }
 
 
