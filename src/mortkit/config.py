@@ -9,6 +9,8 @@ overlap, window gaps and a repeated weekly shape are refused up front.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,6 +24,9 @@ from .ungroup import DEATH_ALLOCATION_RATE, UNGROUPING_AGES
 
 WEIGHTED_LIKELIHOOD = "WEIGHTED_LIKELIHOOD"
 METHOD_KINDS = (WEIGHTED_LIKELIHOOD, ADJUSTED_LEE_MILLER)
+
+#: The safe YAML loader, in C where PyYAML was built with libyaml.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,8 @@ def _check_coverage(config: RunConfig):
     each (country, year, quantity) of the model window and of every
     declared year, and no two weekly declarations share a (country, year,
     shape).  An overlap starts in the first year of one of its
-    declarations, so only those years are checked after the window's."""
+    declarations, so only those years are checked after the window's;
+    each declaration is counted once in every checked year it covers."""
     decls = config.individual_sources + config.weekly_sources
     for decl in decls:
         if decl.country not in config.countries:
@@ -152,16 +158,21 @@ def _check_coverage(config: RunConfig):
              for year in range(config.years.first, config.years.last + 1)
              for quantity in QUANTITIES]
     cells += sorted({(d.country, d.years.first, q) for d in decls for q in d.quantities})
+    checked = sorted({year for _, year, _ in cells})
+    hits = Counter()
+    for d in decls:
+        covered = checked[bisect_left(checked, d.years.first):
+                          bisect_right(checked, d.years.last)]
+        hits.update((d.country, year, q) for year in covered for q in d.quantities)
     for country, year, quantity in cells:
-        hits = [d for d in decls if d.country == country and quantity in d.quantities
-                and d.years.first <= year <= d.years.last]
-        if len(hits) != 1:
-            what = "no source" if not hits else f"{len(hits)} overlapping sources"
+        count = hits[country, year, quantity]
+        if count != 1:
+            what = "no source" if not count else f"{count} overlapping sources"
             raise ConfigError(
                 f"{what} for ({country}, {year}, {quantity}); declare exactly one")
-    weekly = [(d.country, d.years.first, d.shape) for d in config.weekly_sources]
-    for country, year, shape in weekly:
-        if weekly.count((country, year, shape)) > 1:
+    weekly = Counter((d.country, d.years.first, d.shape) for d in config.weekly_sources)
+    for (country, year, shape), count in weekly.items():
+        if count > 1:
             raise ConfigError(f"duplicate weekly {shape} declaration for {country}/{year}")
 
 
@@ -169,7 +180,7 @@ def load_run_config(path) -> RunConfig:
     path = Path(path)
     try:
         with path.open() as handle:
-            doc = yaml.safe_load(handle)
+            doc = yaml.load(handle, Loader=_SAFE_LOADER)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):

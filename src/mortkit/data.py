@@ -439,14 +439,16 @@ class MultiPopulationDataset:
 # ---------------------------------------------------------------------------
 
 def _read_csv(path):
-    """The path, the stripped header fields and the text after the header."""
+    """The path, the stripped header fields and the file's text as one
+    stream, positioned after the header, which every reader of the rows
+    reads in place."""
     path = Path(path)
     with path.open(newline="") as handle:
         source = io.StringIO(handle.read(), newline="")
     first = next(csv.reader(source), None)
     if first is None:
         raise ParseError(f"{path}: empty file")
-    return path, tuple(h.strip() for h in first), source.read()
+    return path, tuple(h.strip() for h in first), source
 
 
 def _parse_float(text, what, path, lineno, allow_empty=False):
@@ -491,34 +493,35 @@ def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
     """
     if source_shape not in INDIVIDUAL_SHAPES:
         raise ValidationError(f"unknown individual-age shape {source_shape!r}")
-    path, header, body = _read_csv(path)
+    path, header, source = _read_csv(path)
     if header[:6] != INDIVIDUAL_HEADER:
         raise ParseError(f"{path}:1: expected header {','.join(INDIVIDUAL_HEADER)}")
     has_prov = len(header) > 6 and header[6] == "provenance"
-    fragment = _parse_rows_at_once(body, has_prov, source_shape)
+    rows_start = source.tell()
+    fragment = _parse_rows_at_once(source, has_prov, source_shape)
     if fragment is None:
-        rows = csv.reader(io.StringIO(body, newline=""))
-        fragment = _parse_rows_one_by_one(path, rows, has_prov, source_shape)
+        source.seek(rows_start)
+        fragment = _parse_rows_one_by_one(path, csv.reader(source), has_prov,
+                                          source_shape)
     return fragment
 
 
-def _parse_rows_at_once(body: str, has_prov: bool, source_shape: str):
-    """The data rows parsed by one `np.loadtxt` call, or None unless that
-    call provably read what the row loop reads and every row passes the
-    row loop's checks.  loadtxt silently truncates strings to the dtype
-    width, keeps padding, drops trailing NULs, cannot read an empty field
-    as a number and, in older numpy releases, reads an integer field such
-    as "1.5" through float with only a DeprecationWarning (any warning
-    refuses the parse); with csv's quoting and line splitting it otherwise
-    agrees."""
-    if not body.strip() or "\x00" in body:
+def _parse_rows_at_once(source, has_prov: bool, source_shape: str):
+    """The data rows of the stream `source` parsed by one `np.loadtxt` call,
+    or None unless that call provably read what the row loop reads and
+    every row passes the row loop's checks.  loadtxt silently truncates
+    strings to the dtype width, keeps padding, drops trailing NULs, cannot
+    read an empty field as a number, warns on a file without rows and, in
+    older numpy releases, reads an integer field such as "1.5" through
+    float with only a DeprecationWarning (any warning refuses the parse);
+    with csv's quoting and line splitting it otherwise agrees."""
+    if "\x00" in source.getvalue():
         return None
     names = _ROW_DTYPE.names[:7 if has_prov else 6]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(io.StringIO(body, newline=""),
-                               dtype=_ROW_DTYPE[list(names)], delimiter=",",
+            table = np.loadtxt(source, dtype=_ROW_DTYPE[list(names)], delimiter=",",
                                comments=None, quotechar='"', ndmin=1,
                                usecols=range(len(names)))
     except (ValueError, Warning):
@@ -620,25 +623,32 @@ def _fragment_of_rows(country, year, gender, age, deaths, exposure, provenance):
     )
 
 
+def _runs(names: np.ndarray):
+    """The first index and the length of each run of equal neighbours in
+    `names`: one comparison of neighbours, so callers work per run rather
+    than per row."""
+    starts = np.ones(len(names), dtype=bool)
+    starts[1:] = names[1:] != names[:-1]
+    starts = np.flatnonzero(starts)
+    return starts, np.diff(starts, append=len(names))
+
+
 def _codes(names: np.ndarray, table) -> np.ndarray:
-    """Index into `table` of each of `names`, or -1 for a name it lacks."""
-    codes = np.full(len(names), -1, dtype=np.int8)
-    for i, name in enumerate(table):
-        codes[names == name] = i
-    return codes
+    """Index into `table` of each of `names`, or -1 for a name it lacks,
+    looked up once per run."""
+    starts, lengths = _runs(names)
+    index = {name: i for i, name in enumerate(table)}
+    codes = [index.get(name, -1) for name in names[starts].tolist()]
+    return np.repeat(np.array(codes, dtype=np.int8), lengths)
 
 
 def _first_seen_codes(names: np.ndarray):
     """The distinct `names` in first-seen order and the index of each into
-    them, found from the runs of equal neighbours: one comparison of
-    neighbours, then work per run rather than per row."""
-    starts = np.ones(len(names), dtype=bool)
-    starts[1:] = names[1:] != names[:-1]
-    starts = np.flatnonzero(starts)
+    them, found once per run."""
+    starts, lengths = _runs(names)
     index = {}
     codes = [index.setdefault(name, len(index)) for name in names[starts].tolist()]
-    return tuple(index), np.repeat(np.array(codes, dtype=np.int64),
-                                   np.diff(starts, append=len(names)))
+    return tuple(index), np.repeat(np.array(codes, dtype=np.int64), lengths)
 
 
 def write_individual_age_csv(path, records):
@@ -669,7 +679,7 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     """
     if source_shape not in WEEKLY_SHAPES:
         raise ValidationError(f"unknown weekly shape {source_shape!r}")
-    path, header, body = _read_csv(path)
+    path, header, source = _read_csv(path)
     base = STMF_HEADER if source_shape == "STMF" else EUROW_HEADER
     if header[: len(base)] != base:
         raise ParseError(f"{path}:1: expected header starting {','.join(base)}")
@@ -684,7 +694,7 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     keys = {}
     records = {}
     buckets = {}
-    for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+    for lineno, row in enumerate(csv.reader(source), start=2):
         if not "".join(row).strip():
             continue
         if len(row) < len(base):

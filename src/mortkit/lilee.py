@@ -136,6 +136,8 @@ def fit_layer(deaths, exposures, offset, ages: AgeRange, years: YearRange,
     and K is 0 in the final year.  B starts flat and K at 0; every sweep
     ends with sum(B^2) = 1 and sum(B) >= 0.  Stops at the first sweep that
     gains less than SWEEP_TOL; raises ConvergenceError after MAX_SWEEPS.
+    Each candidate step is evaluated once, as its log-likelihood and its
+    fitted deaths, from which the next block's step starts.
     """
     d, E, offset = (np.asarray(a, dtype=float) for a in (deaths, exposures, offset))
     if d.shape != (len(ages), len(years)) or E.shape != d.shape:
@@ -154,40 +156,46 @@ def fit_layer(deaths, exposures, offset, ages: AgeRange, years: YearRange,
         start = np.zeros(len(ages))
     theta = [start, np.full(len(ages), 1.0 / np.sqrt(len(ages))), np.zeros(d.shape[1])]
 
-    def log_mu(A, B, K):
-        return offset + A[:, None] + B[:, None] * K[None, :]
+    def evaluate(cand):
+        # log mu and the fitted deaths E e^(log mu): one exp of the surface.
+        log_mu = offset + cand[0][:, None] + cand[1][:, None] * cand[2][None, :]
+        return log_mu, E * np.exp(log_mu)
 
-    def halve(block, delta, current):
+    def loglik(log_mu, fitted):
+        return float((d * log_mu - fitted).sum())   # poisson_loglik, bit for bit
+
+    def halve(block, delta, current, d_hat):
         # Halve the Newton step on one block (0: A, 1: B, 2: K) until the
-        # likelihood stops decreasing; keep the iterate if none does.
+        # likelihood stops decreasing; keep the iterate if none does.  Returns
+        # the kept iterate's log-likelihood and fitted deaths.
         step = 1.0
         for _ in range(40):
             cand = list(theta)
             cand[block] = theta[block] + step * delta
-            new = poisson_loglik(d, E, log_mu(*cand))
+            log_mu, fitted = evaluate(cand)
+            new = loglik(log_mu, fitted)
             if new >= current:
                 theta[block] = cand[block]
-                return new
+                return new, fitted
             step *= 0.5
-        return current
+        return current, d_hat
 
-    current = poisson_loglik(d, E, log_mu(*theta))
+    log_mu, d_hat = evaluate(theta)
+    current = loglik(log_mu, d_hat)
     trace = [current]
     for sweep in range(1, MAX_SWEEPS + 1):
         if anchor is None:
-            d_hat = E * np.exp(log_mu(*theta))
-            current = halve(0, (d - d_hat).sum(axis=1) / d_hat.sum(axis=1), current)
-        d_hat = E * np.exp(log_mu(*theta))
+            current, d_hat = halve(0, (d - d_hat).sum(axis=1) / d_hat.sum(axis=1),
+                                   current, d_hat)
         B = theta[1]
         delta = (B @ (d - d_hat)) / ((B ** 2) @ d_hat)
         if anchor is not None:
             delta[-1] = 0.0
-        current = halve(2, delta, current)
-        d_hat = E * np.exp(log_mu(*theta))
+        current, d_hat = halve(2, delta, current, d_hat)
         K = theta[2]
         den = d_hat @ (K ** 2)
         if np.all(den > 0):
-            current = halve(1, ((d - d_hat) @ K) / den, current)
+            current, d_hat = halve(1, ((d - d_hat) @ K) / den, current, d_hat)
 
         # Renormalize without changing mu: centering (unanchored only),
         # unit scale, positive orientation.  The likelihood is invariant,
@@ -210,6 +218,8 @@ def fit_layer(deaths, exposures, offset, ages: AgeRange, years: YearRange,
         if trace[-1] - trace[-2] < SWEEP_TOL:
             profile = A if anchor is None else anchor
             return TrendFit(profile, B, K, current, tuple(trace), sweep)
+        # The renormalized iterate is evaluated afresh: its bits have moved.
+        d_hat = evaluate(theta)[1]
     raise ConvergenceError(
         f"calibration did not converge in {MAX_SWEEPS} sweeps "
         f"(last improvement {trace[-1] - trace[-2]:.3e})",

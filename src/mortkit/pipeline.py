@@ -40,6 +40,11 @@ from .ungroup import (fit_auxiliary_projection_model, needs_reference_tail,
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
 
+#: Columns, one per (projection year, path row), that one closure and one
+#: expectancy call of the life tables take at most; a path batch of more
+#: rows takes one year a call.
+LIFE_TABLE_COLUMNS = 2048
+
 
 # ---------------------------------------------------------------------------
 # Data assembly
@@ -229,8 +234,6 @@ class _Assembler:
     def _ungroup_death_year(self, country, year, series):
         j = self.years.index(year)
         aux = self._aux_model(country)
-        ref_year = self.config.reference_year.get(
-            country, self.last_observed(country, ("deaths",)))
         c = self.config.countries.index(country)
         for g, gender in enumerate(GENDERS):
             annual = annualize_weekly_deaths(series[gender])
@@ -243,6 +246,9 @@ class _Assembler:
                 )
             tail = None
             if needs_reference_tail(annual, self.ages):
+                ref_year = self.config.reference_year.get(country)
+                if ref_year is None:
+                    ref_year = self.last_observed(country, ("deaths",))
                 tail = self.observed.deaths_tail(country, gender, ref_year,
                                                  self.ages.max_age)
             result = ungroup_deaths(
@@ -331,42 +337,59 @@ def _timed(unit, *args):
 def _life_table_rows(config, params, paths, gender, layers):
     """The life-table unit of one (scenario, gender): the gender's fan-chart
     blocks (quantity, gender, age, years, levels) from the scenario's path
-    batch, unordered, with one life-table pass and one quantile call per
-    projection year and one for the cohort ages.  `levels` has one row per
-    year and one column per probe, then one with row 0 of the batch (the
-    best estimate).  Adds the wall time of each layer it ran to `layers`."""
+    batch, unordered.  The projection years go in blocks of as many whole
+    years as fit in LIFE_TABLE_COLUMNS columns, one per (year, path row),
+    and at least one: forces and quantiles are computed per year, the
+    closure and the expectancies once per block, and the cohort ages take
+    one expectancy call each and one quantile call.  `levels` has one row per year
+    and one column per probe, then one with row 0 of the batch (the best
+    estimate).  Adds the wall time of each layer it ran to `layers`."""
     probes = project.DEFAULT_PROBES
     span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
     a0 = config.ages.min_age   # closed curves cover ages a0..120
+    n_ages = len(config.ages)
     report_ages = config.report_ages
     report_at = [config.ages.index(age) for age in report_ages]
     r0 = min(report_ages, default=a0)
     rows = len(paths.K[gender])
+    n_years = len(paths.years)
+    per_block = max(1, min(n_years, LIFE_TABLE_COLUMNS // rows))
     # Ages-major like the closed forces, so the kernel reads it in place.
     diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
-    # One closure buffer for every year: the forces fill its model ages
-    # and the closure the ages above them.
-    mu_cl = np.empty((project.MAX_AGE + 1 - a0, rows)).T
-    mu = mu_cl[:, :len(config.ages)]
+    # One ages-major closure buffer for every block: the forces fill its
+    # model ages and the closure the ages above them.
+    closure = np.empty((project.MAX_AGE + 1 - a0, per_block * rows)).T
     labels = [("K", None), ("kappa", None)] + [("q", age) for age in report_ages]
     labels += [("e_per", age) for age in report_ages]
-    levels = np.empty((len(labels), len(paths.years), len(probes) + 1))
-    for j, year in enumerate(paths.years):
+    levels = np.empty((len(labels), n_years, len(probes) + 1))
+    for first in range(0, n_years, per_block):
+        last = min(first + per_block, n_years)
+        # Each year of the block and its columns, in year order.
+        years = [(j, slice((j - first) * rows, (j - first + 1) * rows))
+                 for j in range(first, last)]
+        mu_cl = closure[:len(years) * rows]
+        mu = mu_cl[:, :n_ages]
         with _clock(layers, "life_tables"):
-            project.force_paths(params[gender], paths, gender, int(year), out=mu)
+            for j, cols in years:
+                project.force_paths(params[gender], paths, gender, int(paths.years[j]),
+                                    out=mu[cols])
             project.kannisto_close(mu, a0, forces=True, out=mu_cl)
-            table = np.empty((len(labels), rows))   # one row per label
-            table[0], table[1] = paths.K[gender][:, j], paths.kappa[gender][:, j]
+            table = np.empty((len(labels), len(mu)))   # one row per label
+            table[0] = paths.K[gender][:, first:last].T.ravel()
+            table[1] = paths.kappa[gender][:, first:last].T.ravel()
             table[2:2 + len(report_ages)] = -np.expm1(-mu.T[report_at])
             if report_ages:
                 table[2 + len(report_ages):] = project.period_life_expectancy(
                     mu_cl[:, r0 - a0:], report_ages).T
-            for age, width in span.items():
-                if j < width:
-                    diag[age][:, j] = mu_cl[:, age + j - a0]
+            for j, cols in years:
+                for age, width in span.items():
+                    if j < width:
+                        diag[age][:, j] = mu_cl[cols, age + j - a0]
         with _clock(layers, "quantiles"):
-            levels[:, j, :-1] = project.quantile_summary(table.T[1:], probes).T
-            levels[:, j, -1] = table[:, 0]
+            for j, cols in years:
+                levels[:, j, :-1] = project.quantile_summary(table[:, cols].T[1:],
+                                                             probes).T
+                levels[:, j, -1] = table[:, cols.start]
     blocks = [(quantity, gender, age, paths.years, levels[k])
               for k, (quantity, age) in enumerate(labels)]
     if config.cohort_ages:

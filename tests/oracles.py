@@ -8,24 +8,27 @@ closure's tail evaluated on the path-major view, the closure that
 copied its input into a fresh array and quantiles from `np.quantile`
 (`mortkit.project`), the Li-Lee
 calibration and its adjusted Lee-Miller variant each as its own pair of
-fits (`mortkit.lilee`), the
+fits, and the layer fit that scored each candidate and then recomputed
+the fitted deaths of the kept one (`mortkit.lilee`), the
 auxiliary model's scalar zero-noise recursion (`mortkit.ungroup`), and
 the dynamics design built one observation row per year, and the
 dynamics fit on stacked per-year 4 x 6 design matrices with its einsum
 GLS step that also waited for the log-likelihood to settle
 (`mortkit.dynamics`), last year's open-bucket exposure total summed
 from the observed records (`mortkit.pipeline`), and the fragment's
-repeat check by `np.unique` ranks and a stable argsort and its record
-selection by `np.isin` (`mortkit.data`)."""
+repeat check by `np.unique` ranks and a stable argsort, its record
+selection by `np.isin` and the coding of names by one equality test per
+admissible name (`mortkit.data`), and the coverage check that scanned
+every declaration for every checked cell (`mortkit.config`)."""
 import warnings
 
 import numpy as np
 
 from mortkit import dynamics
 from mortkit.data import GENDERS, QUANTITIES, SurfaceFragment
-from mortkit.errors import ConvergenceError, ValidationError
-from mortkit.lilee import (MAX_SWEEPS, SWEEP_TOL, LiLeeParams, lee_miller_anchors,
-                           poisson_loglik)
+from mortkit.errors import ConfigError, ConvergenceError, ValidationError
+from mortkit.lilee import (MAX_SWEEPS, SWEEP_TOL, LiLeeParams, TrendFit,
+                           lee_miller_anchors, poisson_loglik)
 from mortkit.project import (FORCE_CLAMP, KANNISTO_FIT_HI, KANNISTO_FIT_LO,
                              MAX_AGE, _innovation_factor, _recur)
 
@@ -268,6 +271,68 @@ def _two_fit_blockwise(deaths, exposures, offset, A, B, K, *, fit_profile,
     raise AssertionError("oracle fit did not converge")
 
 
+def two_evaluation_fit_layer(deaths, exposures, offset, ages, years, anchor=None):
+    """`lilee.fit_layer` as it stood when each block recomputed the fitted
+    deaths E e^(log mu) of the iterate its last candidate had just scored:
+    one exp per candidate and three (two anchored) more per sweep."""
+    d, E, offset = (np.asarray(a, dtype=float) for a in (deaths, exposures, offset))
+    if anchor is None:
+        start = np.log(d.sum(axis=1) / (E * np.exp(offset)).sum(axis=1))
+    else:
+        offset = offset + anchor[:, None]
+        start = np.zeros(len(ages))
+    theta = [start, np.full(len(ages), 1.0 / np.sqrt(len(ages))), np.zeros(d.shape[1])]
+
+    def log_mu(A, B, K):
+        return offset + A[:, None] + B[:, None] * K[None, :]
+
+    def halve(block, delta, current):
+        step = 1.0
+        for _ in range(40):
+            cand = list(theta)
+            cand[block] = theta[block] + step * delta
+            new = poisson_loglik(d, E, log_mu(*cand))
+            if new >= current:
+                theta[block] = cand[block]
+                return new
+            step *= 0.5
+        return current
+
+    current = poisson_loglik(d, E, log_mu(*theta))
+    trace = [current]
+    for sweep in range(1, MAX_SWEEPS + 1):
+        if anchor is None:
+            d_hat = E * np.exp(log_mu(*theta))
+            current = halve(0, (d - d_hat).sum(axis=1) / d_hat.sum(axis=1), current)
+        d_hat = E * np.exp(log_mu(*theta))
+        B = theta[1]
+        delta = (B @ (d - d_hat)) / ((B ** 2) @ d_hat)
+        if anchor is not None:
+            delta[-1] = 0.0
+        current = halve(2, delta, current)
+        d_hat = E * np.exp(log_mu(*theta))
+        K = theta[2]
+        den = d_hat @ (K ** 2)
+        if np.all(den > 0):
+            current = halve(1, ((d - d_hat) @ K) / den, current)
+        A, B, K = theta
+        if anchor is None:
+            shift = K.mean()
+            A = A + B * shift
+            K = K - shift
+        scale = float(np.sqrt(np.sum(B ** 2)))
+        if scale > 0:
+            B, K = B / scale, K * scale
+        if B.sum() < 0:
+            B, K = -B, -K
+        theta[:] = A, B, K
+        trace.append(current)
+        if trace[-1] - trace[-2] < SWEEP_TOL:
+            profile = A if anchor is None else anchor
+            return TrendFit(profile, B, K, current, tuple(trace), sweep)
+    raise AssertionError("oracle fit did not converge")
+
+
 def two_fit_li_lee(d_common, E_common, d_country, E_country, ages, years):
     """The Li-Lee calibration as its own pair of fits, each released from
     the log average rates (the country's over the fitted common surface)
@@ -474,3 +539,37 @@ def isin_restrict(fragment, countries=None, genders=None, years=None,
             keep &= np.isin(column, codes)
     return SurfaceFragment(fragment.countries, **{
         name: getattr(fragment, name)[keep] for name in fragment.COLUMNS})
+
+
+def per_name_codes(names, table):
+    """Index into `table` of each of `names`, or -1 for a name it lacks,
+    from one equality test of the whole column per name of `table`."""
+    codes = np.full(len(names), -1, dtype=np.int8)
+    for i, name in enumerate(table):
+        codes[names == name] = i
+    return codes
+
+
+def scanning_check_coverage(config):
+    """`config._check_coverage` as it scanned every declaration for each
+    (country, year, quantity) it checks."""
+    decls = config.individual_sources + config.weekly_sources
+    for decl in decls:
+        if decl.country not in config.countries:
+            raise ConfigError(f"{decl.path}: declared country {decl.country} is not "
+                              f"in the run ({', '.join(config.countries)})")
+    cells = [(country, year, quantity) for country in config.countries
+             for year in range(config.years.first, config.years.last + 1)
+             for quantity in QUANTITIES]
+    cells += sorted({(d.country, d.years.first, q) for d in decls for q in d.quantities})
+    for country, year, quantity in cells:
+        hits = [d for d in decls if d.country == country and quantity in d.quantities
+                and d.years.first <= year <= d.years.last]
+        if len(hits) != 1:
+            what = "no source" if not hits else f"{len(hits)} overlapping sources"
+            raise ConfigError(
+                f"{what} for ({country}, {year}, {quantity}); declare exactly one")
+    weekly = [(d.country, d.years.first, d.shape) for d in config.weekly_sources]
+    for country, year, shape in weekly:
+        if weekly.count((country, year, shape)) > 1:
+            raise ConfigError(f"duplicate weekly {shape} declaration for {country}/{year}")

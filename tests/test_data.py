@@ -11,7 +11,8 @@ import yaml
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import flat_surface, weekly_eurow, weekly_stmf
-from oracles import first_seen_open_total, isin_restrict, unique_rank_check_unique
+from oracles import (first_seen_open_total, isin_restrict, per_name_codes,
+                     unique_rank_check_unique)
 
 from mortkit import data, ungroup
 from mortkit.config import build_run_config, load_run_config
@@ -595,6 +596,10 @@ def fragments(draw):
     return SurfaceFragment(names, **dict(zip(SurfaceFragment.COLUMNS, columns)))
 
 
+#: Names outside GENDERS and PROVENANCE_CODES, which code as -1.
+UNKNOWN_NAMES = ("", "X", "MM", "m", "HMD ")
+
+
 class TestFragmentOracles:
     @settings(deadline=None, max_examples=300)
     @given(fragments())
@@ -631,6 +636,21 @@ class TestFragmentOracles:
                              quantities, min_age)
         assert got.countries == fragment.countries
         assert fragment_records(got) == fragment_records(want)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.sampled_from(GENDERS + PROVENANCE_CODES + UNKNOWN_NAMES),
+                              st.integers(1, 5)), max_size=12),
+           st.sampled_from([GENDERS, PROVENANCE_CODES]))
+    def test_codes_by_run_equal_codes_by_name(self, runs, table):
+        # Runs of repeated names, as files list them, with names outside
+        # the table among them.
+        names = np.array([name for name, length in runs for _ in range(length)],
+                         dtype="U8")
+        got = data._codes(names, table)
+        assert got.dtype == np.int8
+        assert got.tolist() == per_name_codes(names, table).tolist()
+        assert all((code == -1) == (name not in table)
+                   for name, code in zip(names.tolist(), got.tolist()))
 
     def test_wide_years_are_no_repeat(self, tmp_path, monkeypatch):
         # Years spanning all of int64 cannot be packed, so the row loop
@@ -818,9 +838,15 @@ class TestSurfaces:
                                   reference_tail=reference_tail, **options)
 
         monkeypatch.setattr("mortkit.pipeline.ungroup_deaths", record)
+        asked = []
+        last_observed = _Assembler.last_observed
+        monkeypatch.setattr(_Assembler, "last_observed", lambda self, *args: (
+            asked.append(args[1]) or last_observed(self, *args)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assemble_dataset(config)
+        # The config names the reference year: the default is never computed.
+        assert ("deaths",) not in asked
         files = fragment_records(load_individual_age_csv(tmp_path / "data" / "AAA.csv",
                                                          "HMD"))
         for gender in GENDERS:

@@ -1,7 +1,8 @@
 """Two-step calibration: likelihood, constraints, oracle comparisons."""
 import numpy as np
 import pytest
-from oracles import two_fit_adjusted_lee_miller, two_fit_li_lee
+import oracles
+from oracles import two_evaluation_fit_layer, two_fit_adjusted_lee_miller, two_fit_li_lee
 from readback import import_params_csv
 from scipy.optimize import minimize
 
@@ -343,6 +344,58 @@ class TestAdjustedLeeMiller:
         ages, years, d_T, E_T, d_c, E_c = self._inputs(rng)
         with pytest.raises(ValidationError, match="blend weight"):
             lee_miller_anchors(d_T, E_T, d_c, E_c, 1.5)
+
+
+def layer_designs(rng):
+    """(name, deaths, exposures, offset, ages, years, anchor) of each kind
+    of layer fit: the Li-Lee common and country layers and the anchored
+    layers of the adjusted variant."""
+    ages, years, d_T, E_T, d_c, E_c, _ = TestCountryDeviation._pooled_and_country(rng)
+    common = fit_common_trend(d_T, E_T, ages, years)
+    log_mu_T = common.profile[:, None] + common.B[:, None] * common.K[None, :]
+    anchors = lee_miller_anchors(d_T, E_T, d_c, E_c, 0.37)
+    zero = np.zeros_like(d_T)
+    return [("common", d_T, E_T, zero, ages, years, None),
+            ("country", d_c, E_c, log_mu_T, ages, years, None),
+            ("anchored common", d_T, E_T, zero, ages, years, anchors.common),
+            ("anchored country", d_c, E_c, log_mu_T, ages, years, anchors.country)]
+
+
+class TestOneEvaluationPerCandidate:
+    def test_fit_layer_equals_the_two_evaluation_loop(self, rng):
+        for name, *design in layer_designs(rng):
+            got, want = fit_layer(*design), two_evaluation_fit_layer(*design)
+            for field in ("profile", "B", "K"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), name
+            assert (got.loglik, got.loglik_trace, got.sweeps) == \
+                (want.loglik, want.loglik_trace, want.sweeps), name
+
+    def test_one_exp_per_candidate_plus_one_per_sweep(self, rng, monkeypatch):
+        # The candidates are those the two-evaluation loop scores: the same
+        # iterates, each scored by one poisson_loglik call after the
+        # starting one.  A Li-Lee fit also takes one exp of its offset for
+        # the profile's start.
+        for name, *design in layer_designs(rng):
+            d = design[0]
+            scored = []
+            monkeypatch.setattr(oracles, "poisson_loglik",
+                                lambda *args: scored.append(1) or poisson_loglik(*args))
+            sweeps = two_evaluation_fit_layer(*design).sweeps
+            exps = []
+
+            class CountingNumpy:
+                def __getattr__(self, attr):
+                    return getattr(np, attr)
+
+                def exp(self, x, *args, **kwargs):
+                    exps.append(np.shape(x) == d.shape)
+                    return np.exp(x, *args, **kwargs)
+
+            monkeypatch.setattr(lilee, "np", CountingNumpy())
+            assert fit_layer(*design).sweeps == sweeps
+            monkeypatch.undo()
+            start = design[-1] is None
+            assert sum(exps) == (len(scored) - 1) + sweeps + start, name
 
 
 class TestParamsCsv:

@@ -16,22 +16,26 @@ from unittest import mock
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 from oracles import (cumsum_expectancy, np_quantile_summary,
                      outer_product_force_paths, q_space_kannisto_close,
-                     relative_error)
+                     relative_error, scanning_check_coverage)
 from readback import import_params_csv
 
-from mortkit import dynamics, lilee, pipeline, project
+from mortkit import config as mk_config, dynamics, lilee, pipeline, project
 from mortkit.cli import main
-from mortkit.config import load_run_config
-from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, PROVENANCE_CODES, \
+from mortkit.config import SourceDecl, load_run_config
+from mortkit.data import AgeRange, EUROW_BUCKETS, GENDERS, PROVENANCE_CODES, QUANTITIES, \
     STMF_BUCKETS, VIRTUAL, YearRange, load_weekly_csv
 from mortkit.errors import ConfigError, ValidationError
 from mortkit.fixture import (FixtureParams, WeeklyDegradation, build_truth,
-                             make_synthetic_fixture, seasonal_weights)
+                             fixture_params_from_doc, make_synthetic_fixture,
+                             seasonal_weights)
 from mortkit.pipeline import assemble_dataset, diff_reports, run_pipeline
 
 TRUE_THETA = {"M": -0.20, "F": -0.17}
+
+BENCH_WORLDS = Path(__file__).resolve().parents[1] / "bench" / "worlds"
 
 
 def quiet_run(config, jobs=None):
@@ -153,7 +157,69 @@ def load_doc(tmp_path, doc):
     return load_run_config(path)
 
 
+def coverage_outcome(check, config):
+    """The message with which `check` refuses `config`, or None."""
+    try:
+        check(config)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def declarations(draw):
+    """Up to six declarations over run countries AAA and BBB, one foreign
+    country and years around the 2010-2020 window, a third of them weekly,
+    often after two that cover the window."""
+    decls = []
+    if draw(st.booleans()):
+        decls = [SourceDecl(paths=(Path(f"{c}.csv"),), shape="HMD", country=c,
+                            years=YearRange(2010, 2020), quantities=QUANTITIES)
+                 for c in ("AAA", "BBB")]
+    for _ in range(draw(st.integers(0, 6))):
+        country = draw(st.sampled_from(["AAA", "BBB"] * 4 + ["ZZZ"]))
+        quantities = draw(st.sampled_from([QUANTITIES, ("deaths",), ("exposures",)]))
+        first = draw(st.integers(2005, 2022))
+        if draw(st.integers(0, 2)) == 0:
+            shape, last = draw(st.sampled_from(["STMF", "EUROW"])), first
+            if shape == "EUROW":
+                quantities = ("deaths",)
+        else:
+            shape, last = "HMD", draw(st.integers(first, 2025))
+        decls.append(SourceDecl(paths=(Path(f"{country}{len(decls)}.csv"),), shape=shape,
+                                country=country, years=YearRange(first, last),
+                                quantities=quantities))
+    return decls
+
+
 class TestRunConfig:
+    @settings(deadline=None, max_examples=300)
+    @given(declarations())
+    def test_coverage_refusals_match_the_scanning_check(self, decls):
+        # Counting each declaration once per checked year it covers refuses
+        # the same configs as scanning every declaration per cell, with the
+        # same message.
+        valid = mk_config.build_run_config(base_doc(), Path("."))
+        config = replace(valid, individual_sources=tuple(d for d in decls if not d.weekly),
+                         weekly_sources=tuple(d for d in decls if d.weekly))
+        assert coverage_outcome(mk_config._check_coverage, config) == \
+            coverage_outcome(scanning_check_coverage, config)
+
+    @pytest.mark.parametrize("world", ["projection", "ingest", "nowcast", "small"])
+    def test_both_yaml_loaders_build_equal_configs(self, world, tmp_path, monkeypatch,
+                                                   request):
+        # The configs of the three benchmark worlds and of a test bundle.
+        if world == "small":
+            path = request.getfixturevalue("small_bundle")[0] / "config.yaml"
+        else:
+            doc = yaml.safe_load((BENCH_WORLDS / f"{world}.yaml").read_text())
+            make_synthetic_fixture(fixture_params_from_doc(doc["fixture"]), tmp_path)
+            path = tmp_path / "config.yaml"
+        fast = load_run_config(path)
+        assert mk_config._SAFE_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        monkeypatch.setattr(mk_config, "_SAFE_LOADER", yaml.SafeLoader)
+        assert load_run_config(path) == fast
+
     def test_valid_document_parses(self, tmp_path):
         config = load_doc(tmp_path, base_doc())
         assert config.countries == ("AAA", "BBB")
@@ -841,26 +907,49 @@ class TestFanChartRows:
 
     @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
     def test_one_life_table_pass_per_gender_and_year(self, fanchart_inputs,
-                                                     cohort_ages):
-        """One life-table unit calls each traced life-table name once per
-        projection year, plus the cohort's calls: the counts the
-        benchmark's per-layer figures rest on."""
+                                                     cohort_ages, monkeypatch):
+        """One life-table unit computes forces and quantiles once per
+        projection year and closes and sums once per block of years, plus
+        the cohort's calls: the counts the benchmark's per-layer figures
+        rest on.  Blocks hold as many whole years as fit in the column
+        budget: here all years, four years or one."""
         config, params, fit = fanchart_inputs
         config = replace(config, cohort_ages=cohort_ages)
         paths = project.path_batch(fit, batch_spec(config, params))
+        rows, n_years = config.n_paths + 1, config.horizon - config.years.last + 1
         names = ("force_paths", "kannisto_close", "period_life_expectancy",
                  "quantile_summary")
-        with warnings.catch_warnings(), ExitStack() as stack:
-            warnings.simplefilter("ignore", RuntimeWarning)
-            calls = {name: stack.enter_context(mock.patch.object(
-                         project, name, wraps=getattr(project, name)))
-                     for name in names}
-            pipeline._life_table_rows(config, params, paths, "F", {})
-        n_years = config.horizon - config.years.last + 1
-        assert {name: calls[name].call_count for name in names} == {
-            "force_paths": n_years, "kannisto_close": n_years,
-            "period_life_expectancy": n_years + len(cohort_ages),
-            "quantile_summary": n_years + bool(cohort_ages)}
+        for budget, n_blocks in ((pipeline.LIFE_TABLE_COLUMNS, 1),
+                                 (4 * rows + rows - 1, -(-n_years // 4)),
+                                 (rows, n_years)):
+            monkeypatch.setattr(pipeline, "LIFE_TABLE_COLUMNS", budget)
+            with warnings.catch_warnings(), ExitStack() as stack:
+                warnings.simplefilter("ignore", RuntimeWarning)
+                calls = {name: stack.enter_context(mock.patch.object(
+                             project, name, wraps=getattr(project, name)))
+                         for name in names}
+                pipeline._life_table_rows(config, params, paths, "F", {})
+            assert {name: calls[name].call_count for name in names} == {
+                "force_paths": n_years, "kannisto_close": n_blocks,
+                "period_life_expectancy": n_blocks + len(cohort_ages),
+                "quantile_summary": n_years + bool(cohort_ages)}, budget
+
+    def test_blocks_of_years_give_the_same_levels(self, fanchart_inputs, monkeypatch):
+        # Blocks of one year are the layout of a batch too large to take
+        # two; every block size gives the same bytes.
+        config, params, fit = fanchart_inputs
+        config = replace(config, cohort_ages=(65,))
+        paths = project.path_batch(fit, batch_spec(config, params))
+        rows, n_years = config.n_paths + 1, config.horizon - config.years.last + 1
+        results = []
+        for years_per_block in (1, 2, 3, n_years):
+            monkeypatch.setattr(pipeline, "LIFE_TABLE_COLUMNS", years_per_block * rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                blocks = pipeline._life_table_rows(config, params, paths, "M", {})
+            results.append([(q, g, age, years.tobytes(), levels.tobytes())
+                            for q, g, age, years, levels in blocks])
+        assert all(result == results[0] for result in results[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,7 @@ TEST_ONLY = {
     "fit_common_trend": "acceptance criterion 2 fits the common layer alone",
     "loglik_gradient": "acceptance criterion 2 checks the gradient at that fit",
     "cohort_life_expectancy": "acceptance criterion 7 checks the cohort table",
+    "poisson_loglik": "acceptance criterion 2's oracle scores the likelihood with it",
 }
 
 #: The program: the package's modules, whose `__init__.py` re-exports call
