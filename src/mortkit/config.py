@@ -20,6 +20,7 @@ from .data import (AgeRange, YearRange, INDIVIDUAL_SHAPES, MAX_AGE, QUANTITIES,
                    UK_CODE, WEEKLY_SHAPES)
 from .errors import ConfigError
 from .lilee import ADJUSTED_LEE_MILLER
+from .project import KANNISTO_FIT_HI, KANNISTO_FIT_LO
 from .ungroup import DEATH_ALLOCATION_RATE, UNGROUPING_AGES
 
 WEIGHTED_LIKELIHOOD = "WEIGHTED_LIKELIHOOD"
@@ -198,6 +199,9 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
     ages_node = _need(doc, "ages", "config")
     ages = AgeRange(_need(ages_node, "min", "ages", int),
                     _need(ages_node, "max", "ages", int))
+    if not (ages.min_age <= KANNISTO_FIT_LO and KANNISTO_FIT_HI <= ages.max_age):
+        raise ConfigError(f"model ages {ages} must contain the Kannisto fit ages "
+                          f"{KANNISTO_FIT_LO}..{KANNISTO_FIT_HI}")
     years = _year_range(_need(doc, "years", "config"), "years")
     if len(years) < 3:
         raise ConfigError("calibration window must span at least three years")

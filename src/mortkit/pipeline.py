@@ -40,10 +40,11 @@ from .ungroup import (fit_auxiliary_projection_model, needs_reference_tail,
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
 
-#: Columns, one per (projection year, path row), that one closure and one
-#: expectancy call of the life tables take at most; a path batch of more
-#: rows takes one year a call.
-LIFE_TABLE_COLUMNS = 2048
+#: Columns, one per (projection year, path row), that one force, closure
+#: and expectancy call of the life tables take at most; a path batch of
+#: more rows takes one year a call.  An age band over this many columns
+#: (41 x 4096 doubles, 1.3 MB) fits a core's 2 MB L2 cache.
+LIFE_TABLE_COLUMNS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -339,57 +340,80 @@ def _life_table_rows(config, params, paths, gender, layers):
     blocks (quantity, gender, age, years, levels) from the scenario's path
     batch, unordered.  The projection years go in blocks of as many whole
     years as fit in LIFE_TABLE_COLUMNS columns, one per (year, path row),
-    and at least one: forces and quantiles are computed per year, the
-    closure and the expectancies once per block, and the cohort ages take
-    one expectancy call each and one quantile call.  `levels` has one row per year
-    and one column per probe, then one with row 0 of the batch (the best
-    estimate).  Adds the wall time of each layer it ran to `layers`."""
+    and at least one, and each block's ages in bands of at most the
+    closure's 41 ages, top band first: the model ages from 80 up, closed
+    to age 120, then the model ages below 80.  Each band's forces give its
+    report ages' death probabilities and its cells of the cohorts'
+    diagonals, then its expectancies, in place and continued from the band
+    above.  Quantiles are computed per year, and the cohort ages take one
+    expectancy call each and one quantile call.  `levels` has one row per
+    year and one column per probe, then one with row 0 of the batch (the
+    best estimate).  Adds the wall time of each layer it ran to `layers`."""
     probes = project.DEFAULT_PROBES
-    span = {a: project.MAX_AGE - a + 1 for a in config.cohort_ages}
-    a0 = config.ages.min_age   # closed curves cover ages a0..120
-    n_ages = len(config.ages)
+    fit_lo, top = project.KANNISTO_FIT_LO, project.MAX_AGE
+    width = top + 1 - fit_lo
+    a0 = config.ages.min_age
     report_ages = config.report_ages
-    report_at = [config.ages.index(age) for age in report_ages]
-    r0 = min(report_ages, default=a0)
+    n_report = len(report_ages)
+    r0 = min(report_ages, default=top + 1)   # no expectancy below this age
     rows = len(paths.K[gender])
     n_years = len(paths.years)
     per_block = max(1, min(n_years, LIFE_TABLE_COLUMNS // rows))
-    # Ages-major like the closed forces, so the kernel reads it in place.
-    diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
-    # One ages-major closure buffer for every block: the forces fill its
-    # model ages and the closure the ages above them.
-    closure = np.empty((project.MAX_AGE + 1 - a0, per_block * rows)).T
+    # (first age, last age) of each band, top band first.
+    bands = [(fit_lo, top)]
+    bands += [(max(a0, hi + 1 - width), hi) for hi in range(fit_lo - 1, a0 - 1, -width)]
+    # One ages-major band buffer, its survival scratch and the expectancy
+    # carried down to the band below, for every block.
+    buffer = np.empty(width * per_block * rows)
+    survival = np.empty_like(buffer)
+    carried = np.empty(per_block * rows)
+    # Ages-major like the bands, so the kernel reads it in place.
+    diag = {a: np.empty((top - a + 1, rows)).T for a in config.cohort_ages}
     labels = [("K", None), ("kappa", None)] + [("q", age) for age in report_ages]
     labels += [("e_per", age) for age in report_ages]
     levels = np.empty((len(labels), n_years, len(probes) + 1))
     for first in range(0, n_years, per_block):
-        last = min(first + per_block, n_years)
-        # Each year of the block and its columns, in year order.
-        years = [(j, slice((j - first) * rows, (j - first + 1) * rows))
-                 for j in range(first, last)]
-        mu_cl = closure[:len(years) * rows]
-        mu = mu_cl[:, :n_ages]
+        n_block = min(per_block, n_years - first)
+        n_cols = n_block * rows
+        after = None
         with _clock(layers, "life_tables"):
-            for j, cols in years:
-                project.force_paths(params[gender], paths, gender, int(paths.years[j]),
-                                    out=mu[cols])
-            project.kannisto_close(mu, a0, forces=True, out=mu_cl)
-            table = np.empty((len(labels), len(mu)))   # one row per label
-            table[0] = paths.K[gender][:, first:last].T.ravel()
-            table[1] = paths.kappa[gender][:, first:last].T.ravel()
-            table[2:2 + len(report_ages)] = -np.expm1(-mu.T[report_at])
-            if report_ages:
-                table[2 + len(report_ages):] = project.period_life_expectancy(
-                    mu_cl[:, r0 - a0:], report_ages).T
-            for j, cols in years:
-                for age, width in span.items():
-                    if j < width:
-                        diag[age][:, j] = mu_cl[cols, age + j - a0]
+            table = np.empty((len(labels), n_cols))   # one row per label
+            table[0] = paths.K[gender][:, first:first + n_block].T.ravel()
+            table[1] = paths.kappa[gender][:, first:first + n_block].T.ravel()
+            for lo, hi in bands:
+                band = buffer[:(hi - lo + 1) * n_cols].reshape(hi - lo + 1, n_cols)
+                forced = min(hi, config.ages.max_age)   # the closure fills the rest
+                mu = project.force_paths(params[gender], paths, gender,
+                                         int(paths.years[first]),
+                                         out=band[:forced - lo + 1].T,
+                                         n_years=n_block, ages=(lo, forced))
+                if hi == top:
+                    project.kannisto_close(mu, lo, forces=True, out=band.T)
+                else:
+                    project.check_forces(band)
+                for k, age in enumerate(report_ages):
+                    if lo <= age <= hi:
+                        table[2 + k] = -np.expm1(-band[age - lo])
+                for age, cells in diag.items():
+                    for j in range(max(first, lo - age), min(first + n_block, hi + 1 - age)):
+                        col = (j - first) * rows
+                        cells[:, j] = band[age + j - lo, col:col + rows]
+                start = max(lo, r0)
+                if start > hi:
+                    continue
+                project.period_life_expectancy(
+                    band[start - lo:].T, project.AgeBand(start, after, survival))
+                for k, age in enumerate(report_ages):
+                    if start <= age <= hi:
+                        table[2 + n_report + k] = band[age - lo]
+                after = carried[:n_cols]
+                after[:] = band[start - lo]
         with _clock(layers, "quantiles"):
-            for j, cols in years:
-                levels[:, j, :-1] = project.quantile_summary(table[:, cols].T[1:],
-                                                             probes).T
-                levels[:, j, -1] = table[:, cols.start]
+            for j in range(n_block):
+                cols = slice(j * rows, (j + 1) * rows)
+                levels[:, first + j, :-1] = project.quantile_summary(table[:, cols].T[1:],
+                                                                     probes).T
+                levels[:, first + j, -1] = table[:, cols.start]
     blocks = [(quantity, gender, age, paths.years, levels[k])
               for k, (quantity, age) in enumerate(labels)]
     if config.cohort_ages:

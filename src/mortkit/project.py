@@ -182,18 +182,27 @@ def path_batch(fit: TimeSeriesFit, spec: ScenarioSpec) -> SimulationPaths:
 # ---------------------------------------------------------------------------
 
 def force_paths(params: LiLeeParams, paths: SimulationPaths, gender: str,
-                year: int, out: np.ndarray | None = None) -> np.ndarray:
-    """mu over the model ages for one year; shape (rows, n_ages).
+                year: int, out: np.ndarray | None = None, *, n_years: int = 1,
+                ages: tuple | None = None) -> np.ndarray:
+    """mu over the model ages for `n_years` years from `year`; shape
+    (n_years * rows, n_ages), one column per (year, path row) in that
+    order.  `ages`, a pair (lo, hi), keeps the model ages lo..hi only.
 
     The result is the transposed view of an ages-major array, the layout
     the closure and the expectancy kernel work in; with `out` it is
-    written there, typically the model ages of a closure buffer."""
+    written there, typically a band of a closure buffer."""
     j = paths.year_index(year)
-    K = paths.K[gender][:, j]
+    paths.year_index(year + n_years - 1)   # the block's last year is simulated too
+    lo, hi = (params.ages.min_age, params.ages.max_age) if ages is None else ages
+    x = slice(params.ages.index(lo), params.ages.index(hi) + 1)
+    # K, 1 and kappa, each year's path rows after the year before.
+    periods = np.ones((3, n_years, len(paths.K[gender])))
+    periods[0] = paths.K[gender][:, j:j + n_years].T
+    periods[2] = paths.kappa[gender][:, j:j + n_years].T
     # One contraction sums (B K + (A + alpha)) + beta kappa in that order, bit-equal
-    # to broadcast sums on builds without fused multiply-add (not for one row).
-    coef = np.stack([params.B, params.A + params.alpha, params.beta], axis=1)
-    mu = np.einsum("xk,kr->xr", coef, [K, np.ones_like(K), paths.kappa[gender][:, j]],
+    # to broadcast sums on builds without fused multiply-add (not for one column).
+    coef = np.stack([params.B[x], params.A[x] + params.alpha[x], params.beta[x]], axis=1)
+    mu = np.einsum("xk,kr->xr", coef, periods.reshape(3, -1),
                    out=None if out is None else out.T)
     return np.exp(mu, out=mu).T
 
@@ -213,10 +222,19 @@ def _pairwise_rows(rows) -> np.ndarray:
     return total
 
 
+def check_forces(mu: np.ndarray) -> None:
+    """Refuse forces that are not all positive and finite."""
+    # min and max propagate NaN, which compares false, so NaN fails the
+    # check too; the initial values let an empty batch through.
+    if not (mu.min(initial=np.inf) > 0 and mu.max(initial=-np.inf) < np.inf):
+        raise ValidationError("forces must be positive and finite")
+
+
 def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
                    forces: bool = False, out: np.ndarray | None = None
                    ) -> np.ndarray:
-    """Extend a mortality curve over ages `ages_lo`..90 up to age 120.
+    """Extend a mortality curve over ages `ages_lo`..90 up to age 120; it
+    must hold the fit ages, so `ages_lo` is at most 80.
 
     With `forces=True` the curve and the result are forces of mortality,
     the form the life tables use.  Otherwise both are one-year death
@@ -234,6 +252,11 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
     curve = np.asarray(curve, dtype=float)
     n_in = curve.shape[-1]
     top_in = ages_lo + n_in - 1
+    if ages_lo > KANNISTO_FIT_LO:
+        raise ValidationError(
+            f"closure needs the fit ages {KANNISTO_FIT_LO}..{KANNISTO_FIT_HI}, "
+            f"input starts at {ages_lo}"
+        )
     if top_in < KANNISTO_FIT_HI:
         raise ValidationError(
             f"closure needs ages up to {KANNISTO_FIT_HI}, input ends at {top_in}"
@@ -243,19 +266,16 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
         raise ValidationError(f"out has shape {out.shape}, closure needs {shape}")
     lo = KANNISTO_FIT_LO - ages_lo
     hi = KANNISTO_FIT_HI - ages_lo
-    # min and max propagate NaN, which compares false, so NaN fails the
-    # checks too; the initial values let an empty batch through.
-    low, high = curve.min(initial=np.inf), curve.max(initial=-np.inf)
     # The age axis moved to the front (transpose is cheaper than moveaxis).
     ages_first = curve.transpose(-1, *range(curve.ndim - 1))
     # The fit ages as contiguous age rows: a view of an ages-major curve.
     fit_ages = np.ascontiguousarray(ages_first[lo:hi + 1])
     if forces:
-        if not (low > 0 and high < np.inf):
-            raise ValidationError("forces must be positive and finite")
+        check_forces(curve)
         mu_fit = fit_ages
     else:
-        if not (low > 0 and high < 1):
+        # As in check_forces, NaN fails and an empty batch passes.
+        if not (curve.min(initial=np.inf) > 0 and curve.max(initial=-np.inf) < 1):
             raise ValidationError("death probabilities must lie in (0, 1)")
         mu_fit = -np.log1p(-fit_ages)
     if np.any(mu_fit >= 1.0):
@@ -300,37 +320,63 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
 # Life expectancy
 # ---------------------------------------------------------------------------
 
-def _expectancy_kernel(mu: np.ndarray) -> np.ndarray:
+def _expectancy_kernel(mu: np.ndarray, after: np.ndarray | None = None,
+                       survival: np.ndarray | None = None) -> np.ndarray:
     """Expected years lived from every age of a force sequence up to its
     end, by the backward recursion e_x = f_x + s_x e_(x+1), with the year
     fraction f = (1 - e^-mu)/mu (1 at mu = 0) and the survival factor
     s = 1 + expm1(-mu), both from one expm1 pass.  Ages run along axis 0
     (the recursion steps over contiguous rows); the result has the same
-    layout.  An infinite force ends the sequence at that age."""
+    layout.  An infinite force ends the sequence at that age.  `after`,
+    the expectancy at the age past the last one (mu's shape without the
+    age axis), continues the recursion from ages above.  Given `survival`,
+    flat scratch of at least mu's size, the steps run there and in `mu`
+    itself, which ends holding the result; else in fresh arrays."""
     # min propagates NaN, which compares false, so NaN fails the check
     # too; the initial value lets an empty batch through.
     least = mu.min(initial=np.inf)
     if not least >= 0:
         raise ValidationError("forces must be nonnegative and not NaN")
+    # The zeros are found before the forces are overwritten.
+    zero = mu == 0 if least == 0 else None
     # C order makes the rows below views.  Steps run in place: every
     # temporary of this size costs a fresh allocation.
-    negated = np.negative(mu, order="C")
-    survival = np.expm1(negated)
+    if survival is None:
+        negated = np.negative(mu, order="C")
+        survival = np.expm1(negated)
+    else:
+        negated = np.negative(mu, out=mu)
+        survival = np.expm1(negated, out=survival[:mu.size].reshape(mu.shape))
     # expm1(-mu)/(-mu) equals -expm1(-mu)/mu bit for bit (IEEE sign symmetry).
     with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
         e = np.divide(survival, negated, out=negated)
-    if least == 0:
-        e[mu == 0] = 1.0
+    if zero is not None:
+        e[zero] = 1.0
     survival += 1.0
     # Each age's step runs under the GIL, so it is two ufunc calls on
-    # prepared rows with positional outputs.
+    # prepared rows with positional outputs; the product goes into the
+    # survival row it used up.
     rows = list(e.reshape(len(e), -1))
     factors = list(survival.reshape(len(e), -1))
-    scratch = np.empty_like(rows[0])
+    if after is not None:
+        rows.append(np.reshape(after, -1))
     for x in range(len(rows) - 2, -1, -1):
-        np.multiply(factors[x], rows[x + 1], scratch)
-        np.add(rows[x], scratch, rows[x])
+        np.multiply(factors[x], rows[x + 1], factors[x])
+        np.add(rows[x], factors[x], rows[x])
     return e
+
+
+@dataclass(frozen=True, eq=False)
+class AgeBand:
+    """Ages `first`.. of a force sequence that runs on to age 120, for
+    `period_life_expectancy` to take a band at a time, the top band
+    first.  `after` is the expectancy at the age past the band's last, one
+    per column, from the band above (None for the band that ends at 120);
+    `survival` is flat scratch of at least the band's size."""
+
+    first: int
+    after: np.ndarray | None
+    survival: np.ndarray
 
 
 def _ages_major(mu: np.ndarray) -> np.ndarray:
@@ -347,7 +393,23 @@ def period_life_expectancy(mu: np.ndarray, age) -> np.ndarray:
     paths); the sum truncates at age 120.  `age` may also be a tuple of
     ages: `mu` then covers min(age)..120 and the result gains a trailing
     axis with one column per age, all from one backward pass.
+
+    `age` may also be an `AgeBand`: `mu`, laid out ages-major (a
+    contiguous array with the age axis moved last), then covers the band's
+    ages, and each of its forces is overwritten with the expectancy at its
+    age, bit for bit as one backward pass from age 120 gives it; `mu` is
+    returned.
     """
+    if isinstance(age, AgeBand):
+        last = age.first + mu.shape[-1] - 1
+        if last > MAX_AGE or (age.after is None) != (last == MAX_AGE):
+            raise ValidationError(f"a band ending at age {last} needs the expectancy "
+                                  f"past it if and only if it ends before {MAX_AGE}")
+        band = np.moveaxis(mu, -1, 0)
+        if not band.flags.c_contiguous:
+            raise ValidationError("an age band must be laid out ages-major")
+        _expectancy_kernel(band, age.after, age.survival)
+        return mu
     mu = np.asarray(mu, dtype=float)
     ages = np.asarray(age, dtype=int)
     if ages.ndim > 1 or ages.size == 0 or ages.max() > MAX_AGE:

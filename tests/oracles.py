@@ -15,7 +15,9 @@ the dynamics design built one observation row per year, and the
 dynamics fit on stacked per-year 4 x 6 design matrices with its einsum
 GLS step that also waited for the log-likelihood to settle
 (`mortkit.dynamics`), last year's open-bucket exposure total summed
-from the observed records (`mortkit.pipeline`), and the fragment's
+from the observed records and the life-table unit that forced,
+closed and summed every age of a block of years at once
+(`mortkit.pipeline`), and the fragment's
 repeat check by `np.unique` ranks and a stable argsort, its record
 selection by `np.isin` and the coding of names by one equality test per
 admissible name (`mortkit.data`), and the coverage check that scanned
@@ -24,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from mortkit import dynamics
+from mortkit import dynamics, project
 from mortkit.data import GENDERS, QUANTITIES, SurfaceFragment
 from mortkit.errors import ConfigError, ConvergenceError, ValidationError
 from mortkit.lilee import (MAX_SWEEPS, SWEEP_TOL, LiLeeParams, TrendFit,
@@ -573,3 +575,59 @@ def scanning_check_coverage(config):
     for country, year, shape in weekly:
         if weekly.count((country, year, shape)) > 1:
             raise ConfigError(f"duplicate weekly {shape} declaration for {country}/{year}")
+
+
+def full_age_life_table_rows(config, params, paths, gender, columns=2048):
+    """`pipeline._life_table_rows` as it held every age of a block in one
+    closure buffer: blocks of as many whole years as fit in `columns`
+    columns, forces one year a call, one closure and one expectancy call
+    per block over all ages, then the cohort ages' calls."""
+    probes = project.DEFAULT_PROBES
+    span = {a: MAX_AGE - a + 1 for a in config.cohort_ages}
+    a0 = config.ages.min_age   # closed curves cover ages a0..120
+    n_ages = len(config.ages)
+    report_ages = config.report_ages
+    report_at = [config.ages.index(age) for age in report_ages]
+    r0 = min(report_ages, default=a0)
+    rows = len(paths.K[gender])
+    n_years = len(paths.years)
+    per_block = max(1, min(n_years, columns // rows))
+    diag = {a: np.empty((span[a], rows)).T for a in config.cohort_ages}
+    closure = np.empty((MAX_AGE + 1 - a0, per_block * rows)).T
+    labels = [("K", None), ("kappa", None)] + [("q", age) for age in report_ages]
+    labels += [("e_per", age) for age in report_ages]
+    levels = np.empty((len(labels), n_years, len(probes) + 1))
+    for first in range(0, n_years, per_block):
+        last = min(first + per_block, n_years)
+        years = [(j, slice((j - first) * rows, (j - first + 1) * rows))
+                 for j in range(first, last)]
+        mu_cl = closure[:len(years) * rows]
+        mu = mu_cl[:, :n_ages]
+        for j, cols in years:
+            project.force_paths(params[gender], paths, gender, int(paths.years[j]),
+                                out=mu[cols])
+        project.kannisto_close(mu, a0, forces=True, out=mu_cl)
+        table = np.empty((len(labels), len(mu)))
+        table[0] = paths.K[gender][:, first:last].T.ravel()
+        table[1] = paths.kappa[gender][:, first:last].T.ravel()
+        table[2:2 + len(report_ages)] = -np.expm1(-mu.T[report_at])
+        if report_ages:
+            table[2 + len(report_ages):] = project.period_life_expectancy(
+                mu_cl[:, r0 - a0:], report_ages).T
+        for j, cols in years:
+            for age, width in span.items():
+                if j < width:
+                    diag[age][:, j] = mu_cl[cols, age + j - a0]
+        for j, cols in years:
+            levels[:, j, :-1] = project.quantile_summary(table[:, cols].T[1:], probes).T
+            levels[:, j, -1] = table[:, cols.start]
+    blocks = [(quantity, gender, age, paths.years, levels[k])
+              for k, (quantity, age) in enumerate(labels)]
+    if config.cohort_ages:
+        e_coh = np.stack([project.period_life_expectancy(diag[age], age)
+                          for age in config.cohort_ages])
+        cohort = np.column_stack(
+            [project.quantile_summary(e_coh.T[1:], probes).T, e_coh[:, 0]])
+        blocks += [("e_coh", gender, age, paths.years[:1], cohort[k:k + 1])
+                   for k, age in enumerate(config.cohort_ages)]
+    return blocks

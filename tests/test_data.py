@@ -698,16 +698,16 @@ class TestFastPathGuard:
         assert len(assembled.dataset.surfaces) == 8
 
 
-def tiny_config(root, sources, max_age=1):
-    """A one-country run over ages 0..max_age and years 2000-2002 reading
-    the given individual-age declarations."""
+def tiny_config(root, sources):
+    """A one-country run over ages 0..90 and years 2000-2002 reading the
+    given individual-age declarations."""
     individual = [{"shape": "HMD", "country": "AAA",
                    "years": {"first": s["years"][0], "last": s["years"][1]},
                    **{k: v for k, v in s.items() if k != "years"}}
                   for s in sources]
     return build_run_config({
         "country_of_interest": "AAA", "common_pool": ["AAA"],
-        "ages": {"min": 0, "max": max_age}, "years": {"first": 2000, "last": 2002},
+        "ages": {"min": 0, "max": 90}, "years": {"first": 2000, "last": 2002},
         "sources": {"individual": individual},
         "method": {"kind": "WEIGHTED_LIKELIHOOD", "grid": [1.0]},
         "simulation": {"n_paths": 2, "horizon": 2010, "seed": 1},
@@ -726,7 +726,7 @@ class TestSurfaces:
 
     def test_assembly_names_missing_cell(self, tmp_path):
         records = [("AAA", year, g, age, 1.0, 100.0, "HMD") for g in GENDERS
-                   for year in (2000, 2001, 2002) for age in (0, 1)
+                   for year in (2000, 2001, 2002) for age in range(91)
                    if (g, age, year) != ("M", 1, 2001)]
         write_individual_age_csv(tmp_path / "AAA.csv", records)
         config = tiny_config(tmp_path, [{"path": "AAA.csv", "years": (2000, 2002)}])
@@ -768,7 +768,7 @@ class TestSurfaces:
         config = tiny_config(tmp_path, [
             {"path": "D.csv", "years": (2000, 2002), "quantities": ["deaths"]},
             {"path": "E.csv", "years": (2000, 2002), "quantities": ["exposures"]},
-        ], max_age=90)
+        ])
         assembler = _Assembler(config)
         assembler.load_sources()
         taken = []
@@ -801,8 +801,7 @@ class TestSurfaces:
                    for g in GENDERS for year in range(1998, 2003)
                    for age in range(0, 111)]
         write_individual_age_csv(tmp_path / "AAA.csv", records)
-        config = tiny_config(tmp_path, [{"path": "AAA.csv", "years": (1998, 2002)}],
-                             max_age=90)
+        config = tiny_config(tmp_path, [{"path": "AAA.csv", "years": (1998, 2002)}])
         assembler = _Assembler(config)
         assembler.load_sources()
         kept = fragment_records(assembler.observed)

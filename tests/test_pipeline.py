@@ -7,17 +7,19 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
-from oracles import (cumsum_expectancy, np_quantile_summary,
+from oracles import (cumsum_expectancy, full_age_life_table_rows, np_quantile_summary,
                      outer_product_force_paths, q_space_kannisto_close,
                      relative_error, scanning_check_coverage)
 from readback import import_params_csv
@@ -274,6 +276,17 @@ class TestRunConfig:
         doc["simulation"]["horizon"] = 2100
         doc["report"][key] = [65, 70, 65]
         with pytest.raises(ConfigError, match=f"report {key} must be distinct"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("ages", [(85, 90), (81, 100), (0, 89), (60, 60)])
+    def test_model_ages_must_contain_the_fit_ages(self, tmp_path, monkeypatch, ages):
+        # Refused before any source is looked at, and so before a file is
+        # read: the closure of every scenario would fail on them.
+        doc = base_doc()
+        doc["ages"] = {"min": ages[0], "max": ages[1]}
+        monkeypatch.setattr(mk_config, "_parse_source", None)
+        with pytest.raises(ConfigError, match=rf"model ages \[{ages[0]}, {ages[1]}\] must "
+                                              r"contain the Kannisto fit ages 80\.\.90"):
             load_doc(tmp_path, doc)
 
     def test_method_kind_is_case_insensitive(self, tmp_path):
@@ -908,20 +921,22 @@ class TestFanChartRows:
     @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
     def test_one_life_table_pass_per_gender_and_year(self, fanchart_inputs,
                                                      cohort_ages, monkeypatch):
-        """One life-table unit computes forces and quantiles once per
-        projection year and closes and sums once per block of years, plus
-        the cohort's calls: the counts the benchmark's per-layer figures
-        rest on.  Blocks hold as many whole years as fit in the column
-        budget: here all years, four years or one."""
+        """One life-table unit computes quantiles once per projection year,
+        forces and sums once per band of ages of each block of years and
+        closes once per block, plus the cohort's calls: the counts the
+        benchmark's per-layer figures rest on.  Blocks hold as many whole
+        years as fit in the column budget: here all years, four years or
+        one.  The model ages 60..90 make two bands, the closure's 80..120
+        and 60..79, and the expectancies start at the report age 65."""
         config, params, fit = fanchart_inputs
         config = replace(config, cohort_ages=cohort_ages)
         paths = project.path_batch(fit, batch_spec(config, params))
         rows, n_years = config.n_paths + 1, config.horizon - config.years.last + 1
         names = ("force_paths", "kannisto_close", "period_life_expectancy",
                  "quantile_summary")
-        for budget, n_blocks in ((pipeline.LIFE_TABLE_COLUMNS, 1),
-                                 (4 * rows + rows - 1, -(-n_years // 4)),
-                                 (rows, n_years)):
+        for budget, per_block in ((pipeline.LIFE_TABLE_COLUMNS, n_years),
+                                  (4 * rows + rows - 1, 4), (rows, 1)):
+            n_blocks = -(-n_years // per_block)
             monkeypatch.setattr(pipeline, "LIFE_TABLE_COLUMNS", budget)
             with warnings.catch_warnings(), ExitStack() as stack:
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -930,26 +945,149 @@ class TestFanChartRows:
                          for name in names}
                 pipeline._life_table_rows(config, params, paths, "F", {})
             assert {name: calls[name].call_count for name in names} == {
-                "force_paths": n_years, "kannisto_close": n_blocks,
-                "period_life_expectancy": n_blocks + len(cohort_ages),
+                "force_paths": 2 * n_blocks, "kannisto_close": n_blocks,
+                "period_life_expectancy": 2 * n_blocks + len(cohort_ages),
                 "quantile_summary": n_years + bool(cohort_ages)}, budget
+            blocks = [(int(paths.years[first]), min(per_block, n_years - first))
+                      for first in range(0, n_years, per_block)]
+            assert [(c.args[3], c.kwargs["n_years"], c.kwargs["ages"])
+                    for c in calls["force_paths"].call_args_list] == [
+                (year, n, ages) for year, n in blocks for ages in ((80, 90), (60, 79))]
+            assert [(c.args[0].shape, c.args[1]) for c in
+                    calls["kannisto_close"].call_args_list] == [
+                ((n * rows, 11), 80) for _, n in blocks]
+            summed = calls["period_life_expectancy"].call_args_list
+            bands = [(c.args[0].shape, c.args[1].first, c.args[1].after is None)
+                     for c in summed[:2 * n_blocks]]
+            assert bands == [
+                band for _, n in blocks
+                for band in (((n * rows, 41), 80, True), ((n * rows, 15), 65, False))]
+            assert [c.args[1] for c in summed[2 * n_blocks:]] == list(cohort_ages)
+            # The expectancy sums every force from the lowest report age up
+            # once, as one full-age pass a block did.
+            assert sum(shape[0] * shape[1] for shape, _, _ in bands) \
+                == n_years * rows * (project.MAX_AGE + 1 - 65)
 
     def test_blocks_of_years_give_the_same_levels(self, fanchart_inputs, monkeypatch):
         # Blocks of one year are the layout of a batch too large to take
-        # two; every block size gives the same bytes.
+        # two; every block size gives the same bytes, and so does the unit
+        # that held every age of a block at once, with report and cohort
+        # ages on both sides of the split at age 80.
         config, params, fit = fanchart_inputs
-        config = replace(config, cohort_ages=(65,))
+        config = replace(config, report_ages=(65, 79, 80, 90), cohort_ages=(65, 79, 80))
         paths = project.path_batch(fit, batch_spec(config, params))
         rows, n_years = config.n_paths + 1, config.horizon - config.years.last + 1
         results = []
-        for years_per_block in (1, 2, 3, n_years):
-            monkeypatch.setattr(pipeline, "LIFE_TABLE_COLUMNS", years_per_block * rows)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                blocks = pipeline._life_table_rows(config, params, paths, "M", {})
-            results.append([(q, g, age, years.tobytes(), levels.tobytes())
-                            for q, g, age, years, levels in blocks])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for years_per_block in (1, 2, 3, n_years):
+                monkeypatch.setattr(pipeline, "LIFE_TABLE_COLUMNS", years_per_block * rows)
+                results.append(block_bytes(
+                    pipeline._life_table_rows(config, params, paths, "M", {})))
+            results.append(block_bytes(full_age_life_table_rows(config, params, paths, "M")))
         assert all(result == results[0] for result in results[1:])
+
+
+def block_bytes(blocks):
+    """The fan-chart blocks of a life-table unit as comparable bytes."""
+    return [(q, g, age, years.tobytes(), levels.tobytes())
+            for q, g, age, years, levels in blocks]
+
+
+def synthetic_unit_inputs(min_age, max_age, rows, n_years, seed):
+    """Params of one gender over the model ages and a path batch of
+    `rows` rows and `n_years` years from 2021, Gompertz-like forces."""
+    rng = np.random.default_rng(seed)
+    ages = AgeRange(min_age, max_age)
+    x = ages.values()
+    params = lilee.LiLeeParams(
+        ages=ages, years=YearRange(2019, 2021), A=-9.5 + 0.085 * x,
+        B=rng.uniform(0.005, 0.015, len(x)), K=np.zeros(3),
+        alpha=rng.normal(0.0, 0.01, len(x)), beta=rng.uniform(0.0, 0.01, len(x)),
+        kappa=np.zeros(3))
+    K = np.cumsum(rng.normal(-1.0, 1.0, (rows, n_years)), axis=1)
+    kappa = np.cumsum(rng.normal(0.0, 0.5, (rows, n_years)), axis=1)
+    paths = project.SimulationPaths(years=np.arange(2021, 2021 + n_years),
+                                    K={"M": K}, kappa={"M": kappa})
+    return {"M": params}, paths
+
+
+@st.composite
+def unit_configs(draw):
+    """Model ages, report and cohort ages (band edges 79, 80, 90 and 91
+    likely), a batch of 2 to 9 rows with the years the cohorts need, and a
+    column budget of one year, several years or all years a block."""
+    min_age = draw(st.integers(0, 80))
+    max_age = draw(st.integers(90, 119))
+    ages = st.sampled_from([a for a in (min_age, 38, 39, 40, 79, 80, 90, 91, max_age)
+                            if min_age <= a <= max_age]) | st.integers(min_age, max_age)
+    report_ages = tuple(draw(st.lists(ages, max_size=4, unique=True)))
+    cohort_ages = tuple(draw(st.lists(ages.filter(lambda a: a >= 60), max_size=3,
+                                      unique=True)))
+    rows = draw(st.integers(2, 9))
+    youngest = min(cohort_ages, default=project.MAX_AGE - 3)
+    n_years = draw(st.integers(project.MAX_AGE + 1 - youngest, project.MAX_AGE + 3 - youngest))
+    per_block = draw(st.sampled_from([1, 2, draw(st.integers(3, n_years)), n_years]))
+    budget = per_block * rows + draw(st.integers(0, rows - 1))
+    config = SimpleNamespace(ages=AgeRange(min_age, max_age), report_ages=report_ages,
+                             cohort_ages=cohort_ages)
+    return config, rows, n_years, budget, draw(st.integers(0, 2**31))
+
+
+class TestAgeBands:
+    """The unit that takes each block's ages in bands against the one that
+    held every age of a block at once, kept as an oracle."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(unit_configs())
+    def test_bands_give_the_full_age_unit_bytes(self, case):
+        config, rows, n_years, budget, seed = case
+        params, paths = synthetic_unit_inputs(config.ages.min_age, config.ages.max_age,
+                                              rows, n_years, seed)
+        with warnings.catch_warnings(), \
+                mock.patch.object(pipeline, "LIFE_TABLE_COLUMNS", budget):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = pipeline._life_table_rows(config, params, paths, "M", {})
+            want = full_age_life_table_rows(config, params, paths, "M")
+        assert block_bytes(got) == block_bytes(want)
+
+    @pytest.mark.parametrize("age", [0, 20, 38, 39, 40, 79])
+    @pytest.mark.parametrize("log_force", [-np.inf, np.inf])   # a force of 0 or inf
+    def test_a_bad_force_below_the_fit_ages_is_refused(self, age, log_force):
+        # Age 0 lies below the lowest report age, so its band is forced
+        # and checked but never summed.
+        config = SimpleNamespace(ages=AgeRange(0, 90), report_ages=(20, 65),
+                                 cohort_ages=())
+        params, paths = synthetic_unit_inputs(0, 90, 3, 4, 5)
+        params["M"].A[age] = log_force
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValidationError, match="forces must be positive and finite"):
+                pipeline._life_table_rows(config, params, paths, "M", {})
+
+    def test_one_unit_allocates_no_more_than_the_full_age_unit(self):
+        """The traced peak of one unit on a 2001-row, 56-year batch (the
+        `projection` world's size) is no higher than the full-age unit's
+        at its budget of 2048 columns a block."""
+        config = SimpleNamespace(ages=AgeRange(0, 90), report_ages=(0, 65, 85),
+                                 cohort_ages=(65,))
+        params, paths = synthetic_unit_inputs(0, 90, 2001, 56, 3)
+        peaks = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for name, unit in (
+                    ("bands", lambda: pipeline._life_table_rows(config, params, paths,
+                                                                "M", {})),
+                    ("full ages", lambda: full_age_life_table_rows(config, params,
+                                                                   paths, "M"))):
+                tracemalloc.start()
+                try:
+                    before = tracemalloc.get_traced_memory()[0]
+                    unit()
+                    peaks[name] = tracemalloc.get_traced_memory()[1] - before
+                finally:
+                    tracemalloc.stop()
+        assert peaks["bands"] <= peaks["full ages"], peaks
 
 
 # ---------------------------------------------------------------------------

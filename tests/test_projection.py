@@ -391,6 +391,12 @@ class TestKannistoClosure:
         with pytest.raises(ValidationError, match="ends at 85"):
             kannisto_close(np.full(86, 0.01), forces=True)
 
+    @pytest.mark.parametrize("ages_lo", [81, 85, 90])
+    def test_requires_ages_from_80(self, ages_lo):
+        mu = np.full((5, 91 - ages_lo), 0.1)
+        with pytest.raises(ValidationError, match=f"fit ages 80..90, input starts at {ages_lo}"):
+            kannisto_close(mu, ages_lo, forces=True)
+
     @pytest.mark.parametrize("bad", [0.0, -0.01, np.inf, np.nan])
     def test_rejects_nonpositive_or_nonfinite_forces(self, bad):
         mu = np.full(91, 0.01)
@@ -777,6 +783,76 @@ class TestOnePassKernels:
         # before A + alpha; every batch of two or more rows is bit-equal.
         if len(got) > 1:
             np.testing.assert_array_equal(got, want)
+
+    @settings(deadline=None)
+    @given(force_inputs(), st.sampled_from(["M", "F"]), st.integers(1, 2), st.data())
+    def test_forces_of_a_block_and_a_band_are_the_year_slices(self, inputs, gender,
+                                                              n_years, data):
+        params, paths = inputs
+        lo = data.draw(st.integers(0, len(params.ages) - 1))
+        hi = data.draw(st.integers(lo, len(params.ages) - 1))
+        got = force_paths(params, paths, gender, 2022 - n_years, n_years=n_years,
+                          ages=(lo, hi))
+        want = np.concatenate([force_paths(params, paths, gender, year)[:, lo:hi + 1]
+                               for year in range(2022 - n_years, 2022)])
+        assert got.shape == want.shape
+        assert np.shares_memory(project._ages_major(got), got)
+        assert relative_error(got, want) < 1e-12
+        # Bit-equal wherever the one-year call has two rows or more.
+        if len(paths.K[gender]) > 1:
+            np.testing.assert_array_equal(got, want)
+
+    def test_forces_refuse_years_past_the_paths(self):
+        params = tiny_params([-4.0, -3.0])
+        paths = simulate_period_effects(make_fit(), make_spec(n_paths=3))
+        with pytest.raises(ValidationError, match="year 2031 outside"):
+            force_paths(params, paths, "M", 2029, n_years=3)
+
+    @settings(deadline=None)
+    @given(st.integers(0, MAX_AGE - 1), st.integers(1, 4), st.data())
+    def test_expectancy_continued_across_bands_gives_the_one_pass_bits(self, first,
+                                                                       rows, data):
+        # Bands split at any ages, zeros on their first and last ages among
+        # them: each band's zero masks are taken before it is overwritten.
+        n = MAX_AGE + 1 - first
+        mu = np.exp(data.draw(hnp.arrays(float, (rows, n),
+                                         elements=st.floats(-30.0, 3.0))))
+        zeros = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        mu[:, zeros] = 0.0
+        splits = sorted(data.draw(st.sets(st.integers(first + 1, MAX_AGE), max_size=5)))
+        edges = [first] + splits + [MAX_AGE + 1]
+        want = period_life_expectancy(mu, tuple(range(first, MAX_AGE + 1)))
+        buffer = np.ascontiguousarray(mu.T)   # ages-major, as the bands hold it
+        survival = np.empty(buffer.size)
+        after = None
+        for lo, end in reversed(list(zip(edges, edges[1:]))):
+            band = buffer[lo - first:end - first]
+            got = period_life_expectancy(band.T, project.AgeBand(lo, after, survival))
+            assert np.shares_memory(got, buffer)
+            after = band[0].copy()
+        np.testing.assert_array_equal(buffer.T, want)
+
+    def test_a_zero_force_on_a_band_edge_lives_the_whole_year(self):
+        buffer = np.full((3, 2), 0.02)
+        buffer[0, 0] = buffer[2, 0] = 0.0   # the band's first and last ages
+        after = np.array([5.0, 5.0])
+        period_life_expectancy(buffer.T, project.AgeBand(MAX_AGE - 3, after,
+                                                         np.empty(6)))
+        # e_117 = f + s e_118 with f = s = 1 at mu = 0.
+        assert buffer[2, 0] == 1.0 + 5.0
+        single = np.zeros((1, 3))
+        period_life_expectancy(single.T, project.AgeBand(MAX_AGE, None, np.empty(3)))
+        np.testing.assert_array_equal(single, 1.0)
+
+    def test_an_age_band_must_fit_its_place(self):
+        survival = np.empty(40)
+        with pytest.raises(ValidationError, match="ending at age 119 needs"):
+            period_life_expectancy(np.full((2, 10), 0.1), project.AgeBand(110, None, survival))
+        with pytest.raises(ValidationError, match="ending at age 120 needs"):
+            period_life_expectancy(np.full((10, 2), 0.1).T,
+                                   project.AgeBand(111, np.ones(2), survival))
+        with pytest.raises(ValidationError, match="laid out ages-major"):
+            period_life_expectancy(np.full((2, 10), 0.1), project.AgeBand(111, None, survival))
 
     @settings(deadline=None)
     @given(st.integers(0, 80), st.integers(0, 3), st.booleans(), st.data())
