@@ -747,8 +747,11 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     for slot in (wanted if split else (None,)):
         if slot not in records:
             raise ParseError(f"{path}: no rows match the requested series")
-        series[slot] = _weekly_series(keys[slot], records[slot], source_shape,
-                                      has_exposure)
+        try:
+            series[slot] = _weekly_series(keys[slot], records[slot], source_shape,
+                                          has_exposure)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
     return series if split else series[None]
 
 

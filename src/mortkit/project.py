@@ -9,8 +9,8 @@ the zero-noise central path in row 0 and the simulated paths below it,
 so a single life-table pass yields both the best estimate and the
 quantiles.  Simulated forces are closed to age 120 with a Kannisto
 logistic fitted on ages 80..90 and summarized as one-year death
-probabilities, period/cohort life expectancies (every age from one
-backward pass over the forces) and empirical quantiles.
+probabilities, period/cohort life expectancies (one backward pass in place
+over ages-major forces) and empirical quantiles.
 """
 from __future__ import annotations
 
@@ -234,7 +234,7 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
                    forces: bool = False, out: np.ndarray | None = None
                    ) -> np.ndarray:
     """Extend a mortality curve over ages `ages_lo`..90 up to age 120; it
-    must hold the fit ages, so `ages_lo` is at most 80.
+    must hold the fit ages, so `ages_lo` is in 0..80.
 
     With `forces=True` the curve and the result are forces of mortality,
     the form the life tables use.  Otherwise both are one-year death
@@ -252,10 +252,10 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
     curve = np.asarray(curve, dtype=float)
     n_in = curve.shape[-1]
     top_in = ages_lo + n_in - 1
-    if ages_lo > KANNISTO_FIT_LO:
+    if not 0 <= ages_lo <= KANNISTO_FIT_LO:
         raise ValidationError(
-            f"closure needs the fit ages {KANNISTO_FIT_LO}..{KANNISTO_FIT_HI}, "
-            f"input starts at {ages_lo}"
+            f"closure needs ages from 0 and the fit ages {KANNISTO_FIT_LO}.."
+            f"{KANNISTO_FIT_HI}, input starts at {ages_lo}"
         )
     if top_in < KANNISTO_FIT_HI:
         raise ValidationError(
@@ -320,18 +320,17 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
 # Life expectancy
 # ---------------------------------------------------------------------------
 
-def _expectancy_kernel(mu: np.ndarray, after: np.ndarray | None = None,
-                       survival: np.ndarray | None = None) -> np.ndarray:
+def _expectancy_kernel(mu: np.ndarray, after: np.ndarray | None,
+                       survival: np.ndarray) -> np.ndarray:
     """Expected years lived from every age of a force sequence up to its
     end, by the backward recursion e_x = f_x + s_x e_(x+1), with the year
     fraction f = (1 - e^-mu)/mu (1 at mu = 0) and the survival factor
-    s = 1 + expm1(-mu), both from one expm1 pass.  Ages run along axis 0
-    (the recursion steps over contiguous rows); the result has the same
-    layout.  An infinite force ends the sequence at that age.  `after`,
+    s = 1 + expm1(-mu), both from one expm1 pass.  `mu` is C-contiguous
+    with ages along axis 0 (the recursion steps over its contiguous rows)
+    and ends holding the result; `survival` is flat scratch of at least
+    its size.  An infinite force ends the sequence at that age.  `after`,
     the expectancy at the age past the last one (mu's shape without the
-    age axis), continues the recursion from ages above.  Given `survival`,
-    flat scratch of at least mu's size, the steps run there and in `mu`
-    itself, which ends holding the result; else in fresh arrays."""
+    age axis), continues the recursion from ages above."""
     # min propagates NaN, which compares false, so NaN fails the check
     # too; the initial value lets an empty batch through.
     least = mu.min(initial=np.inf)
@@ -339,14 +338,9 @@ def _expectancy_kernel(mu: np.ndarray, after: np.ndarray | None = None,
         raise ValidationError("forces must be nonnegative and not NaN")
     # The zeros are found before the forces are overwritten.
     zero = mu == 0 if least == 0 else None
-    # C order makes the rows below views.  Steps run in place: every
-    # temporary of this size costs a fresh allocation.
-    if survival is None:
-        negated = np.negative(mu, order="C")
-        survival = np.expm1(negated)
-    else:
-        negated = np.negative(mu, out=mu)
-        survival = np.expm1(negated, out=survival[:mu.size].reshape(mu.shape))
+    # Steps run in place: every temporary of this size costs a fresh allocation.
+    negated = np.negative(mu, out=mu)
+    survival = np.expm1(negated, out=survival[:mu.size].reshape(mu.shape))
     # expm1(-mu)/(-mu) equals -expm1(-mu)/mu bit for bit (IEEE sign symmetry).
     with np.errstate(invalid="ignore"):   # 0/0 at mu = 0, set just below
         e = np.divide(survival, negated, out=negated)
@@ -379,20 +373,19 @@ class AgeBand:
     survival: np.ndarray
 
 
-def _ages_major(mu: np.ndarray) -> np.ndarray:
-    """Forces with the trailing age axis moved to the front, contiguous:
-    a view of the ages-major arrays `force_paths` and `kannisto_close`
-    return, a copy of any other layout."""
-    return np.ascontiguousarray(np.moveaxis(np.asarray(mu, dtype=float), -1, 0))
+def _whole_age(age) -> int:
+    """`age` as an int, refused unless it is an integer in 0..120."""
+    if not isinstance(age, (int, np.integer)) or not 0 <= age <= MAX_AGE:
+        raise ValidationError(f"age must be an integer in 0..{MAX_AGE}, got {age!r}")
+    return int(age)
 
 
 def period_life_expectancy(mu: np.ndarray, age) -> np.ndarray:
     """Period life expectancy at `age` from one year's forces.
 
     `mu` covers ages `age`..120 on the trailing axis (leading axes may be
-    paths); the sum truncates at age 120.  `age` may also be a tuple of
-    ages: `mu` then covers min(age)..120 and the result gains a trailing
-    axis with one column per age, all from one backward pass.
+    paths); the sum truncates at age 120.  It is copied once, ages-major,
+    and never written.
 
     `age` may also be an `AgeBand`: `mu`, laid out ages-major (a
     contiguous array with the age axis moved last), then covers the band's
@@ -401,7 +394,7 @@ def period_life_expectancy(mu: np.ndarray, age) -> np.ndarray:
     returned.
     """
     if isinstance(age, AgeBand):
-        last = age.first + mu.shape[-1] - 1
+        last = _whole_age(age.first) + mu.shape[-1] - 1
         if last > MAX_AGE or (age.after is None) != (last == MAX_AGE):
             raise ValidationError(f"a band ending at age {last} needs the expectancy "
                                   f"past it if and only if it ends before {MAX_AGE}")
@@ -410,28 +403,28 @@ def period_life_expectancy(mu: np.ndarray, age) -> np.ndarray:
             raise ValidationError("an age band must be laid out ages-major")
         _expectancy_kernel(band, age.after, age.survival)
         return mu
+    age = _whole_age(age)
     mu = np.asarray(mu, dtype=float)
-    ages = np.asarray(age, dtype=int)
-    if ages.ndim > 1 or ages.size == 0 or ages.max() > MAX_AGE:
-        raise ValidationError(f"need one or more ages up to {MAX_AGE}")
-    first = int(ages.min())
-    expected = MAX_AGE - first + 1
+    expected = MAX_AGE - age + 1
     if mu.shape[-1] != expected:
         raise ValidationError(
-            f"need forces for ages {first}..{MAX_AGE} ({expected} values), "
+            f"need forces for ages {age}..{MAX_AGE} ({expected} values), "
             f"got {mu.shape[-1]}"
         )
-    e = _expectancy_kernel(_ages_major(mu))
-    return np.moveaxis(e[ages - first], 0, -1) if ages.ndim else e[0]
+    # A copy even of an ages-major `mu`: the kernel overwrites its input.
+    e = np.array(np.moveaxis(mu, -1, 0), order="C")
+    return _expectancy_kernel(e, None, np.empty(e.size))[0]
 
 
 def cohort_life_expectancy(mu_surface: np.ndarray, age: int) -> np.ndarray:
     """Cohort life expectancy at `age` in the surface's first year.
 
     `mu_surface` has shape (..., n_years, 121) with ages 0..120 on the
-    trailing axis; the cohort follows the diagonal (age+k, first_year+k).
-    Errors if the horizon cannot reach age 120.
+    trailing axis; the cohort follows the diagonal (age+k, first_year+k),
+    and its expectancy is the period one of those forces.  Errors if the
+    horizon cannot reach age 120.
     """
+    age = _whole_age(age)
     mu_surface = np.asarray(mu_surface, dtype=float)
     if mu_surface.shape[-1] != MAX_AGE + 1:
         raise ValidationError(f"surface must cover ages 0..{MAX_AGE}")
@@ -442,8 +435,7 @@ def cohort_life_expectancy(mu_surface: np.ndarray, age: int) -> np.ndarray:
             f"{mu_surface.shape[-2]}; extend the simulation horizon"
         )
     steps = np.arange(span)
-    diag = mu_surface[..., steps, age + steps]
-    return _expectancy_kernel(_ages_major(diag))[0]
+    return period_life_expectancy(mu_surface[..., steps, age + steps], age)
 
 
 # ---------------------------------------------------------------------------

@@ -580,15 +580,15 @@ def scanning_check_coverage(config):
 def full_age_life_table_rows(config, params, paths, gender, columns=2048):
     """`pipeline._life_table_rows` as it held every age of a block in one
     closure buffer: blocks of as many whole years as fit in `columns`
-    columns, forces one year a call, one closure and one expectancy call
-    per block over all ages, then the cohort ages' calls."""
+    columns, forces one year a call, one closure per block over all ages,
+    one expectancy call per block and report age, then the cohort ages'
+    calls."""
     probes = project.DEFAULT_PROBES
     span = {a: MAX_AGE - a + 1 for a in config.cohort_ages}
     a0 = config.ages.min_age   # closed curves cover ages a0..120
     n_ages = len(config.ages)
     report_ages = config.report_ages
     report_at = [config.ages.index(age) for age in report_ages]
-    r0 = min(report_ages, default=a0)
     rows = len(paths.K[gender])
     n_years = len(paths.years)
     per_block = max(1, min(n_years, columns // rows))
@@ -611,9 +611,9 @@ def full_age_life_table_rows(config, params, paths, gender, columns=2048):
         table[0] = paths.K[gender][:, first:last].T.ravel()
         table[1] = paths.kappa[gender][:, first:last].T.ravel()
         table[2:2 + len(report_ages)] = -np.expm1(-mu.T[report_at])
-        if report_ages:
-            table[2 + len(report_ages):] = project.period_life_expectancy(
-                mu_cl[:, r0 - a0:], report_ages).T
+        for k, age in enumerate(report_ages):
+            table[2 + len(report_ages) + k] = project.period_life_expectancy(
+                mu_cl[:, age - a0:], age)
         for j, cols in years:
             for age, width in span.items():
                 if j < width:

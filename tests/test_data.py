@@ -190,6 +190,25 @@ class TestWeeklyCsv:
         else:
             assert load_weekly_csv(path, "STMF").death_rates[AgeBucket(0, 14)][2] == rate
 
+    @pytest.mark.parametrize("weeks, deaths, message", [
+        (51, "10", "week count must be 52 or 53, got 51"),
+        (54, "10", "week count must be 52 or 53, got 54"),
+        (52, "-10", "negative deaths in bucket 0-14"),
+    ])
+    def test_a_refused_series_names_its_file(self, tmp_path, weeks, deaths, message):
+        # The rows of weeks 1..`weeks` of a 53-week file, week 54 a copy of
+        # week 53; the first row (0-14, week 1) gets `deaths`.
+        path = tmp_path / "stmf.csv"
+        write_weekly_csv(path, [weekly_stmf(weeks=53)], "STMF")
+        header, *lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        rows = [f for f in rows if int(f[2]) <= weeks] + [
+            f[:2] + ["54"] + f[3:] for f in rows if weeks == 54 and f[2] == "53"]
+        rows[0][5] = deaths
+        path.write_text("\n".join([header] + [",".join(f) for f in rows]) + "\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: {message}")):
+            load_weekly_csv(path, "STMF")
+
     def test_eurow_roundtrip(self, tmp_path):
         series = weekly_eurow()
         path = tmp_path / "eurow.csv"

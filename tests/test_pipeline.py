@@ -1027,7 +1027,8 @@ def unit_configs(draw):
     rows = draw(st.integers(2, 9))
     youngest = min(cohort_ages, default=project.MAX_AGE - 3)
     n_years = draw(st.integers(project.MAX_AGE + 1 - youngest, project.MAX_AGE + 3 - youngest))
-    per_block = draw(st.sampled_from([1, 2, draw(st.integers(3, n_years)), n_years]))
+    per_block = draw(st.sampled_from([1, 2, draw(st.integers(min(3, n_years), n_years)),
+                                      n_years]))
     budget = per_block * rows + draw(st.integers(0, rows - 1))
     config = SimpleNamespace(ages=AgeRange(min_age, max_age), report_ages=report_ages,
                              cohort_ages=cohort_ages)

@@ -391,7 +391,7 @@ class TestKannistoClosure:
         with pytest.raises(ValidationError, match="ends at 85"):
             kannisto_close(np.full(86, 0.01), forces=True)
 
-    @pytest.mark.parametrize("ages_lo", [81, 85, 90])
+    @pytest.mark.parametrize("ages_lo", [-1, 81, 85, 90])
     def test_requires_ages_from_80(self, ages_lo):
         mu = np.full((5, 91 - ages_lo), 0.1)
         with pytest.raises(ValidationError, match=f"fit ages 80..90, input starts at {ages_lo}"):
@@ -500,7 +500,8 @@ class TestLifeExpectancy:
                        [3.0, 700.0, np.inf, -0.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = project._expectancy_kernel(mu.reshape(1, 2, 4))[0]
+            got = project._expectancy_kernel(mu.reshape(1, 2, 4).copy(), None,
+                                             np.empty(mu.size))[0]
         np.testing.assert_array_equal(got, masked_year_fraction(mu))
         assert got[0, 0] == got[1, 3] == 1.0 and got[1, 2] == 0.0
 
@@ -516,7 +517,8 @@ class TestLifeExpectancy:
         for forces in (zero_free, mu):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = project._expectancy_kernel(forces)
+                got = project._expectancy_kernel(forces.copy(), None,
+                                                 np.empty(forces.size))
             # The survival factor 1 + expm1(-mu) may differ from exp(-mu)
             # in the last bit.
             assert relative_error(got, negate_twice_expectancy_kernel(forces)) < 1e-12
@@ -533,7 +535,7 @@ class TestLifeExpectancy:
         mu[::5, 6] = np.inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = project._expectancy_kernel(mu)
+            got = project._expectancy_kernel(mu.copy(), None, np.empty(mu.size))
         want = exp_survival_expectancy_kernel(mu)
         assert np.all(np.isfinite(got))
         assert relative_error(got, want) < 1e-12
@@ -545,7 +547,7 @@ class TestLifeExpectancy:
         mu = np.full((56, 3), 0.01)
         mu[20, 1] = bad
         with pytest.raises(ValidationError, match="nonnegative and not NaN"):
-            project._expectancy_kernel(mu)
+            project._expectancy_kernel(mu, None, np.empty(mu.size))
 
     def test_rejects_truncated_curve(self):
         with pytest.raises(ValidationError, match="56 values"):
@@ -563,7 +565,8 @@ class TestLifeExpectancy:
         with pytest.raises(ValidationError, match="not NaN"):
             period_life_expectancy(mu, 65)
         with pytest.raises(ValidationError, match="not NaN"):
-            period_life_expectancy(mu, (65, 70))
+            period_life_expectancy(np.ascontiguousarray(mu.T).T,
+                                   project.AgeBand(65, None, np.empty(mu.size)))
 
     def test_cohort_rejects_nan_force(self):
         surface = np.full((56, MAX_AGE + 1), 0.01)
@@ -578,21 +581,38 @@ class TestLifeExpectancy:
         assert value == pytest.approx(le_oracle(mu[:10]), rel=1e-14)
         assert period_life_expectancy(np.full(56, np.inf), 65) == 0.0
 
-    def test_ages_tuple_adds_one_column_per_age(self, rng):
-        mu = np.exp(rng.uniform(-8, -0.5, size=(3, 4, 61)))
-        values = period_life_expectancy(mu, (60, 65, 120, 60))
-        assert values.shape == (3, 4, 4)
-        for k, age in enumerate((60, 65, 120, 60)):
-            np.testing.assert_array_equal(
-                values[..., k], period_life_expectancy(mu[..., age - 60:], age))
+    @pytest.mark.parametrize("age", [-1, 121, 65.5, np.float64(65.0), (65, 70), "65"])
+    def test_refuses_an_age_that_is_not_an_integer_in_0_to_120(self, age):
+        with pytest.raises(ValidationError, match="age must be an integer in 0..120"):
+            period_life_expectancy(np.full(122, 0.01), age)
+        with pytest.raises(ValidationError, match="age must be an integer in 0..120"):
+            cohort_life_expectancy(np.full((122, MAX_AGE + 1), 0.01), age)
 
-    def test_ages_tuple_checks_the_curve_and_the_ages(self):
-        with pytest.raises(ValidationError, match="61 values"):
-            period_life_expectancy(np.full(56, 0.01), (65, 60))
-        with pytest.raises(ValidationError, match="one or more ages"):
-            period_life_expectancy(np.full(56, 0.01), ())
-        with pytest.raises(ValidationError, match="one or more ages"):
-            period_life_expectancy(np.full(56, 0.01), (65, 121))
+    def test_numpy_integer_ages_are_ages(self, rng):
+        mu = np.exp(rng.uniform(-7, -0.5, size=(3, 56)))
+        np.testing.assert_array_equal(period_life_expectancy(mu, np.int64(65)),
+                                      period_life_expectancy(mu, 65))
+        surface = np.tile(mu[:, None, :1], (1, 56, MAX_AGE + 1))
+        np.testing.assert_array_equal(cohort_life_expectancy(surface, np.int32(65)),
+                                      cohort_life_expectancy(surface, 65))
+
+    def test_one_age_never_writes_into_its_forces(self, rng):
+        # Ages-major inputs, which the kernel could read in place: a band of
+        # a closure and a diagonal laid out as the life-table unit holds it.
+        closed = kannisto_close(logistic_mu(np.arange(0, 91))
+                                * rng.uniform(0.8, 1.2, size=(7, 1)), forces=True)
+        diag = np.empty((56, 7)).T
+        diag[:] = np.exp(rng.uniform(-7, -0.5, size=(7, 56)))
+        curve = closed[0, 65:].copy()
+        for mu in (closed[:, 65:], diag, curve):
+            assert np.moveaxis(mu, -1, 0).flags.c_contiguous
+            before = mu.copy()
+            period_life_expectancy(mu, 65)
+            np.testing.assert_array_equal(mu, before)
+        surface = np.exp(rng.uniform(-7, -0.5, size=(2, 56, MAX_AGE + 1)))
+        before = surface.copy()
+        cohort_life_expectancy(surface, 65)
+        np.testing.assert_array_equal(surface, before)
 
     def test_cohort_equals_period_on_constant_surface(self, rng):
         curve = np.exp(rng.uniform(-7, -0.5, size=MAX_AGE + 1))
@@ -627,14 +647,14 @@ class TestLifeExpectancy:
 
 
 class TestAgesMajorLayout:
-    """The forces and their closure come back laid out ages-major, so the
-    expectancy kernel reads them in place."""
+    """The forces and their closure come back laid out ages-major, so an
+    age band of them is read in place."""
 
     def test_kernel_reads_forces_without_a_copy(self):
         paths = simulate_period_effects(make_fit(), make_spec(n_paths=6))
         mu = force_paths(tiny_params([-4.0, -3.0]), paths, "F", 2022)
         assert mu.shape == (6, 2)
-        assert np.shares_memory(project._ages_major(mu), mu)
+        assert np.moveaxis(mu, -1, 0).flags.c_contiguous
 
     def test_forces_written_into_a_closure_buffer(self, rng):
         paths = simulate_period_effects(make_fit(), make_spec(n_paths=6))
@@ -671,8 +691,10 @@ class TestAgesMajorLayout:
         mu = logistic_mu(np.arange(0, 91)) * rng.uniform(0.8, 1.2, size=(7, 1))
         closed = kannisto_close(mu, forces=True)
         assert closed.shape == (7, MAX_AGE + 1)
-        assert np.shares_memory(project._ages_major(closed), closed)
-        assert np.shares_memory(project._ages_major(closed[:, 65:]), closed)
+        band = closed[:, 65:]
+        assert np.moveaxis(closed, -1, 0).flags.c_contiguous
+        assert np.moveaxis(band, -1, 0).flags.c_contiguous
+        assert np.shares_memory(band, closed)
 
 
 class TestQuantileSummary:
@@ -694,6 +716,14 @@ class TestQuantileSummary:
             quantile_summary(rng.standard_normal(10), probes=(0.5, 1.5))
 
 
+def one_pass_expectancy(mu, ages):
+    """The kernel over every age of `mu` from min(ages) up, on a C-order
+    ages-major copy; the expectancies at `ages` on a trailing axis."""
+    e = np.moveaxis(mu, -1, 0).copy()
+    project._expectancy_kernel(e, None, np.empty(e.size))
+    return np.moveaxis(e[[a - min(ages) for a in ages]], 0, -1)
+
+
 class TestExpectancyAgainstTheCumsumKernel:
     """The backward recursion against the per-age cumulative-sum kernel it
     replaced, at 1e-12 relative."""
@@ -708,20 +738,25 @@ class TestExpectancyAgainstTheCumsumKernel:
         for _ in range(60):
             ages = tuple(int(a) for a in rng.integers(0, MAX_AGE + 1,
                                                       size=rng.integers(1, 6)))
-            n = MAX_AGE - min(ages) + 1
+            first = min(ages)
+            n = MAX_AGE - first + 1
             lead = tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(0, 3)))
             mu = np.exp(rng.uniform(np.log(1e-9), np.log(3.0), size=lead + (n,)))
-            got = period_life_expectancy(mu, ages)
+            got = one_pass_expectancy(mu, ages)
             assert got.shape == lead + (len(ages),)
             assert relative_error(got, self.per_age(mu, ages)) < 1e-12
-            assert relative_error(period_life_expectancy(mu, min(ages)),
+            # An age's expectancy reads only the forces from that age up.
+            np.testing.assert_array_equal(
+                got, np.stack([period_life_expectancy(mu[..., a - first:], a)
+                               for a in ages], axis=-1))
+            assert relative_error(period_life_expectancy(mu, first),
                                   cumsum_expectancy(mu)) < 1e-12
 
     def test_zero_forces(self):
         mu = np.zeros((7, 56))
         mu[3, 20:] = 0.05
         ages = (65, 80, 120)
-        got = period_life_expectancy(mu, ages)
+        got = one_pass_expectancy(mu, ages)
         assert relative_error(got, self.per_age(mu, ages)) < 1e-12
         np.testing.assert_array_equal(got[0], [56.0, 41.0, 1.0])
 
@@ -730,7 +765,7 @@ class TestExpectancyAgainstTheCumsumKernel:
         mu[:, 100:] = 1e6
         mu[4] = 1e6
         ages = (0, 65, 99, 100, 120)
-        got = period_life_expectancy(mu, ages)
+        got = one_pass_expectancy(mu, ages)
         assert not np.any(np.isnan(got))
         assert relative_error(got, self.per_age(mu, ages)) < 1e-12
 
@@ -796,7 +831,7 @@ class TestOnePassKernels:
         want = np.concatenate([force_paths(params, paths, gender, year)[:, lo:hi + 1]
                                for year in range(2022 - n_years, 2022)])
         assert got.shape == want.shape
-        assert np.shares_memory(project._ages_major(got), got)
+        assert np.moveaxis(got, -1, 0).flags.c_contiguous
         assert relative_error(got, want) < 1e-12
         # Bit-equal wherever the one-year call has two rows or more.
         if len(paths.K[gender]) > 1:
@@ -821,7 +856,7 @@ class TestOnePassKernels:
         mu[:, zeros] = 0.0
         splits = sorted(data.draw(st.sets(st.integers(first + 1, MAX_AGE), max_size=5)))
         edges = [first] + splits + [MAX_AGE + 1]
-        want = period_life_expectancy(mu, tuple(range(first, MAX_AGE + 1)))
+        want = one_pass_expectancy(mu, range(first, MAX_AGE + 1))
         buffer = np.ascontiguousarray(mu.T)   # ages-major, as the bands hold it
         survival = np.empty(buffer.size)
         after = None
@@ -853,6 +888,8 @@ class TestOnePassKernels:
                                    project.AgeBand(111, np.ones(2), survival))
         with pytest.raises(ValidationError, match="laid out ages-major"):
             period_life_expectancy(np.full((2, 10), 0.1), project.AgeBand(111, None, survival))
+        with pytest.raises(ValidationError, match="age must be an integer in 0..120"):
+            period_life_expectancy(np.full((122, 2), 0.1).T, project.AgeBand(-1, None, survival))
 
     @settings(deadline=None)
     @given(st.integers(0, 80), st.integers(0, 3), st.booleans(), st.data())
