@@ -41,7 +41,8 @@ MAX_AGE = 120
 #: Largest central death rate d/E accepted as plausible data.
 RATE_SANITY_BOUND = 5.0
 
-#: Relative tolerance for the weekly identity death_rate * exposure = deaths.
+#: Relative tolerance for the weekly identity death_rate * exposure = deaths,
+#: checked where an STMF file has an exposure column.
 RATE_IDENTITY_RTOL = 1e-6
 
 #: EUROW and STMF weekly deaths agree within CONSISTENCY_SLACK plus
@@ -200,6 +201,7 @@ class BucketedWeeklySeries:
     `exposure_origin` records whether exposures came from an explicit
     column ("column"), were derived as deaths/death_rate ("derived") or,
     in a UK aggregate, came from constituents that differ ("mixed").
+    A series holds no death rates: the loader turns them into exposures.
     """
 
     country: str
@@ -208,7 +210,6 @@ class BucketedWeeklySeries:
     week_count: int
     deaths: dict[AgeBucket, np.ndarray]
     exposures: dict[AgeBucket, np.ndarray] | None = None
-    death_rates: dict[AgeBucket, np.ndarray] | None = None
     exposure_origin: str | None = None
 
     def __post_init__(self):
@@ -217,11 +218,7 @@ class BucketedWeeklySeries:
             raise ValidationError(
                 f"week count must be 52 or 53, got {self.week_count}"
             )
-        for name, table in (
-            ("deaths", self.deaths),
-            ("exposures", self.exposures),
-            ("death_rates", self.death_rates),
-        ):
+        for name, table in (("deaths", self.deaths), ("exposures", self.exposures)):
             if table is None:
                 continue
             for bucket, arr in table.items():
@@ -237,27 +234,6 @@ class BucketedWeeklySeries:
             for bucket, arr in self.exposures.items():
                 if np.any(arr[~np.isnan(arr)] <= 0):
                     raise ValidationError(f"nonpositive exposure in bucket {bucket}")
-        self._check_rate_identity()
-
-    def _check_rate_identity(self):
-        # m * E must reproduce d where all three are present
-        if self.exposures is None or self.death_rates is None:
-            return
-        for bucket in self.deaths:
-            if bucket not in self.exposures or bucket not in self.death_rates:
-                continue
-            d = self.deaths[bucket]
-            e = self.exposures[bucket]
-            m = self.death_rates[bucket]
-            ok = ~(np.isnan(d) | np.isnan(e) | np.isnan(m))
-            err = np.abs(m[ok] * e[ok] - d[ok])
-            bound = RATE_IDENTITY_RTOL * np.maximum(1.0, np.abs(d[ok]))
-            if np.any(err > bound):
-                week = int(np.argmax(err > bound)) + 1
-                raise ValidationError(
-                    f"death_rate * exposure != deaths in bucket {bucket} "
-                    f"(first offending week {week})"
-                )
 
 
 @dataclass(frozen=True)
@@ -675,7 +651,7 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     of genders splits the file in one parse: the result then maps each of
     those genders to its series, and the keys must be unique per gender.
     STMF exposures come from the optional exposure column when present,
-    otherwise from deaths/death_rate for weeks with a positive rate.
+    otherwise from the death rates (`_weekly_series`).
     """
     if source_shape not in WEEKLY_SHAPES:
         raise ValidationError(f"unknown weekly shape {source_shape!r}")
@@ -756,45 +732,67 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
 
 
 def _weekly_series(key, records, source_shape, has_exposure) -> BucketedWeeklySeries:
-    """One series from its (country, year, gender) key and its records."""
+    """One series from its (country, year, gender) key and its records.
+
+    The one place STMF's weekly death rates m are read.  Without an
+    exposure column the exposures are d / m wherever m > 0, and a week
+    with no deaths at rate 0 takes the bucket's first such value; with
+    one, m * E = d is checked once the series has passed its own checks.
+    """
     s_country, s_year, s_gender = key
     week_count = max(week for _, week in records)
     buckets = sorted({bucket for bucket, _ in records})
-
-    deaths = {b: np.full(week_count, np.nan) for b in buckets}
-    rates = {b: np.full(week_count, np.nan) for b in buckets} if source_shape == "STMF" else None
-    exposures = None
-    origin = None
-    if source_shape == "STMF":
-        exposures = {b: np.full(week_count, np.nan) for b in buckets}
-        origin = "column" if has_exposure else "derived"
+    deaths, rates, exposures = ({b: np.full(week_count, np.nan) for b in buckets}
+                                for _ in range(3))
     for (bucket, week), (d, m, e) in records.items():
         deaths[bucket][week - 1] = d
-        if rates is not None and m is not None:
+        if m is not None:
             rates[bucket][week - 1] = m
-        if exposures is not None:
-            if has_exposure:
-                if e is not None:
-                    exposures[bucket][week - 1] = e
-            elif m is not None and m > 0:
-                exposures[bucket][week - 1] = d / m  # from the definition m = d / E
-    return BucketedWeeklySeries(
+        if e is not None:
+            exposures[bucket][week - 1] = e
+    if source_shape == "EUROW":
+        return BucketedWeeklySeries(country=s_country, gender=s_gender, year=s_year,
+                                    week_count=week_count, deaths=deaths)
+    if not has_exposure:
+        for bucket in buckets:
+            d, m, e = deaths[bucket], rates[bucket], exposures[bucket]
+            rated = m > 0
+            e[rated] = d[rated] / m[rated]  # from the definition m = d / E
+            if rated.any():
+                e[(m == 0) & (d == 0)] = e[rated][0]
+    series = BucketedWeeklySeries(
         country=s_country, gender=s_gender, year=s_year, week_count=week_count,
-        deaths=deaths, exposures=exposures, death_rates=rates,
-        exposure_origin=origin,
+        deaths=deaths, exposures=exposures,
+        exposure_origin="column" if has_exposure else "derived",
     )
+    for bucket in buckets if has_exposure else ():
+        d = deaths[bucket]
+        # False in any week that lacks one of the three
+        wrong = np.abs(rates[bucket] * exposures[bucket] - d) \
+            > RATE_IDENTITY_RTOL * np.maximum(1.0, np.abs(d))
+        if wrong.any():
+            raise ValidationError(
+                f"death_rate * exposure != deaths in bucket {bucket} "
+                f"(first offending week {int(np.argmax(wrong)) + 1})"
+            )
+    return series
 
 
 def write_weekly_csv(path, series, source_shape: str):
     """Emit weekly series in STMF or EUROW schema (fixture support): one
-    header, then every series of the sequence `series` in order."""
+    header, then every series of the sequence `series` in order.  STMF
+    rows give the rate deaths / exposure, and the exposure column exactly
+    when the series' exposures came from one (`exposure_origin` "column")."""
     if source_shape not in WEEKLY_SHAPES:
         raise ValidationError(f"unknown weekly shape {source_shape!r}")
-    carried = {source_shape == "STMF" and s.exposures is not None for s in series}
+    stmf = source_shape == "STMF"
+    if stmf and any(s.exposures is None for s in series):
+        raise ValidationError("STMF series need exposures to give their rates")
+    carried = {stmf and s.exposure_origin == "column" for s in series}
     if len(carried) > 1:
         raise ValidationError("weekly series disagree on carrying exposures")
     with_exposure = carried == {True}
-    if source_shape == "STMF":
+    if stmf:
         header = STMF_HEADER + (("exposure",) if with_exposure else ())
     else:
         header = EUROW_HEADER
@@ -807,14 +805,11 @@ def write_weekly_csv(path, series, source_shape: str):
                     d = one.deaths[bucket][week - 1]
                     row = [one.country, one.year, week, one.gender,
                            bucket.label, format(float(d), ".17g")]
-                    if source_shape == "STMF":
-                        if one.death_rates is not None:
-                            m = one.death_rates[bucket][week - 1]
-                        else:
-                            m = d / one.exposures[bucket][week - 1]
+                    if stmf:
+                        e = one.exposures[bucket][week - 1]
+                        m = d / e
                         row.append("" if np.isnan(m) else format(float(m), ".17g"))
                         if with_exposure:
-                            e = one.exposures[bucket][week - 1]
                             row.append(format(float(e), ".17g"))
                     writer.writerow(row)
 
@@ -844,37 +839,19 @@ def annualize_weekly_deaths(series: BucketedWeeklySeries) -> BucketedAnnualSerie
                                 deaths=totals)
 
 
-def _complete_exposures(series: BucketedWeeklySeries) -> dict:
-    """The weekly exposures, refused if a week is missing.  Exposures
-    derived as deaths / rate are known only in weeks with a positive rate:
-    a week with no deaths at rate 0 takes the value of the first such
-    week, and a bucket without one is refused as incomplete."""
-    if series.exposures is None:
-        raise ValidationError(
-            f"{series.country}/{series.gender} {series.year}: series has no exposures"
-        )
-    exposures = dict(series.exposures)
-    if series.exposure_origin == "derived":
-        for bucket, arr in exposures.items():
-            rates, deaths = series.death_rates[bucket], series.deaths[bucket]
-            rated = arr[rates > 0]
-            quiet = np.isnan(arr) & (rates == 0) & (deaths == 0)
-            exposures[bucket] = np.where(quiet, rated[0] if rated.size else np.nan, arr)
-    _require_complete(series, exposures, "exposure")
-    return exposures
-
-
 def annualize_weekly_exposure(series: BucketedWeeklySeries) -> BucketedAnnualSeries:
     """Annual exposure = 52 * the constant weekly exposure, also in 53-week years.
 
     The weekly values must be constant to relative 1e-6; STMF back-derives
     them from a constant annual figure, so any wobble signals broken input.
-    Weeks of derived exposures with no deaths at rate 0 are filled first
-    (`_complete_exposures`).
     """
-    exposures = _complete_exposures(series)
+    if series.exposures is None:
+        raise ValidationError(
+            f"{series.country}/{series.gender} {series.year}: series has no exposures"
+        )
+    _require_complete(series, series.exposures, "exposure")
     totals = {}
-    for bucket, arr in sorted(exposures.items()):
+    for bucket, arr in sorted(series.exposures.items()):
         ref = float(arr[0])
         if np.any(np.abs(arr - ref) > EXPOSURE_CONSTANCY_RTOL * abs(ref)):
             raise ValidationError(
@@ -890,11 +867,9 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
     """Cell-wise sum of Northern Ireland, England & Wales and Scotland.
 
     All constituents must share year, gender, week count and bucket
-    structure, with no missing weeks; a week of derived exposures with no
-    deaths at rate 0 is filled as `annualize_weekly_exposure` fills it.
-    Death rates are recomputed from the summed counts when exposures are
-    available everywhere; the exposures' origin is the constituents' when
-    they all share it, else "mixed".
+    structure, with no missing weeks; their exposures arrive complete from
+    the loader.  The exposures' origin is the constituents' when they all
+    share it, else "mixed".
     """
     series = list(constituents)
     if len(series) < 2:
@@ -909,23 +884,22 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
             raise ValidationError("constituents disagree on bucket structure")
     for s in series:
         _require_complete(s, s.deaths, "deaths")
-    have_exposures = all(s.exposures is not None for s in series)
     deaths = {
         b: np.sum([s.deaths[b] for s in series], axis=0) for b in first.deaths
     }
-    exposures = rates = origin = None
-    if have_exposures:
-        complete = [_complete_exposures(s) for s in series]
+    exposures = origin = None
+    if all(s.exposures is not None for s in series):
+        for s in series:
+            _require_complete(s, s.exposures, "exposure")
         exposures = {
-            b: np.sum([e[b] for e in complete], axis=0) for b in first.deaths
+            b: np.sum([s.exposures[b] for s in series], axis=0) for b in first.deaths
         }
-        rates = {b: deaths[b] / exposures[b] for b in deaths}
         origins = {s.exposure_origin for s in series}
         origin = origins.pop() if len(origins) == 1 else "mixed"
     return BucketedWeeklySeries(
         country=UK_CODE, gender=first.gender, year=first.year,
         week_count=first.week_count, deaths=deaths, exposures=exposures,
-        death_rates=rates, exposure_origin=origin,
+        exposure_origin=origin,
     )
 
 

@@ -244,7 +244,8 @@ def degrade_to_weekly(truth: FixtureTruth, spec: WeeklyDegradation,
 
     Deaths follow the seasonal profile scaled so that the 52/weeks
     annualization rule returns the annual bucket totals exactly; weekly
-    exposures are the constant annual/52 value.
+    exposures are the constant annual/52 value, marked derived unless
+    `exposure_column`, so that an STMF file gives only their rates.
     """
     j = truth.years.index(spec.year)
     d_col = truth.deaths[(spec.country, gender)][:, j] * share
@@ -260,12 +261,10 @@ def degrade_to_weekly(truth: FixtureTruth, spec: WeeklyDegradation,
             week_count=spec.weeks, deaths=deaths,
         )
     exposures = {b: np.full(spec.weeks, e_tot[b] / REGULAR_WEEKS) for b in buckets}
-    rates = {b: deaths[b] / exposures[b] for b in buckets}
     return BucketedWeeklySeries(
         country=country, gender=gender, year=spec.year, week_count=spec.weeks,
-        deaths=deaths, death_rates=rates,
-        exposures=exposures if exposure_column else None,
-        exposure_origin="column" if exposure_column else None,
+        deaths=deaths, exposures=exposures,
+        exposure_origin="column" if exposure_column else "derived",
     )
 
 

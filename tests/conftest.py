@@ -10,18 +10,17 @@ from mortkit.data import (AgeBucket, AgeRange, BucketedWeeklySeries,
 def weekly_stmf(country="BEL", gender="M", year=2020, weeks=52,
                 deaths_per_week=None, weekly_exposure=None,
                 with_exposures=True) -> BucketedWeeklySeries:
-    """Constant-per-week STMF series; deaths/exposures keyed by bucket."""
+    """Constant-per-week STMF series; deaths/exposures keyed by bucket.
+    Without `with_exposures` the exposures are marked derived, so that
+    `write_weekly_csv` writes only their rates."""
     deaths_per_week = deaths_per_week or {b: 10.0 for b in STMF_BUCKETS}
     weekly_exposure = weekly_exposure or {b: 5000.0 for b in STMF_BUCKETS}
     deaths = {b: np.full(weeks, float(v)) for b, v in deaths_per_week.items()}
     exposures = {b: np.full(weeks, float(weekly_exposure[b])) for b in deaths}
-    rates = {b: deaths[b] / exposures[b] for b in deaths}
     return BucketedWeeklySeries(
         country=country, gender=gender, year=year, week_count=weeks,
-        deaths=deaths,
-        exposures=exposures if with_exposures else None,
-        death_rates=rates,
-        exposure_origin="column" if with_exposures else None,
+        deaths=deaths, exposures=exposures,
+        exposure_origin="column" if with_exposures else "derived",
     )
 
 

@@ -188,7 +188,17 @@ class TestWeeklyCsv:
                     "(first offending week 3)")):
                 load_weekly_csv(path, "STMF")
         else:
-            assert load_weekly_csv(path, "STMF").death_rates[AgeBucket(0, 14)][2] == rate
+            assert load_weekly_csv(path, "STMF").exposures[AgeBucket(0, 14)][2] == 5000.0
+
+    def test_rate_identity_names_the_true_week(self, tmp_path):
+        # Week 1 of 0-14 has no rate, so it is not checked; the wrong rate
+        # of week 3 is still named as week 3.
+        path = tmp_path / "stmf.csv"
+        edited_stmf(path, {("0-14", 1): ("10", ""), ("0-14", 3): ("10", "0.003")})
+        with pytest.raises(ValidationError, match=re.escape(
+                "death_rate * exposure != deaths in bucket 0-14 "
+                "(first offending week 3)")):
+            load_weekly_csv(path, "STMF")
 
     @pytest.mark.parametrize("weeks, deaths, message", [
         (51, "10", "week count must be 52 or 53, got 51"),
@@ -246,7 +256,7 @@ class TestWeeklyCsv:
             assert (got.country, got.gender, got.year, got.week_count,
                     got.exposure_origin) == (one.country, one.gender, one.year,
                                              one.week_count, one.exposure_origin)
-            for table in ("deaths", "exposures", "death_rates"):
+            for table in ("deaths", "exposures"):
                 assert list(getattr(got, table)) == list(getattr(one, table))
                 for bucket, values in getattr(one, table).items():
                     np.testing.assert_array_equal(getattr(got, table)[bucket],
@@ -324,7 +334,7 @@ class TestUkAggregation:
         for bucket in STMF_BUCKETS:
             np.testing.assert_allclose(uk.deaths[bucket], 7.0)
             np.testing.assert_allclose(uk.exposures[bucket], 300.0)
-            np.testing.assert_allclose(uk.death_rates[bucket], 7.0 / 300.0)
+        assert uk.exposure_origin == "column"
 
     @staticmethod
     def _derived(tmp_path, country, edits):

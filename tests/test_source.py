@@ -292,7 +292,8 @@ def mislisted_test_only_members(sources: list, program: set, tests: set,
     such member.  Members are matched by name alone, so a program read of
     a same-named attribute of any other object hides a member: a
     `MortalitySurface.death_rates` property that no program code called
-    went unseen, since the program reads the weekly series' `death_rates`."""
+    once went unseen while the program read a weekly series' field of
+    that name."""
     test_only = {f"{node.name}.{name}" for source in sources
                  for node in _classes(source)
                  for name in _methods(node) + _fields(node)
