@@ -98,6 +98,17 @@ def _as(kind, value, key, where):
         raise ConfigError(f"bad value {value!r} for {key!r} in {where}") from exc
 
 
+def check_keys(mapping, keys, where):
+    """Refuse `mapping` unless it is a mapping whose keys are all among
+    `keys`, the ones its reader reads: a misspelt key would otherwise
+    leave its default in force unseen."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in mapping:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in {where}")
+
+
 def _need(mapping, key, where, kind=None):
     if key not in mapping:
         raise ConfigError(f"missing key {key!r} in {where}")
@@ -105,11 +116,17 @@ def _need(mapping, key, where, kind=None):
 
 
 def _year_range(node, where) -> YearRange:
+    check_keys(node, ("first", "last"), where)
     return YearRange(_need(node, "first", where, int), _need(node, "last", where, int))
 
 
 def _parse_source(node, base: Path, index: int) -> SourceDecl:
     where = f"sources[{index}]"
+    check_keys(node, ("shape", "path", "paths", "country", "year", "years",
+                      "quantities"), where)
+    for one, many in (("path", "paths"), ("year", "years")):
+        if one in node and many in node:
+            raise ConfigError(f"{where}: give {one!r} or {many!r}, not both")
     shape = str(_need(node, "shape", where))
     if shape not in INDIVIDUAL_SHAPES + WEEKLY_SHAPES:
         raise ConfigError(f"{where}: unknown shape {shape!r}")
@@ -129,7 +146,7 @@ def _parse_source(node, base: Path, index: int) -> SourceDecl:
         year = _need(node, "year", where, int)
         years = YearRange(year, year)
     else:
-        years = _year_range(_need(node, "years", where), where)
+        years = _year_range(_need(node, "years", where), f"{where}.years")
     quantities = tuple(node.get("quantities", QUANTITIES))
     bad = set(quantities) - set(QUANTITIES)
     if bad or not quantities:
@@ -191,12 +208,16 @@ def load_run_config(path) -> RunConfig:
 
 
 def build_run_config(doc: dict, base: Path) -> RunConfig:
+    check_keys(doc, ("country_of_interest", "common_pool", "ages", "years", "sources",
+                     "ungrouping", "method", "simulation", "report", "output_dir"),
+               "config")
     country = str(_need(doc, "country_of_interest", "config"))
     pool = tuple(str(c) for c in _need(doc, "common_pool", "config"))
     if not pool:
         raise ConfigError("common_pool must not be empty")
 
     ages_node = _need(doc, "ages", "config")
+    check_keys(ages_node, ("min", "max"), "ages")
     ages = AgeRange(_need(ages_node, "min", "ages", int),
                     _need(ages_node, "max", "ages", int))
     if not (ages.min_age <= KANNISTO_FIT_LO and KANNISTO_FIT_HI <= ages.max_age):
@@ -207,6 +228,7 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         raise ConfigError("calibration window must span at least three years")
 
     sources_node = _need(doc, "sources", "config")
+    check_keys(sources_node, ("individual", "weekly"), "sources")
     individual = []
     weekly = []
     all_nodes = list(sources_node.get("individual", ())) \
@@ -219,8 +241,12 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
                           f"..{UNGROUPING_AGES.max_age} age range")
 
     ung = doc.get("ungrouping", {}) or {}
+    check_keys(ung, ("aux_start_year", "aux_pool", "death_allocation_rate",
+                     "reference_year"), "ungrouping")
+    run_countries = pool + (country,)
     raw_start = ung.get("aux_start_year", years.first)
     if isinstance(raw_start, dict):
+        check_keys(raw_start, run_countries + ("default",), "ungrouping.aux_start_year")
         aux_start = {str(k): _as(int, v, str(k), "ungrouping.aux_start_year")
                      for k, v in raw_start.items()}
         aux_start.setdefault("default", years.first)
@@ -228,15 +254,20 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         aux_start = {"default": _as(int, raw_start, "aux_start_year", "ungrouping")}
     aux_pool = tuple(str(c) for c in ung.get("aux_pool", pool))
     rates = dict(DEATH_ALLOCATION_RATE)
-    rates.update({str(k): _as(float, v, str(k), "ungrouping.death_allocation_rate")
-                  for k, v in (ung.get("death_allocation_rate", {}) or {}).items()})
+    raw_rates = ung.get("death_allocation_rate", {}) or {}
+    check_keys(raw_rates, tuple(rates), "ungrouping.death_allocation_rate")
+    rates.update({k: _as(float, v, k, "ungrouping.death_allocation_rate")
+                  for k, v in raw_rates.items()})
     for gender, rate in rates.items():
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"death allocation rate for {gender} outside (0, 1]")
-    reference_year = {str(k): _as(int, v, str(k), "ungrouping.reference_year")
-                      for k, v in (ung.get("reference_year", {}) or {}).items()}
+    raw_reference = ung.get("reference_year", {}) or {}
+    check_keys(raw_reference, run_countries, "ungrouping.reference_year")
+    reference_year = {k: _as(int, v, k, "ungrouping.reference_year")
+                      for k, v in raw_reference.items()}
 
     method_node = _need(doc, "method", "config")
+    check_keys(method_node, ("kind", "grid"), "method")
     kind = str(_need(method_node, "kind", "method")).upper()
     if kind not in METHOD_KINDS:
         raise ConfigError(f"method kind must be one of {METHOD_KINDS}, got {kind!r}")
@@ -250,6 +281,7 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         raise ConfigError("method grid values must be distinct")
 
     sim = _need(doc, "simulation", "config")
+    check_keys(sim, ("n_paths", "horizon", "seed"), "simulation")
     n_paths = _need(sim, "n_paths", "simulation", int)
     horizon = _need(sim, "horizon", "simulation", int)
     seed = _need(sim, "seed", "simulation", int)
@@ -259,6 +291,7 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         raise ConfigError("n_paths must be >= 1")
 
     report = doc.get("report", {}) or {}
+    check_keys(report, ("ages", "cohort_ages"), "report")
     report_ages = tuple(_as(int, a, "ages", "report")
                         for a in report.get("ages", (0, 65)))
     cohort_ages = tuple(_as(int, a, "cohort_ages", "report")

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import WEIGHTED_LIKELIHOOD
+from .config import WEIGHTED_LIKELIHOOD, check_keys
 from .data import (AgeRange, BucketedWeeklySeries, EUROW_BUCKETS, GENDERS, MAX_AGE,
                    REGULAR_WEEKS, STMF_BUCKETS, YearRange,
                    write_individual_age_csv, write_weekly_csv)
@@ -88,6 +88,11 @@ def load_fixture_params(path) -> FixtureParams:
 
 
 def fixture_params_from_doc(doc: dict) -> FixtureParams:
+    check_keys(doc, ("countries", "country_of_interest", "country_scale", "ages",
+                     "years", "base_exposure", "sigma_K", "sigma_kappa", "alpha_scale",
+                     "seed", "n_paths", "sim_seed", "theta", "phi", "ar_intercept",
+                     "horizon", "shock", "stmf_exposure_column", "report_ages",
+                     "cohort_ages", "method", "weekly"), "fixture params")
     kwargs = {}
     if "countries" in doc:
         kwargs["countries"] = tuple(str(c) for c in doc["countries"])
@@ -97,8 +102,10 @@ def fixture_params_from_doc(doc: dict) -> FixtureParams:
         kwargs["country_scale"] = {str(k): float(v)
                                    for k, v in doc["country_scale"].items()}
     if "ages" in doc:
+        check_keys(doc["ages"], ("min", "max"), "fixture params.ages")
         kwargs["ages"] = AgeRange(int(doc["ages"]["min"]), int(doc["ages"]["max"]))
     if "years" in doc:
+        check_keys(doc["years"], ("first", "last"), "fixture params.years")
         kwargs["years"] = YearRange(int(doc["years"]["first"]),
                                     int(doc["years"]["last"]))
     for key in ("base_exposure", "sigma_K", "sigma_kappa", "alpha_scale"):
@@ -109,11 +116,13 @@ def fixture_params_from_doc(doc: dict) -> FixtureParams:
             kwargs[key] = int(doc[key])
     for key in ("theta", "phi", "ar_intercept"):
         if key in doc:
-            kwargs[key] = {str(g): float(v) for g, v in doc[key].items()}
+            check_keys(doc[key], GENDERS, f"fixture params.{key}")
+            kwargs[key] = {g: float(v) for g, v in doc[key].items()}
     if "horizon" in doc and doc["horizon"] is not None:
         kwargs["horizon"] = int(doc["horizon"])
     if "shock" in doc and doc["shock"]:
         node = doc["shock"]
+        check_keys(node, ("year", "log_factor", "min_age"), "fixture params.shock")
         kwargs["shock"] = {"year": int(node["year"]),
                            "log_factor": float(node["log_factor"]),
                            "min_age": int(node.get("min_age", 0))}
@@ -125,12 +134,15 @@ def fixture_params_from_doc(doc: dict) -> FixtureParams:
         kwargs["cohort_ages"] = tuple(int(a) for a in doc["cohort_ages"])
     if "method" in doc:
         node = doc["method"]
+        check_keys(node, ("kind", "grid"), "fixture params.method")
         if "kind" in node:
             kwargs["method_kind"] = str(node["kind"])
         if "grid" in node:
             kwargs["method_grid"] = tuple(float(v) for v in node["grid"])
     weekly = []
-    for node in doc.get("weekly", ()):
+    for i, node in enumerate(doc.get("weekly", ())):
+        check_keys(node, ("country", "year", "shapes", "weeks", "constituents"),
+                   f"fixture params.weekly[{i}]")
         weekly.append(WeeklyDegradation(
             country=str(node["country"]), year=int(node["year"]),
             shapes=tuple(node.get("shapes", ("STMF", "EUROW"))),

@@ -383,6 +383,154 @@ class TestRunConfig:
         assert config.seed == 1
 
 
+def misspelt(path, key, value):
+    """An edit of `base_doc()` that sets `key` to `value` at `path`, a
+    tuple of keys and list indices below the document."""
+    def edit(doc):
+        node = doc
+        for step in path:
+            node = node.setdefault(step, {}) if isinstance(step, str) else node[step]
+        node[key] = value
+    return edit
+
+
+class TestUnreadKeys:
+    """Every mapping of a run config and of fixture params is refused when
+    it holds a key its reader does not read, naming the key and where."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (misspelt(("ungrouping",), "death_alocation_rate", {"M": 0.3}),
+         "unknown key 'death_alocation_rate' in ungrouping"),
+        (misspelt((), "reprot", {"ages": [0]}), "unknown key 'reprot' in config"),
+        (misspelt(("simulation",), "n_path", 10), "unknown key 'n_path' in simulation"),
+        (misspelt(("ages",), "mx", 90), "unknown key 'mx' in ages"),
+        (misspelt(("years",), "frist", 2010), "unknown key 'frist' in years"),
+        (misspelt(("sources",), "indvidual", []), "unknown key 'indvidual' in sources"),
+        (misspelt(("sources", "individual", 1), "quantity", ["deaths"]),
+         "unknown key 'quantity' in sources[1]"),
+        (misspelt(("sources", "individual", 0, "years"), "lst", 2020),
+         "unknown key 'lst' in sources[0].years"),
+        (misspelt(("sources", "individual", 0), "paths", ["data/AAA.csv"]),
+         "sources[0]: give 'path' or 'paths', not both"),
+        (misspelt(("sources", "individual", 0), "year", 2010),
+         "sources[0]: give 'year' or 'years', not both"),
+        (misspelt(("method",), "grids", [1.0]), "unknown key 'grids' in method"),
+        (misspelt(("report",), "cohort_age", [65]), "unknown key 'cohort_age' in report"),
+        (misspelt(("ungrouping", "death_allocation_rate"), "m", 0.3),
+         "unknown key 'm' in ungrouping.death_allocation_rate"),
+        (misspelt(("ungrouping", "reference_year"), "ZZZ", 2015),
+         "unknown key 'ZZZ' in ungrouping.reference_year"),
+        (misspelt(("ungrouping", "aux_start_year"), "ZZZ", 2012),
+         "unknown key 'ZZZ' in ungrouping.aux_start_year"),
+        (misspelt((), "ungrouping", ["aux_pool"]), "ungrouping must be a mapping"),
+    ], ids=["death_alocation_rate", "reprot", "n_path", "ages", "years", "sources",
+            "source", "source-years", "path-and-paths", "year-and-years", "method",
+            "report", "rate-gender", "reference-country", "aux-start-country",
+            "not-a-mapping"])
+    def test_run_config_refuses_an_unread_key(self, tmp_path, edit, message):
+        doc = base_doc()
+        edit(doc)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            load_doc(tmp_path, doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (misspelt(("ungrouping",), "death_alocation_rate", {"M": 0.3}),
+         "unknown key 'death_alocation_rate' in ungrouping"),
+        (misspelt((), "reprot", {"ages": [0]}), "unknown key 'reprot' in config"),
+        (misspelt(("simulation",), "n_path", 10), "unknown key 'n_path' in simulation"),
+    ], ids=["death_alocation_rate", "reprot", "n_path"])
+    def test_run_prints_the_unread_key_on_one_line(self, tmp_path, edit, message):
+        doc = base_doc()
+        edit(doc)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert_run_fails_on_one_line(config, message)
+
+    def test_every_key_read_is_accepted(self, tmp_path):
+        # AAA's first year as a one-year `year` declaration of a `paths`
+        # list, next to the `path` and `years` forms.
+        doc = base_doc()
+        aaa = doc["sources"]["individual"][0]
+        doc["sources"]["individual"].append({**aaa, "years": {"first": 2011,
+                                                              "last": 2020}})
+        del aaa["path"], aaa["years"]
+        aaa.update(paths=["data/AAA.csv"], year=2010)
+        doc["ungrouping"] = {"aux_start_year": {"default": 2011, "BBB": 2012},
+                             "aux_pool": ["AAA"],
+                             "death_allocation_rate": {"M": 0.3, "F": 0.25},
+                             "reference_year": {"AAA": 2015}}
+        doc["output_dir"] = "elsewhere"
+        config = load_doc(tmp_path, doc)
+        assert config.individual_sources[0].years == YearRange(2010, 2010)
+        assert config.aux_start_year == {"default": 2011, "BBB": 2012}
+        assert config.aux_pool == ("AAA",)
+        assert config.death_allocation_rate == {"M": 0.3, "F": 0.25}
+        assert config.reference_year == {"AAA": 2015}
+        assert config.output_dir == tmp_path / "elsewhere"
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"n_path": 10}, "unknown key 'n_path' in fixture params"),
+        ({"ages": {"min": 0, "mx": 90}}, "unknown key 'mx' in fixture params.ages"),
+        ({"years": {"first": 2000, "lst": 2019}},
+         "unknown key 'lst' in fixture params.years"),
+        ({"theta": {"M": -0.2, "f": -0.1}}, "unknown key 'f' in fixture params.theta"),
+        ({"shock": {"year": 2010, "log_factor": 0.1, "min_ages": 60}},
+         "unknown key 'min_ages' in fixture params.shock"),
+        ({"method": {"grid": [1.0], "knd": "WEIGHTED_LIKELIHOOD"}},
+         "unknown key 'knd' in fixture params.method"),
+        ({"weekly": [{"country": "AAA", "year": 2019},
+                     {"country": "BBB", "year": 2019, "week": 53}]},
+         "unknown key 'week' in fixture params.weekly[1]"),
+    ], ids=["n_path", "ages", "years", "theta", "shock", "method", "weekly"])
+    def test_fixture_params_refuse_an_unread_key(self, doc, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            fixture_params_from_doc(doc)
+
+    def test_fixture_prints_the_unread_key_on_one_line(self, tmp_path):
+        params = tmp_path / "params.yaml"
+        params.write_text("n_path: 10\n")
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                "from mortkit.cli import main; sys.exit(main(sys.argv[2:]))")
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(Path(__file__).resolve().parents[1] / "src"),
+             "fixture", "--params", str(params), "--out", str(tmp_path / "world")],
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.splitlines() == [
+            "error: unknown key 'n_path' in fixture params"]
+        assert not (tmp_path / "world").exists()
+
+    def test_every_fixture_key_read_is_accepted(self):
+        doc = {"countries": ["AAA", "BBB"], "country_of_interest": "BBB",
+               "country_scale": {"BBB": 0.5}, "ages": {"min": 0, "max": 90},
+               "years": {"first": 2001, "last": 2019}, "base_exposure": 4e4,
+               "sigma_K": 0.1, "sigma_kappa": 0.05, "alpha_scale": 0.04, "seed": 3,
+               "n_paths": 20, "sim_seed": 4, "theta": {"M": -0.1, "F": -0.2},
+               "phi": {"M": 0.9, "F": 0.8}, "ar_intercept": {"M": 0.01, "F": 0.02},
+               "horizon": 2040, "shock": {"year": 2010, "log_factor": 0.1,
+                                          "min_age": 60},
+               "stmf_exposure_column": False, "report_ages": [65],
+               "cohort_ages": [], "method": {"kind": "ADJUSTED_LEE_MILLER",
+                                             "grid": [1.0]},
+               "weekly": [{"country": "AAA", "year": 2019, "shapes": ["STMF"],
+                           "weeks": 53, "constituents": {}}]}
+        params = fixture_params_from_doc(doc)
+        assert (params.country_of_interest, params.n_paths, params.horizon,
+                params.stmf_exposure_column, params.method_grid) == \
+            ("BBB", 20, 2040, False, (1.0,))
+        assert params.weekly[0].weeks == 53
+
+    @pytest.mark.parametrize("world", sorted(p.stem for p in BENCH_WORLDS.glob("*.yaml")))
+    def test_bench_worlds_load_under_the_strict_readers(self, world, tmp_path):
+        # A misspelt key in a benchmark world would otherwise change its
+        # workload unseen.
+        doc = yaml.safe_load((BENCH_WORLDS / f"{world}.yaml").read_text())
+        params = fixture_params_from_doc(doc["fixture"])
+        config = load_run_config(make_synthetic_fixture(params, tmp_path)["config"])
+        assert (config.n_paths, config.method_grid) == (params.n_paths,
+                                                        params.method_grid)
+
+
 # ---------------------------------------------------------------------------
 # Fixture bundles
 # ---------------------------------------------------------------------------
