@@ -466,6 +466,24 @@ def _publish(out_dir: Path, writers: dict):
             path.unlink(missing_ok=True)
 
 
+def _remove_stale(out_dir: Path, results):
+    """Delete each scenario file that the report in `out_dir` lists and
+    `results` did not write, so that the directory holds only what the
+    next report lists.  Only a plain file name naming a file counts, and
+    a missing or unreadable report deletes nothing."""
+    try:
+        previous = json.loads((out_dir / "report.json").read_text())
+        listed = {name for scenario in previous["scenarios"]
+                  for name in scenario["files"].values()}
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return
+    written = {name for scenario in results for name in scenario.files.values()}
+    for name in listed - written:
+        path = out_dir / str(name)
+        if path.name == name and path.is_file():
+            path.unlink(missing_ok=True)
+
+
 def _write_json(path, blob, **options):
     with Path(path).open("w") as handle:
         json.dump(blob, handle, indent=2, **options)
@@ -668,7 +686,8 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     timings["scenario_seconds"] = {s.label: s.elapsed for s in results}
     timings["scenario_layers"] = {s.label: s.layers for s in results}
     # The report is moved into place last: once it is on disk, so is every
-    # file it hashes.
+    # file it hashes, and no file the previous report listed remains.
+    _remove_stale(out_dir, results)
     _publish(out_dir, {
         "timings.json": lambda path: _write_json(path, timings),
         "report.json": lambda path: _write_json(path, report.to_json(),

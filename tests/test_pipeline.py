@@ -1,6 +1,7 @@
 """Config validation, fixture bundles, pipeline orchestration and the CLI."""
 import copy
 import hashlib
+import importlib.util
 import json
 import re
 import shutil
@@ -1422,6 +1423,68 @@ class TestScenarioIsolation:
         assert "score_norm" not in blob
 
 
+def files_beside_the_report(out):
+    """The names in `out` and the names its report lists, plus the report
+    and the timings sidecar."""
+    report = json.loads((out / "report.json").read_text())
+    listed = [name for scenario in report["scenarios"]
+              for name in scenario["files"].values()]
+    return (sorted(p.name for p in out.iterdir()),
+            sorted(listed + ["report.json", "timings.json"]))
+
+
+class TestStaleOutputs:
+    """A rerun removes the scenario files the previous report listed and it
+    did not write, and nothing else."""
+
+    @staticmethod
+    def _run(small_bundle, out, grid, calibrate=None):
+        root, _ = small_bundle
+        config = load_run_config(root / "config.yaml")
+        config = replace(config, method_kind="ADJUSTED_LEE_MILLER",
+                         method_grid=tuple(grid), output_dir=out)
+        with ExitStack() as stack:
+            if calibrate is not None:
+                stack.enter_context(mock.patch.object(lilee, "calibrate_dataset",
+                                                      calibrate))
+            return quiet_run(config)
+
+    def test_a_smaller_grid_leaves_only_its_files(self, small_bundle, tmp_path):
+        out = tmp_path / "out"
+        assert self._run(small_bundle, out, [1.0, 0.5, 0.0]).all_ok
+        (out / "notes.txt").write_text("kept\n")
+        assert self._run(small_bundle, out, [1.0]).all_ok
+        on_disk, listed = files_beside_the_report(out)
+        assert on_disk == sorted(listed + ["notes.txt"])
+        assert len(listed) == 5
+
+    def test_a_failed_fit_leaves_none_of_its_old_files(self, small_bundle, tmp_path):
+        out = tmp_path / "out"
+        assert self._run(small_bundle, out, [1.0, 0.0]).all_ok
+        real = lilee.calibrate_dataset
+
+        def calibrate(dataset, country, blend=None):
+            if blend == 0.0:
+                raise ValidationError("injected w0 fit failure")
+            return real(dataset, country, blend)
+
+        report = self._run(small_bundle, out, [1.0, 0.0], calibrate)
+        assert [s.status for s in report.scenarios] == ["ok", "failed"]
+        on_disk, listed = files_beside_the_report(out)
+        assert on_disk == listed
+        assert not any("alm0." in name for name in on_disk)
+
+    @pytest.mark.parametrize("previous", ["{not json", '{"scenarios": 3}'])
+    def test_an_unreadable_report_removes_nothing(self, small_bundle, tmp_path,
+                                                  previous):
+        out = tmp_path / "out"
+        assert self._run(small_bundle, out, [1.0, 0.0]).all_ok
+        before = sorted(p.name for p in out.iterdir())
+        (out / "report.json").write_text(previous)
+        assert self._run(small_bundle, out, [1.0]).all_ok
+        assert sorted(p.name for p in out.iterdir()) == before
+
+
 # ---------------------------------------------------------------------------
 # Work units: a fit unit per scenario, a life-table unit per (scenario, gender)
 # ---------------------------------------------------------------------------
@@ -1855,3 +1918,64 @@ class TestTracerContract:
                                str(root / "src")], capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+# ---------------------------------------------------------------------------
+# The benchmark's independent oracle
+# ---------------------------------------------------------------------------
+
+def bench_checks():
+    """bench/checks.py, loaded from bench/ as the benchmark loads it."""
+    path = BENCH_WORLDS.parent / "checks.py"
+    spec = importlib.util.spec_from_file_location("checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def curtate_kernel(mu, after, survival):
+    """`project._expectancy_kernel` without the year fraction: the year of
+    death counts for nothing, e_x = s_x (1 + e_(x+1)), about half a year
+    short."""
+    survival = np.exp(-mu)
+    ahead = np.zeros(mu.shape[1:]) if after is None else np.reshape(after, mu.shape[1:])
+    for x in range(len(mu) - 1, -1, -1):
+        mu[x] = survival[x] * (1.0 + ahead)
+        ahead = mu[x]
+    return mu
+
+
+@pytest.fixture(scope="module")
+def oracle_world(tmp_path_factory):
+    """A small world with a period and a cohort expectancy, whose w0 fit
+    has enough years to succeed."""
+    root = tmp_path_factory.mktemp("oracle")
+    make_synthetic_fixture(FixtureParams(
+        countries=("AAA", "BBB"), ages=AgeRange(60, 90), years=YearRange(2007, 2020),
+        n_paths=100, report_ages=(65, 85), cohort_ages=(65,)), root)
+    return root / "config.yaml"
+
+
+class TestIndependentOracle:
+    """bench/checks.check_projection recomputes every fan chart from the
+    run's own params and tsfit files with code that shares nothing with
+    mortkit.  It skips failed scenarios, so each run is first checked to
+    be all ok."""
+
+    @staticmethod
+    def _problems(config_path, out):
+        config = load_run_config(config_path).with_overrides(output_dir=out)
+        report = quiet_run(config)
+        assert [s.status for s in report.scenarios] == ["ok", "ok"]
+        return bench_checks().check_projection(out, config_path, seed=5)
+
+    def test_the_pipeline_passes_the_oracle(self, oracle_world, tmp_path):
+        assert self._problems(oracle_world, tmp_path / "out") == []
+
+    def test_an_expectancy_without_the_year_fraction_fails_it(self, oracle_world,
+                                                              tmp_path):
+        with mock.patch.object(project, "_expectancy_kernel", curtate_kernel):
+            problems = self._problems(oracle_world, tmp_path / "out")
+        best = [problem.split(":")[0] for problem in problems
+                if "best rows differ from the oracle's central path" in problem]
+        assert best == ["w1", "w0"]
