@@ -765,16 +765,17 @@ def _weekly_series(key, records, source_shape, has_exposure) -> BucketedWeeklySe
         deaths=deaths, exposures=exposures,
         exposure_origin="column" if has_exposure else "derived",
     )
-    for bucket in buckets if has_exposure else ():
-        d = deaths[bucket]
-        # False in any week that lacks one of the three
-        wrong = np.abs(rates[bucket] * exposures[bucket] - d) \
-            > RATE_IDENTITY_RTOL * np.maximum(1.0, np.abs(d))
-        if wrong.any():
-            raise ValidationError(
-                f"death_rate * exposure != deaths in bucket {bucket} "
-                f"(first offending week {int(np.argmax(wrong)) + 1})"
-            )
+    if has_exposure:
+        for bucket in buckets:
+            d = deaths[bucket]
+            # False in any week that lacks one of the three
+            wrong = np.abs(rates[bucket] * exposures[bucket] - d) \
+                > RATE_IDENTITY_RTOL * np.maximum(1.0, np.abs(d))
+            if wrong.any():
+                raise ValidationError(
+                    f"death_rate * exposure != deaths in bucket {bucket} "
+                    f"(first offending week {int(np.argmax(wrong)) + 1})"
+                )
     return series
 
 
@@ -786,8 +787,6 @@ def write_weekly_csv(path, series, source_shape: str):
     if source_shape not in WEEKLY_SHAPES:
         raise ValidationError(f"unknown weekly shape {source_shape!r}")
     stmf = source_shape == "STMF"
-    if stmf and any(s.exposures is None for s in series):
-        raise ValidationError("STMF series need exposures to give their rates")
     carried = {stmf and s.exposure_origin == "column" for s in series}
     if len(carried) > 1:
         raise ValidationError("weekly series disagree on carrying exposures")

@@ -99,8 +99,9 @@ def fixture_params_from_doc(doc: dict) -> FixtureParams:
     if "country_of_interest" in doc:
         kwargs["country_of_interest"] = str(doc["country_of_interest"])
     if "country_scale" in doc:
-        kwargs["country_scale"] = {str(k): float(v)
-                                   for k, v in doc["country_scale"].items()}
+        check_keys(doc["country_scale"], kwargs.get("countries", FixtureParams.countries),
+                   "fixture params.country_scale")
+        kwargs["country_scale"] = {k: float(v) for k, v in doc["country_scale"].items()}
     if "ages" in doc:
         check_keys(doc["ages"], ("min", "max"), "fixture params.ages")
         kwargs["ages"] = AgeRange(int(doc["ages"]["min"]), int(doc["ages"]["max"]))

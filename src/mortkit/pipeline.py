@@ -686,7 +686,7 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     timings["scenario_seconds"] = {s.label: s.elapsed for s in results}
     timings["scenario_layers"] = {s.label: s.layers for s in results}
     # The report is moved into place last: once it is on disk, so is every
-    # file it hashes, and no file the previous report listed remains.
+    # file it hashes, and no file that only the previous report listed.
     _remove_stale(out_dir, results)
     _publish(out_dir, {
         "timings.json": lambda path: _write_json(path, timings),

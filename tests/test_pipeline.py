@@ -475,6 +475,8 @@ class TestUnreadKeys:
         ({"years": {"first": 2000, "lst": 2019}},
          "unknown key 'lst' in fixture params.years"),
         ({"theta": {"M": -0.2, "f": -0.1}}, "unknown key 'f' in fixture params.theta"),
+        ({"countries": ["AAA", "CCC"], "country_scale": {"BBB": 0.5}},
+         "unknown key 'BBB' in fixture params.country_scale"),
         ({"shock": {"year": 2010, "log_factor": 0.1, "min_ages": 60}},
          "unknown key 'min_ages' in fixture params.shock"),
         ({"method": {"grid": [1.0], "knd": "WEIGHTED_LIKELIHOOD"}},
@@ -482,7 +484,8 @@ class TestUnreadKeys:
         ({"weekly": [{"country": "AAA", "year": 2019},
                      {"country": "BBB", "year": 2019, "week": 53}]},
          "unknown key 'week' in fixture params.weekly[1]"),
-    ], ids=["n_path", "ages", "years", "theta", "shock", "method", "weekly"])
+    ], ids=["n_path", "ages", "years", "theta", "country_scale", "shock", "method",
+            "weekly"])
     def test_fixture_params_refuse_an_unread_key(self, doc, message):
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             fixture_params_from_doc(doc)
