@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .config import load_run_config
-from .errors import MortkitError
+from .errors import MortkitError, ValidationError
 from .fixture import FixtureParams, load_fixture_params, make_synthetic_fixture
 from .pipeline import diff_reports, run_pipeline
 
@@ -76,11 +76,28 @@ def _cmd_fixture(args) -> int:
     return 0
 
 
+def _read_report(path) -> dict:
+    """The run report at `path`, refused naming the file unless it is a
+    JSON object whose scenarios hold numbers wherever `diff` subtracts."""
+    try:
+        report = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValidationError(f"{path}: not JSON: {exc}") from exc
+    scenarios = report.get("scenarios", []) if isinstance(report, dict) else None
+    if not (isinstance(scenarios, list) and all(isinstance(s, dict) for s in scenarios)):
+        raise ValidationError(f"{path}: not a run report")
+    for scenario in scenarios:
+        params = scenario.get("ts_params") or {}
+        if not (isinstance(params, dict) and all(
+                isinstance(value, (int, float))
+                for value in (scenario.get("loglik", 0.0), *params.values()))):
+            raise ValidationError(f"{path}: scenario {scenario.get('label')!r} "
+                                  f"has a non-numeric loglik or ts_params value")
+    return report
+
+
 def _cmd_diff(args) -> int:
-    with Path(args.report_a).open() as handle:
-        a = json.load(handle)
-    with Path(args.report_b).open() as handle:
-        b = json.load(handle)
+    a, b = _read_report(args.report_a), _read_report(args.report_b)
     print(json.dumps(diff_reports(a, b, dict(args.pair)), indent=2, sort_keys=True))
     return 0
 

@@ -6,6 +6,8 @@ quantity) source matrix, the method grid, the simulation spec and the
 output directory.  Sources are declared for run countries only, one per
 (country, year, quantity) and one weekly declaration per (country, year, shape);
 overlap, window gaps and a repeated weekly shape are refused up front.
+`load_yaml` and `read_section` read both YAML documents, the run config
+and the fixture params, so each refuses a malformed value the same way.
 """
 from __future__ import annotations
 
@@ -98,56 +100,116 @@ def _as(kind, value, key, where):
         raise ConfigError(f"bad value {value!r} for {key!r} in {where}") from exc
 
 
-def check_keys(mapping, keys, where):
-    """Refuse `mapping` unless it is a mapping whose keys are all among
-    `keys`, the ones its reader reads: a misspelt key would otherwise
-    leave its default in force unseen."""
-    if not isinstance(mapping, dict):
+def load_yaml(path, what: str) -> dict:
+    """The mapping in the YAML file at `path`, called the `what` in
+    messages; an empty file is an empty mapping.  A file that cannot be
+    read or parsed, or holds another value, is a one-line ConfigError
+    naming it."""
+    path = Path(path)
+    try:
+        with path.open() as handle:
+            doc = yaml.load(handle, Loader=_SAFE_LOADER)
+    except (OSError, yaml.YAMLError) as exc:
+        problem = " ".join(str(exc).split())
+        raise ConfigError(f"cannot read {what} {path}: {problem}") from exc
+    if not isinstance(doc, (dict, type(None))):
+        raise ConfigError(f"{path}: {what} must be a mapping")
+    return doc or {}
+
+
+def read_section(node, where: str, spec: dict) -> dict:
+    """The values of the YAML mapping `node`, called `where` in messages, by
+    `spec`: key -> kind if required, (kind, default) if optional.  A kind
+    turns a YAML value into the value read, raising TypeError or ValueError
+    on one it cannot take.  An absent or null optional key takes its
+    default, read by its kind, or is left out when that is None.  A
+    non-mapping, an unknown or missing key and a value its kind refuses are
+    each a ConfigError: a misspelt key would leave its default in force."""
+    if not isinstance(node, dict):
         raise ConfigError(f"{where} must be a mapping")
-    for key in mapping:
-        if key not in keys:
+    for key in node:
+        if key not in spec:
             raise ConfigError(f"unknown key {key!r} in {where}")
+    values = {}
+    for key, entry in spec.items():
+        kind, *default = entry if isinstance(entry, tuple) else (entry,)
+        value = node.get(key)
+        if value is None and default:
+            if default[0] is None:
+                continue
+            value = default[0]
+        elif key not in node:
+            raise ConfigError(f"missing key {key!r} in {where}")
+        values[key] = _as(kind, value, key, where)
+    return values
 
 
-def _need(mapping, key, where, kind=None):
-    if key not in mapping:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return mapping[key] if kind is None else _as(kind, mapping[key], key, where)
+def section(where: str, spec: dict, build=None):
+    """The kind reading a YAML mapping as the section `where` by `spec`:
+    the values read, or `build` called with them in `spec`'s order."""
+    def read(node):
+        values = read_section(node, where, spec)
+        return values if build is None else build(*values.values())
+    return read
 
 
-def _year_range(node, where) -> YearRange:
-    check_keys(node, ("first", "last"), where)
-    return YearRange(_need(node, "first", where, int), _need(node, "last", where, int))
+def raw(value):
+    """A YAML value as it stands, for a section its caller reads next."""
+    return value
 
 
-def _parse_source(node, base: Path, index: int) -> SourceDecl:
+def only(cls):
+    """The kind taking a YAML value of the Python type `cls` as it stands
+    and no other: a number where a name belongs, a bare NO (false) where a
+    country belongs or the string "false" where a flag belongs is refused."""
+    def read(value):
+        if not isinstance(value, cls):
+            raise TypeError(value)
+        return value
+    return read
+
+
+def sequence(kind=raw):
+    """The kind reading a YAML sequence, and no lone item, into a tuple,
+    each item by `kind`."""
+    return lambda value: tuple(map(kind, only(list)(value)))
+
+
+def mapping(kind):
+    """The kind reading a YAML mapping of names into a dict, each value by
+    `kind`."""
+    return lambda value: {TEXT(name): kind(item)
+                          for name, item in only(dict)(value).items()}
+
+
+#: The kinds of a name or a path and of a flag, and the keys of an age
+#: range and of a span of years.
+TEXT, FLAG = only(str), only(bool)
+AGES = {"min": int, "max": int}
+YEARS = {"first": int, "last": int}
+
+
+def _parse_source(entry, base: Path, index: int) -> SourceDecl:
     where = f"sources[{index}]"
-    check_keys(node, ("shape", "path", "paths", "country", "year", "years",
-                      "quantities"), where)
+    read = read_section(entry, where, {
+        "shape": TEXT, "path": (TEXT, None), "paths": (sequence(TEXT), None),
+        "country": TEXT, "year": (int, None),
+        "years": (section(f"{where}.years", YEARS, YearRange), None),
+        "quantities": (sequence(TEXT), list(QUANTITIES))})
     for one, many in (("path", "paths"), ("year", "years")):
-        if one in node and many in node:
-            raise ConfigError(f"{where}: give {one!r} or {many!r}, not both")
-    shape = str(_need(node, "shape", where))
+        if (one in read) == (many in read):
+            both = ", not both" if one in read else ""
+            raise ConfigError(f"{where}: give {one!r} or {many!r}{both}")
+    shape, country, quantities = read["shape"], read["country"], read["quantities"]
     if shape not in INDIVIDUAL_SHAPES + WEEKLY_SHAPES:
         raise ConfigError(f"{where}: unknown shape {shape!r}")
-    raw_paths = node.get("paths", node.get("path"))
-    if raw_paths is None:
-        raise ConfigError(f"{where}: missing path(s)")
-    if isinstance(raw_paths, (str, Path)):
-        raw_paths = [raw_paths]
-    paths = tuple(base / p for p in raw_paths)
+    paths = tuple(base / p for p in (read["paths"] if "paths" in read else [read["path"]]))
     if len(paths) > 1 and shape not in WEEKLY_SHAPES:
         raise ConfigError(f"{where}: constituent lists are weekly-only")
-    country = str(_need(node, "country", where))
     if len(paths) > 1 and country != UK_CODE:
         raise ConfigError(f"{where}: constituent aggregation produces country "
                           f"{UK_CODE}, declaration says {country}")
-    if "year" in node:
-        year = _need(node, "year", where, int)
-        years = YearRange(year, year)
-    else:
-        years = _year_range(_need(node, "years", where), f"{where}.years")
-    quantities = tuple(node.get("quantities", QUANTITIES))
+    years = read["years"] if "years" in read else YearRange(read["year"], read["year"])
     bad = set(quantities) - set(QUANTITIES)
     if bad or not quantities:
         raise ConfigError(f"{where}: quantities must be a nonempty subset of {QUANTITIES}")
@@ -196,83 +258,63 @@ def _check_coverage(config: RunConfig):
 
 def load_run_config(path) -> RunConfig:
     path = Path(path)
-    try:
-        with path.open() as handle:
-            doc = yaml.load(handle, Loader=_SAFE_LOADER)
-    except (OSError, yaml.YAMLError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a mapping")
-    base = path.parent
-    return build_run_config(doc, base)
+    return build_run_config(load_yaml(path, "config"), path.parent)
 
 
 def build_run_config(doc: dict, base: Path) -> RunConfig:
-    check_keys(doc, ("country_of_interest", "common_pool", "ages", "years", "sources",
-                     "ungrouping", "method", "simulation", "report", "output_dir"),
-               "config")
-    country = str(_need(doc, "country_of_interest", "config"))
-    pool = tuple(str(c) for c in _need(doc, "common_pool", "config"))
+    top = read_section(doc, "config", {
+        "country_of_interest": TEXT, "common_pool": sequence(TEXT),
+        "ages": section("ages", AGES, AgeRange), "years": section("years", YEARS, YearRange),
+        "sources": section("sources", dict.fromkeys(("individual", "weekly"),
+                                                    (sequence(), []))),
+        "ungrouping": (raw, {}),
+        "method": section("method", {"kind": TEXT, "grid": sequence(float)}),
+        "simulation": section("simulation", dict.fromkeys(("n_paths", "horizon", "seed"),
+                                                          int)),
+        "report": (section("report", {"ages": (sequence(int), [0, 65]),
+                                      "cohort_ages": (sequence(int), [])}), {}),
+        "output_dir": (TEXT, "out")})
+    country, pool, ages, years = (top["country_of_interest"], top["common_pool"],
+                                  top["ages"], top["years"])
     if not pool:
         raise ConfigError("common_pool must not be empty")
-
-    ages_node = _need(doc, "ages", "config")
-    check_keys(ages_node, ("min", "max"), "ages")
-    ages = AgeRange(_need(ages_node, "min", "ages", int),
-                    _need(ages_node, "max", "ages", int))
     if not (ages.min_age <= KANNISTO_FIT_LO and KANNISTO_FIT_HI <= ages.max_age):
         raise ConfigError(f"model ages {ages} must contain the Kannisto fit ages "
                           f"{KANNISTO_FIT_LO}..{KANNISTO_FIT_HI}")
-    years = _year_range(_need(doc, "years", "config"), "years")
     if len(years) < 3:
         raise ConfigError("calibration window must span at least three years")
 
-    sources_node = _need(doc, "sources", "config")
-    check_keys(sources_node, ("individual", "weekly"), "sources")
-    individual = []
-    weekly = []
-    all_nodes = list(sources_node.get("individual", ())) \
-        + list(sources_node.get("weekly", ()))
-    for i, node in enumerate(all_nodes):
-        decl = _parse_source(node, base, i)
-        (weekly if decl.weekly else individual).append(decl)
+    entries = top["sources"]["individual"] + top["sources"]["weekly"]
+    decls = [_parse_source(entry, base, i) for i, entry in enumerate(entries)]
+    individual = tuple(decl for decl in decls if not decl.weekly)
+    weekly = tuple(decl for decl in decls if decl.weekly)
     if weekly and ages != UNGROUPING_AGES:
         raise ConfigError(f"ungrouping protocols require the {UNGROUPING_AGES.min_age}"
                           f"..{UNGROUPING_AGES.max_age} age range")
 
-    ung = doc.get("ungrouping", {}) or {}
-    check_keys(ung, ("aux_start_year", "aux_pool", "death_allocation_rate",
-                     "reference_year"), "ungrouping")
     run_countries = pool + (country,)
-    raw_start = ung.get("aux_start_year", years.first)
-    if isinstance(raw_start, dict):
-        check_keys(raw_start, run_countries + ("default",), "ungrouping.aux_start_year")
-        aux_start = {str(k): _as(int, v, str(k), "ungrouping.aux_start_year")
-                     for k, v in raw_start.items()}
-        aux_start.setdefault("default", years.first)
+    ung = read_section(top["ungrouping"], "ungrouping", {
+        "aux_start_year": (raw, years.first), "aux_pool": (sequence(TEXT), list(pool)),
+        "death_allocation_rate": (raw, {}), "reference_year": (raw, {})})
+    if isinstance(ung["aux_start_year"], dict):
+        aux_start = read_section(ung["aux_start_year"], "ungrouping.aux_start_year", {
+            "default": (int, years.first), **dict.fromkeys(run_countries, (int, None))})
     else:
-        aux_start = {"default": _as(int, raw_start, "aux_start_year", "ungrouping")}
-    aux_pool = tuple(str(c) for c in ung.get("aux_pool", pool))
-    rates = dict(DEATH_ALLOCATION_RATE)
-    raw_rates = ung.get("death_allocation_rate", {}) or {}
-    check_keys(raw_rates, tuple(rates), "ungrouping.death_allocation_rate")
-    rates.update({k: _as(float, v, k, "ungrouping.death_allocation_rate")
-                  for k, v in raw_rates.items()})
+        aux_start = {"default": _as(int, ung["aux_start_year"], "aux_start_year",
+                                    "ungrouping")}
+    rates = read_section(ung["death_allocation_rate"], "ungrouping.death_allocation_rate",
+                         {gender: (float, rate)
+                          for gender, rate in DEATH_ALLOCATION_RATE.items()})
     for gender, rate in rates.items():
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"death allocation rate for {gender} outside (0, 1]")
-    raw_reference = ung.get("reference_year", {}) or {}
-    check_keys(raw_reference, run_countries, "ungrouping.reference_year")
-    reference_year = {k: _as(int, v, k, "ungrouping.reference_year")
-                      for k, v in raw_reference.items()}
+    reference_year = read_section(ung["reference_year"], "ungrouping.reference_year",
+                                  dict.fromkeys(run_countries, (int, None)))
 
-    method_node = _need(doc, "method", "config")
-    check_keys(method_node, ("kind", "grid"), "method")
-    kind = str(_need(method_node, "kind", "method")).upper()
+    kind = top["method"]["kind"].upper()
     if kind not in METHOD_KINDS:
         raise ConfigError(f"method kind must be one of {METHOD_KINDS}, got {kind!r}")
-    grid = tuple(_as(float, v, "grid", "method")
-                 for v in _need(method_node, "grid", "method"))
+    grid = top["method"]["grid"]
     if not grid:
         raise ConfigError("method grid must not be empty")
     if any(not 0.0 <= v <= 1.0 for v in grid):
@@ -280,22 +322,13 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
     if len(set(grid)) != len(grid):
         raise ConfigError("method grid values must be distinct")
 
-    sim = _need(doc, "simulation", "config")
-    check_keys(sim, ("n_paths", "horizon", "seed"), "simulation")
-    n_paths = _need(sim, "n_paths", "simulation", int)
-    horizon = _need(sim, "horizon", "simulation", int)
-    seed = _need(sim, "seed", "simulation", int)
+    n_paths, horizon, seed = top["simulation"].values()
     if horizon <= years.last:
         raise ConfigError(f"horizon {horizon} must exceed the calibration end {years.last}")
     if n_paths < 1:
         raise ConfigError("n_paths must be >= 1")
 
-    report = doc.get("report", {}) or {}
-    check_keys(report, ("ages", "cohort_ages"), "report")
-    report_ages = tuple(_as(int, a, "ages", "report")
-                        for a in report.get("ages", (0, 65)))
-    cohort_ages = tuple(_as(int, a, "cohort_ages", "report")
-                        for a in report.get("cohort_ages", ()))
+    report_ages, cohort_ages = top["report"].values()
     for key, listed in (("ages", report_ages), ("cohort_ages", cohort_ages)):
         if len(set(listed)) != len(listed):
             raise ConfigError(f"report {key} must be distinct")
@@ -310,16 +343,14 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
                 f"got {horizon}; extend the simulation"
             )
 
-    out_dir = base / str(doc.get("output_dir", "out"))
-
     config = RunConfig(
         country_of_interest=country, common_pool=pool, ages=ages, years=years,
-        individual_sources=tuple(individual), weekly_sources=tuple(weekly),
-        aux_start_year=aux_start, aux_pool=aux_pool,
+        individual_sources=individual, weekly_sources=weekly,
+        aux_start_year=aux_start, aux_pool=ung["aux_pool"],
         death_allocation_rate=rates, reference_year=reference_year,
         method_kind=kind, method_grid=grid, n_paths=n_paths, horizon=horizon,
         seed=seed, report_ages=report_ages, cohort_ages=cohort_ages,
-        output_dir=out_dir,
+        output_dir=base / top["output_dir"],
     )
     for c in config.aux_pool:
         if c not in config.countries:

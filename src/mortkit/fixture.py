@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .config import WEIGHTED_LIKELIHOOD, check_keys
+from .config import (AGES, FLAG, TEXT, WEIGHTED_LIKELIHOOD, YEARS, load_yaml, mapping,
+                     raw, read_section, section, sequence)
 from .data import (AgeRange, BucketedWeeklySeries, EUROW_BUCKETS, GENDERS, MAX_AGE,
                    REGULAR_WEEKS, STMF_BUCKETS, YearRange,
                    write_individual_age_csv, write_weekly_csv)
@@ -82,77 +83,41 @@ class FixtureParams:
 
 
 def load_fixture_params(path) -> FixtureParams:
-    with Path(path).open() as handle:
-        doc = yaml.safe_load(handle) or {}
-    return fixture_params_from_doc(doc)
+    return fixture_params_from_doc(load_yaml(path, "fixture params"))
 
 
 def fixture_params_from_doc(doc: dict) -> FixtureParams:
-    check_keys(doc, ("countries", "country_of_interest", "country_scale", "ages",
-                     "years", "base_exposure", "sigma_K", "sigma_kappa", "alpha_scale",
-                     "seed", "n_paths", "sim_seed", "theta", "phi", "ar_intercept",
-                     "horizon", "shock", "stmf_exposure_column", "report_ages",
-                     "cohort_ages", "method", "weekly"), "fixture params")
-    kwargs = {}
-    if "countries" in doc:
-        kwargs["countries"] = tuple(str(c) for c in doc["countries"])
-    if "country_of_interest" in doc:
-        kwargs["country_of_interest"] = str(doc["country_of_interest"])
-    if "country_scale" in doc:
-        check_keys(doc["country_scale"], kwargs.get("countries", FixtureParams.countries),
-                   "fixture params.country_scale")
-        kwargs["country_scale"] = {k: float(v) for k, v in doc["country_scale"].items()}
-    if "ages" in doc:
-        check_keys(doc["ages"], ("min", "max"), "fixture params.ages")
-        kwargs["ages"] = AgeRange(int(doc["ages"]["min"]), int(doc["ages"]["max"]))
-    if "years" in doc:
-        check_keys(doc["years"], ("first", "last"), "fixture params.years")
-        kwargs["years"] = YearRange(int(doc["years"]["first"]),
-                                    int(doc["years"]["last"]))
-    for key in ("base_exposure", "sigma_K", "sigma_kappa", "alpha_scale"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    for key in ("seed", "n_paths", "sim_seed"):
-        if key in doc:
-            kwargs[key] = int(doc[key])
-    for key in ("theta", "phi", "ar_intercept"):
-        if key in doc:
-            check_keys(doc[key], GENDERS, f"fixture params.{key}")
-            kwargs[key] = {g: float(v) for g, v in doc[key].items()}
-    if "horizon" in doc and doc["horizon"] is not None:
-        kwargs["horizon"] = int(doc["horizon"])
-    if "shock" in doc and doc["shock"]:
-        node = doc["shock"]
-        check_keys(node, ("year", "log_factor", "min_age"), "fixture params.shock")
-        kwargs["shock"] = {"year": int(node["year"]),
-                           "log_factor": float(node["log_factor"]),
-                           "min_age": int(node.get("min_age", 0))}
-    if "stmf_exposure_column" in doc:
-        kwargs["stmf_exposure_column"] = bool(doc["stmf_exposure_column"])
-    if "report_ages" in doc:
-        kwargs["report_ages"] = tuple(int(a) for a in doc["report_ages"])
-    if "cohort_ages" in doc:
-        kwargs["cohort_ages"] = tuple(int(a) for a in doc["cohort_ages"])
-    if "method" in doc:
-        node = doc["method"]
-        check_keys(node, ("kind", "grid"), "fixture params.method")
-        if "kind" in node:
-            kwargs["method_kind"] = str(node["kind"])
-        if "grid" in node:
-            kwargs["method_grid"] = tuple(float(v) for v in node["grid"])
-    weekly = []
-    for i, node in enumerate(doc.get("weekly", ())):
-        check_keys(node, ("country", "year", "shapes", "weeks", "constituents"),
-                   f"fixture params.weekly[{i}]")
-        weekly.append(WeeklyDegradation(
-            country=str(node["country"]), year=int(node["year"]),
-            shapes=tuple(node.get("shapes", ("STMF", "EUROW"))),
-            weeks=int(node.get("weeks", REGULAR_WEEKS)),
-            constituents={str(k): float(v)
-                          for k, v in (node.get("constituents") or {}).items()},
-        ))
-    kwargs["weekly"] = tuple(weekly)
-    return FixtureParams(**kwargs)
+    """The params a document gives; a key it leaves out keeps its
+    FixtureParams default."""
+    where = "fixture params"
+    kinds = {
+        "countries": sequence(TEXT), "country_of_interest": TEXT, "country_scale": raw,
+        "ages": section(f"{where}.ages", AGES, AgeRange),
+        "years": section(f"{where}.years", YEARS, YearRange),
+        "base_exposure": float, "sigma_K": float, "sigma_kappa": float,
+        "alpha_scale": float, "seed": int, "n_paths": int, "sim_seed": int,
+        **{key: section(f"{where}.{key}", dict.fromkeys(GENDERS, float))
+           for key in ("theta", "phi", "ar_intercept")},
+        "horizon": int,
+        "shock": section(f"{where}.shock",
+                         {"year": int, "log_factor": float, "min_age": (int, 0)}),
+        "stmf_exposure_column": FLAG, "report_ages": sequence(int),
+        "cohort_ages": sequence(int),
+        "method": section(f"{where}.method",
+                          {"kind": (TEXT, None), "grid": (sequence(float), None)}),
+        "weekly": sequence(),
+    }
+    read = read_section(doc, where, {key: (kind, None) for key, kind in kinds.items()})
+    if "country_scale" in read:
+        countries = read.get("countries", FixtureParams.countries)
+        read["country_scale"] = read_section(read["country_scale"], f"{where}.country_scale",
+                                             dict.fromkeys(countries, (float, None)))
+    read.update({f"method_{key}": value for key, value in read.pop("method", {}).items()})
+    weekly = {"country": TEXT, "year": int, "shapes": (sequence(TEXT), ["STMF", "EUROW"]),
+              "weeks": (int, REGULAR_WEEKS), "constituents": (mapping(float), {})}
+    read["weekly"] = tuple(section(f"{where}.weekly[{i}]", weekly, WeeklyDegradation)(entry)
+                           for i, entry in enumerate(read.get("weekly", ())))
+    return FixtureParams(**read)
 
 
 # ---------------------------------------------------------------------------

@@ -617,13 +617,20 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
 
+    # An assembly error fails every scenario, as a shared calibration error
+    # does, and is raised once the report that says so is written.
+    shared_calibration = None
+    shared_error = assembly_error = None
     t0 = time.perf_counter()
-    assembled = assemble_dataset(config)
+    try:
+        assembled = assemble_dataset(config)
+    except Exception as exc:
+        assembly_error, shared_error = exc, f"{type(exc).__name__}: {exc}"
+        assembled = AssembledData(dataset=None, consistency=[], exposure_origins={},
+                                  virtual_cells={})
     timings["assemble"] = time.perf_counter() - t0
 
-    shared_calibration = None
-    shared_error = None
-    if config.method_kind == WEIGHTED_LIKELIHOOD:
+    if config.method_kind == WEIGHTED_LIKELIHOOD and shared_error is None:
         t0 = time.perf_counter()
         try:
             shared_calibration = lilee.calibrate_dataset(
@@ -693,6 +700,8 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
         "report.json": lambda path: _write_json(path, report.to_json(),
                                                 sort_keys=True),
     })
+    if assembly_error is not None:
+        raise assembly_error
     return report
 
 

@@ -535,6 +535,76 @@ class TestUnreadKeys:
                                                         params.method_grid)
 
 
+class TestMalformedValues:
+    """A value of the wrong kind in a run config or in fixture params is
+    refused on one `error:` line that names the key and its section; it is
+    never read as something else (a string as a list of its letters, the
+    string "false" as true)."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (misspelt((), "common_pool", 5), "bad value 5 for 'common_pool' in config"),
+        (misspelt((), "report", {"ages": 65}), "bad value 65 for 'ages' in report"),
+        (misspelt(("method",), "grid", 1.0), "bad value 1.0 for 'grid' in method"),
+        (misspelt((), "sources", {"individual": 5}),
+         "bad value 5 for 'individual' in sources"),
+        (misspelt(("sources", "individual", 0), "quantities", 5),
+         "bad value 5 for 'quantities' in sources[0]"),
+        (misspelt(("sources", "individual", 0), "path", 5),
+         "bad value 5 for 'path' in sources[0]"),
+        (misspelt(("ungrouping",), "aux_pool", "AAA"),
+         "bad value 'AAA' for 'aux_pool' in ungrouping"),
+        (misspelt(("report",), "cohort_ages", "65"),
+         "bad value '65' for 'cohort_ages' in report"),
+        (misspelt((), "country_of_interest", ["AAA"]),
+         "bad value ['AAA'] for 'country_of_interest' in config"),
+    ], ids=["common_pool", "report-ages", "method-grid", "sources-individual",
+            "source-quantities", "source-path", "aux_pool", "cohort_ages",
+            "country_of_interest"])
+    def test_run_refuses_it_on_one_line(self, tmp_path, capsys, edit, message):
+        doc = base_doc()
+        edit(doc)
+        config = tmp_path / "config.yaml"
+        config.write_text(yaml.safe_dump(doc, sort_keys=False))
+        assert main(["run", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("countries: 5\n", "bad value 5 for 'countries' in fixture params"),
+        ("report_ages: 65\n", "bad value 65 for 'report_ages' in fixture params"),
+        ("weekly: 5\n", "bad value 5 for 'weekly' in fixture params"),
+        ("method: {grid: 1.0}\n", "bad value 1.0 for 'grid' in fixture params.method"),
+        ("weekly:\n  - {country: AAA}\n",
+         "missing key 'year' in fixture params.weekly[0]"),
+        ("ages: {min: 0}\n", "missing key 'max' in fixture params.ages"),
+        ("theta: {M: x}\n", "bad value 'x' for 'M' in fixture params.theta"),
+        ('stmf_exposure_column: "false"\n',
+         "bad value 'false' for 'stmf_exposure_column' in fixture params"),
+        ("countries: [AAA\n", "cannot read fixture params {params}: "),
+    ], ids=["countries", "report_ages", "weekly", "method-grid", "weekly-year",
+            "ages-max", "theta", "stmf_exposure_column", "not-yaml"])
+    def test_fixture_refuses_it_on_one_line(self, tmp_path, capsys, text, message):
+        params = tmp_path / "params.yaml"
+        params.write_text(text)
+        assert main(["fixture", "--params", str(params),
+                     "--out", str(tmp_path / "world")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        message = message.format(params=params)
+        # PyYAML's C and Python parsers word a syntax error differently.
+        assert line == f"error: {message}" or \
+            message.endswith(": ") and line.startswith(f"error: {message}")
+        assert not (tmp_path / "world").exists()
+
+    def test_a_null_optional_key_takes_its_default(self, tmp_path):
+        doc = base_doc()
+        doc.update(report={"ages": [65], "cohort_ages": None}, output_dir=None,
+                   ungrouping={"aux_pool": None})
+        config = load_doc(tmp_path, doc)
+        assert config.cohort_ages == ()
+        assert config.output_dir == tmp_path / "out"
+        assert config.aux_pool == config.common_pool
+        assert fixture_params_from_doc({"horizon": None, "shock": None}) == FixtureParams()
+
+
 # ---------------------------------------------------------------------------
 # Fixture bundles
 # ---------------------------------------------------------------------------
@@ -1477,6 +1547,32 @@ class TestStaleOutputs:
         assert on_disk == listed
         assert not any("alm0." in name for name in on_disk)
 
+    def test_an_assembly_failure_fails_every_scenario_in_a_report(
+            self, small_bundle, tmp_path, capsys):
+        # One row of BBB's file deleted after an all-ok run: the rerun
+        # still exits 1 on one line, and its report says so.
+        root = tmp_path / "bundle"
+        shutil.copytree(small_bundle[0], root, ignore=shutil.ignore_patterns("out*"))
+        config = str(rewrite_config(root, "config.yaml", method={
+            "kind": "ADJUSTED_LEE_MILLER", "grid": [1.0, 0.5]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["run", "--config", config]) == 0
+        data = root / "data" / "BBB.csv"
+        rows = data.read_text().splitlines(keepends=True)
+        data.write_text("".join(rows[:1] + rows[2:]))
+        capsys.readouterr()
+        assert main(["run", "--config", config]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: BBB/")
+        report = json.loads((root / "out" / "report.json").read_text())
+        assert [(s["status"], s["error"], s["files"]) for s in report["scenarios"]] == \
+            [("failed", f"ValidationError: {line[len('error: '):]}", {})] * 2
+        assert (report["virtual_cells"], report["consistency"],
+                report["weekly_exposure_origin"]) == ({}, [], {})
+        on_disk, listed = files_beside_the_report(root / "out")
+        assert on_disk == listed == ["report.json", "timings.json"]
+
     @pytest.mark.parametrize("previous", ["{not json", '{"scenarios": 3}'])
     def test_an_unreadable_report_removes_nothing(self, small_bundle, tmp_path,
                                                   previous):
@@ -1892,6 +1988,26 @@ class TestCli:
         diff = json.loads(capsys.readouterr().out)
         assert diff["scenario_count"] == [2, 2]
         assert diff["scenarios"][0]["ts_params"]["theta_M"] == 0.0
+
+    @pytest.mark.parametrize("text, problem", [
+        ("{not json", "not JSON: "),
+        ("[1, 2]", "not a run report"),
+        (None, "scenario 'w1' has a non-numeric loglik or ts_params value"),
+    ], ids=["not-json", "not-a-mapping", "non-numeric-param"])
+    def test_diff_refuses_a_broken_report_on_one_line(self, wrun, tmp_path, capsys,
+                                                      text, problem):
+        config, _ = wrun
+        good = config.output_dir / "report.json"
+        if text is None:
+            report = json.loads(good.read_text())
+            report["scenarios"][0]["ts_params"]["theta_M"] = "0.1"
+            text = json.dumps(report)
+        broken = tmp_path / "report.json"
+        broken.write_text(text)
+        for pair in ([good, broken], [broken, good]):
+            assert main(["diff", *map(str, pair)]) == 1
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {broken}: {problem}")
 
     def test_diff_command_pairs_labels(self, wrun, capsys):
         config, report = wrun

@@ -1,9 +1,10 @@
 """Source hygiene of the package: no module imports a name it never uses,
-every module-level function and class is named somewhere else, only the
-listed ones are named by tests alone, every name the bench tracer wraps
-is used by the package itself, every method and dataclass field of a
-module-level class is read as an attribute somewhere, only the listed
-ones by tests alone, and no module keeps state in a module-level name."""
+only `config` loads YAML, every module-level function and class is named
+somewhere else, only the listed ones are named by tests alone, every name
+the bench tracer wraps is used by the package itself, every method and
+dataclass field of a module-level class is read as an attribute
+somewhere, only the listed ones by tests alone, and no module keeps state
+in a module-level name."""
 import ast
 import json
 import re
@@ -59,6 +60,41 @@ def test_checker_counts_annotations_and_attribute_roots():
     source = ("from __future__ import annotations\nimport numpy as np\n"
               "from x import T\ndef f(a: T):\n    return np.zeros(1)\n")
     assert unused_imports(source) == []
+
+
+#: PyYAML's functions that parse a document: `load`, `safe_load`,
+#: `full_load_all` and the like.
+YAML_LOAD = re.compile(r"(\w+_)?load(_all)?")
+
+
+def yaml_loads(source: str) -> list:
+    """The YAML load functions a module names, through `yaml.` or imported
+    from `yaml`."""
+    loads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "yaml":
+            loads.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+            loads.extend((alias.name, node.lineno) for alias in node.names)
+    return sorted(f"{name} (line {line})" for name, line in loads
+                  if YAML_LOAD.fullmatch(name))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "config.py"],
+                         ids=lambda p: p.name)
+def test_only_config_loads_yaml(path):
+    # `config.load_yaml` is the one reader of both YAML documents: it
+    # refuses a syntax error on one line naming the file.
+    assert yaml_loads(path.read_text()) == []
+
+
+def test_checker_sees_a_yaml_load():
+    source = ("import yaml\nfrom yaml import safe_dump, load_all as every\n"
+              "doc = yaml.safe_load(text)\nyaml.safe_dump(doc)\n"
+              "loader = yaml.CSafeLoader\nyaml.load(text, Loader=loader)\n")
+    assert yaml_loads(source) == ["load (line 6)", "load_all (line 2)",
+                                  "safe_load (line 3)"]
 
 
 def names_used(source: str, strings: bool = False) -> set:
