@@ -169,6 +169,24 @@ def only(cls):
     return read
 
 
+def whole(value):
+    """The kind taking a YAML integer as it stands and no other: a float
+    such as 65.7 is refused, not cut to 65, and so is a boolean, which
+    Python counts as an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(value)
+    return value
+
+
+def real(value):
+    """The kind reading a YAML number by float, as it does a string such as
+    5e4, which PyYAML leaves a string; a boolean is refused, not read as
+    1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
 def sequence(kind=raw):
     """The kind reading a YAML sequence, and no lone item, into a tuple,
     each item by `kind`."""
@@ -185,15 +203,15 @@ def mapping(kind):
 #: The kinds of a name or a path and of a flag, and the keys of an age
 #: range and of a span of years.
 TEXT, FLAG = only(str), only(bool)
-AGES = {"min": int, "max": int}
-YEARS = {"first": int, "last": int}
+AGES = {"min": whole, "max": whole}
+YEARS = {"first": whole, "last": whole}
 
 
 def _parse_source(entry, base: Path, index: int) -> SourceDecl:
     where = f"sources[{index}]"
     read = read_section(entry, where, {
         "shape": TEXT, "path": (TEXT, None), "paths": (sequence(TEXT), None),
-        "country": TEXT, "year": (int, None),
+        "country": TEXT, "year": (whole, None),
         "years": (section(f"{where}.years", YEARS, YearRange), None),
         "quantities": (sequence(TEXT), list(QUANTITIES))})
     for one, many in (("path", "paths"), ("year", "years")):
@@ -268,11 +286,11 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         "sources": section("sources", dict.fromkeys(("individual", "weekly"),
                                                     (sequence(), []))),
         "ungrouping": (raw, {}),
-        "method": section("method", {"kind": TEXT, "grid": sequence(float)}),
+        "method": section("method", {"kind": TEXT, "grid": sequence(real)}),
         "simulation": section("simulation", dict.fromkeys(("n_paths", "horizon", "seed"),
-                                                          int)),
-        "report": (section("report", {"ages": (sequence(int), [0, 65]),
-                                      "cohort_ages": (sequence(int), [])}), {}),
+                                                          whole)),
+        "report": (section("report", {"ages": (sequence(whole), [0, 65]),
+                                      "cohort_ages": (sequence(whole), [])}), {}),
         "output_dir": (TEXT, "out")})
     country, pool, ages, years = (top["country_of_interest"], top["common_pool"],
                                   top["ages"], top["years"])
@@ -298,18 +316,18 @@ def build_run_config(doc: dict, base: Path) -> RunConfig:
         "death_allocation_rate": (raw, {}), "reference_year": (raw, {})})
     if isinstance(ung["aux_start_year"], dict):
         aux_start = read_section(ung["aux_start_year"], "ungrouping.aux_start_year", {
-            "default": (int, years.first), **dict.fromkeys(run_countries, (int, None))})
+            "default": (whole, years.first), **dict.fromkeys(run_countries, (whole, None))})
     else:
-        aux_start = {"default": _as(int, ung["aux_start_year"], "aux_start_year",
+        aux_start = {"default": _as(whole, ung["aux_start_year"], "aux_start_year",
                                     "ungrouping")}
     rates = read_section(ung["death_allocation_rate"], "ungrouping.death_allocation_rate",
-                         {gender: (float, rate)
+                         {gender: (real, rate)
                           for gender, rate in DEATH_ALLOCATION_RATE.items()})
     for gender, rate in rates.items():
         if not 0.0 < rate <= 1.0:
             raise ConfigError(f"death allocation rate for {gender} outside (0, 1]")
     reference_year = read_section(ung["reference_year"], "ungrouping.reference_year",
-                                  dict.fromkeys(run_countries, (int, None)))
+                                  dict.fromkeys(run_countries, (whole, None)))
 
     kind = top["method"]["kind"].upper()
     if kind not in METHOD_KINDS:

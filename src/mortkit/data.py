@@ -58,6 +58,9 @@ EXPOSURE_CONSTANCY_RTOL = 1e-6
 #: regardless of week count, while deaths get the 52/week_count factor.
 REGULAR_WEEKS = 52
 
+#: Week counts of an ISO year.
+WEEK_COUNTS = (52, 53)
+
 INDIVIDUAL_HEADER = ("country", "year", "gender", "age", "deaths", "exposure")
 STMF_HEADER = ("country", "year", "week", "gender", "bucket", "deaths", "death_rate")
 EUROW_HEADER = ("country", "year", "week", "gender", "bucket", "deaths")
@@ -146,16 +149,6 @@ class AgeBucket:
     def label(self) -> str:
         return f"{self.lower}+" if self.is_open else f"{self.lower}-{self.upper}"
 
-    @classmethod
-    def parse(cls, label: str) -> "AgeBucket":
-        text = label.strip()
-        if text.endswith("+"):
-            return cls(int(text[:-1]), None)
-        lo, sep, hi = text.partition("-")
-        if not sep:
-            raise ValidationError(f"unparseable bucket label {label!r}")
-        return cls(int(lo), int(hi))
-
     def ages(self) -> np.ndarray:
         """Integer ages of a closed bucket."""
         if self.is_open:
@@ -180,7 +173,9 @@ EUROW_BUCKETS = tuple(
     [AgeBucket(lo, lo + 4) for lo in range(0, 90, 5)] + [AgeBucket(90, None)]
 )
 
-_BUCKET_SETS = {"STMF": frozenset(STMF_BUCKETS), "EUROW": frozenset(EUROW_BUCKETS)}
+#: Each weekly shape's buckets by label: a file's label is looked up, not parsed.
+_BUCKET_LABELS = {shape: {bucket.label: bucket for bucket in buckets}
+                  for shape, buckets in (("STMF", STMF_BUCKETS), ("EUROW", EUROW_BUCKETS))}
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +191,8 @@ def _check_gender(gender: str):
 class BucketedWeeklySeries:
     """Weekly bucketed counts for one (country, year, gender).
 
-    Per-bucket arrays are indexed by week-1 and may contain NaN holes for
-    weeks absent from the source file; annualization refuses such holes.
+    Per-bucket arrays are indexed by week-1 and complete: a week left
+    empty (NaN) is refused here, so no reader checks for holes again.
     `exposure_origin` records whether exposures came from an explicit
     column ("column"), were derived as deaths/death_rate ("derived") or,
     in a UK aggregate, came from constituents that differ ("mixed").
@@ -214,26 +209,31 @@ class BucketedWeeklySeries:
 
     def __post_init__(self):
         _check_gender(self.gender)
-        if self.week_count not in (52, 53):
+        if self.week_count not in WEEK_COUNTS:
             raise ValidationError(
                 f"week count must be 52 or 53, got {self.week_count}"
             )
-        for name, table in (("deaths", self.deaths), ("exposures", self.exposures)):
-            if table is None:
-                continue
-            for bucket, arr in table.items():
+        for name, table in (("deaths", self.deaths), ("exposure", self.exposures)):
+            for bucket in sorted(table or ()):
+                arr = table[bucket]
                 if arr.shape != (self.week_count,):
                     raise ValidationError(
                         f"{name}[{bucket}] has shape {arr.shape}, "
                         f"expected ({self.week_count},)"
                     )
+                holes = np.flatnonzero(np.isnan(arr))
+                if holes.size:
+                    raise ValidationError(
+                        f"{self.country}/{self.gender} {self.year}: {name} missing for "
+                        f"bucket {bucket.label}, week(s) "
+                        + ", ".join(str(w + 1) for w in holes[:5])
+                        + ("..." if holes.size > 5 else ""))
         for bucket, arr in self.deaths.items():
-            if np.any(arr[~np.isnan(arr)] < 0):
+            if np.any(arr < 0):
                 raise ValidationError(f"negative deaths in bucket {bucket}")
-        if self.exposures is not None:
-            for bucket, arr in self.exposures.items():
-                if np.any(arr[~np.isnan(arr)] <= 0):
-                    raise ValidationError(f"nonpositive exposure in bucket {bucket}")
+        for bucket, arr in (self.exposures or {}).items():
+            if np.any(arr <= 0):
+                raise ValidationError(f"nonpositive exposure in bucket {bucket}")
 
 
 @dataclass(frozen=True)
@@ -660,16 +660,14 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
     if header[: len(base)] != base:
         raise ParseError(f"{path}:1: expected header starting {','.join(base)}")
     has_exposure = source_shape == "STMF" and len(header) > 7 and header[7] == "exposure"
-    allowed = _BUCKET_SETS[source_shape]
+    labels = _BUCKET_LABELS[source_shape]
     split = isinstance(gender, tuple)
     wanted = gender if split else (gender,)
 
     # Per series slot (the gender when splitting, else None): its key and
-    # its {(bucket, week): (deaths, rate, exposure)} records.  Each distinct
-    # bucket label text is parsed and checked once.
+    # its {(bucket, week): (deaths, rate, exposure)} records.
     keys = {}
     records = {}
-    buckets = {}
     for lineno, row in enumerate(csv.reader(source), start=2):
         if not "".join(row).strip():
             continue
@@ -685,17 +683,10 @@ def load_weekly_csv(path, source_shape: str, *, year=None, gender=None):
             continue
         if gender is not None and row_gender not in wanted:
             continue
-        bucket = buckets.get(row[4])
+        bucket = labels.get(row[4].strip())
         if bucket is None:
-            try:
-                bucket = AgeBucket.parse(row[4])
-            except (ValidationError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if bucket not in allowed:
-                raise ParseError(
-                    f"{path}:{lineno}: bucket {bucket.label} not valid for {source_shape}"
-                )
-            buckets[row[4]] = bucket
+            raise ParseError(f"{path}:{lineno}: bucket {row[4].strip()!r} not valid "
+                             f"for {source_shape}")
         if week < 1:
             raise ParseError(f"{path}:{lineno}: week {week} < 1")
         deaths = _parse_float(row[5], "deaths", path, lineno)
@@ -768,7 +759,7 @@ def _weekly_series(key, records, source_shape, has_exposure) -> BucketedWeeklySe
     if has_exposure:
         for bucket in buckets:
             d = deaths[bucket]
-            # False in any week that lacks one of the three
+            # False in any week without a rate
             wrong = np.abs(rates[bucket] * exposures[bucket] - d) \
                 > RATE_IDENTITY_RTOL * np.maximum(1.0, np.abs(d))
             if wrong.any():
@@ -806,8 +797,7 @@ def write_weekly_csv(path, series, source_shape: str):
                            bucket.label, format(float(d), ".17g")]
                     if stmf:
                         e = one.exposures[bucket][week - 1]
-                        m = d / e
-                        row.append("" if np.isnan(m) else format(float(m), ".17g"))
+                        row.append(format(float(d / e), ".17g"))
                         if with_exposure:
                             row.append(format(float(e), ".17g"))
                     writer.writerow(row)
@@ -817,21 +807,8 @@ def write_weekly_csv(path, series, source_shape: str):
 # Weekly-to-annual conversion
 # ---------------------------------------------------------------------------
 
-def _require_complete(series: BucketedWeeklySeries, table, name):
-    for bucket in sorted(table):
-        holes = np.flatnonzero(np.isnan(table[bucket]))
-        if holes.size:
-            weeks = ", ".join(str(w + 1) for w in holes[:5])
-            raise ValidationError(
-                f"{series.country}/{series.gender} {series.year}: {name} missing for "
-                f"bucket {bucket.label}, week(s) {weeks}"
-                + ("..." if holes.size > 5 else "")
-            )
-
-
 def annualize_weekly_deaths(series: BucketedWeeklySeries) -> BucketedAnnualSeries:
     """Sum weekly deaths; 53-week years are rescaled by 52/53 after summing."""
-    _require_complete(series, series.deaths, "deaths")
     factor = REGULAR_WEEKS / series.week_count
     totals = {b: factor * float(np.sum(arr)) for b, arr in series.deaths.items()}
     return BucketedAnnualSeries(series.country, series.gender, series.year,
@@ -848,7 +825,6 @@ def annualize_weekly_exposure(series: BucketedWeeklySeries) -> BucketedAnnualSer
         raise ValidationError(
             f"{series.country}/{series.gender} {series.year}: series has no exposures"
         )
-    _require_complete(series, series.exposures, "exposure")
     totals = {}
     for bucket, arr in sorted(series.exposures.items()):
         ref = float(arr[0])
@@ -866,8 +842,7 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
     """Cell-wise sum of Northern Ireland, England & Wales and Scotland.
 
     All constituents must share year, gender, week count and bucket
-    structure, with no missing weeks; their exposures arrive complete from
-    the loader.  The exposures' origin is the constituents' when they all
+    structure.  The exposures' origin is the constituents' when they all
     share it, else "mixed".
     """
     series = list(constituents)
@@ -881,15 +856,11 @@ def aggregate_uk(constituents) -> BucketedWeeklySeries:
             raise ValidationError("constituents disagree on year/gender/week count")
         if set(other.deaths) != set(first.deaths):
             raise ValidationError("constituents disagree on bucket structure")
-    for s in series:
-        _require_complete(s, s.deaths, "deaths")
     deaths = {
         b: np.sum([s.deaths[b] for s in series], axis=0) for b in first.deaths
     }
     exposures = origin = None
     if all(s.exposures is not None for s in series):
-        for s in series:
-            _require_complete(s, s.exposures, "exposure")
         exposures = {
             b: np.sum([s.exposures[b] for s in series], axis=0) for b in first.deaths
         }
@@ -949,10 +920,8 @@ def check_eurostat_stmf_consistency(euro: BucketedWeeklySeries,
             )
         euro_total = np.sum([euro.deaths[b] for b in cover], axis=0)
         stmf_total = stmf.deaths[stmf_bucket]
-        for week in range(1, euro.week_count + 1):
-            e, s = euro_total[week - 1], stmf_total[week - 1]
-            if np.isnan(e) or np.isnan(s):
-                continue
-            if abs(e - s) > CONSISTENCY_SLACK + CONSISTENCY_RTOL * max(abs(e), abs(s)):
-                mismatches.append((stmf_bucket.label, week, float(e), float(s)))
+        larger = np.maximum(np.abs(euro_total), np.abs(stmf_total))
+        wrong = np.abs(euro_total - stmf_total) > CONSISTENCY_SLACK + CONSISTENCY_RTOL * larger
+        mismatches += [(stmf_bucket.label, int(w) + 1, float(euro_total[w]),
+                        float(stmf_total[w])) for w in np.flatnonzero(wrong)]
     return ConsistencyReport(True, not mismatches, tuple(mismatches))

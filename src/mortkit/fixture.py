@@ -18,9 +18,9 @@ import numpy as np
 import yaml
 
 from .config import (AGES, FLAG, TEXT, WEIGHTED_LIKELIHOOD, YEARS, load_yaml, mapping,
-                     raw, read_section, section, sequence)
+                     raw, read_section, real, section, sequence, whole)
 from .data import (AgeRange, BucketedWeeklySeries, EUROW_BUCKETS, GENDERS, MAX_AGE,
-                   REGULAR_WEEKS, STMF_BUCKETS, YearRange,
+                   REGULAR_WEEKS, STMF_BUCKETS, WEEK_COUNTS, YearRange,
                    write_individual_age_csv, write_weekly_csv)
 from .errors import ConfigError
 
@@ -37,7 +37,7 @@ class WeeklyDegradation:
     constituents: dict = field(default_factory=dict)   # name -> share
 
     def __post_init__(self):
-        if self.weeks not in (52, 53):
+        if self.weeks not in WEEK_COUNTS:
             raise ConfigError(f"weekly year must have 52 or 53 weeks, got {self.weeks}")
         bad = set(self.shapes) - {"STMF", "EUROW"}
         if bad or not self.shapes:
@@ -94,27 +94,27 @@ def fixture_params_from_doc(doc: dict) -> FixtureParams:
         "countries": sequence(TEXT), "country_of_interest": TEXT, "country_scale": raw,
         "ages": section(f"{where}.ages", AGES, AgeRange),
         "years": section(f"{where}.years", YEARS, YearRange),
-        "base_exposure": float, "sigma_K": float, "sigma_kappa": float,
-        "alpha_scale": float, "seed": int, "n_paths": int, "sim_seed": int,
-        **{key: section(f"{where}.{key}", dict.fromkeys(GENDERS, float))
+        "base_exposure": real, "sigma_K": real, "sigma_kappa": real,
+        "alpha_scale": real, "seed": whole, "n_paths": whole, "sim_seed": whole,
+        **{key: section(f"{where}.{key}", dict.fromkeys(GENDERS, real))
            for key in ("theta", "phi", "ar_intercept")},
-        "horizon": int,
+        "horizon": whole,
         "shock": section(f"{where}.shock",
-                         {"year": int, "log_factor": float, "min_age": (int, 0)}),
-        "stmf_exposure_column": FLAG, "report_ages": sequence(int),
-        "cohort_ages": sequence(int),
+                         {"year": whole, "log_factor": real, "min_age": (whole, 0)}),
+        "stmf_exposure_column": FLAG, "report_ages": sequence(whole),
+        "cohort_ages": sequence(whole),
         "method": section(f"{where}.method",
-                          {"kind": (TEXT, None), "grid": (sequence(float), None)}),
+                          {"kind": (TEXT, None), "grid": (sequence(real), None)}),
         "weekly": sequence(),
     }
     read = read_section(doc, where, {key: (kind, None) for key, kind in kinds.items()})
     if "country_scale" in read:
         countries = read.get("countries", FixtureParams.countries)
         read["country_scale"] = read_section(read["country_scale"], f"{where}.country_scale",
-                                             dict.fromkeys(countries, (float, None)))
+                                             dict.fromkeys(countries, (real, None)))
     read.update({f"method_{key}": value for key, value in read.pop("method", {}).items()})
-    weekly = {"country": TEXT, "year": int, "shapes": (sequence(TEXT), ["STMF", "EUROW"]),
-              "weeks": (int, REGULAR_WEEKS), "constituents": (mapping(float), {})}
+    weekly = {"country": TEXT, "year": whole, "shapes": (sequence(TEXT), ["STMF", "EUROW"]),
+              "weeks": (whole, REGULAR_WEEKS), "constituents": (mapping(real), {})}
     read["weekly"] = tuple(section(f"{where}.weekly[{i}]", weekly, WeeklyDegradation)(entry)
                            for i, entry in enumerate(read.get("weekly", ())))
     return FixtureParams(**read)

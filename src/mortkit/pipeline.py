@@ -8,8 +8,9 @@ time-series-fit and fan-chart CSVs.  Scenarios are isolated: one failing
 scenario is reported as failed without aborting the others.  Reruns of
 the same config are byte-identical; wall-clock timings therefore go to a
 sidecar file outside the hashed outputs.  Every output is written under a
-temporary name and moved into place, `report.json` last, so the files on
-disk always match the hashes the report gives.
+temporary name and moved into place, `report.json` last, and the previous
+report is moved aside before the first of them, so a `report.json` on disk
+always matches the files beside it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import time
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +40,9 @@ from .ungroup import (fit_auxiliary_projection_model, needs_reference_tail,
 
 #: Fixed fan-chart row ordering.
 _QUANTITY_ORDER = ("K", "kappa", "q", "e_per", "e_coh")
+
+#: Where a run keeps the previous run's report until its own is in place.
+_PREVIOUS_REPORT = ".report.json.prev"
 
 #: Columns, one per (projection year, path row), that one force, closure
 #: and expectancy call of the life tables take at most; a path batch of
@@ -345,7 +349,7 @@ def _life_table_rows(config, params, paths, gender, layers):
     to age 120, then the model ages below 80.  Each band's forces give its
     report ages' death probabilities and its cells of the cohorts'
     diagonals, then its expectancies, in place and continued from the band
-    above.  Quantiles are computed per year, and the cohort ages take one
+    above.  Quantiles take one call per block, and the cohort ages take one
     expectancy call each and one quantile call.  `levels` has one row per
     year and one column per probe, then one with row 0 of the batch (the
     best estimate).  Adds the wall time of each layer it ran to `layers`."""
@@ -409,11 +413,11 @@ def _life_table_rows(config, params, paths, gender, layers):
                 after = carried[:n_cols]
                 after[:] = band[start - lo]
         with _clock(layers, "quantiles"):
-            for j in range(n_block):
-                cols = slice(j * rows, (j + 1) * rows)
-                levels[:, first + j, :-1] = project.quantile_summary(table[:, cols].T[1:],
-                                                                     probes).T
-                levels[:, first + j, -1] = table[:, cols.start]
+            # (path row, label, year): the paths of every year, row 0 aside
+            samples = table.reshape(len(labels), n_block, rows).transpose(2, 0, 1)
+            levels[:, first:first + n_block, :-1] = np.moveaxis(
+                project.quantile_summary(samples[1:], probes), 0, -1)
+            levels[:, first:first + n_block, -1] = samples[0]
     blocks = [(quantity, gender, age, paths.years, levels[k])
               for k, (quantity, age) in enumerate(labels)]
     if config.cohort_ages:
@@ -467,12 +471,13 @@ def _publish(out_dir: Path, writers: dict):
 
 
 def _remove_stale(out_dir: Path, results):
-    """Delete each scenario file that the report in `out_dir` lists and
-    `results` did not write, so that the directory holds only what the
-    next report lists.  Only a plain file name naming a file counts, and
-    a missing or unreadable report deletes nothing."""
+    """Delete each scenario file that the previous report in `out_dir`
+    (_PREVIOUS_REPORT) lists and `results` did not write, so that the
+    directory holds only what the next report lists.  Only a plain file
+    name naming a file counts, and a missing or unreadable report deletes
+    nothing."""
     try:
-        previous = json.loads((out_dir / "report.json").read_text())
+        previous = json.loads((out_dir / _PREVIOUS_REPORT).read_text())
         listed = {name for scenario in previous["scenarios"]
                   for name in scenario["files"].values()}
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
@@ -615,6 +620,10 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     never wait on a future, so any pool size makes progress."""
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # No report.json until this run's is in place.  Without one, the report
+    # that a crashed run moved aside is still the last one, and stays.
+    with suppress(FileNotFoundError):
+        os.replace(out_dir / "report.json", out_dir / _PREVIOUS_REPORT)
     timings = {}
 
     # An assembly error fails every scenario, as a shared calibration error
@@ -700,6 +709,7 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
         "report.json": lambda path: _write_json(path, report.to_json(),
                                                 sort_keys=True),
     })
+    (out_dir / _PREVIOUS_REPORT).unlink(missing_ok=True)
     if assembly_error is not None:
         raise assembly_error
     return report

@@ -120,10 +120,12 @@ def apply_open_bucket_exposure(prev_values: np.ndarray, open_total: float,
 def _buckets(series: BucketedAnnualSeries, name: str, ages: AgeRange
              ) -> tuple[dict, AgeBucket]:
     """The closed buckets of the series' `name` totals and its one open
-    bucket, which the closed ones tile up to and which starts no higher
-    than the model top age."""
+    bucket, which the closed ones tile up to from age 0, the first model
+    age, and which starts no higher than the model top age."""
     table = getattr(series, name)
     who = f"{series.country}/{series.gender} {series.year} {name}"
+    if ages.min_age != 0:
+        raise ValidationError(f"{who}: ungrouping needs model ages from 0, got {ages}")
     if table is None:
         raise ValidationError(f"{who}: not in the annual series")
     closed = {b: v for b, v in table.items() if not b.is_open}
@@ -157,9 +159,9 @@ def ungroup_exposures(prev_curve: np.ndarray, buckets: BucketedAnnualSeries,
     closed, open_bucket = _buckets(buckets, "exposures", ages)
 
     shifted = shift_exposure_curve(prev)
-    scaled, _ = scale_curve_to_buckets(shifted, closed, ages.min_age)
+    scaled, _ = scale_curve_to_buckets(shifted, closed)
 
-    open_lo = open_bucket.lower - ages.min_age
+    open_lo = open_bucket.lower
     prev_open_total = float(prev[open_lo:].sum()) + float(np.sum(prev_above_top))
     scaled[open_lo:] = apply_open_bucket_exposure(
         prev[open_lo:], buckets.exposures[open_bucket], prev_open_total,
@@ -253,14 +255,13 @@ def _model_tail_share(force: np.ndarray, exposures: np.ndarray,
     of the force, with exposures depleted cohort-wise by exp(-mu), up to
     age 110.
     """
-    mu_closed = kannisto_close(force, ages.min_age, forces=True)
+    mu_closed = kannisto_close(force, forces=True)
     top = ages.max_age
-    tail_mu = mu_closed[top - ages.min_age + 1: MAX_FILE_AGE - ages.min_age + 1]
-    e = float(exposures[top - ages.min_age])
-    mu_prev = float(mu_closed[top - ages.min_age])
+    tail_mu = mu_closed[top + 1: MAX_FILE_AGE + 1]
+    e = float(exposures[top])
+    mu_prev = float(mu_closed[top])
     tail_expected = 0.0
-    within = float(np.sum(force[open_lower - ages.min_age:]
-                          * exposures[open_lower - ages.min_age:]))
+    within = float(np.sum(force[open_lower:] * exposures[open_lower:]))
     for mu_x in tail_mu:
         e = e * np.exp(-mu_prev)
         tail_expected += float(mu_x) * e
@@ -296,28 +297,28 @@ def ungroup_deaths(aux: AuxiliaryModel, gender: str, year: int,
 
     force = aux.central_force(gender, year)
     profile = force * exposures
-    out, _ = scale_curve_to_buckets(profile, closed, ages.min_age)
+    out, _ = scale_curve_to_buckets(profile, closed)
 
-    open_lo_idx = open_bucket.lower - ages.min_age
+    open_lo = open_bucket.lower
     open_total = float(buckets.deaths[open_bucket])
 
-    if needs_reference_tail(buckets, ages):
+    if open_lo == ages.max_age:   # the reference-tail rule, as in needs_reference_tail
         if reference_tail is None:
             raise ValidationError("90+ bucket needs reference-year tail deaths")
-        out[open_lo_idx] = apply_open_bucket_deaths(reference_tail, open_total,
-                                                    allocation_rate)
+        out[open_lo] = apply_open_bucket_deaths(reference_tail, open_total,
+                                                allocation_rate)
     else:
         # 85+ style: estimate the share beyond the top age from the model
         # curve, remove it, scale the retained ages against the remainder.
         share = _model_tail_share(force, exposures, open_bucket.lower, ages)
         remainder = open_total - open_total * share
-        mass = float(profile[open_lo_idx:].sum())
+        mass = float(profile[open_lo:].sum())
         if mass <= 0 and remainder > 0:
             raise ValidationError(
                 f"open bucket {open_bucket.label}: zero expected mass"
             )
         b = remainder / mass if mass > 0 else 1.0
-        out[open_lo_idx:] = profile[open_lo_idx:] * b
+        out[open_lo:] = profile[open_lo:] * b
     if np.any(out < 0):
         raise ValidationError("ungrouped deaths became negative")
     return Ungrouped(out)

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from mortkit.data import (AgeBucket, AgeRange, BucketedWeeklySeries,
+from mortkit.data import (AgeRange, BucketedWeeklySeries,
                           EUROW_BUCKETS, MortalitySurface, PROVENANCE_CODES,
                           STMF_BUCKETS, YearRange)
 
@@ -46,7 +46,3 @@ def flat_surface(country="AAA", gender="M", ages=AgeRange(0, 4),
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260814)
-
-
-def stmf_bucket(label: str) -> AgeBucket:
-    return AgeBucket.parse(label)

@@ -31,13 +31,29 @@ from mortkit.pipeline import _Assembler, assemble_dataset
 
 
 class TestBuckets:
-    def test_label_roundtrip(self):
-        for label in ("0-14", "15-64", "85+", "5-9", "90+"):
-            assert AgeBucket.parse(label).label == label
+    def test_label_roundtrip(self, tmp_path):
+        # Every bucket of both shapes reads back from the label it is
+        # written with.
+        assert [b.label for b in STMF_BUCKETS] == ["0-14", "15-64", "65-74", "75-84",
+                                                   "85+"]
+        assert [b.label for b in EUROW_BUCKETS[-2:]] == ["85-89", "90+"]
+        for shape, series in (("STMF", weekly_stmf()), ("EUROW", weekly_eurow())):
+            path = tmp_path / f"{shape}.csv"
+            write_weekly_csv(path, [series], shape)
+            assert list(load_weekly_csv(path, shape).deaths) == list(series.deaths)
 
-    def test_parse_rejects_garbage(self):
-        with pytest.raises((ParseError, ValidationError, ValueError)):
-            AgeBucket.parse("85")
+    def test_parse_rejects_garbage(self, tmp_path):
+        # A label is looked up among the shape's own, not parsed: another
+        # spelling of one of them is refused like a foreign bucket.
+        path = tmp_path / "stmf.csv"
+        write_weekly_csv(path, [weekly_stmf()], "STMF")
+        header, first, *rest = path.read_text().splitlines()
+        for label in ("85", "00-14", "0 - 14", "5-9"):
+            path.write_text("\n".join([header, first.replace(",0-14,", f",{label},"),
+                                       *rest]) + "\n")
+            with pytest.raises(ParseError) as caught:
+                load_weekly_csv(path, "STMF")
+            assert str(caught.value) == f"{path}:2: bucket {label!r} not valid for STMF"
 
     def test_bucket_sets(self):
         assert len(STMF_BUCKETS) == 5
@@ -74,11 +90,14 @@ class TestAnnualization:
             weekly_stmf(weeks=50)
 
     def test_missing_week_refused_with_location(self):
+        # A series is complete once built, so annualization never sees a hole.
         series = weekly_stmf()
-        series.deaths[STMF_BUCKETS[0]].flags.writeable = True
-        series.deaths[STMF_BUCKETS[0]][6] = np.nan
-        with pytest.raises(ValidationError, match=r"0-14.*week\(s\) 7"):
-            annualize_weekly_deaths(series)
+        for table, name in (("deaths", "deaths"), ("exposures", "exposure")):
+            holed = {b: arr.copy() for b, arr in getattr(series, table).items()}
+            holed[STMF_BUCKETS[0]][6] = np.nan
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"BEL/M 2020: {name} missing for bucket 0-14, week(s) 7")):
+                replace(series, **{table: holed})
 
     def test_exposure_52_weeks_constant(self):
         series = weekly_stmf(
@@ -160,19 +179,21 @@ class TestWeeklyCsv:
         for bucket in STMF_BUCKETS:
             assert annual.exposures[bucket] == pytest.approx(52 * 5000.0, rel=1e-12)
 
-    @pytest.mark.parametrize("edits, weeks", [
-        ({("0-14", 7): None}, "7"),
-        ({("0-14", 7): ("10", "")}, "7"),
-        ({("0-14", 7): ("10", "0")}, "7"),
-        ({("0-14", week): ("0", "0") for week in range(1, 53)}, "1, 2, 3, 4, 5..."),
+    @pytest.mark.parametrize("edits, missing", [
+        ({("0-14", 7): None}, "deaths missing for bucket 0-14, week(s) 7"),
+        ({("0-14", 7): ("10", "")}, "exposure missing for bucket 0-14, week(s) 7"),
+        ({("0-14", 7): ("10", "0")}, "exposure missing for bucket 0-14, week(s) 7"),
+        ({("0-14", week): ("0", "0") for week in range(1, 53)},
+         "exposure missing for bucket 0-14, week(s) 1, 2, 3, 4, 5..."),
     ], ids=["missing-row", "empty-rate", "deaths-at-rate-0", "no-positive-rate"])
-    def test_derived_exposure_still_refuses_holes(self, tmp_path, edits, weeks):
+    def test_derived_exposure_still_refuses_holes(self, tmp_path, edits, missing):
+        # Refused where the file is read, with its path, whatever quantities
+        # it is declared for; a missing row is missing deaths first.
         path = tmp_path / "stmf.csv"
         edited_stmf(path, edits, with_exposures=False)
-        series = load_weekly_csv(path, "STMF")
         with pytest.raises(ValidationError, match=re.escape(
-                f"BEL/M 2020: exposure missing for bucket 0-14, week(s) {weeks}")):
-            annualize_weekly_exposure(series)
+                f"{path}: BEL/M 2020: {missing}")):
+            load_weekly_csv(path, "STMF")
 
     @pytest.mark.parametrize("factor, refused", [
         (1.001, True), (1.0 + RATE_IDENTITY_RTOL / 2, False)])
@@ -360,11 +381,10 @@ class TestUkAggregation:
         {("0-14", week): ("0", "0") for week in range(1, 53)},
     ], ids=["missing-row", "deaths-at-rate-0", "no-positive-rate"])
     def test_derived_constituent_holes_still_refused(self, tmp_path, edits):
-        holed = self._derived(tmp_path, "GBRTENW", edits)
-        other = self._derived(tmp_path, "GBR_SCO", {})
-        with pytest.raises(ValidationError, match=r"^GBRTENW/M 2020: \w+ missing "
-                                                  r"for bucket 0-14, week\(s\) "):
-            aggregate_uk([holed, other])
+        # Refused as the constituent's file is read, before aggregation.
+        with pytest.raises(ValidationError, match=r"GBRTENW\.csv: GBRTENW/M 2020: \w+ "
+                                                  r"missing for bucket 0-14, week\(s\) "):
+            self._derived(tmp_path, "GBRTENW", edits)
 
     @pytest.mark.parametrize("origins, expected", [
         (("column", "column"), "column"), (("derived", "derived"), "derived"),
@@ -425,6 +445,17 @@ class TestConsistency:
         assert report.comparable and not report.consistent
         labels = {(m[0], m[1]) for m in report.mismatches}
         assert ("85+", 7) in labels
+
+    def test_mismatches_in_bucket_then_week_order(self):
+        euro, stmf = self._pair()
+        deaths = {b: arr.copy() for b, arr in stmf.deaths.items()}
+        for bucket, week in ((AgeBucket(85, None), 3), (AgeBucket(0, 14), 40),
+                             (AgeBucket(0, 14), 2)):
+            deaths[bucket][week - 1] += 5.0
+        report = check_eurostat_stmf_consistency(euro, replace(stmf, deaths=deaths))
+        assert report.mismatches == (("0-14", 2, 6.0, 11.0), ("0-14", 40, 6.0, 11.0),
+                                     ("85+", 3, 4.0, 9.0))
+        assert {type(m[1]) for m in report.mismatches} == {int}
 
     def test_missing_refinement_not_comparable(self):
         euro, stmf = self._pair(drop=AgeBucket(5, 9))

@@ -557,9 +557,12 @@ class TestMalformedValues:
          "bad value '65' for 'cohort_ages' in report"),
         (misspelt((), "country_of_interest", ["AAA"]),
          "bad value ['AAA'] for 'country_of_interest' in config"),
+        (misspelt(("simulation",), "seed", True), "bad value True for 'seed' in simulation"),
+        (misspelt(("report",), "ages", [65.7]), "bad value [65.7] for 'ages' in report"),
+        (misspelt(("method",), "grid", [True]), "bad value [True] for 'grid' in method"),
     ], ids=["common_pool", "report-ages", "method-grid", "sources-individual",
             "source-quantities", "source-path", "aux_pool", "cohort_ages",
-            "country_of_interest"])
+            "country_of_interest", "seed-true", "report-age-float", "grid-true"])
     def test_run_refuses_it_on_one_line(self, tmp_path, capsys, edit, message):
         doc = base_doc()
         edit(doc)
@@ -580,8 +583,9 @@ class TestMalformedValues:
         ('stmf_exposure_column: "false"\n',
          "bad value 'false' for 'stmf_exposure_column' in fixture params"),
         ("countries: [AAA\n", "cannot read fixture params {params}: "),
+        ("seed: 1.5\n", "bad value 1.5 for 'seed' in fixture params"),
     ], ids=["countries", "report_ages", "weekly", "method-grid", "weekly-year",
-            "ages-max", "theta", "stmf_exposure_column", "not-yaml"])
+            "ages-max", "theta", "stmf_exposure_column", "not-yaml", "seed-float"])
     def test_fixture_refuses_it_on_one_line(self, tmp_path, capsys, text, message):
         params = tmp_path / "params.yaml"
         params.write_text(text)
@@ -1143,9 +1147,9 @@ class TestFanChartRows:
     @pytest.mark.parametrize("cohort_ages", [(65, 70), ()])
     def test_one_life_table_pass_per_gender_and_year(self, fanchart_inputs,
                                                      cohort_ages, monkeypatch):
-        """One life-table unit computes quantiles once per projection year,
-        forces and sums once per band of ages of each block of years and
-        closes once per block, plus the cohort's calls: the counts the
+        """One life-table unit computes quantiles once per block of years,
+        forces and sums once per band of ages of each block and closes
+        once per block, plus the cohort's calls: the counts the
         benchmark's per-layer figures rest on.  Blocks hold as many whole
         years as fit in the column budget: here all years, four years or
         one.  The model ages 60..90 make two bands, the closure's 80..120
@@ -1169,7 +1173,7 @@ class TestFanChartRows:
             assert {name: calls[name].call_count for name in names} == {
                 "force_paths": 2 * n_blocks, "kannisto_close": n_blocks,
                 "period_life_expectancy": 2 * n_blocks + len(cohort_ages),
-                "quantile_summary": n_years + bool(cohort_ages)}, budget
+                "quantile_summary": n_blocks + bool(cohort_ages)}, budget
             blocks = [(int(paths.years[first]), min(per_block, n_years - first))
                       for first in range(0, n_years, per_block)]
             assert [(c.args[3], c.kwargs["n_years"], c.kwargs["ages"])
@@ -1511,9 +1515,9 @@ class TestStaleOutputs:
     did not write, and nothing else."""
 
     @staticmethod
-    def _run(small_bundle, out, grid, calibrate=None):
+    def _run(small_bundle, out, grid, calibrate=None, seed=None):
         root, _ = small_bundle
-        config = load_run_config(root / "config.yaml")
+        config = load_run_config(root / "config.yaml").with_overrides(seed=seed)
         config = replace(config, method_kind="ADJUSTED_LEE_MILLER",
                          method_grid=tuple(grid), output_dir=out)
         with ExitStack() as stack:
@@ -1572,6 +1576,31 @@ class TestStaleOutputs:
                 report["weekly_exposure_origin"]) == ({}, [], {})
         on_disk, listed = files_beside_the_report(root / "out")
         assert on_disk == listed == ["report.json", "timings.json"]
+
+    def test_a_crash_before_the_report_leaves_no_report(self, small_bundle, tmp_path):
+        # A run killed after its scenario files and before its report leaves
+        # no report.json to vouch for them.  The report it moved aside still
+        # lists the files of the grid values the next run does not write.
+        out = tmp_path / "out"
+        assert self._run(small_bundle, out, [1.0, 0.5, 0.0]).all_ok
+        real = pipeline._write_json
+
+        def write_json(path, blob, **options):
+            if Path(path).name == ".report.json.tmp":
+                raise KeyboardInterrupt
+            real(path, blob, **options)
+
+        seed = load_run_config(small_bundle[0] / "config.yaml").seed + 1
+        with mock.patch.object(pipeline, "_write_json", write_json), \
+                pytest.raises(KeyboardInterrupt):
+            self._run(small_bundle, out, [1.0], seed=seed)
+        assert not (out / "report.json").exists()
+        assert self._run(small_bundle, out, [1.0], seed=seed).all_ok
+        on_disk, listed = files_beside_the_report(out)
+        assert on_disk == listed
+        for scenario in json.loads((out / "report.json").read_text())["scenarios"]:
+            assert scenario["hashes"] == {name: sha256(out / name)
+                                          for name in scenario["files"].values()}
 
     @pytest.mark.parametrize("previous", ["{not json", '{"scenarios": 3}'])
     def test_an_unreadable_report_removes_nothing(self, small_bundle, tmp_path,
@@ -2098,3 +2127,47 @@ class TestIndependentOracle:
         best = [problem.split(":")[0] for problem in problems
                 if "best rows differ from the oracle's central path" in problem]
         assert best == ["w1", "w0"]
+
+
+@pytest.fixture(scope="module")
+def stmf_worlds(tmp_path_factory):
+    """{exposure column: config path} of one small world written twice:
+    its STMF files with their exposure column, and with death rates only,
+    as STMF publishes them.  AAA's 2020 has 53 weeks of STMF and EUROW (the
+    90+ reference-tail rule), BBB's 2021 STMF alone (the 85+ model-tail
+    rule)."""
+    worlds = {}
+    for column in (True, False):
+        root = tmp_path_factory.mktemp("stmf")
+        make_synthetic_fixture(FixtureParams(
+            countries=("AAA", "BBB"), years=YearRange(2008, 2021), n_paths=60,
+            report_ages=(65,), cohort_ages=(), stmf_exposure_column=column,
+            weekly=(WeeklyDegradation("AAA", 2020, ("STMF", "EUROW"), 53),
+                    WeeklyDegradation("BBB", 2021, ("STMF",), 52))), root)
+        worlds[column] = root / "config.yaml"
+    return worlds
+
+
+class TestRateOnlyStmf:
+    """Without an exposure column the loader derives the weekly exposures
+    from STMF's death rates; the world then runs as with the column."""
+
+    def test_runs_like_the_world_with_the_column(self, stmf_worlds, tmp_path):
+        for column, path in stmf_worlds.items():
+            config = load_run_config(path).with_overrides(output_dir=tmp_path / str(column))
+            report = quiet_run(config)
+            assert [s.status for s in report.scenarios] == ["ok", "ok"]
+            assert set(report.exposure_origins.values()) == \
+                {"column" if column else "derived"}
+        assert bench_checks().check_projection(tmp_path / "False", stmf_worlds[False],
+                                               seed=5) == []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            surfaces = {column: assemble_dataset(load_run_config(path)).dataset.surfaces
+                        for column, path in stmf_worlds.items()}
+        assert surfaces[True].keys() == surfaces[False].keys()
+        for key, surface in surfaces[True].items():
+            assert surface.virtual_cell_count() == {"deaths": 91, "exposures": 91}
+            for name in ("deaths", "exposures"):
+                assert relative_error(getattr(surfaces[False][key], name),
+                                      getattr(surface, name)) <= 1e-12, (key, name)

@@ -1,4 +1,6 @@
 """Exposure and death ungrouping protocols."""
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +119,23 @@ class TestUngroupExposures:
         totals = {AgeBucket(0, 50): 100.0, AgeBucket(85, None): 10.0}
         with pytest.raises(ValidationError, match="tile"):
             ungroup_exposures(declining_curve(), self._annual(totals), AGES)
+
+    def test_model_ages_must_start_at_0(self):
+        # The closed buckets tile ages from 0, so both protocols refuse a
+        # model that starts later by name, before any bucket is placed.
+        ages = AgeRange(1, 90)
+        curve = declining_curve()[1:]
+        for name, ungroup in (
+                ("exposures", lambda annual: ungroup_exposures(curve, annual, ages)),
+                ("deaths", lambda annual: ungroup_deaths(
+                    StubAux(gompertz_force()[1:]), "M", 2020, curve, annual, ages,
+                    allocation_rate=0.20))):
+            annual = BucketedAnnualSeries("AAA", "M", 2020,
+                                          **{name: dict.fromkeys(STMF_BUCKETS, 10.0)})
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"AAA/M 2020 {name}: ungrouping needs model ages from 0, "
+                    "got [1, 90]")):
+                ungroup(annual)
 
 
 class TestOpenBucketDeaths:
