@@ -420,11 +420,31 @@ def _read_csv(path):
     reads in place."""
     path = Path(path)
     with path.open(newline="") as handle:
-        source = io.StringIO(handle.read(), newline="")
+        return (path, *_split_header(path, handle.read()))
+
+
+def _split_header(path, text):
+    """The stripped header fields csv reads from `text`, and the text as
+    one stream positioned after them."""
+    source = io.StringIO(text, newline="")
     first = next(csv.reader(source), None)
     if first is None:
         raise ParseError(f"{path}: empty file")
-    return path, tuple(h.strip() for h in first), source
+    return tuple(h.strip() for h in first), source
+
+
+def _decode(raw: bytes) -> str:
+    """`raw` decoded as `Path.open(newline="")` decodes a file: in the
+    default text encoding, with its line ends kept."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None),
+                            newline="").read()
+
+
+def _first_line(raw: bytes) -> bytes:
+    """`raw` up to and with its first line end: a \\n or a \\r, as csv and
+    numpy's reader both take it."""
+    end = raw.find(b"\n") + 1 or len(raw)
+    return raw[:raw.find(b"\r", 0, end) + 1 or end]
 
 
 def _parse_float(text, what, path, lineno, allow_empty=False):
@@ -462,43 +482,56 @@ def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
 
     Header: country,year,gender,age,deaths,exposure with an optional
     trailing provenance column (written by `write_individual_age_csv`).  The
-    exposure field may be empty for deaths-only publications.  The data
-    rows are parsed in one `np.loadtxt` call; a file that call cannot
-    provably read as the row loop would is read row by row, which is also
-    where every `file:line` error comes from.
+    exposure field may be empty for deaths-only publications.  The file's
+    bytes are read once, and the data rows are parsed from its path in one
+    `np.loadtxt` call.  A file that call cannot provably read as the row
+    loop would is decoded and read row by row, which is also where every
+    `file:line` error comes from.
     """
     if source_shape not in INDIVIDUAL_SHAPES:
         raise ValidationError(f"unknown individual-age shape {source_shape!r}")
-    path, header, source = _read_csv(path)
+    path = Path(path)
+    raw = path.read_bytes()
+    first_line = _first_line(raw)
+    # csv may read a header that holds a quote over several lines, so such
+    # a header is read from the whole text; any other is the first line.
+    header, _ = _split_header(path, _decode(raw if b'"' in first_line else first_line))
     if header[:6] != INDIVIDUAL_HEADER:
         raise ParseError(f"{path}:1: expected header {','.join(INDIVIDUAL_HEADER)}")
     has_prov = len(header) > 6 and header[6] == "provenance"
-    rows_start = source.tell()
-    fragment = _parse_rows_at_once(source, has_prov, source_shape)
+    fragment = _parse_rows_at_once(path, raw, has_prov, source_shape)
     if fragment is None:
-        source.seek(rows_start)
+        _, source = _split_header(path, _decode(raw))
         fragment = _parse_rows_one_by_one(path, csv.reader(source), has_prov,
                                           source_shape)
     return fragment
 
 
-def _parse_rows_at_once(source, has_prov: bool, source_shape: str):
-    """The data rows of the stream `source` parsed by one `np.loadtxt` call,
-    or None unless that call provably read what the row loop reads and
-    every row passes the row loop's checks.  loadtxt silently truncates
-    strings to the dtype width, keeps padding, drops trailing NULs, cannot
-    read an empty field as a number, warns on a file without rows and, in
-    older numpy releases, reads an integer field such as "1.5" through
-    float with only a DeprecationWarning (any warning refuses the parse);
-    with csv's quoting and line splitting it otherwise agrees."""
-    if "\x00" in source.getvalue():
+def _parse_rows_at_once(path, raw: bytes, has_prov: bool, source_shape: str):
+    """The data rows of the file at `path`, whose bytes are `raw`, parsed
+    by one `np.loadtxt` call on the path, or None unless that call provably
+    read what the row loop reads and every row passes the row loop's
+    checks.  loadtxt silently truncates strings to the dtype width, keeps
+    padding, drops trailing NULs, cannot read an empty field as a number,
+    warns on a file without rows and, in older numpy releases, reads an
+    integer field such as "1.5" through float with only a
+    DeprecationWarning (any warning refuses the parse).  It opens the path
+    with universal newlines, so a \\r or \\r\\n inside a quoted field would
+    become \\n, and it skips the first physical line, which is the header
+    row only if that line holds no quote; it picks a decompressor by the
+    path's suffix.  With csv's quoting and line splitting it otherwise
+    agrees."""
+    if (b"\x00" in raw or path.suffix != ".csv"
+            or b'"' in raw and (b"\r" in raw or b'"' in _first_line(raw))):
         return None
     names = _ROW_DTYPE.names[:7 if has_prov else 6]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(source, dtype=_ROW_DTYPE[list(names)], delimiter=",",
-                               comments=None, quotechar='"', ndmin=1,
+            # Bytes the default encoding cannot decode raise
+            # UnicodeDecodeError, a ValueError.
+            table = np.loadtxt(str(path), dtype=_ROW_DTYPE[list(names)], delimiter=",",
+                               comments=None, quotechar='"', ndmin=1, skiprows=1,
                                usecols=range(len(names)))
     except (ValueError, Warning):
         return None

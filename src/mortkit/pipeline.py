@@ -10,7 +10,9 @@ the same config are byte-identical; wall-clock timings therefore go to a
 sidecar file outside the hashed outputs.  Every output is written under a
 temporary name and moved into place, `report.json` last, and the previous
 report is moved aside before the first of them, so a `report.json` on disk
-always matches the files beside it.
+always matches the files beside it.  The moved-aside report also lists the
+files this run may write, so that the next run removes them if this one
+crashes before its report.
 """
 from __future__ import annotations
 
@@ -61,6 +63,8 @@ class AssembledData:
     consistency: list
     exposure_origins: dict
     virtual_cells: dict
+    #: Wall time of each part of the assembly (`_Assembler.timings`).
+    timings: dict = field(default_factory=dict)
 
 
 def _load_weekly_decl(decl):
@@ -97,6 +101,10 @@ class _Assembler:
         self.consistency = []
         self.exposure_origins = {}
         self._aux_cache = {}
+        # Parts that do not overlap: reading the files into the grids,
+        # the auxiliary fits, the rest of the ungrouping, and the
+        # surfaces filled from the grids.
+        self.timings = dict.fromkeys(("read", "aux_fit", "ungroup", "fill"), 0.0)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -197,20 +205,24 @@ class _Assembler:
                 "need >= 8 years"
             )
         window = YearRange(start, end)
-        aux = fit_auxiliary_projection_model(self._dataset(members, pool, window),
-                                             country)
+        with _clock(self.timings, "aux_fit"):
+            aux = fit_auxiliary_projection_model(self._dataset(members, pool, window),
+                                                 country)
         self._aux_cache[country] = aux
         return aux
 
     def ungroup_all(self):
         """Ungroup each weekly declaration's quantities into its year:
         exposures first, as they chain on each other, then deaths, which
-        need the year's virtual exposures and the auxiliary model."""
-        for quantity, ungroup_year in (("exposures", self._ungroup_exposure_year),
-                                       ("deaths", self._ungroup_death_year)):
-            for decl, series in self.weekly.items():
-                if quantity in decl.quantities:
-                    ungroup_year(decl.country, decl.years.first, series)
+        need the year's virtual exposures and the auxiliary model.  Its
+        time, less the auxiliary fits', counts as `ungroup`."""
+        with _clock(self.timings, "ungroup"):
+            for quantity, ungroup_year in (("exposures", self._ungroup_exposure_year),
+                                           ("deaths", self._ungroup_death_year)):
+                for decl, series in self.weekly.items():
+                    if quantity in decl.quantities:
+                        ungroup_year(decl.country, decl.years.first, series)
+        self.timings["ungroup"] -= self.timings["aux_fit"]
 
     def _ungroup_exposure_year(self, country, year, series):
         j = self.years.index(year)
@@ -300,15 +312,18 @@ class _Assembler:
                 counts[name] += count
         return AssembledData(dataset=dataset, consistency=self.consistency,
                              exposure_origins=self.exposure_origins,
-                             virtual_cells=virtual)
+                             virtual_cells=virtual, timings=self.timings)
 
 
 def assemble_dataset(config: RunConfig) -> AssembledData:
     """Run ingestion, cross-checks and ungrouping; returns complete surfaces."""
     assembler = _Assembler(config)
-    assembler.load_sources()
+    with _clock(assembler.timings, "read"):
+        assembler.load_sources()
     assembler.ungroup_all()
-    return assembler.build()
+    with _clock(assembler.timings, "fill"):
+        assembled = assembler.build()
+    return assembled
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +333,12 @@ def assemble_dataset(config: RunConfig) -> AssembledData:
 def _scenario_label(config, value) -> str:
     prefix = "w" if config.method_kind == WEIGHTED_LIKELIHOOD else "alm"
     return f"{prefix}{value:g}"
+
+
+def _scenario_files(label) -> dict:
+    """The file of each output of the scenario `label`."""
+    return {"params": f"params_{label}.csv", "tsfit": f"tsfit_{label}.csv",
+            "fanchart": f"fanchart_{label}.csv"}
 
 
 @contextmanager
@@ -470,22 +491,39 @@ def _publish(out_dir: Path, writers: dict):
             path.unlink(missing_ok=True)
 
 
-def _remove_stale(out_dir: Path, results):
-    """Delete each scenario file that the previous report in `out_dir`
-    (_PREVIOUS_REPORT) lists and `results` did not write, so that the
-    directory holds only what the next report lists.  Only a plain file
-    name naming a file counts, and a missing or unreadable report deletes
-    nothing."""
+def _listed(out_dir: Path) -> set:
+    """The scenario file names that the previous report in `out_dir`
+    (_PREVIOUS_REPORT) lists, none if it is missing or unreadable.  Only
+    a plain file name counts."""
     try:
         previous = json.loads((out_dir / _PREVIOUS_REPORT).read_text())
         listed = {name for scenario in previous["scenarios"]
                   for name in scenario["files"].values()}
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
-        return
+        return set()
+    return {name for name in listed
+            if isinstance(name, str) and (out_dir / name).name == name}
+
+
+def _list_before_writing(out_dir: Path, names):
+    """Rewrite the previous report (_PREVIOUS_REPORT) as one scenario that
+    lists its files and `names`, the scenario files this run may write,
+    creating it if there is none.  If this run crashes before its report,
+    the next run then removes what it wrote; a run reads nothing else
+    from that report."""
+    files = sorted(_listed(out_dir) | set(names))
+    _publish(out_dir, {_PREVIOUS_REPORT: lambda path: _write_json(
+        path, {"scenarios": [{"files": dict(zip(files, files))}]})})
+
+
+def _remove_stale(out_dir: Path, results):
+    """Delete each scenario file that the previous report in `out_dir`
+    (_PREVIOUS_REPORT) lists and `results` did not write, so that the
+    directory holds only what the next report lists."""
     written = {name for scenario in results for name in scenario.files.values()}
-    for name in listed - written:
-        path = out_dir / str(name)
-        if path.name == name and path.is_file():
+    for name in _listed(out_dir) - written:
+        path = out_dir / name
+        if path.is_file():
             path.unlink(missing_ok=True)
 
 
@@ -588,11 +626,7 @@ def _write_scenario(config: RunConfig, value: float, units, out_dir: Path
         layers.update(unit_layers)
     blocks = [block for table in tables for block in table]
     label = _scenario_label(config, value)
-    files = {
-        "params": f"params_{label}.csv",
-        "tsfit": f"tsfit_{label}.csv",
-        "fanchart": f"fanchart_{label}.csv",
-    }
+    files = _scenario_files(label)
     with _clock(layers, "write"):
         _publish(out_dir, {
             files["params"]: lambda path: lilee.export_params_csv(path, params),
@@ -624,6 +658,9 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     # that a crashed run moved aside is still the last one, and stays.
     with suppress(FileNotFoundError):
         os.replace(out_dir / "report.json", out_dir / _PREVIOUS_REPORT)
+    _list_before_writing(out_dir, [
+        name for value in config.method_grid
+        for name in _scenario_files(_scenario_label(config, value)).values()])
     timings = {}
 
     # An assembly error fails every scenario, as a shared calibration error
@@ -638,6 +675,7 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
         assembled = AssembledData(dataset=None, consistency=[], exposure_origins={},
                                   virtual_cells={})
     timings["assemble"] = time.perf_counter() - t0
+    timings["assemble_parts"] = assembled.timings
 
     if config.method_kind == WEIGHTED_LIKELIHOOD and shared_error is None:
         t0 = time.perf_counter()

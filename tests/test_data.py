@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -485,13 +486,14 @@ def load_outcome(path, shape):
     """The records of a load, or the type and text of the error it raised."""
     try:
         return fragment_records(load_individual_age_csv(path, shape))
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
         return type(exc).__name__, str(exc)
 
 
 HEADER = "country,year,gender,age,deaths,exposure,provenance"
 
-#: name -> (file text, source shape, whether the one-call parse takes it).
+#: name -> (file text or bytes, source shape, whether the one-call parse
+#: takes it, or None where the header is refused before the parse).
 EDGE_FILES = {
     "plain": (HEADER + "\nAAA,2001,M,0,12.5,1000,HMD\nAAA,2001,F,0,9,990.5,EURO\n",
               "HMD", True),
@@ -537,6 +539,25 @@ EDGE_FILES = {
     "130 countries": (HEADER + "".join(f"\nC{i:03d},2001,{'MF'[i % 2]},0,1,5,HMD"
                                        for i in range(130)) + "\nC129,2001,M,0,1,5,HMD\n",
                       "HMD", True),
+    # numpy reads the path with universal newlines, csv keeps a quoted
+    # field's line ends: a file with a quote and a \r takes the row loop.
+    "crlf in quoted field": (HEADER + '\n"A\r\nB",2001,M,0,1,5,HMD\n', "HMD", False),
+    "quoted country over two cr lines": (HEADER + '\r"A\rB",2001,M,0,1,5,HMD\r',
+                                         "HMD", False),
+    "quoted country over two lf lines": (HEADER + '\n"A\nB",2001,M,0,1,5,HMD\n',
+                                         "HMD", True),
+    "lone cr": (HEADER + "\rAAA,2001,M,0,12.5,1000,HMD\rAAA,2001,M,1,3,900,HMD\r",
+                "HMD", True),
+    # numpy skips the first physical line, which is the header row only
+    # when it holds no quote.
+    "quoted header": ('"country",year,gender,age,deaths,exposure,provenance\n'
+                      "AAA,2001,M,0,1,5,HMD\n", "HMD", False),
+    "header over two lines": ('"country\n",year,gender,age,deaths,exposure,provenance\n'
+                              "AAA,2001,M,0,1,5,HMD\n", "HMD", False),
+    "utf-8 bom": ("\ufeff" + HEADER + "\nAAA,2001,M,0,1,5,HMD\n", "HMD", None),
+    # 0x81 is not valid UTF-8 (nor ASCII or cp1252).
+    "undecodable byte": (HEADER.encode() + b"\nA\x81A,2001,M,0,1,5,HMD\n", "HMD", False),
+    "header only crlf": (HEADER + "\r\n", "HMD", False),
 }
 
 
@@ -575,7 +596,7 @@ class TestIndividualCsv:
     def test_one_call_parse_matches_row_loop(self, tmp_path, monkeypatch, name):
         text, shape, one_call = EDGE_FILES[name]
         path = tmp_path / "edge.csv"
-        path.write_bytes(text.encode())
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         taken = []
         parse = data._parse_rows_at_once
         monkeypatch.setattr(data, "_parse_rows_at_once",
@@ -583,7 +604,40 @@ class TestIndividualCsv:
         fast = load_outcome(path, shape)
         monkeypatch.setattr(data, "_parse_rows_at_once", lambda *args: None)
         assert fast == load_outcome(path, shape)
-        assert [t is not None for t in taken] == [one_call]
+        assert [t is not None for t in taken] == ([] if one_call is None else [one_call])
+
+    def test_one_call_parse_reads_the_path(self, tmp_path, monkeypatch):
+        # numpy reads a path in chunks in its C reader, but any other
+        # source as an iterable of Python line strings.
+        path = tmp_path / "ind.csv"
+        path.write_text(EDGE_FILES["plain"][0])
+        sources = []
+        loadtxt = np.loadtxt
+
+        def spy(source, *args, **kwargs):
+            sources.append(source)
+            return loadtxt(source, *args, **kwargs)
+
+        taken = []
+        parse = data._parse_rows_at_once
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(data, "_parse_rows_at_once",
+                            lambda *args: taken.append(parse(*args)) or taken[-1])
+        assert len(fragment_records(load_individual_age_csv(path, "HMD"))) == 4
+        assert sources == [str(path)] and taken[0] is not None
+
+    def test_a_path_numpy_would_decompress_takes_the_row_loop(self, tmp_path,
+                                                              monkeypatch):
+        # numpy picks a decompressor by the path's suffix.
+        plain, packed = tmp_path / "ind.csv", tmp_path / "ind.csv.gz"
+        for path in (plain, packed):
+            path.write_text(EDGE_FILES["plain"][0])
+        taken = []
+        parse = data._parse_rows_at_once
+        monkeypatch.setattr(data, "_parse_rows_at_once",
+                            lambda *args: taken.append(parse(*args)) or taken[-1])
+        assert load_outcome(packed, "HMD") == load_outcome(plain, "HMD")
+        assert [t is not None for t in taken] == [False, True]
 
     def test_one_call_parse_refused_on_warning(self, tmp_path, monkeypatch):
         # Older numpy releases read "1.5" into an integer field as 1 and
@@ -595,7 +649,7 @@ class TestIndividualCsv:
         def lenient(source, *args, **kwargs):
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning)
-            return loadtxt(io.StringIO(source.read().replace("1.5", "1")),
+            return loadtxt(io.StringIO(Path(source).read_text().replace("1.5", "1")),
                            *args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", lenient)

@@ -915,6 +915,32 @@ class TestWeightedScenarios:
         report_text = (config.output_dir / "report.json").read_text()
         assert "life_tables" not in report_text
 
+    def test_timings_sidecar_splits_the_assembly(self, wrun):
+        config, _ = wrun
+        timings = json.loads((config.output_dir / "timings.json").read_text())
+        parts = timings["assemble_parts"]
+        assert list(parts) == ["read", "aux_fit", "ungroup", "fill"]
+        assert all(t >= 0.0 for t in parts.values())
+        assert sum(parts.values()) <= timings["assemble"]
+        assert parts["aux_fit"] > 0.0  # CCC's 2019 and 2020 are ungrouped
+
+
+def test_ungroup_time_leaves_out_the_auxiliary_fit(wbundle):
+    # A fit slowed by 0.3 s lands in aux_fit alone: the parts do not overlap.
+    real = pipeline.fit_auxiliary_projection_model
+
+    def slow_fit(*args):
+        time.sleep(0.3)
+        return real(*args)
+
+    root, _, _ = wbundle
+    with mock.patch.object(pipeline, "fit_auxiliary_projection_model", slow_fit), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        parts = assemble_dataset(load_run_config(root / "config.yaml")).timings
+    assert parts["aux_fit"] >= 0.3
+    assert parts["ungroup"] < 0.3
+
 
 def test_adjusted_scenarios_time_their_own_calibration(almrun):
     config, report = almrun
@@ -1601,6 +1627,27 @@ class TestStaleOutputs:
         for scenario in json.loads((out / "report.json").read_text())["scenarios"]:
             assert scenario["hashes"] == {name: sha256(out / name)
                                           for name in scenario["files"].values()}
+
+    def test_two_crashes_in_a_row_leave_no_unlisted_file(self, small_bundle, tmp_path):
+        # A [1, 0.5] run killed at its report, after an ok [1] run: the
+        # next [1] run removes the alm0.5 files that no report listed.
+        out = tmp_path / "out"
+        assert self._run(small_bundle, out, [1.0]).all_ok
+        real = pipeline._write_json
+
+        def write_json(path, blob, **options):
+            if Path(path).name == ".report.json.tmp":
+                raise KeyboardInterrupt
+            real(path, blob, **options)
+
+        with mock.patch.object(pipeline, "_write_json", write_json), \
+                pytest.raises(KeyboardInterrupt):
+            self._run(small_bundle, out, [1.0, 0.5])
+        assert (out / "fanchart_alm0.5.csv").exists()
+        assert self._run(small_bundle, out, [1.0]).all_ok
+        on_disk, listed = files_beside_the_report(out)
+        assert on_disk == listed
+        assert len(listed) == 5
 
     @pytest.mark.parametrize("previous", ["{not json", '{"scenarios": 3}'])
     def test_an_unreadable_report_removes_nothing(self, small_bundle, tmp_path,
