@@ -419,8 +419,7 @@ def _read_csv(path):
     stream, positioned after the header, which every reader of the rows
     reads in place."""
     path = Path(path)
-    with path.open(newline="") as handle:
-        return (path, *_split_header(path, handle.read()))
+    return (path, *_split_header(path, _decode(path, path.read_bytes())))
 
 
 def _split_header(path, text):
@@ -433,11 +432,22 @@ def _split_header(path, text):
     return tuple(h.strip() for h in first), source
 
 
-def _decode(raw: bytes) -> str:
-    """`raw` decoded as `Path.open(newline="")` decodes a file: in the
-    default text encoding, with its line ends kept."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None),
-                            newline="").read()
+def _decode(path, raw: bytes) -> str:
+    """`raw`, the bytes of the file at `path` or their start, decoded as
+    `Path.open(newline="")` decodes a file: in the default text encoding,
+    with its line ends kept.  A byte that encoding cannot decode is refused
+    naming its line: one more than the line ends (a \n, a \r or both)
+    before it."""
+    try:
+        # One read of the whole stream decodes it in one call, so the
+        # error's offset counts from the first byte.
+        return io.TextIOWrapper(io.BytesIO(raw), encoding=io.text_encoding(None),
+                                newline="").read()
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        lineno = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise ParseError(f"{path}:{lineno}: cannot decode byte {raw[exc.start]:#04x} "
+                         f"as {exc.encoding}") from exc
 
 
 def _first_line(raw: bytes) -> bytes:
@@ -495,13 +505,14 @@ def load_individual_age_csv(path, source_shape: str) -> SurfaceFragment:
     first_line = _first_line(raw)
     # csv may read a header that holds a quote over several lines, so such
     # a header is read from the whole text; any other is the first line.
-    header, _ = _split_header(path, _decode(raw if b'"' in first_line else first_line))
+    header, _ = _split_header(path, _decode(path, raw if b'"' in first_line
+                                            else first_line))
     if header[:6] != INDIVIDUAL_HEADER:
         raise ParseError(f"{path}:1: expected header {','.join(INDIVIDUAL_HEADER)}")
     has_prov = len(header) > 6 and header[6] == "provenance"
     fragment = _parse_rows_at_once(path, raw, has_prov, source_shape)
     if fragment is None:
-        _, source = _split_header(path, _decode(raw))
+        _, source = _split_header(path, _decode(path, raw))
         fragment = _parse_rows_one_by_one(path, csv.reader(source), has_prov,
                                           source_shape)
     return fragment

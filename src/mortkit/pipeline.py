@@ -21,7 +21,6 @@ import json
 import os
 import time
 import warnings
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
@@ -48,9 +47,12 @@ _PREVIOUS_REPORT = ".report.json.prev"
 
 #: Columns, one per (projection year, path row), that one force, closure
 #: and expectancy call of the life tables take at most; a path batch of
-#: more rows takes one year a call.  An age band over this many columns
-#: (41 x 4096 doubles, 1.3 MB) fits a core's 2 MB L2 cache.
-LIFE_TABLE_COLUMNS = 4096
+#: more rows takes one year a call.  The wider the calls, the fewer times
+#: two units on the pool's threads hand the interpreter lock to each
+#: other per path-year.  An age band over this many columns is 41 x 8192
+#: doubles (2.7 MB); its expectancy runs in steps of a third of a band, so
+#: the survival scratch is 14 x 8192 doubles (0.9 MB).
+LIFE_TABLE_COLUMNS = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ class _Assembler:
         # Parts that do not overlap: reading the files into the grids,
         # the auxiliary fits, the rest of the ungrouping, and the
         # surfaces filled from the grids.
-        self.timings = dict.fromkeys(("read", "aux_fit", "ungroup", "fill"), 0.0)
+        self.timings = LayerTimes.fromkeys(("read", "aux_fit", "ungroup", "fill"), 0.0)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -341,21 +343,40 @@ def _scenario_files(label) -> dict:
             "fanchart": f"fanchart_{label}.csv"}
 
 
+class LayerTimes(dict):
+    """Seconds of wall time per layer, and in `cpu` the same layers' CPU
+    time on the thread that ran them (`time.thread_time`), which leaves
+    out the time the thread waited, on the interpreter lock among others."""
+
+    def __init__(self):
+        super().__init__()
+        self.cpu = {}
+
+    def add(self, other: "LayerTimes") -> None:
+        """Add `other`'s wall and CPU times to these."""
+        for mine, theirs in ((self, other), (self.cpu, other.cpu)):
+            for layer, seconds in theirs.items():
+                mine[layer] = mine.get(layer, 0.0) + seconds
+
+
 @contextmanager
-def _clock(layers: dict, layer: str):
-    """Add the wall time of the block to `layers[layer]`."""
-    start = time.perf_counter()
+def _clock(layers: LayerTimes, layer: str):
+    """Add the wall time of the block to `layers[layer]` and its CPU time
+    on this thread to `layers.cpu[layer]`."""
+    start, cpu = time.perf_counter(), time.thread_time()
     try:
         yield
     finally:
         layers[layer] = layers.get(layer, 0.0) + time.perf_counter() - start
+        layers.cpu[layer] = layers.cpu.get(layer, 0.0) + time.thread_time() - cpu
 
 
 def _timed(unit, *args):
     """Run one work unit as `unit(*args, layers)`.  Returns its result, the
-    wall time of each layer it ran (`layers`) and its own wall time."""
+    times of each layer it ran (`layers`, a `LayerTimes`) and its own wall
+    time."""
     start = time.perf_counter()
-    layers = {}
+    layers = LayerTimes()
     result = unit(*args, layers)
     return result, layers, time.perf_counter() - start
 
@@ -363,17 +384,40 @@ def _timed(unit, *args):
 def _life_table_rows(config, params, paths, gender, layers):
     """The life-table unit of one (scenario, gender): the gender's fan-chart
     blocks (quantity, gender, age, years, levels) from the scenario's path
-    batch, unordered.  The projection years go in blocks of as many whole
-    years as fit in LIFE_TABLE_COLUMNS columns, one per (year, path row),
-    and at least one, and each block's ages in bands of at most the
-    closure's 41 ages, top band first: the model ages from 80 up, closed
-    to age 120, then the model ages below 80.  Each band's forces give its
-    report ages' death probabilities and its cells of the cohorts'
-    diagonals, then its expectancies, in place and continued from the band
-    above.  Quantiles take one call per block, and the cohort ages take one
-    expectancy call each and one quantile call.  `levels` has one row per
-    year and one column per probe, then one with row 0 of the batch (the
-    best estimate).  Adds the wall time of each layer it ran to `layers`."""
+    batch, unordered: the period blocks of `_period_rows`, then one block
+    per cohort age.  The cohort ages take one expectancy call each, on the
+    diagonals `_period_rows` fills and once its buffers are freed, and one
+    quantile call.  `levels` has one row per year and one column per probe,
+    then one with row 0 of the batch (the best estimate).  Adds the times
+    of each layer it ran to `layers`."""
+    probes = project.DEFAULT_PROBES
+    rows = len(paths.K[gender])
+    # Ages-major like the bands.
+    diag = {a: np.empty((project.MAX_AGE - a + 1, rows)).T for a in config.cohort_ages}
+    blocks = _period_rows(config, params, paths, gender, diag, layers)
+    if config.cohort_ages:
+        # Cohort expectancy: the period kernel applied on the diagonal.
+        with _clock(layers, "life_tables"):
+            e_coh = np.stack([project.period_life_expectancy(diag[age], age)
+                              for age in config.cohort_ages])
+        with _clock(layers, "quantiles"):
+            cohort = np.column_stack(
+                [project.quantile_summary(e_coh.T[1:], probes).T, e_coh[:, 0]])
+        blocks += [("e_coh", gender, age, paths.years[:1], cohort[k:k + 1])
+                   for k, age in enumerate(config.cohort_ages)]
+    return blocks
+
+
+def _period_rows(config, params, paths, gender, diag, layers):
+    """The period fan-chart blocks of `_life_table_rows`, and each cohort's
+    forces copied into its diagonal `diag[age]`.  The projection years go
+    in blocks of as many whole years as fit in LIFE_TABLE_COLUMNS columns,
+    one per (year, path row), and at least one, and each block's ages in
+    bands of at most the closure's 41 ages, top band first: the model ages
+    from 80 up, closed to age 120, then the model ages below 80.  Each
+    band's forces give its report ages' death probabilities and its cells
+    of the cohorts' diagonals, then its expectancies, in place and
+    continued from the band above.  Quantiles take one call per block."""
     probes = project.DEFAULT_PROBES
     fit_lo, top = project.KANNISTO_FIT_LO, project.MAX_AGE
     width = top + 1 - fit_lo
@@ -387,22 +431,22 @@ def _life_table_rows(config, params, paths, gender, layers):
     # (first age, last age) of each band, top band first.
     bands = [(fit_lo, top)]
     bands += [(max(a0, hi + 1 - width), hi) for hi in range(fit_lo - 1, a0 - 1, -width)]
-    # One ages-major band buffer, its survival scratch and the expectancy
+    # One ages-major band buffer, survival scratch for a third of a band
+    # (the expectancy takes a band in three steps) and the expectancy
     # carried down to the band below, for every block.
     buffer = np.empty(width * per_block * rows)
-    survival = np.empty_like(buffer)
+    survival = np.empty((width + 2) // 3 * per_block * rows)
     carried = np.empty(per_block * rows)
-    # Ages-major like the bands, so the kernel reads it in place.
-    diag = {a: np.empty((top - a + 1, rows)).T for a in config.cohort_ages}
     labels = [("K", None), ("kappa", None)] + [("q", age) for age in report_ages]
     labels += [("e_per", age) for age in report_ages]
     levels = np.empty((len(labels), n_years, len(probes) + 1))
+    tables = np.empty((len(labels), per_block * rows))   # one row per label
     for first in range(0, n_years, per_block):
         n_block = min(per_block, n_years - first)
         n_cols = n_block * rows
         after = None
         with _clock(layers, "life_tables"):
-            table = np.empty((len(labels), n_cols))   # one row per label
+            table = tables[:, :n_cols]
             table[0] = paths.K[gender][:, first:first + n_block].T.ravel()
             table[1] = paths.kappa[gender][:, first:first + n_block].T.ravel()
             for lo, hi in bands:
@@ -439,19 +483,8 @@ def _life_table_rows(config, params, paths, gender, layers):
             levels[:, first:first + n_block, :-1] = np.moveaxis(
                 project.quantile_summary(samples[1:], probes), 0, -1)
             levels[:, first:first + n_block, -1] = samples[0]
-    blocks = [(quantity, gender, age, paths.years, levels[k])
-              for k, (quantity, age) in enumerate(labels)]
-    if config.cohort_ages:
-        # Cohort expectancy: the period kernel applied on the diagonal.
-        with _clock(layers, "life_tables"):
-            e_coh = np.stack([project.period_life_expectancy(diag[age], age)
-                              for age in config.cohort_ages])
-        with _clock(layers, "quantiles"):
-            cohort = np.column_stack(
-                [project.quantile_summary(e_coh.T[1:], probes).T, e_coh[:, 0]])
-        blocks += [("e_coh", gender, age, paths.years[:1], cohort[k:k + 1])
-                   for k, age in enumerate(config.cohort_ages)]
-    return blocks
+    return [(quantity, gender, age, paths.years, levels[k])
+            for k, (quantity, age) in enumerate(labels)]
 
 
 def _write_fanchart(path, blocks):
@@ -549,7 +582,7 @@ class ScenarioResult:
     files: dict = field(default_factory=dict)
     hashes: dict = field(default_factory=dict)
     elapsed: float = 0.0
-    layers: dict = field(default_factory=dict)
+    layers: LayerTimes = field(default_factory=LayerTimes)
 
     def to_json(self) -> dict:
         out = {
@@ -593,7 +626,7 @@ def run_scenario(config: RunConfig, dataset, value: float, shared_calibration,
     """The fit unit of one grid value: calibrate (or reuse the shared Li-Lee
     calibration), fit the dynamics and simulate from the run's `normals` the
     path batch both genders' life-table units read.  Returns (params,
-    calibration, fit, paths) and adds each layer's wall time to `layers`."""
+    calibration, fit, paths) and adds each layer's times to `layers`."""
     if config.method_kind == WEIGHTED_LIKELIHOOD:
         params, calibration = shared_calibration
         weight_last = value
@@ -621,9 +654,9 @@ def _write_scenario(config: RunConfig, value: float, units, out_dir: Path
     scenario's layer times and wall time are their sums plus this step's."""
     start = time.perf_counter()
     (params, calibration, fit, _), *tables = [result for result, _, _ in units]
-    layers = Counter()
+    layers = LayerTimes()
     for _, unit_layers, _ in units:
-        layers.update(unit_layers)
+        layers.add(unit_layers)
     blocks = [block for table in tables for block in table]
     label = _scenario_label(config, value)
     files = _scenario_files(label)
@@ -739,6 +772,7 @@ def run_pipeline(config: RunConfig, jobs: int | None = None) -> RunReport:
     )
     timings["scenario_seconds"] = {s.label: s.elapsed for s in results}
     timings["scenario_layers"] = {s.label: s.layers for s in results}
+    timings["scenario_layers_cpu"] = {s.label: s.layers.cpu for s in results}
     # The report is moved into place last: once it is on disk, so is every
     # file it hashes, and no file that only the previous report listed.
     _remove_stale(out_dir, results)

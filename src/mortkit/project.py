@@ -222,6 +222,16 @@ def _pairwise_rows(rows) -> np.ndarray:
     return total
 
 
+def _logit(mu: np.ndarray, work: np.ndarray | None) -> np.ndarray:
+    """log(mu) - log1p(-mu) in a new array.  -mu and its log1p go into
+    `work`, which may be `mu` itself, or into an array that lives only
+    for this call when `work` is None."""
+    y = np.log(mu)
+    work = np.negative(mu, out=work)
+    np.log1p(work, out=work)
+    return np.subtract(y, work, out=y)
+
+
 def check_forces(mu: np.ndarray) -> None:
     """Refuse forces that are not all positive and finite."""
     # min and max propagate NaN, which compares false, so NaN fails the
@@ -268,26 +278,32 @@ def kannisto_close(curve: np.ndarray, ages_lo: int = 0, *,
     hi = KANNISTO_FIT_HI - ages_lo
     # The age axis moved to the front (transpose is cheaper than moveaxis).
     ages_first = curve.transpose(-1, *range(curve.ndim - 1))
-    # The fit ages as contiguous age rows: a view of an ages-major curve.
-    fit_ages = np.ascontiguousarray(ages_first[lo:hi + 1])
+    # The fit ages as contiguous age rows: a view of an ages-major curve,
+    # else a copy.  The fit writes only into 11-row arrays of its own:
+    # `work` (the copy, once there is one) and the logit `y`.
+    fit_ages = ages_first[lo:hi + 1]
+    mu_fit = np.ascontiguousarray(fit_ages)
+    work = None if mu_fit is fit_ages else mu_fit
     if forces:
         check_forces(curve)
-        mu_fit = fit_ages
     else:
         # As in check_forces, NaN fails and an empty batch passes.
         if not (curve.min(initial=np.inf) > 0 and curve.max(initial=-np.inf) < 1):
             raise ValidationError("death probabilities must lie in (0, 1)")
-        mu_fit = -np.log1p(-fit_ages)
+        mu_fit = work = np.negative(mu_fit, out=work)
+        np.log1p(work, out=work)
+        np.negative(work, out=work)
     if np.any(mu_fit >= 1.0):
         warnings.warn("force >= 1 clamped below 1 for the logit fit",
                       RuntimeWarning, stacklevel=2)
-        mu_fit = np.minimum(mu_fit, FORCE_CLAMP)
+        mu_fit = work = np.minimum(mu_fit, FORCE_CLAMP, out=work)
     x = np.arange(KANNISTO_FIT_LO, KANNISTO_FIT_HI + 1, dtype=float)
-    y = np.log(mu_fit) - np.log1p(-mu_fit)   # logit, one row per fit age
+    y = _logit(mu_fit, work)
     xbar = x.mean()
-    weighted = y * (x - xbar).reshape((-1,) + (1,) * (y.ndim - 1))
-    slope = _pairwise_rows(weighted) / np.sum((x - xbar) ** 2)
-    intercept = _pairwise_rows(y) / len(x) - slope * xbar
+    total = _pairwise_rows(y)
+    y *= (x - xbar).reshape((-1,) + (1,) * (y.ndim - 1))   # the weighted rows
+    slope = _pairwise_rows(y) / np.sum((x - xbar) ** 2)
+    intercept = total / len(x) - slope * xbar
     # An exactly flat tail regresses to a slope of +-1e-19 float noise, so
     # the degeneracy test needs a hair of slack above zero.
     if np.any(slope <= 1e-12):
@@ -366,7 +382,8 @@ class AgeBand:
     `period_life_expectancy` to take a band at a time, the top band
     first.  `after` is the expectancy at the age past the band's last, one
     per column, from the band above (None for the band that ends at 120);
-    `survival` is flat scratch of at least the band's size."""
+    `survival` is flat scratch of at least one age row of the band: the
+    band is worked down in steps of as many ages as it holds."""
 
     first: int
     after: np.ndarray | None
@@ -401,7 +418,18 @@ def period_life_expectancy(mu: np.ndarray, age) -> np.ndarray:
         band = np.moveaxis(mu, -1, 0)
         if not band.flags.c_contiguous:
             raise ValidationError("an age band must be laid out ages-major")
-        _expectancy_kernel(band, age.after, age.survival)
+        # Steps of as many ages as the scratch holds, the top step first,
+        # each continued from the expectancy at the step above's first age.
+        columns = int(np.prod(band.shape[1:]))
+        if columns > age.survival.size:
+            raise ValidationError(f"survival scratch of {age.survival.size} cells holds "
+                                  f"no age row of {columns} columns")
+        step = age.survival.size // columns if columns else max(len(band), 1)
+        after = age.after
+        for hi in range(len(band), 0, -step):
+            lo = max(hi - step, 0)
+            _expectancy_kernel(band[lo:hi], after, age.survival)
+            after = band[lo]
         return mu
     age = _whole_age(age)
     mu = np.asarray(mu, dtype=float)

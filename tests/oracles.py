@@ -5,7 +5,8 @@ survival factor came from its own exp pass, a Kannisto closure that
 runs in death-probability space, a simulation that constructs one
 generator per path, forces from two broadcast outer products, the
 closure's tail evaluated on the path-major view, the closure that
-copied its input into a fresh array and quantiles from `np.quantile`
+copied its input into a fresh array, the one that built its logit fit
+from fresh temporaries and quantiles from `np.quantile`
 (`mortkit.project`), the Li-Lee
 calibration and its adjusted Lee-Miller variant each as its own pair of
 fits, and the layer fit that scored each candidate and then recomputed
@@ -192,6 +193,78 @@ def copying_kannisto_close(mu, ages_lo=0):
     tail += 1.0
     np.divide(1.0, tail, out=tail)
     return np.moveaxis(closed, 0, -1)
+
+
+def temporaries_kannisto_close(curve, ages_lo=0, *, forces=False, out=None):
+    """`project.kannisto_close` as it built the logit fit from fresh
+    temporaries: the forces of the fit ages from `-log1p(-q)`, the clamp by
+    `np.minimum`, the logit as `log(mu) - log1p(-mu)` and its weighted rows
+    as a product, each a new 11-row array."""
+    curve = np.asarray(curve, dtype=float)
+    n_in = curve.shape[-1]
+    top_in = ages_lo + n_in - 1
+    if not 0 <= ages_lo <= KANNISTO_FIT_LO:
+        raise ValidationError(
+            f"closure needs ages from 0 and the fit ages {KANNISTO_FIT_LO}.."
+            f"{KANNISTO_FIT_HI}, input starts at {ages_lo}"
+        )
+    if top_in < KANNISTO_FIT_HI:
+        raise ValidationError(
+            f"closure needs ages up to {KANNISTO_FIT_HI}, input ends at {top_in}"
+        )
+    shape = curve.shape[:-1] + (MAX_AGE + 1 - ages_lo,)
+    if out is not None and out.shape != shape:
+        raise ValidationError(f"out has shape {out.shape}, closure needs {shape}")
+    lo = KANNISTO_FIT_LO - ages_lo
+    hi = KANNISTO_FIT_HI - ages_lo
+    # The age axis moved to the front (transpose is cheaper than moveaxis).
+    ages_first = curve.transpose(-1, *range(curve.ndim - 1))
+    # The fit ages as contiguous age rows: a view of an ages-major curve.
+    fit_ages = np.ascontiguousarray(ages_first[lo:hi + 1])
+    if forces:
+        project.check_forces(curve)
+        mu_fit = fit_ages
+    else:
+        # As in check_forces, NaN fails and an empty batch passes.
+        if not (curve.min(initial=np.inf) > 0 and curve.max(initial=-np.inf) < 1):
+            raise ValidationError("death probabilities must lie in (0, 1)")
+        mu_fit = -np.log1p(-fit_ages)
+    if np.any(mu_fit >= 1.0):
+        warnings.warn("force >= 1 clamped below 1 for the logit fit",
+                      RuntimeWarning, stacklevel=2)
+        mu_fit = np.minimum(mu_fit, FORCE_CLAMP)
+    x = np.arange(KANNISTO_FIT_LO, KANNISTO_FIT_HI + 1, dtype=float)
+    y = np.log(mu_fit) - np.log1p(-mu_fit)   # logit, one row per fit age
+    xbar = x.mean()
+    weighted = y * (x - xbar).reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = project._pairwise_rows(weighted) / np.sum((x - xbar) ** 2)
+    intercept = project._pairwise_rows(y) / len(x) - slope * xbar
+    # An exactly flat tail regresses to a slope of +-1e-19 float noise, so
+    # the degeneracy test needs a hair of slack above zero.
+    if np.any(slope <= 1e-12):
+        warnings.warn("fitted logistic is non-increasing in age (phi <= 0)",
+                      RuntimeWarning, stacklevel=2)
+    # The logistic fills the tail in place, one contiguous age row at a time.
+    if out is None:
+        closed = np.empty(shape[-1:] + shape[:-1])
+        out = closed.transpose(*range(1, closed.ndim), 0)
+    else:
+        closed = out.transpose(-1, *range(out.ndim - 1))
+    # numpy skips assigning a view onto itself, so `out`'s head is not copied.
+    closed[:n_in] = ages_first
+    tail = closed[n_in:]
+    np.multiply.outer(np.arange(top_in + 1, MAX_AGE + 1, dtype=float), slope,
+                      out=tail)
+    tail += intercept
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    tail += 1.0
+    np.divide(1.0, tail, out=tail)
+    if not forces:
+        np.negative(tail, out=tail)
+        np.expm1(tail, out=tail)
+        np.negative(tail, out=tail)
+    return out
 
 
 def scalar_central_force(aux, gender, year):

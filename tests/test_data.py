@@ -486,7 +486,7 @@ def load_outcome(path, shape):
     """The records of a load, or the type and text of the error it raised."""
     try:
         return fragment_records(load_individual_age_csv(path, shape))
-    except (ParseError, ValidationError, UnicodeDecodeError) as exc:
+    except (ParseError, ValidationError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -685,6 +685,44 @@ class TestIndividualCsv:
                         "BEL,2005,M,40,2,10\n")
         with pytest.raises(ParseError, match="duplicate deaths"):
             load_individual_age_csv(path, "HMD")
+
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
+    def test_an_undecodable_byte_is_refused_naming_its_line(self, tmp_path, monkeypatch,
+                                                             line_end):
+        # 0x81 is not valid UTF-8 (nor ASCII or cp1252).  On line 1500, far
+        # past the first chunk any reader takes, the one-call parse refuses
+        # the file and the row loop's decode names the line.
+        rows = [b"country,year,gender,age,deaths,exposure,provenance"]
+        rows += [b"AAA,%d,M,%d,1,5,HMD" % (1900 + i // 100, i % 100) for i in range(1498)]
+        rows += [b"A\x81A,2001,M,0,1,5,HMD", b"AAA,2001,M,1,1,5,HMD", b""]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(line_end.join(rows))
+        taken = []
+        parse = data._parse_rows_at_once
+        monkeypatch.setattr(data, "_parse_rows_at_once",
+                            lambda *args: taken.append(parse(*args)) or taken[-1])
+        with pytest.raises(ParseError) as caught:
+            load_individual_age_csv(path, "HMD")
+        assert str(caught.value) == f"{path}:1500: cannot decode byte 0x81 as utf-8"
+        assert taken == [None]
+
+    def test_an_undecodable_header_byte_is_refused_on_line_1(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"country,year,gender,age,deaths,exposure\x81\n"
+                         b"BEL,2005,M,40,1,10\n")
+        with pytest.raises(ParseError, match=r"bad\.csv:1: cannot decode byte 0x81"):
+            load_individual_age_csv(path, "HMD")
+
+    def test_an_undecodable_byte_in_a_weekly_file_is_refused_naming_its_line(
+            self, tmp_path):
+        path = tmp_path / "stmf.csv"
+        write_weekly_csv(path, [weekly_stmf()], "STMF")
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = lines[3].replace(b",", b",\x81", 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError) as caught:
+            load_weekly_csv(path, "STMF")
+        assert str(caught.value) == f"{path}:4: cannot decode byte 0x81 as utf-8"
 
 
 #: Year sets of the random fragments: a short run of years, and years

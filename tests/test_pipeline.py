@@ -915,6 +915,15 @@ class TestWeightedScenarios:
         report_text = (config.output_dir / "report.json").read_text()
         assert "life_tables" not in report_text
 
+    def test_timings_sidecar_reports_scenario_layer_cpu_times(self, wrun):
+        config, _ = wrun
+        timings = json.loads((config.output_dir / "timings.json").read_text())
+        cpu = timings["scenario_layers_cpu"]
+        assert set(cpu) == set(timings["scenario_layers"])
+        for label, times in cpu.items():
+            assert set(times) == set(timings["scenario_layers"][label])
+            assert all(t >= 0.0 for t in times.values())
+
     def test_timings_sidecar_splits_the_assembly(self, wrun):
         config, _ = wrun
         timings = json.loads((config.output_dir / "timings.json").read_text())
@@ -953,8 +962,9 @@ def test_adjusted_scenarios_time_their_own_calibration(almrun):
 def test_failed_scenario_reports_no_layer_times(mixed):
     config, _ = mixed
     with (config.output_dir / "timings.json").open() as handle:
-        layers = json.load(handle)["scenario_layers"]
-    assert layers["w0"] == {}
+        timings = json.load(handle)
+    layers = timings["scenario_layers"]
+    assert layers["w0"] == timings["scenario_layers_cpu"]["w0"] == {}
     assert "life_tables" in layers["w1"]
 
 
@@ -1130,7 +1140,8 @@ def write_fanchart(config, params, fit, path):
         warnings.simplefilter("ignore", RuntimeWarning)
         pipeline._write_fanchart(path, [
             block for gender in GENDERS
-            for block in pipeline._life_table_rows(config, params, paths, gender, {})])
+            for block in pipeline._life_table_rows(config, params, paths, gender,
+                                                   pipeline.LayerTimes())])
 
 
 def fanchart_rows(path):
@@ -1195,7 +1206,8 @@ class TestFanChartRows:
                 calls = {name: stack.enter_context(mock.patch.object(
                              project, name, wraps=getattr(project, name)))
                          for name in names}
-                pipeline._life_table_rows(config, params, paths, "F", {})
+                pipeline._life_table_rows(config, params, paths, "F",
+                                          pipeline.LayerTimes())
             assert {name: calls[name].call_count for name in names} == {
                 "force_paths": 2 * n_blocks, "kannisto_close": n_blocks,
                 "period_life_expectancy": 2 * n_blocks + len(cohort_ages),
@@ -1235,7 +1247,8 @@ class TestFanChartRows:
             for years_per_block in (1, 2, 3, n_years):
                 monkeypatch.setattr(pipeline, "LIFE_TABLE_COLUMNS", years_per_block * rows)
                 results.append(block_bytes(
-                    pipeline._life_table_rows(config, params, paths, "M", {})))
+                    pipeline._life_table_rows(config, params, paths, "M",
+                                              pipeline.LayerTimes())))
             results.append(block_bytes(full_age_life_table_rows(config, params, paths, "M")))
         assert all(result == results[0] for result in results[1:])
 
@@ -1300,9 +1313,39 @@ class TestAgeBands:
         with warnings.catch_warnings(), \
                 mock.patch.object(pipeline, "LIFE_TABLE_COLUMNS", budget):
             warnings.simplefilter("ignore", RuntimeWarning)
-            got = pipeline._life_table_rows(config, params, paths, "M", {})
+            got = pipeline._life_table_rows(config, params, paths, "M", pipeline.LayerTimes())
             want = full_age_life_table_rows(config, params, paths, "M")
         assert block_bytes(got) == block_bytes(want)
+
+    @pytest.mark.parametrize("years_per_block", [1, 2, 3, 121])
+    def test_bands_in_steps_give_the_full_age_unit_bytes(self, years_per_block):
+        # The survival scratch holds a third of a band's ages, so every band
+        # of a whole block takes three expectancy steps (the one-year last
+        # block at 3 years a block takes one).
+        config = SimpleNamespace(ages=AgeRange(0, 90), report_ages=(0, 38, 39, 79, 80, 90),
+                                 cohort_ages=(0, 65))
+        rows = 5
+        params, paths = synthetic_unit_inputs(0, 90, rows, 121, 11)
+        steps = []
+        expectancy = project.period_life_expectancy
+
+        def spy(mu, age):
+            if isinstance(age, project.AgeBand):
+                ages, columns = mu.shape[-1], mu.size // mu.shape[-1]
+                steps.append((columns, -(-ages // (age.survival.size // columns))))
+            return expectancy(mu, age)
+
+        with warnings.catch_warnings(), \
+                mock.patch.object(pipeline, "LIFE_TABLE_COLUMNS", years_per_block * rows), \
+                mock.patch.object(project, "period_life_expectancy", spy):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = pipeline._life_table_rows(config, params, paths, "M",
+                                            pipeline.LayerTimes())
+        want = full_age_life_table_rows(config, params, paths, "M")
+        assert block_bytes(got) == block_bytes(want)
+        whole = years_per_block * rows
+        assert {n for columns, n in steps if columns == whole} == {3}
+        assert len(steps) == 3 * -(-121 // years_per_block)
 
     @pytest.mark.parametrize("age", [0, 20, 38, 39, 40, 79])
     @pytest.mark.parametrize("log_force", [-np.inf, np.inf])   # a force of 0 or inf
@@ -1316,7 +1359,7 @@ class TestAgeBands:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValidationError, match="forces must be positive and finite"):
-                pipeline._life_table_rows(config, params, paths, "M", {})
+                pipeline._life_table_rows(config, params, paths, "M", pipeline.LayerTimes())
 
     def test_one_unit_allocates_no_more_than_the_full_age_unit(self):
         """The traced peak of one unit on a 2001-row, 56-year batch (the
@@ -1330,7 +1373,7 @@ class TestAgeBands:
             warnings.simplefilter("ignore", RuntimeWarning)
             for name, unit in (
                     ("bands", lambda: pipeline._life_table_rows(config, params, paths,
-                                                                "M", {})),
+                                                                "M", pipeline.LayerTimes())),
                     ("full ages", lambda: full_age_life_table_rows(config, params,
                                                                    paths, "M"))):
                 tracemalloc.start()
@@ -1602,6 +1645,25 @@ class TestStaleOutputs:
                 report["weekly_exposure_origin"]) == ({}, [], {})
         on_disk, listed = files_beside_the_report(root / "out")
         assert on_disk == listed == ["report.json", "timings.json"]
+
+    def test_an_undecodable_byte_fails_the_run_on_one_line(self, small_bundle, tmp_path,
+                                                            capsys):
+        # One byte of BBB's file that UTF-8 cannot decode: one error line
+        # naming the file and line, exit 1, and a report that says so.
+        root = tmp_path / "bundle"
+        shutil.copytree(small_bundle[0], root, ignore=shutil.ignore_patterns("out*"))
+        data = root / "data" / "BBB.csv"
+        lines = data.read_bytes().split(b"\n")
+        lines[4] = b"\x81" + lines[4]
+        data.write_bytes(b"\n".join(lines))
+        assert main(["run", "--config", str(root / "config.yaml")]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and line.endswith(
+            "BBB.csv:5: cannot decode byte 0x81 as utf-8")
+        report = json.loads((root / "out" / "report.json").read_text())
+        errors = {(s["status"], s["error"]) for s in report["scenarios"]}
+        assert report["scenarios"] and errors == {
+            ("failed", f"ParseError: {line[len('error: '):]}")}
 
     def test_a_crash_before_the_report_leaves_no_report(self, small_bundle, tmp_path):
         # A run killed after its scenario files and before its report leaves

@@ -12,7 +12,7 @@ from oracles import (copying_kannisto_close, cumsum_expectancy,
                      negate_twice_expectancy_kernel, np_quantile_summary,
                      outer_product_force_paths, path_major_kannisto_close,
                      per_path_period_effects, q_space_kannisto_close,
-                     relative_error)
+                     relative_error, temporaries_kannisto_close)
 
 from mortkit import project
 from mortkit.data import AgeRange, YearRange
@@ -438,6 +438,56 @@ class TestKannistoClosure:
         q = -np.expm1(-mu)
         np.testing.assert_array_equal(kannisto_close(np.asfortranarray(q), 60),
                                       q_space_kannisto_close(q, 60))
+
+    @settings(deadline=None)
+    @given(st.integers(0, 80), st.integers(90, MAX_AGE), st.integers(0, 3), st.booleans(),
+           st.sampled_from(["ages-major", "path-major", "into its head", "into another"]),
+           st.data())
+    def test_closure_equals_the_closure_with_fresh_temporaries(self, ages_lo, top_in,
+                                                               rows, forces, layout,
+                                                               data):
+        # Forces up to 1.5 and probabilities up to 0.9 (a force up to 2.3)
+        # often reach the clamp; the warnings must match too.
+        n_in = top_in + 1 - ages_lo
+        top = 1.5 if forces else 0.9
+        curve = data.draw(hnp.arrays(float, (n_in, rows), elements=st.floats(1e-6, top)))
+        original = curve.copy()
+        results = []
+        for close in (kannisto_close, temporaries_kannisto_close):
+            out = None
+            if layout == "into its head":
+                out = np.empty((MAX_AGE + 1 - ages_lo, rows)).T
+                out[:, :n_in] = curve.T
+                given = out[:, :n_in]
+            elif layout == "into another":
+                given, out = curve.T.copy(), np.empty((rows, MAX_AGE + 1 - ages_lo))
+            else:
+                given = curve.T if layout == "ages-major" else curve.T.copy()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = close(given, ages_lo, forces=forces, out=out)
+            assert out is None or got is out
+            assert not np.shares_memory(got, curve)
+            results.append((got.tobytes(), got.shape, [str(w.message) for w in caught]))
+            assert curve.tobytes() == original.tobytes()
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("forces", [True, False])
+    def test_a_clamped_closure_equals_the_closure_with_fresh_temporaries(self, forces):
+        mu = np.tile(logistic_mu(np.arange(91), level=2.0), (3, 1))
+        mu[1, 85:] = 1.0
+        mu[2] = np.linspace(0.5, 3.0, 91)
+        curve = mu if forces else -np.expm1(-mu)
+        for given in (curve, np.ascontiguousarray(curve.T).T):
+            results = []
+            for close in (kannisto_close, temporaries_kannisto_close):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = close(given, forces=forces)
+                results.append((got.tobytes(), [str(w.message) for w in caught]))
+            assert "force >= 1 clamped below 1 for the logit fit" in results[0][1]
+            assert results[0] == results[1]
+            np.testing.assert_array_equal(given, curve)   # the input is not written
 
     def test_empty_batch_closes_to_an_empty_batch(self):
         closed = kannisto_close(np.empty((0, 91)), 0, forces=True)
@@ -866,6 +916,33 @@ class TestOnePassKernels:
             assert np.shares_memory(got, buffer)
             after = band[0].copy()
         np.testing.assert_array_equal(buffer.T, want)
+
+    @pytest.mark.parametrize("step", [1, 7, 21, 41])
+    @pytest.mark.parametrize("first", [39, 80])
+    def test_expectancy_in_steps_of_the_scratch_gives_the_one_pass_bits(self, rng,
+                                                                         first, step):
+        # A 41-age band in steps of as many ages as its survival scratch
+        # holds (a scratch a few cells short of one more age row), with
+        # forces of 0 and infinity on step edges and inside steps.
+        rows = 5
+        buffer = np.exp(rng.uniform(-9.0, 1.0, (41, rows)))   # ages-major
+        buffer[[0, 6, 7, 20, 21, 40], [0, 1, 2, 3, 4, 0]] = 0.0
+        buffer[[13, 34], [1, 2]] = np.inf
+        after = None if first == 80 else rng.uniform(0.0, 10.0, rows)
+        want = buffer.copy()
+        period_life_expectancy(want.T, project.AgeBand(first, after, np.empty(want.size)))
+        if first == 80:
+            assert want.T.tobytes() == one_pass_expectancy(buffer.T, range(80, 121)).tobytes()
+        survival = np.empty(step * rows + rows - 1)
+        got = period_life_expectancy(buffer.T, project.AgeBand(first, after, survival))
+        assert np.shares_memory(got, buffer)
+        assert buffer.tobytes() == want.tobytes()
+
+    def test_survival_scratch_must_hold_one_age_row(self):
+        band = np.full((3, 4), 0.02)
+        period_life_expectancy(band.T, project.AgeBand(MAX_AGE - 2, None, np.empty(4)))
+        with pytest.raises(ValidationError, match="3 cells holds no age row of 4 columns"):
+            period_life_expectancy(band.T, project.AgeBand(MAX_AGE - 2, None, np.empty(3)))
 
     def test_a_zero_force_on_a_band_edge_lives_the_whole_year(self):
         buffer = np.full((3, 2), 0.02)
